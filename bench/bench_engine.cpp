@@ -24,12 +24,11 @@
 //             of a hot-heavy request stream for both legs, plus the derived
 //             capacity_ratio and p50_regression the check gate enforces.
 //   frontend_sweep
-//             the serve frontends measured over real sockets: an in-process
+//             the serve frontend measured over real sockets: an in-process
 //             open-loop client (engine/open_loop.hpp) fires a fixed offered
-//             load at a warm engine behind the epoll reactor and behind the
-//             legacy thread-per-connection frontend, sweeping the arrival
-//             rate to produce the latency-vs-offered-load curve, plus one
-//             high-concurrency reactor point. Every leg records two gate
+//             load at a warm engine behind the epoll reactor, sweeping the
+//             arrival rate to produce the latency-vs-offered-load curve, plus
+//             one high-concurrency point. Every leg records two gate
 //             invariants: stalled_sockets (a request that got neither a
 //             frame nor a close) must be 0, and shed_mismatch (server-side
 //             RETRY_AFTER frames sent minus client-side kOverloaded frames
@@ -352,7 +351,6 @@ CapacityResult run_capacity_sweep(Index length) {
 }
 
 struct FrontendLeg {
-  std::string mode;  // "reactor" | "threaded"
   std::size_t connections = 0;
   double offered_rate = 0.0;
   OpenLoopResult open;
@@ -399,18 +397,28 @@ std::vector<std::string> make_frontend_payloads(int pairs, Index length) {
   return payloads;
 }
 
-/// Runs one open-loop measurement against an already-constructed frontend:
-/// spins the event/accept loop on a helper thread, replays the payload pool
-/// once at a low rate so the engine is warm (cold-compute samples would
-/// otherwise pollute the p99 this sweep exists to compare), then fires the
-/// timed window and stops the server.
-template <typename Server>
-FrontendLeg drive_frontend(Server& server, const std::string& mode,
-                           std::size_t connections, double rate,
-                           std::uint64_t duration_ms,
-                           const std::vector<std::string>& payloads) {
+/// One open-loop measurement of a reactor over a warm engine: spins the
+/// event loop on a helper thread, replays the payload pool once at a low
+/// rate so the engine is warm (cold-compute samples would otherwise pollute
+/// the p99 this sweep exists to compare), then fires the timed window and
+/// stops the server.
+FrontendLeg run_frontend_leg(std::size_t connections, double rate,
+                             std::uint64_t duration_ms,
+                             const std::vector<std::string>& payloads) {
+  EngineOptions options;  // memory store: the sweep measures the frontend
+  options.scheduler.workers = hardware_threads();
+  options.scheduler.max_queue = 4096;
+  ComparisonEngine engine(options);
+  EngineService service(engine);
+
+  FrontendOptions frontend;
+  frontend.port = 0;
+  frontend.max_connections = connections + 64;  // headroom for the warm-up conns
+  frontend.idle_timeout_ms = 0;                 // legs pause between phases
+  frontend.read_timeout_ms = 0;
+  FrontendServer server(service, frontend);
+
   FrontendLeg leg;
-  leg.mode = mode;
   leg.connections = connections;
   leg.offered_rate = rate;
 
@@ -442,42 +450,18 @@ FrontendLeg drive_frontend(Server& server, const std::string& mode,
   return leg;
 }
 
-FrontendLeg run_frontend_leg(bool reactor, std::size_t connections, double rate,
-                             std::uint64_t duration_ms,
-                             const std::vector<std::string>& payloads) {
-  EngineOptions options;  // memory store: the sweep measures the frontends
-  options.scheduler.workers = hardware_threads();
-  options.scheduler.max_queue = 4096;
-  ComparisonEngine engine(options);
-
-  FrontendOptions frontend;
-  frontend.port = 0;
-  frontend.max_connections = connections + 64;  // headroom for the warm-up conns
-  frontend.idle_timeout_ms = 0;                 // legs pause between phases
-  frontend.read_timeout_ms = 0;
-  if (reactor) {
-    FrontendServer server(engine, frontend);
-    return drive_frontend(server, "reactor", connections, rate, duration_ms, payloads);
-  }
-  ThreadedFrontend server(engine, frontend);
-  return drive_frontend(server, "threaded", connections, rate, duration_ms, payloads);
-}
-
 std::vector<FrontendLeg> run_frontend_sweep(Index length) {
   // Short pairs: warm kLcs answers are cheap by design, so the socket /
   // decode / admission path is what the sweep times, not kernel compute.
   const auto payloads = make_frontend_payloads(/*pairs=*/8, std::max<Index>(64, length / 8));
   std::vector<FrontendLeg> legs;
   for (const double rate : {500.0, 1000.0, 2000.0, 4000.0}) {
-    for (const bool reactor : {false, true}) {
-      legs.push_back(run_frontend_leg(reactor, /*connections=*/128, rate,
-                                      /*duration_ms=*/1000, payloads));
-    }
+    legs.push_back(run_frontend_leg(/*connections=*/128, rate, /*duration_ms=*/1000,
+                                    payloads));
   }
-  // The concurrency point the threaded frontend cannot visit (2000 blocking
-  // threads is not a serving design): the reactor at 2000 sockets.
-  legs.push_back(run_frontend_leg(/*reactor=*/true, /*connections=*/2000,
-                                  /*rate=*/2000.0, /*duration_ms=*/1000, payloads));
+  // The high-concurrency point: 2000 sockets on one event loop.
+  legs.push_back(run_frontend_leg(/*connections=*/2000, /*rate=*/2000.0,
+                                  /*duration_ms=*/1000, payloads));
   return legs;
 }
 
@@ -488,8 +472,8 @@ std::vector<FrontendLeg> run_frontend_sweep(Index length) {
 // honestly demonstrate *compute* scaling -- that is the multi-node deployment's
 // job. What a single host CAN measure is the router itself: whether it keeps
 // N backends busy, spills overflow to replicas, and stays off the critical
-// path. The scale legs therefore run against emulated shard nodes -- handler-
-// mode reactors with pump_threads=1 and a fixed service-time sleep, i.e. a
+// path. The scale legs therefore run against emulated shard nodes -- reactors
+// over a sleeping Service with pump_threads=1, i.e. a
 // remote node's serial service loop with its capacity pinned by latency, not
 // local CPU. Every leg (1, 2, 4 shards) is offered the SAME rate, calibrated
 // to ~3.2x one node's measured capacity: the 1-shard leg saturates and sheds
@@ -525,37 +509,44 @@ struct ShardSweepResult {
   }
 };
 
-/// In-process stand-in for one remote shard node: a handler-mode reactor
-/// whose single pump sleeps a fixed service time per request, then answers
-/// from the shared oracle table (requests carry their pool index in x).
-struct EmulatedShard {
+/// In-process stand-in for one remote shard node: a reactor whose single
+/// pump sleeps a fixed service time per request, then answers from the
+/// shared oracle table (requests carry their pool index in x).
+struct EmulatedShard final : Service {
+  const std::vector<Index>& oracle;
+  std::uint64_t service_us;
   FrontendServer server;
   std::thread loop;
 
-  EmulatedShard(const std::vector<Index>& oracle, std::uint64_t service_us)
-      : server(emulated_options(oracle, service_us)),
+  EmulatedShard(const std::vector<Index>& oracle_table, std::uint64_t sleep_us)
+      : oracle(oracle_table),
+        service_us(sleep_us),
+        server(*this, emulated_options()),
         loop([this] { server.run(); }) {}
 
-  ~EmulatedShard() {
+  ~EmulatedShard() override {
     server.request_stop();
     loop.join();
   }
 
-  static FrontendOptions emulated_options(const std::vector<Index>& oracle,
-                                          std::uint64_t service_us) {
+  Step begin(Request&& request, bool may_defer) override {
+    if (!may_defer) return {};
+    return Step{std::nullopt, [this, x = request.x](const Sink& sink) {
+                  std::this_thread::sleep_for(std::chrono::microseconds(service_us));
+                  Response response;
+                  response.value =
+                      oracle.empty() ? 0
+                                     : oracle[static_cast<std::size_t>(x) % oracle.size()];
+                  (void)sink(std::move(response));
+                }};
+  }
+
+  static FrontendOptions emulated_options() {
     FrontendOptions frontend;
     frontend.port = 0;
     frontend.idle_timeout_ms = 0;
     frontend.read_timeout_ms = 0;
     frontend.pump_threads = 1;  // the node's serial service loop
-    frontend.handler = [&oracle, service_us](const Request& request) {
-      std::this_thread::sleep_for(std::chrono::microseconds(service_us));
-      Response response;
-      response.value =
-          oracle.empty() ? 0
-                         : oracle[static_cast<std::size_t>(request.x) % oracle.size()];
-      return response;
-    };
     return frontend;
   }
 };
@@ -579,7 +570,7 @@ std::vector<std::string> make_shard_payloads(int pairs, Index length,
 }
 
 /// One scale leg: K emulated shards behind a ShardRouter behind its own
-/// handler-mode reactor, driven by the open-loop client with verification on.
+/// reactor, driven by the open-loop client with verification on.
 ShardLeg run_shard_scale_leg(int shards, const std::vector<Index>& oracle,
                              const std::vector<std::string>& payloads,
                              std::uint64_t service_us, double rate,
@@ -607,8 +598,7 @@ ShardLeg run_shard_scale_leg(int shards, const std::vector<Index>& oracle,
   frontend.idle_timeout_ms = 0;
   frontend.read_timeout_ms = 0;
   frontend.pump_threads = 32;  // pumps block on backend RTTs: this is fan-out
-  frontend.handler = [&router](const Request& request) { return router.route(request); };
-  FrontendServer server(std::move(frontend));
+  FrontendServer server(router, std::move(frontend));
   std::thread loop([&server] { server.run(); });
 
   std::size_t idx = 0;
@@ -644,11 +634,13 @@ ShardLeg run_shard_failover_leg(Index length, double rate, std::uint64_t duratio
 
   struct RealShard {
     ComparisonEngine engine;
+    EngineService service;
     FrontendServer server;
     std::thread loop;
     RealShard()
         : engine(real_engine_options()),
-          server(engine, real_frontend_options()),
+          service(engine),
+          server(service, real_frontend_options()),
           loop([this] { server.run(); }) {}
     ~RealShard() { stop(); }
     void stop() {
@@ -700,8 +692,7 @@ ShardLeg run_shard_failover_leg(Index length, double rate, std::uint64_t duratio
   frontend.idle_timeout_ms = 0;
   frontend.read_timeout_ms = 0;
   frontend.pump_threads = 16;
-  frontend.handler = [&router](const Request& request) { return router.route(request); };
-  FrontendServer server(std::move(frontend));
+  FrontendServer server(router, std::move(frontend));
   std::thread loop([&server] { server.run(); });
 
   std::thread killer([&nodes, kill_after_ms] {
@@ -786,7 +777,7 @@ void write_shard_leg(std::ofstream& out, const ShardLeg& leg, bool last) {
 
 void write_frontend_leg(std::ofstream& out, const FrontendLeg& leg, bool last) {
   const OpenLoopResult& r = leg.open;
-  out << "    {\"mode\": \"" << leg.mode << "\", \"connections\": " << leg.connections
+  out << "    {\"connections\": " << leg.connections
       << ", \"offered_rate\": " << leg.offered_rate
       << ", \"achieved_rate\": " << r.achieved_rate
       << ",\n     \"sent\": " << r.sent << ", \"received\": " << r.received
@@ -1277,11 +1268,10 @@ int main() {
   std::cout << "capacity_ratio " << capacity.capacity_ratio() << "x, p50_regression "
             << 100.0 * capacity.p50_regression() << "%\n";
 
-  Table fe({"mode", "conns", "offered_rps", "achieved_rps", "received", "overloaded",
+  Table fe({"conns", "offered_rps", "achieved_rps", "received", "overloaded",
             "stalled", "shed_mismatch", "p50_ms", "p99_ms"});
   for (const FrontendLeg& leg : frontends) {
     fe.row()
-        .cell(leg.mode)
         .cell(static_cast<long long>(leg.connections))
         .cell(leg.offered_rate, 0)
         .cell(leg.open.achieved_rate, 0)

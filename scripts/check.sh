@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build + test the release and sanitizer configurations.
+# The release ctest run must also finish inside a wall-time budget
+# (tier1_budget_s below), so a suite slowed by machine load or spinning
+# threads fails loudly instead of just taking longer.
 #
 # The ASan/UBSan leg matters for this codebase specifically because the
 # steady-ant arena and the Workspace buffer pools hand out raw spans carved
@@ -76,13 +79,31 @@ while getopts "j:" opt; do
   esac
 done
 
+# Tier-1 wall-time budget for the release ctest run, in seconds, scaled with
+# the parallelism used: 25 s at -j4 and above, 100 s at -j1. Measured on a
+# 4-core host, the 1426-case suite took 6.3-9.6 s at -j4, 9.7 s at -j2 and
+# 16.3 s at -j1, so every level keeps at least ~2.5x headroom (more at -j1,
+# where a 1-core host also serializes each test's own worker threads). A
+# suite that blows it is spending its time on something other than tests
+# (OpenMP spin-waiting did, before tests/CMakeLists.txt set OMP_WAIT_POLICY).
+tier1_budget_s=$(( 100 / (jobs < 4 ? (jobs < 1 ? 1 : jobs) : 4) ))
+
 for preset in release asan tsan; do
   echo "==> configure ($preset)"
   cmake --preset "$preset" >/dev/null
   echo "==> build ($preset)"
   cmake --build --preset "$preset" -j "$jobs"
   echo "==> ctest ($preset)"
+  ctest_start=$(date +%s)
   ctest --preset "$preset" -j "$jobs"
+  if [[ "$preset" == release ]]; then
+    ctest_wall=$(( $(date +%s) - ctest_start ))
+    echo "    release ctest wall time: ${ctest_wall} s (budget ${tier1_budget_s} s)"
+    if (( ctest_wall > tier1_budget_s )); then
+      echo "error: release ctest took ${ctest_wall} s, over the ${tier1_budget_s} s budget" >&2
+      exit 1
+    fi
+  fi
 done
 
 echo "==> serialize|store slice under ASan"

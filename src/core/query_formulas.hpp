@@ -14,6 +14,7 @@
 // agreement on random kernels).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
@@ -141,6 +142,33 @@ inline constexpr Index kMaxPlotWindow = 65535;  ///< scores must fit a u16 cell
     return "plot: col range runs off the end of b";
   }
   return nullptr;
+}
+
+/// Shrinks spec.rows / spec.cols to the cells whose windows lie inside an
+/// (m, n) pair, keeping origin, step and window. Requires the first window
+/// to fit (row0 + window <= m, col0 + window <= n), so a 1x1 grid remains.
+inline void fit_plot_grid(PlotSpec& spec, Index m, Index n) {
+  spec.rows = std::min(spec.rows, (m - spec.row0 - spec.window) / spec.step + 1);
+  spec.cols = std::min(spec.cols, (n - spec.col0 - spec.window) / spec.step + 1);
+}
+
+/// A grid of square windows (window = step) spanning both sequences of an
+/// (m, n) pair in at most rows x cols cells. One stride serves both axes,
+/// so it is the larger of ceil(m/rows) and ceil(n/cols) and the other axis
+/// gets fewer cells than asked for; each sequence then has less than one
+/// stride uncovered at its end. The window is capped at kMaxPlotWindow and
+/// at the shorter sequence, the step at kMaxPlotStep.
+inline PlotSpec tiling_plot_spec(Index m, Index n, Index rows, Index cols) {
+  if (m < 1 || n < 1 || rows < 1 || cols < 1) {
+    throw std::invalid_argument("plot: need non-empty sequences and a positive grid");
+  }
+  PlotSpec spec;
+  spec.rows = rows;
+  spec.cols = cols;
+  spec.step = std::min(std::max((m + rows - 1) / rows, (n + cols - 1) / cols), kMaxPlotStep);
+  spec.window = std::min({spec.step, kMaxPlotWindow, m, n});
+  fit_plot_grid(spec, m, n);
+  return spec;
 }
 
 }  // namespace semilocal

@@ -1,8 +1,6 @@
 #include "engine/frontend.hpp"
 
-#include "engine/corpus_version.hpp"
 #include "engine/env.hpp"
-#include "util/fasta.hpp"
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -17,7 +15,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -27,11 +24,8 @@
 namespace semilocal {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Shared plumbing (both frontends).
-
-/// Atomic twins of FrontendStats, written from the event loop, the pumps and
-/// the session threads, read by any stats() caller.
+/// Atomic twins of FrontendStats, written from the event loop and the pumps,
+/// read by any stats() caller.
 struct Counters {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> active{0};
@@ -85,10 +79,9 @@ void raise_fd_limit() {
   (void)done;
 }
 
-/// Binds a loopback listener; returns {fd, bound port}.
-std::pair<int, int> make_listener(int port, int backlog, bool non_blocking) {
-  const int type = SOCK_STREAM | SOCK_CLOEXEC | (non_blocking ? SOCK_NONBLOCK : 0);
-  const int fd = ::socket(AF_INET, type, 0);
+/// Binds a non-blocking loopback listener; returns {fd, bound port}.
+std::pair<int, int> make_listener(int port, int backlog) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) throw_errno("frontend: socket");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -108,52 +101,8 @@ std::pair<int, int> make_listener(int port, int backlog, bool non_blocking) {
   return {fd, static_cast<int>(ntohs(addr.sin_port))};
 }
 
-Sequence ingest(bool dna, Sequence raw) { return dna ? pack_dna(raw) : std::move(raw); }
-
-QueryKind kind_of(Op op) {
-  switch (op) {
-    case Op::kLcs:
-      return QueryKind::kLcs;
-    case Op::kStringSubstring:
-      return QueryKind::kStringSubstring;
-    case Op::kSubstringString:
-      return QueryKind::kSubstringString;
-    default:
-      throw std::invalid_argument("op carries no query kind");
-  }
-}
-
-Response overloaded_response(Index retry_ms, const std::string& text) {
-  Response response;
-  response.status = Status::kOverloaded;
-  response.retry_ms = std::max<Index>(1, retry_ms);
-  response.text = text;
-  return response;
-}
-
-Response error_response(const std::string& text) {
-  Response response;
-  response.status = Status::kError;
-  response.text = text;
-  return response;
-}
-
-/// Answers a query request off an acquired entry. Exceptions (bad windows,
-/// out-of-range coordinates) become kError responses at the caller.
-Response answer_with_entry(ComparisonEngine& engine, const CachedKernel& entry,
-                           const Request& request) {
-  Response response;
-  if (request.op == Op::kBatchQuery) {
-    response.values = engine.answer_batch(entry, request.windows);
-    response.value = static_cast<Index>(response.values.size());
-  } else {
-    response.value = engine.answer(entry, kind_of(request.op), request.x, request.y);
-  }
-  return response;
-}
-
-/// Splices the frontend_* counters into a flat JSON object (engine stats or
-/// a handler's own stats document -- both end with '}').
+/// Splices the frontend_* counters into a flat JSON object (any service's
+/// stats document ends with '}').
 void append_frontend_fields(std::string& out, const FrontendStats& f) {
   out.pop_back();  // reopen the object
   const auto field = [&out](const char* name, std::uint64_t value) {
@@ -253,12 +202,11 @@ struct FrontendServer::Impl {
     std::uint64_t stream_parked_ns = 0;
   };
 
-  /// A cold request parked on a scheduler future, waiting for a pump.
+  /// A deferred job waiting for a pump; its frames land in slot `seq`.
   struct Ticket {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
-    std::shared_future<CachedKernelPtr> future;
-    Request request;
+    Job job;
   };
 
   struct Completion {
@@ -269,7 +217,7 @@ struct FrontendServer::Impl {
     std::shared_ptr<StreamGate> gate;  // non-null while the stream pends
   };
 
-  ComparisonEngine* engine;  ///< nullptr in handler mode
+  Service& service;
   FrontendOptions options;
   Env* env;
   Counters counters;
@@ -299,14 +247,10 @@ struct FrontendServer::Impl {
   bool draining = false;
   std::uint64_t drain_deadline_ns = 0;
 
-  Impl(ComparisonEngine* eng, FrontendOptions opts)
-      : engine(eng), options(std::move(opts)), env(options.env ? options.env : &real_env()) {
-    if (engine == nullptr && !options.handler) {
-      throw std::invalid_argument("frontend: handler mode requires a handler");
-    }
+  Impl(Service& svc, FrontendOptions opts)
+      : service(svc), options(std::move(opts)), env(options.env ? options.env : &real_env()) {
     raise_fd_limit();
-    auto [fd, port] = make_listener(options.port, options.listen_backlog,
-                                    /*non_blocking=*/true);
+    auto [fd, port] = make_listener(options.port, options.listen_backlog);
     listener = fd;
     bound_port = port;
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -398,11 +342,10 @@ struct FrontendServer::Impl {
 
   void shed(int fd) {
     counters.shed.fetch_add(1, std::memory_order_relaxed);
-    const std::string frame = frame_payload(encode_response(overloaded_response(
-        options.admission_retry_ms, "connection limit reached")));
+    const std::string frame =
+        encode_frame(overloaded_response(options.admission_retry_ms, "connection limit reached"));
     // Best effort: a fresh socket's send buffer always holds one small frame.
     (void)env->fd_write(fd, frame.data(), frame.size(), "conn:shed");
-    counters.retry_after.fetch_add(1, std::memory_order_relaxed);
     ::close(fd);
   }
 
@@ -491,8 +434,18 @@ struct FrontendServer::Impl {
     }
   }
 
-  /// One decoded request frame. Admission verdicts are issued here; accepted
-  /// cold requests park on a pump ticket.
+  /// Frames a response for the wire. Every kOverloaded frame the server
+  /// emits passes here, so retry_after counts each verdict exactly once.
+  std::string encode_frame(const Response& response) {
+    std::string bytes = frame_payload(encode_response(response));
+    if (response.status == Status::kOverloaded) {
+      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
+    }
+    return bytes;
+  }
+
+  /// One decoded request frame: the service answers it now or defers it to
+  /// a pump; the per-connection in-flight budget is checked before either.
   void on_frame(Conn& conn, std::string_view payload) {
     if (conn.dead) return;
     Request request;
@@ -503,133 +456,46 @@ struct FrontendServer::Impl {
       push_response(conn, error_response(e.what()));
       return;
     }
-    if (options.handler) {
-      // Handler mode (the shard router): kStats answers inline with the
-      // frontend counters spliced in; everything else -- including kPing,
-      // whose answer asserts this process, not a backend, is alive -- rides
-      // a pump ticket, because the handler may block on downstream sockets.
-      if (request.op == Op::kStats) {
-        Response response;
-        try {
-          response = options.handler(request);
-        } catch (const std::exception& e) {
-          response = error_response(e.what());
-        }
-        if (response.status == Status::kOk && !response.text.empty() &&
-            response.text.back() == '}') {
-          append_frontend_fields(response.text, counters.snapshot());
-        }
-        counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
-        push_response(conn, std::move(response));
-        return;
-      }
-      if (conn.inflight >= options.max_inflight_per_conn) {
-        counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-        push_response(conn, overloaded_response(options.admission_retry_ms,
-                                                "per-connection in-flight limit"));
-        return;
-      }
+    const bool stats = request.op == Op::kStats;
+    Step step;
+    try {
+      step = service.begin(std::move(request),
+                           /*may_defer=*/conn.inflight < options.max_inflight_per_conn);
+    } catch (...) {
+      step.answer = failure_response();
+    }
+    if (step.job) {
       const std::uint64_t seq = conn.next_seq++;
       conn.pending.push_back(Pending{seq, false, {}});
       ++conn.inflight;
       {
         std::lock_guard lock(pump_mutex);
-        pump_queue.push_back(Ticket{conn.id, seq, {}, std::move(request)});
+        pump_queue.push_back(Ticket{conn.id, seq, std::move(step.job)});
       }
       pump_ready.notify_one();
       return;
     }
-    switch (request.op) {
-      case Op::kPing:
-        push_response(conn, Response{});
-        return;
-      case Op::kStats: {
-        Response response;
-        response.text = stats_json(engine->stats(), counters.snapshot());
-        push_response(conn, std::move(response));
-        return;
-      }
-      case Op::kHealth: {
-        Response response;
-        response.text = health_json(engine->stats());
-        push_response(conn, std::move(response));
-        return;
-      }
-      case Op::kShardCtl:
-        push_response(conn, error_response("shardctl: not a router"));
-        return;
-      default:
-        break;
-    }
-    // Per-connection in-flight budget: a client may not park unbounded
-    // compute on one socket. The verdict is typed, the connection lives.
-    if (conn.inflight >= options.max_inflight_per_conn) {
-      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
+    if (!step.answer) {
+      // A client may not park unbounded work on one socket. The verdict is
+      // typed, the connection lives.
       push_response(conn, overloaded_response(options.admission_retry_ms,
                                               "per-connection in-flight limit"));
       return;
     }
-    if (request.op != Op::kUpsert) {
-      // kUpsert's `a` carries the document id, never sequence data.
-      request.a = ingest(options.dna, std::move(request.a));
+    Response& response = *step.answer;
+    if (stats && response.status == Status::kOk && !response.text.empty() &&
+        response.text.back() == '}') {
+      append_frontend_fields(response.text, counters.snapshot());
     }
-    request.b = ingest(options.dna, std::move(request.b));
-    if (request.op == Op::kAlignmentPlot || request.op == Op::kUpsert) {
-      // Plots always stream from a pump, never inline: even a fully warm
-      // plot emits megabytes of tiles, and the pump's gate paces that
-      // against this loop's write queue one tile at a time. Upserts comb
-      // dirty chunks and compose braids -- milliseconds of compute that
-      // must not block the event loop either.
-      const std::uint64_t seq = conn.next_seq++;
-      conn.pending.push_back(Pending{seq, false, {}});
-      ++conn.inflight;
-      {
-        std::lock_guard lock(pump_mutex);
-        pump_queue.push_back(Ticket{conn.id, seq, {}, std::move(request)});
-      }
-      pump_ready.notify_one();
-      return;
-    }
-    std::shared_future<CachedKernelPtr> future;
-    try {
-      future = engine->entry_async(request.a, request.b);
-    } catch (const EngineOverloaded& e) {
-      // Scheduler backpressure: forward the retry hint as a typed frame.
-      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-      push_response(conn, overloaded_response(e.retry_after_ms(), e.what()));
-      return;
-    } catch (const std::exception& e) {
-      push_response(conn, error_response(e.what()));
-      return;
-    }
-    if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      // Warm path: answer on the event loop, no pump hop. Queries off a
-      // cached entry are O(log n) descents -- microseconds, not stalls.
-      Response response;
-      try {
-        response = answer_with_entry(*engine, *future.get(), request);
-      } catch (const std::exception& e) {
-        response = error_response(e.what());
-      }
-      counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
-      push_response(conn, std::move(response));
-      return;
-    }
-    const std::uint64_t seq = conn.next_seq++;
-    conn.pending.push_back(Pending{seq, false, {}});
-    ++conn.inflight;
-    {
-      std::lock_guard lock(pump_mutex);
-      pump_queue.push_back(Ticket{conn.id, seq, std::move(future), std::move(request)});
-    }
-    pump_ready.notify_one();
+    counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
+    push_response(conn, std::move(response));
   }
 
   /// Queues a ready response in request order and flushes what it unblocks.
   void push_response(Conn& conn, Response response) {
     if (conn.dead) return;
     const std::uint64_t seq = conn.next_seq++;
-    std::string bytes = frame_payload(encode_response(response));
+    std::string bytes = encode_frame(response);
     conn.pending.push_back(Pending{seq, true, std::move(bytes)});
     conn.pending_ready_bytes += conn.pending.back().bytes.size();
     flush(conn);
@@ -696,7 +562,7 @@ struct FrontendServer::Impl {
     }
   }
 
-  // -- pump pool (cold-path futures) ---------------------------------------
+  // -- pump pool (deferred jobs) --------------------------------------------
 
   void pump_loop() {
     while (true) {
@@ -711,64 +577,10 @@ struct FrontendServer::Impl {
         ticket = std::move(pump_queue.front());
         pump_queue.pop_front();
       }
-      if (ticket.request.op == Op::kAlignmentPlot) {
-        stream_ticket(ticket);
-        continue;
-      }
-      if (ticket.request.op == Op::kUpsert && !options.handler) {
-        // Upserts comb dirty chunks through the scheduler and publish a new
-        // corpus generation; scheduler backpressure surfaces as the same
-        // typed RETRY_AFTER a cold query would get.
-        Response response;
-        try {
-          if (options.corpus == nullptr) {
-            response = error_response("upsert: no corpus attached");
-          } else {
-            const UpsertReport report = options.corpus->upsert_document(
-                to_string(ticket.request.a), std::move(ticket.request.b));
-            response.value = report.version;
-            response.text = report.json();
-          }
-        } catch (const EngineOverloaded& e) {
-          response = overloaded_response(e.retry_after_ms(), e.what());
-          counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception& e) {
-          response = error_response(e.what());
-        }
-        counters.pump_answers.fetch_add(1, std::memory_order_relaxed);
-        post_completion(ticket, frame_payload(encode_response(response)),
-                        /*done=*/true, nullptr);
-        continue;
-      }
-      Response response;
-      bool abandoned = false;
-      try {
-        if (options.handler) {
-          response = options.handler(ticket.request);
-        } else {
-          if (options.drain_inline) engine->drain();
-          while (ticket.future.wait_for(std::chrono::milliseconds(50)) !=
-                 std::future_status::ready) {
-            if (hard_stop.load(std::memory_order_relaxed)) {
-              abandoned = true;
-              break;
-            }
-            if (options.drain_inline) engine->drain();
-          }
-          if (!abandoned) {
-            response = answer_with_entry(*engine, *ticket.future.get(), ticket.request);
-          }
-        }
-      } catch (const EngineOverloaded& e) {
-        response = overloaded_response(e.retry_after_ms(), e.what());
-        counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::exception& e) {
-        response = error_response(e.what());
-      }
-      if (abandoned) continue;  // shutdown: the connection is being torn down
-      counters.pump_answers.fetch_add(1, std::memory_order_relaxed);
-      post_completion(ticket, frame_payload(encode_response(response)),
-                      /*done=*/true, nullptr);
+      // Past the drain deadline every connection is being torn down: drop
+      // the ticket instead of waiting out its compute.
+      if (hard_stop.load(std::memory_order_relaxed)) continue;
+      run_ticket(ticket);
     }
   }
 
@@ -783,70 +595,49 @@ struct FrontendServer::Impl {
     (void)::write(completion_fd, &one, sizeof(one));
   }
 
-  /// Streams a plot ticket: every tile posts as its own completion into the
-  /// ticket's pending slot, and between tiles the pump blocks on a gate the
-  /// event loop grants once the connection's write queue has drained below
-  /// the watermark. The plot therefore crosses the reactor one bounded frame
-  /// at a time -- the write-queue cap holds no matter how many cells the
-  /// grid has.
-  void stream_ticket(Ticket& ticket) {
+  /// Runs a ticket's job with a sink that posts every frame as its own
+  /// completion into the ticket's pending slot. Between the frames of a
+  /// stream the pump blocks on a gate the event loop grants once the
+  /// connection's write queue has drained below the watermark, so a plot
+  /// crosses the reactor one bounded frame at a time -- the write-queue cap
+  /// holds no matter how many cells the grid has.
+  void run_ticket(Ticket& ticket) {
     auto gate = std::make_shared<StreamGate>();
-    bool cancelled = false;
-    const auto post = [&](Response&& response) {
+    bool ended = false;  // terminal frame posted, or the stream was cancelled
+    const Sink sink = [&](Response&& response) {
+      if (ended) return false;
       const bool done = terminal_response_frame(response);
       std::string bytes;
       try {
-        bytes = frame_payload(encode_response(response));
-      } catch (const std::exception& e) {
-        // An unencodable frame (stream-handler bug) still terminates the slot.
-        cancelled = true;
-        post_completion(ticket, frame_payload(encode_response(error_response(e.what()))),
-                        /*done=*/true, nullptr);
+        bytes = encode_frame(response);
+      } catch (...) {
+        // An unencodable frame (a service bug) still terminates the slot.
+        ended = true;
+        post_completion(ticket, encode_frame(failure_response()), /*done=*/true, nullptr);
         return false;
       }
+      ended = done;
       post_completion(ticket, std::move(bytes), done, done ? nullptr : gate);
       if (done) return true;
       std::unique_lock lock(gate->mutex);
       while (!gate->proceed && !gate->cancel) {
         if (hard_stop.load(std::memory_order_relaxed)) {
-          cancelled = true;
+          ended = true;
           return false;
         }
         gate->cv.wait_for(lock, std::chrono::milliseconds(50));
       }
       if (gate->cancel) {
-        cancelled = true;
+        ended = true;
         return false;
       }
       gate->proceed = false;
       return true;
     };
     try {
-      if (options.handler) {
-        if (options.stream_handler) {
-          options.stream_handler(ticket.request,
-                                 [&](Response&& r) { return post(std::move(r)); });
-        } else {
-          post(error_response("alignment plot: no stream handler"));
-        }
-      } else if (!ticket.request.plot) {
-        post(error_response("plot request without a plot spec"));
-      } else {
-        if (options.drain_inline) engine->drain();
-        engine->alignment_plot(
-            ticket.request.a, ticket.request.b, *ticket.request.plot,
-            [&](PlotTile&& tile) {
-              Response r;
-              r.tile = std::move(tile);
-              return post(std::move(r));
-            },
-            options.drain_inline);
-      }
-    } catch (const EngineOverloaded& e) {
-      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-      if (!cancelled) post(overloaded_response(e.retry_after_ms(), e.what()));
-    } catch (const std::exception& e) {
-      if (!cancelled) post(error_response(e.what()));
+      ticket.job(sink);
+    } catch (...) {
+      (void)sink(failure_response());  // an escaping exception still ends the slot
     }
     counters.pump_answers.fetch_add(1, std::memory_order_relaxed);
   }
@@ -1039,11 +830,8 @@ struct FrontendServer::Impl {
   }
 };
 
-FrontendServer::FrontendServer(ComparisonEngine& engine, FrontendOptions options)
-    : impl_(std::make_unique<Impl>(&engine, std::move(options))) {}
-
-FrontendServer::FrontendServer(FrontendOptions options)
-    : impl_(std::make_unique<Impl>(nullptr, std::move(options))) {}
+FrontendServer::FrontendServer(Service& service, FrontendOptions options)
+    : impl_(std::make_unique<Impl>(service, std::move(options))) {}
 
 FrontendServer::~FrontendServer() = default;
 
@@ -1054,268 +842,5 @@ void FrontendServer::run() { impl_->run(); }
 void FrontendServer::request_stop() { impl_->request_stop(); }
 
 FrontendStats FrontendServer::stats() const { return impl_->counters.snapshot(); }
-
-// ---------------------------------------------------------------------------
-// ThreadedFrontend: thread-per-connection with owned lifetimes.
-
-struct ThreadedFrontend::Impl {
-  struct Session {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  ComparisonEngine& engine;
-  FrontendOptions options;
-  Env* env;
-  Counters counters;
-  int listener = -1;
-  int bound_port = 0;
-  std::atomic<bool> stop_requested{false};
-
-  std::mutex sessions_mutex;
-  std::vector<std::unique_ptr<Session>> sessions;
-  std::uint64_t next_session_id = 1;  // only the accept loop touches it
-
-  Impl(ComparisonEngine& eng, FrontendOptions opts)
-      : engine(eng), options(std::move(opts)), env(options.env ? options.env : &real_env()) {
-    raise_fd_limit();
-    auto [fd, port] = make_listener(options.port, options.listen_backlog,
-                                    /*non_blocking=*/false);
-    listener = fd;
-    bound_port = port;
-  }
-
-  ~Impl() {
-    if (listener >= 0) ::close(listener);
-  }
-
-  Response handle(const Request& request) {
-    Response response;
-    try {
-      switch (request.op) {
-        case Op::kPing:
-          break;
-        case Op::kStats:
-          response.text = stats_json(engine.stats(), counters.snapshot());
-          break;
-        case Op::kHealth:
-          response.text = health_json(engine.stats());
-          break;
-        case Op::kShardCtl:
-          response = error_response("shardctl: not a router");
-          break;
-        case Op::kUpsert: {
-          // `a` carries the document id, never sequence data: no dna pack.
-          if (options.corpus == nullptr) {
-            response = error_response("upsert: no corpus attached");
-          } else {
-            const UpsertReport report = options.corpus->upsert_document(
-                to_string(request.a), ingest(options.dna, request.b));
-            response.value = report.version;
-            response.text = report.json();
-          }
-          break;
-        }
-        default: {
-          const Sequence a = ingest(options.dna, request.a);
-          const Sequence b = ingest(options.dna, request.b);
-          auto future = engine.entry_async(a, b);
-          if (options.drain_inline) engine.drain();
-          response = answer_with_entry(engine, *future.get(), request);
-          break;
-        }
-      }
-    } catch (const EngineOverloaded& e) {
-      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-      response = overloaded_response(e.retry_after_ms(), e.what());
-    } catch (const std::exception& e) {
-      response = error_response(e.what());
-    }
-    return response;
-  }
-
-  bool write_all(int fd, std::string_view bytes, const std::string& label) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const long w = env->fd_write(fd, bytes.data() + off, bytes.size() - off, label);
-      if (w <= 0) return false;
-      off += static_cast<std::size_t>(w);
-    }
-    return true;
-  }
-
-  /// Streams a plot on the session thread: write_all blocks on the socket,
-  /// which is the backpressure -- a slow reader slows the compute instead of
-  /// buffering tiles. Returns false when the connection is gone.
-  bool stream_plot(int fd, const Request& request, const std::string& label) {
-    bool ok = true;
-    try {
-      if (!request.plot) throw std::out_of_range("plot request without a plot spec");
-      const Sequence a = ingest(options.dna, request.a);
-      const Sequence b = ingest(options.dna, request.b);
-      engine.alignment_plot(
-          a, b, *request.plot,
-          [&](PlotTile&& tile) {
-            Response response;
-            response.tile = std::move(tile);
-            ok = write_all(fd, frame_payload(encode_response(response)), label);
-            return ok;
-          },
-          options.drain_inline);
-    } catch (const EngineOverloaded& e) {
-      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-      ok = write_all(fd,
-                     frame_payload(encode_response(
-                         overloaded_response(e.retry_after_ms(), e.what()))),
-                     label) &&
-           ok;
-    } catch (const std::exception& e) {
-      ok = write_all(fd, frame_payload(encode_response(error_response(e.what()))),
-                     label) &&
-           ok;
-    }
-    return ok;
-  }
-
-  void session_loop(Session& session, const std::string& label) {
-    FrameDecoder decoder;
-    char buf[1 << 16];
-    bool open = true;
-    while (open) {
-      const long n = env->fd_read(session.fd, buf, sizeof(buf), label);
-      if (n <= 0) break;  // EOF (graceful drain lands here too) or error
-      try {
-        decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)),
-                     [&](std::string_view payload, bool spanned) {
-                       counters.frames.fetch_add(1, std::memory_order_relaxed);
-                       if (spanned) {
-                         counters.partial_frames.fetch_add(1,
-                                                           std::memory_order_relaxed);
-                       }
-                       Response response;
-                       bool answered = false;
-                       try {
-                         Request request = decode_request(payload);
-                         if (request.op == Op::kAlignmentPlot) {
-                           counters.inline_answers.fetch_add(
-                               1, std::memory_order_relaxed);
-                           if (!stream_plot(session.fd, request, label)) open = false;
-                           answered = true;
-                         } else {
-                           response = handle(request);
-                         }
-                       } catch (const ProtocolError& e) {
-                         counters.protocol_errors.fetch_add(
-                             1, std::memory_order_relaxed);
-                         response = error_response(e.what());
-                       }
-                       if (answered) return;
-                       counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
-                       if (!write_all(session.fd,
-                                      frame_payload(encode_response(response)),
-                                      label)) {
-                         open = false;
-                       }
-                     });
-      } catch (const ProtocolError& e) {
-        counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        (void)write_all(session.fd, frame_payload(encode_response(error_response(e.what()))),
-                        label);
-        break;
-      }
-    }
-    // The fd stays open until reap() has joined this thread: closing it here
-    // would race the reaper's shutdown(2) on the same descriptor (and the
-    // kernel could recycle the number under it). The loop only marks done.
-    counters.active.fetch_sub(1, std::memory_order_relaxed);
-    counters.closed.fetch_add(1, std::memory_order_relaxed);
-    session.done.store(true, std::memory_order_release);
-  }
-
-  /// Joins finished sessions; with `all`, shuts every live session down for
-  /// reading first (it finishes its in-flight request, flushes and exits)
-  /// and joins everything -- the graceful drain.
-  void reap(bool all) {
-    std::vector<std::unique_ptr<Session>> to_join;
-    {
-      std::lock_guard lock(sessions_mutex);
-      if (all) {
-        for (const auto& s : sessions) {
-          if (s->fd >= 0) ::shutdown(s->fd, SHUT_RD);
-        }
-        to_join.swap(sessions);
-      } else {
-        auto it = sessions.begin();
-        while (it != sessions.end()) {
-          if ((*it)->done.load(std::memory_order_acquire)) {
-            to_join.push_back(std::move(*it));
-            it = sessions.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (const auto& s : to_join) {
-      if (s->thread.joinable()) s->thread.join();
-      if (s->fd >= 0) ::close(s->fd);  // sole owner once the thread is joined
-    }
-  }
-
-  void run() {
-    while (!stop_requested.load(std::memory_order_relaxed)) {
-      const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // listener shut down (request_stop) or failed
-      }
-      const int nodelay = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-      reap(/*all=*/false);
-      if (counters.active.load(std::memory_order_relaxed) >= options.max_connections) {
-        counters.shed.fetch_add(1, std::memory_order_relaxed);
-        const std::string frame = frame_payload(encode_response(overloaded_response(
-            options.admission_retry_ms, "connection limit reached")));
-        (void)env->fd_write(fd, frame.data(), frame.size(), "conn:shed");
-        counters.retry_after.fetch_add(1, std::memory_order_relaxed);
-        ::close(fd);
-        continue;
-      }
-      counters.accepted.fetch_add(1, std::memory_order_relaxed);
-      counters.active.fetch_add(1, std::memory_order_relaxed);
-      auto session = std::make_unique<Session>();
-      session->fd = fd;
-      Session* raw = session.get();
-      // A monotonic session id, not the fd: fd numbers recycle after close,
-      // which would let a FaultPlan rule aimed at one connection fire on a
-      // later unrelated session.
-      const std::string label = "conn:" + std::to_string(next_session_id++);
-      session->thread = std::thread([this, raw, label] { session_loop(*raw, label); });
-      std::lock_guard lock(sessions_mutex);
-      sessions.push_back(std::move(session));
-    }
-    reap(/*all=*/true);  // graceful drain: no session outlives run()
-  }
-
-  void request_stop() {
-    stop_requested.store(true, std::memory_order_relaxed);
-    // shutdown(2) is async-signal-safe and makes the blocking accept fail.
-    ::shutdown(listener, SHUT_RDWR);
-  }
-};
-
-ThreadedFrontend::ThreadedFrontend(ComparisonEngine& engine, FrontendOptions options)
-    : impl_(std::make_unique<Impl>(engine, std::move(options))) {}
-
-ThreadedFrontend::~ThreadedFrontend() = default;
-
-int ThreadedFrontend::port() const { return impl_->bound_port; }
-
-void ThreadedFrontend::run() { impl_->run(); }
-
-void ThreadedFrontend::request_stop() { impl_->request_stop(); }
-
-FrontendStats ThreadedFrontend::stats() const { return impl_->counters.snapshot(); }
 
 }  // namespace semilocal

@@ -1,17 +1,21 @@
-// Serve frontends: the epoll reactor (default) and the threaded legacy.
+// The serve frontend: an epoll reactor over one Service.
 //
 // The reactor is what lets one engine face tens of thousands of sockets:
 // a single event-loop thread owns every connection (non-blocking accept /
 // read / write through the Env fd seam), an incremental FrameDecoder turns
 // partial reads into protocol frames with zero copies on the contained-frame
-// path, and a small fixed pump pool waits on scheduler futures so a cold
-// compute never blocks the loop. Admission control is explicit and typed:
+// path, and a small fixed pump pool runs the jobs Service::begin defers
+// (cold compute waits, upserts, plot streams, backend exchanges) so nothing
+// blocks the loop. What an op means is the service's business
+// (engine/service.hpp); admission control is the reactor's, explicit and
+// typed:
 //
 //   gate            verdict when exceeded
 //   --------------  ------------------------------------------------------
 //   max_connections accept, send one RETRY_AFTER frame, close (shed)
 //   per-conn        RETRY_AFTER response for the request, connection lives
-//    in-flight
+//    in-flight      (begin() runs with may_defer = false: control ops still
+//                   answer, nothing reaches the scheduler)
 //   scheduler       EngineOverloaded's retry hint forwarded as RETRY_AFTER
 //    queue bound
 //   write-queue cap connection closed (a peer that never reads is not a
@@ -27,27 +31,17 @@
 // All timeouts read the Env clock and all socket I/O goes through
 // Env::fd_read/fd_write, so FaultyEnv can tear or fail any connection's
 // bytes deterministically (tests drive the decoder's resume path this way).
-//
-// ThreadedFrontend is the pre-reactor design kept for differential testing
-// (one blocking thread per connection) -- with the PR 7 lifetime fixes: a
-// joinable connection registry instead of detached threads, and a graceful
-// drain on stop() so no thread can touch the engine after main tears it
-// down.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "engine/engine.hpp"
-#include "engine/protocol.hpp"
+#include "engine/service.hpp"
 
 namespace semilocal {
-
-class CorpusManager;
 
 struct FrontendOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks a free port (see port()).
@@ -75,38 +69,12 @@ struct FrontendOptions {
   /// retry_ms hint attached to frontend-level RETRY_AFTER verdicts (the
   /// scheduler's own backpressure hint is forwarded verbatim).
   Index admission_retry_ms = 10;
-  /// Threads that wait on scheduler futures for cold requests. Warm
-  /// (cache-hit) requests are answered inline on the event loop and never
-  /// touch a pump.
+  /// Threads that run deferred jobs (cold compute waits, upserts, plot
+  /// streams, backend exchanges). Answers begin() gives at once -- warm
+  /// cache hits included -- go out on the event loop and never touch a pump.
   int pump_threads = 2;
-  /// Pack request bytes as DNA before hashing (match CLI precompute keys).
-  bool dna = false;
-  /// workers == 0 engines: pumps call engine.drain() before waiting, so a
-  /// reactor over a threadless scheduler still makes progress.
-  bool drain_inline = false;
   /// Clock + socket-I/O seam. nullptr = real_env().
   Env* env = nullptr;
-  /// Versioned corpus behind Op::kUpsert. nullptr = upserts answer kError
-  /// ("no corpus attached"). Upserts always ride a pump ticket (they comb
-  /// dirty chunks), so the per-connection in-flight budget and scheduler
-  /// backpressure cover them like cold queries. Engine mode only; handler
-  /// mode routes kUpsert to the handler like any other op.
-  CorpusManager* corpus = nullptr;
-  /// Handler mode: when set, the reactor serves this callable instead of an
-  /// engine -- every decoded request rides a pump ticket and is answered by
-  /// handler(request) (which may block on downstream I/O; that is what the
-  /// pump pool is for). kStats is the one inline exception: the handler's
-  /// JSON gets this frontend's frontend_* counters spliced in, same as the
-  /// engine path. This is how the shard router reuses the reactor loop.
-  std::function<Response(const Request&)> handler;
-  /// Streaming twin of `handler` for multi-frame ops (Op::kAlignmentPlot):
-  /// runs on a pump with a sink that ships one response frame per call. The
-  /// callee must end the stream with a terminal frame (see
-  /// terminal_response_frame) and stop when the sink returns false (client
-  /// gone, stream cancelled). Handler mode only; when unset, plot requests
-  /// answer kError. Engine mode streams plots natively and ignores this.
-  std::function<void(const Request&, const std::function<bool(Response&&)>&)>
-      stream_handler;
 };
 
 /// Plain-value snapshot of the frontend counters (stats JSON: frontend_*).
@@ -115,30 +83,28 @@ struct FrontendStats {
   std::uint64_t connections_active = 0;
   std::uint64_t connections_shed = 0;    ///< refused by the max-connections gate
   std::uint64_t connections_closed = 0;  ///< closed for any reason (EOF included)
-  std::uint64_t retry_after_sent = 0;    ///< kOverloaded frames sent (all gates)
+  std::uint64_t retry_after_sent = 0;    ///< kOverloaded frames sent (shed frames included)
   std::uint64_t frames_decoded = 0;      ///< request frames parsed
   std::uint64_t partial_frames = 0;      ///< frames assembled across >1 read
   std::uint64_t protocol_errors = 0;     ///< malformed frames / payloads
   std::uint64_t timeouts_idle = 0;
   std::uint64_t timeouts_read = 0;
   std::uint64_t write_queue_disconnects = 0;
-  std::uint64_t inline_answers = 0;  ///< answered on the event loop (warm path)
-  std::uint64_t pump_answers = 0;    ///< answered by a pump (cold path)
+  std::uint64_t inline_answers = 0;  ///< begin() answered at once, on the event loop
+  std::uint64_t pump_answers = 0;    ///< deferred jobs a pump ran to completion
 };
 
 /// stats_json() with the frontend_* counters appended -- what the kStats op
-/// returns when served through a frontend.
+/// returns when an EngineService is served through a frontend.
 std::string stats_json(const EngineStats& stats, const FrontendStats& frontend);
 
 /// The epoll reactor frontend. Construction binds and listens (throws
 /// std::runtime_error on failure); run() executes the event loop on the
-/// calling thread until request_stop(). One instance serves one engine.
+/// calling thread until request_stop(). The service must outlive run().
+/// kStats answers get this frontend's frontend_* counters spliced in.
 class FrontendServer {
  public:
-  FrontendServer(ComparisonEngine& engine, FrontendOptions options);
-  /// Engine-less handler mode (options.handler must be set; throws
-  /// std::invalid_argument otherwise). The shard router's frontend.
-  explicit FrontendServer(FrontendOptions options);
+  FrontendServer(Service& service, FrontendOptions options);
   ~FrontendServer();
   FrontendServer(const FrontendServer&) = delete;
   FrontendServer& operator=(const FrontendServer&) = delete;
@@ -148,40 +114,13 @@ class FrontendServer {
 
   /// Runs the event loop until request_stop(). Drains gracefully: stops
   /// accepting, answers in-flight requests, flushes write queues, then
-  /// hard-closes whatever outlives drain_timeout_ms.
+  /// hard-closes whatever outlives drain_timeout_ms. Queued jobs are then
+  /// dropped unrun; run() returns once each pump has finished the job it
+  /// was running (a plot stream stops at its next tile).
   void run();
 
   /// Requests shutdown. Async-signal-safe (one write(2) to a wake pipe), so
   /// a SIGINT handler may call it directly.
-  void request_stop();
-
-  [[nodiscard]] FrontendStats stats() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// The legacy thread-per-connection frontend: one blocking session thread
-/// per accepted socket, now with owned lifetimes -- sessions live in a
-/// joinable registry, stop() shuts each socket down for reading (the session
-/// finishes its in-flight request, flushes, and exits) and joins every
-/// thread before returning, so the engine can never be torn down under a
-/// live session. Kept for differential testing against the reactor.
-class ThreadedFrontend {
- public:
-  ThreadedFrontend(ComparisonEngine& engine, FrontendOptions options);
-  ~ThreadedFrontend();
-  ThreadedFrontend(const ThreadedFrontend&) = delete;
-  ThreadedFrontend& operator=(const ThreadedFrontend&) = delete;
-
-  [[nodiscard]] int port() const;
-
-  /// Accept loop; returns after request_stop() has drained and joined every
-  /// session thread.
-  void run();
-
-  /// Async-signal-safe shutdown request (shutdown(2) on the listener).
   void request_stop();
 
   [[nodiscard]] FrontendStats stats() const;

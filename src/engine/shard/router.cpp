@@ -11,21 +11,6 @@
 namespace semilocal {
 namespace {
 
-Response overloaded_response(Index retry_ms, const std::string& text) {
-  Response response;
-  response.status = Status::kOverloaded;
-  response.retry_ms = std::max<Index>(1, retry_ms);
-  response.text = text;
-  return response;
-}
-
-Response error_response(const std::string& text) {
-  Response response;
-  response.status = Status::kError;
-  response.text = text;
-  return response;
-}
-
 /// Pulls an integer field out of a flat JSON document ("\"key\": 123").
 /// Returns `missing` when the key is absent -- good enough for the health
 /// payloads the engine itself emits; this is not a general parser.
@@ -115,7 +100,7 @@ void ShardRouter::record_success(Shard& shard) {
   shard.healthy.store(true, std::memory_order_relaxed);
 }
 
-Response ShardRouter::route(const Request& request) {
+std::optional<Response> ShardRouter::control(const Request& request) {
   switch (request.op) {
     case Op::kPing:
       return Response{};  // the router itself is alive
@@ -129,8 +114,25 @@ Response ShardRouter::route(const Request& request) {
     case Op::kShardCtl:
       return shardctl(request);
     default:
-      return forward(request);
+      return std::nullopt;
   }
+}
+
+Step ShardRouter::begin(Request&& request, bool may_defer) {
+  if (auto answer = control(request)) return Step{std::move(answer), {}};
+  if (!may_defer) return {};
+  return Step{std::nullopt, [this, request = std::move(request)](const Sink& sink) {
+                if (request.op == Op::kAlignmentPlot) {
+                  route_stream(request, sink);
+                } else {
+                  (void)sink(forward(request));
+                }
+              }};
+}
+
+Response ShardRouter::route(const Request& request) {
+  if (auto answer = control(request)) return std::move(*answer);
+  return forward(request);
 }
 
 Response ShardRouter::router_health() const {
@@ -310,12 +312,7 @@ Response ShardRouter::forward(const Request& request) {
   }
 }
 
-void ShardRouter::route_stream(const Request& request,
-                               const std::function<bool(Response&&)>& sink) {
-  if (request.op != Op::kAlignmentPlot) {
-    (void)sink(route(request));
-    return;
-  }
+void ShardRouter::route_stream(const Request& request, const Sink& sink) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   const PairKey key = make_pair_key(request.a, request.b);
   std::vector<int> candidates;

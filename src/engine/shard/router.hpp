@@ -37,10 +37,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/service.hpp"
 #include "engine/shard/backend.hpp"
 #include "engine/shard/ring.hpp"
 
@@ -104,18 +106,21 @@ struct RouterStats {
   std::vector<RouterShardStats> shards;
 };
 
-class ShardRouter {
+/// The router is a Service: kPing/kStats/kHealth/kShardCtl are answered by
+/// the router itself, at once; every other op becomes a job that forwards it
+/// to a backend (blocking on backend I/O -- what a reactor's pumps are for).
+class ShardRouter final : public Service {
  public:
   /// Builds ring + pools; starts the prober thread when probe_interval_ms
   /// is non-zero. Throws std::invalid_argument on an empty/duplicate config.
   explicit ShardRouter(RouterOptions options);
-  ~ShardRouter();
-  ShardRouter(const ShardRouter&) = delete;
-  ShardRouter& operator=(const ShardRouter&) = delete;
+  ~ShardRouter() override;
 
-  /// Routes one request. Thread-safe; blocking (bounded by the attempt
-  /// budget times the candidate count). kPing/kStats/kHealth/kShardCtl are
-  /// answered by the router itself; every other op forwards to a backend.
+  Step begin(Request&& request, bool may_defer) override;
+
+  /// Routes one request to its single response on the calling thread
+  /// (plots stream through route_stream instead). Thread-safe; blocking
+  /// (bounded by the attempt budget times the candidate count).
   Response route(const Request& request);
 
   /// Streaming twin of route() for Op::kAlignmentPlot: relays each backend
@@ -125,10 +130,8 @@ class ShardRouter {
   /// next replica -- re-delivered tiles are deduplicated client-side by
   /// PlotAssembler. Streams never hedge: two concurrent relays would
   /// interleave. Always ends with a terminal frame unless `sink` returns
-  /// false (client gone), which cancels the relay. Non-plot ops degrade to
-  /// one route() frame.
-  void route_stream(const Request& request,
-                    const std::function<bool(Response&&)>& sink);
+  /// false (client gone), which cancels the relay.
+  void route_stream(const Request& request, const Sink& sink);
 
   /// One synchronous probe pass over every shard (the prober thread calls
   /// this; deterministic tests call it directly).
@@ -171,6 +174,9 @@ class ShardRouter {
     BackendPool::ConnPtr conn;
   };
 
+  /// The ops the router answers itself (ping, stats, health, shardctl);
+  /// nullopt for everything a backend answers.
+  std::optional<Response> control(const Request& request);
   Response forward(const Request& request);
   Response shardctl(const Request& request);
   Response router_health() const;

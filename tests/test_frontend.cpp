@@ -1,12 +1,13 @@
-// In-process tests for the serve frontends (engine/frontend.hpp): protocol
-// round trips through real sockets, the typed admission-control verdicts
-// (shed, per-connection budget, scheduler backpressure as RETRY_AFTER),
-// slow-client defenses (slow-loris read timeout, idle eviction, write-queue
-// cap), deterministic fault injection through the Env socket seam, graceful
-// drain on stop, and the threaded legacy frontend's joined-lifetime
-// regression. Every test binds port 0 (a fresh free port) and runs the
-// frontend on a background thread; the multi-client hammer doubles as the
-// tsan workload for the reactor / pump / counter interleavings.
+// In-process tests for the serve transports over one EngineService
+// (engine/frontend.hpp, engine/service.hpp): protocol round trips through
+// real sockets, the typed admission-control verdicts (shed, per-connection
+// budget, scheduler backpressure as RETRY_AFTER), slow-client defenses
+// (slow-loris read timeout, idle eviction, write-queue cap), deterministic
+// fault injection through the Env socket seam, graceful drain on stop, and
+// the stdio loop over string streams. Every reactor test binds port 0 (a
+// fresh free port) and runs the frontend on a background thread; the
+// multi-client hammer doubles as the tsan workload for the reactor / pump /
+// counter interleavings.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -19,12 +20,16 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <sstream>
+#include <system_error>
 #include <thread>
 
 #include "engine/engine.hpp"
 #include "engine/env.hpp"
 #include "engine/frontend.hpp"
 #include "engine/protocol.hpp"
+#include "engine/service.hpp"
+#include "oracles.hpp"
 
 namespace semilocal {
 namespace {
@@ -80,13 +85,16 @@ class Client {
     fd_ = -1;
   }
 
+  /// Throws std::system_error on a failed write. MSG_NOSIGNAL: a write into a socket the
+  /// server already closed fails with EPIPE instead of killing the process.
   void send_bytes(std::string_view bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const auto n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+      const auto n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
-        throw std::runtime_error("client write failed");
+        throw std::system_error(n < 0 ? errno : EIO, std::generic_category(),
+                                "client write failed");
       }
       off += static_cast<std::size_t>(n);
     }
@@ -154,15 +162,17 @@ EngineOptions small_engine(int workers) {
   return options;
 }
 
-/// Engine + reactor + its run() thread, torn down in order.
+/// Engine + its service + reactor + its run() thread, torn down in order.
 struct Reactor {
   ComparisonEngine engine;
+  EngineService service;
   FrontendServer server;
   std::thread thread;
 
   Reactor(EngineOptions engine_options, FrontendOptions frontend_options)
       : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
+        service(engine),
+        server(service, std::move(frontend_options)),
         thread([this] { server.run(); }) {}
 
   ~Reactor() { stop(); }
@@ -297,7 +307,6 @@ TEST(Frontend, SchedulerBackpressureBecomesTypedRetryAfter) {
   EngineOptions engine_options = small_engine(0);
   engine_options.scheduler.max_queue = 1;
   FrontendOptions options = quiet_frontend();
-  options.drain_inline = false;
   Reactor reactor(std::move(engine_options), options);
 
   Client client(reactor.port());
@@ -328,7 +337,6 @@ TEST(Frontend, PerConnectionInflightBudgetAnswersRetryAfter) {
   EngineOptions engine_options = small_engine(0);  // nothing resolves on its own
   FrontendOptions options = quiet_frontend();
   options.max_inflight_per_conn = 2;
-  options.drain_inline = false;
   Reactor reactor(std::move(engine_options), options);
 
   Client client(reactor.port());
@@ -392,7 +400,14 @@ TEST(Frontend, NeverReadingClientIsDisconnectedAtTheWriteQueueCap) {
   batch.windows.resize(kMaxBatchWindows);
   for (WindowQuery& w : batch.windows) w.kind = QueryKind::kLcs;
   const std::string frame = frame_payload(encode_request(batch));
-  for (int i = 0; i < 8; ++i) client.send_bytes(frame);
+  // On an idle host the server can trip the cap and close the socket while
+  // the client is still sending: EPIPE/ECONNRESET is then the expected
+  // outcome of the write, not a failure.
+  try {
+    for (int i = 0; i < 8; ++i) client.send_bytes(frame);
+  } catch (const std::system_error& e) {
+    EXPECT_TRUE(e.code().value() == EPIPE || e.code().value() == ECONNRESET) << e.what();
+  }
   EXPECT_TRUE(eventually(
       [&] { return reactor.server.stats().write_queue_disconnects == 1; }, 10000ms))
       << "server never disconnected the slow reader";
@@ -405,7 +420,6 @@ TEST(Frontend, ResponsesParkedBehindAColdHeadStillHitTheWriteQueueCap) {
   // not only the saturated-socket path.
   EngineOptions engine_options = small_engine(0);  // cold never resolves alone
   FrontendOptions options = quiet_frontend();
-  options.drain_inline = false;
   options.max_write_queue_bytes = std::size_t{64} << 10;
   Reactor reactor(std::move(engine_options), options);
 
@@ -443,7 +457,6 @@ TEST(Frontend, PoisonedStreamIsNeverReadAgainAfterProtocolError) {
   // would re-parse as frames and generate responses that postpone the close.
   EngineOptions engine_options = small_engine(0);
   FrontendOptions options = quiet_frontend();
-  options.drain_inline = false;
   Reactor reactor(std::move(engine_options), options);
 
   Client client(reactor.port());
@@ -545,7 +558,6 @@ TEST(Frontend, GracefulDrainAnswersInFlightRequestsBeforeExit) {
   // before run() returns -- the shutdown path may not drop accepted work.
   EngineOptions engine_options = small_engine(0);
   FrontendOptions options = quiet_frontend();
-  options.drain_inline = false;
   options.drain_timeout_ms = 5000;
   Reactor reactor(std::move(engine_options), options);
   Client client(reactor.port());
@@ -627,64 +639,121 @@ TEST(Frontend, StatsJsonSplicesFrontendCountersIntoTheEngineObject) {
   EXPECT_NE(json.find("\"frontend_partial_frames\": 11"), std::string::npos);
 }
 
-// --- the threaded legacy frontend ------------------------------------------
+// --- the stdio transport ---------------------------------------------------
 
-struct Threaded {
-  ComparisonEngine engine;
-  ThreadedFrontend server;
-  std::thread thread;
-
-  Threaded(EngineOptions engine_options, FrontendOptions frontend_options)
-      : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
-        thread([this] { server.run(); }) {}
-
-  ~Threaded() { stop(); }
-
-  void stop() {
-    if (thread.joinable()) {
-      server.request_stop();
-      thread.join();
-    }
+/// Runs one stdio session over `input` against a workers = 0 engine that
+/// drains inline, and decodes every frame the session wrote.
+std::vector<Response> stdio_session(const std::string& input) {
+  ComparisonEngine engine(small_engine(0));
+  EngineService service(engine, /*corpus=*/nullptr, /*dna=*/false, /*drain_inline=*/true);
+  std::istringstream in(input);
+  std::ostringstream out;
+  serve_stream(service, in, out);
+  std::istringstream written(out.str());
+  std::vector<Response> responses;
+  while (const auto payload = read_frame(written)) {
+    responses.push_back(decode_response(*payload));
   }
-};
-
-TEST(Frontend, ThreadedLegacyAnswersAndShedsLikeTheReactor) {
-  FrontendOptions options = quiet_frontend();
-  options.max_connections = 1;
-  Threaded threaded(small_engine(1), options);
-
-  Client admitted(threaded.server.port());
-  admitted.send(lcs_request("ACGTACGT", "AGTCAGTC"));
-  const auto response = admitted.recv();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, Status::kOk);
-
-  Client shed(threaded.server.port());
-  const auto verdict = shed.recv();
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_EQ(verdict->status, Status::kOverloaded);
-  EXPECT_TRUE(shed.closed_by_server());
-  EXPECT_TRUE(eventually([&] { return threaded.server.stats().connections_shed == 1; }));
+  return responses;
 }
 
-TEST(Frontend, ThreadedStopJoinsEverySessionBeforeReturning) {
-  // The PR 7 regression: the old server detached session threads, so run()
-  // never returned and shutdown raced engine teardown. Now request_stop()
-  // must drain in-flight work, join every session, and return -- with the
-  // response still delivered.
-  auto threaded = std::make_unique<Threaded>(small_engine(1), quiet_frontend());
-  const int port = threaded->server.port();
-  Client client(port);
-  client.send(lcs_request("ACGTACGTACGT", "AGTCAGTCAGTC"));
-  const auto response = client.recv();  // session is live mid-conversation
-  ASSERT_TRUE(response.has_value());
+std::string framed(const Request& request) { return frame_payload(encode_request(request)); }
 
-  threaded->stop();  // joins the accept loop AND the session thread
-  EXPECT_FALSE(client.recv(1000ms).has_value()) << "session must close on stop";
-  // Destroying the harness (engine included) after stop() must be safe: no
-  // detached thread can touch the engine anymore. asan would flag it.
-  threaded.reset();
+TEST(Frontend, StdioAnswersPingQueriesAndBatchesAgainstTheOracle) {
+  const Sequence a = testing::random_string(40, 4, 501);
+  const Sequence b = testing::random_string(56, 4, 502);
+  Request ping;
+  ping.op = Op::kPing;
+  Request lcs;
+  lcs.op = Op::kLcs;
+  lcs.a = a;
+  lcs.b = b;
+  Request batch = lcs;
+  batch.op = Op::kBatchQuery;
+  for (Index j = 0; j + 10 <= 56; j += 7) {
+    WindowQuery w;
+    w.kind = QueryKind::kStringSubstring;
+    w.x = j;
+    w.y = j + 10;
+    batch.windows.push_back(w);
+  }
+
+  const auto responses = stdio_session(framed(ping) + framed(lcs) + framed(batch));
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status, Status::kOk);
+  ASSERT_EQ(responses[1].status, Status::kOk) << responses[1].text;
+  EXPECT_EQ(responses[1].value, testing::lcs_oracle(a, b));
+  ASSERT_EQ(responses[2].status, Status::kOk) << responses[2].text;
+  ASSERT_EQ(responses[2].values.size(), batch.windows.size());
+  for (std::size_t i = 0; i < batch.windows.size(); ++i) {
+    const WindowQuery& w = batch.windows[i];
+    const SequenceView window = SequenceView(b).subspan(static_cast<std::size_t>(w.x),
+                                                        static_cast<std::size_t>(w.y - w.x));
+    EXPECT_EQ(responses[2].values[i], testing::lcs_oracle(a, window)) << "window " << i;
+  }
+}
+
+TEST(Frontend, StdioPlotTilesAssembleToTheNaiveCells) {
+  const Sequence a = testing::random_string(70, 4, 511);
+  const Sequence b = testing::random_string(90, 4, 512);
+  Request plot;
+  plot.op = Op::kAlignmentPlot;
+  plot.a = a;
+  plot.b = b;
+  PlotSpec spec;
+  spec.rows = 5;
+  spec.cols = 7;
+  spec.step = 11;
+  spec.window = 16;
+  plot.plot = spec;
+
+  const auto responses = stdio_session(framed(plot));
+  ASSERT_FALSE(responses.empty());
+  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+  for (const Response& response : responses) {
+    ASSERT_EQ(response.status, Status::kOk) << response.text;
+    assembler.feed(response);
+  }
+  EXPECT_TRUE(terminal_response_frame(responses.back()));
+  ASSERT_TRUE(assembler.complete());
+  // Cell (u, v) is the LCS of the u-th window of a and the v-th of b.
+  for (Index u = 0; u < spec.rows; ++u) {
+    for (Index v = 0; v < spec.cols; ++v) {
+      const auto window = [&spec](const Sequence& s, Index start) {
+        return SequenceView(s).subspan(static_cast<std::size_t>(start),
+                                       static_cast<std::size_t>(spec.window));
+      };
+      EXPECT_EQ(assembler.cell(u, v),
+                testing::lcs_oracle(window(a, spec.row_start(u)), window(b, spec.col_start(v))))
+          << "cell " << u << "," << v;
+    }
+  }
+}
+
+TEST(Frontend, StdioUpsertWithoutACorpusAnswersError) {
+  Request upsert;
+  upsert.op = Op::kUpsert;
+  upsert.a = seq("doc-1");
+  upsert.b = seq("ACGTACGT");
+  Request ping;
+  ping.op = Op::kPing;
+  const auto responses = stdio_session(framed(upsert) + framed(ping));
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, Status::kError);
+  EXPECT_NE(responses[0].text.find("no corpus"), std::string::npos) << responses[0].text;
+  EXPECT_EQ(responses[1].status, Status::kOk) << "the session survives a refused upsert";
+}
+
+TEST(Frontend, StdioTruncatedFrameGetsOneErrorThenEof) {
+  Request ping;
+  ping.op = Op::kPing;
+  const std::string whole = framed(lcs_request("ACGTACGT", "AGTCAGTC"));
+  // A ping, then a frame cut off mid-payload: one answer, one kError, EOF.
+  const auto responses = stdio_session(framed(ping) + whole.substr(0, whole.size() - 3));
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, Status::kOk);
+  EXPECT_EQ(responses[1].status, Status::kError);
+  EXPECT_NE(responses[1].text.find("truncated"), std::string::npos) << responses[1].text;
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // per-window oracle, quantization, hostile-spec rejection at both the engine
 // and the decoder, split-invariant tile streaming (small plot_tile_cells
 // forces multi-tile streams), concurrent plots off one shared index (the
-// tsan workload), the reactor + threaded frontends streaming over real
-// sockets, and the shard router relaying streams with mid-stream failover.
+// tsan workload), the reactor frontend streaming over real sockets, and the
+// shard router relaying streams with mid-stream failover.
 // Suites are named AlignmentPlot* -- the tsan preset filter keys on that.
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "engine/engine.hpp"
 #include "engine/frontend.hpp"
 #include "engine/protocol.hpp"
+#include "engine/service.hpp"
 #include "engine/shard/router.hpp"
 #include "util/random.hpp"
 
@@ -327,6 +328,74 @@ TEST(AlignmentPlotEngine, ConcurrentPlotsShareOneIndex) {
   EXPECT_EQ(grids[0][0], naive_cell(a, b, spec, 0, 0));
 }
 
+TEST(AlignmentPlotEngine, TilingSpecSpansBothSequences) {
+  // Equal-length genomes on the CLI's default 32x64 grid: one stride must
+  // serve both axes, so the column count shrinks instead of half of a
+  // falling off the plot.
+  const PlotSpec even = tiling_plot_spec(6400, 6400, 32, 64);
+  EXPECT_EQ(even.step, 200);
+  EXPECT_EQ(even.window, 200);
+  EXPECT_EQ(even.rows, 32);
+  EXPECT_EQ(even.cols, 32);
+
+  const Index shapes[][4] = {{6400, 6400, 32, 64}, {1000, 37, 8, 8},    {37, 1000, 8, 8},
+                             {999, 1001, 7, 9},    {10, 1000, 32, 64},  {5, 5, 32, 64},
+                             {1, 1, 1, 1},         {Index{32} * 100'000, 640'000, 32, 64}};
+  for (const auto& shape : shapes) {
+    const Index m = shape[0];
+    const Index n = shape[1];
+    const PlotSpec spec = tiling_plot_spec(m, n, shape[2], shape[3]);
+    SCOPED_TRACE(testing::Message() << m << "x" << n << " on " << shape[2] << "x" << shape[3]);
+    ASSERT_EQ(validate_plot_spec(spec), nullptr);
+    ASSERT_EQ(validate_plot_extent(spec, m, n), nullptr);
+    EXPECT_LE(spec.rows, shape[2]);
+    EXPECT_LE(spec.cols, shape[3]);
+    EXPECT_EQ(spec.window, std::min({spec.step, kMaxPlotWindow, m, n}));
+    // The grid reaches to within one stride of each sequence's end.
+    EXPECT_LT(m - spec.row_start(spec.rows), spec.step);
+    EXPECT_LT(n - spec.col_start(spec.cols), spec.step);
+  }
+  // Windows wider than a u16 score can hold still span the sequence, sampled.
+  const PlotSpec wide = tiling_plot_spec(Index{32} * 100'000, 640'000, 32, 64);
+  EXPECT_EQ(wide.step, 100'000);
+  EXPECT_EQ(wide.window, kMaxPlotWindow);
+  EXPECT_EQ(wide.rows, 32);
+  EXPECT_EQ(wide.cols, 6);
+
+  EXPECT_THROW((void)tiling_plot_spec(0, 10, 4, 4), std::invalid_argument);
+  EXPECT_THROW((void)tiling_plot_spec(10, 10, 0, 4), std::invalid_argument);
+}
+
+TEST(AlignmentPlotEngine, TilingSpecThroughEngineServiceDetectsBlockSwap) {
+  // b = second half of a + first half of a: anti-diagonal block structure.
+  const Sequence a = random_seq(400, 8, 16);
+  Sequence b(a.begin() + 200, a.end());
+  b.insert(b.end(), a.begin(), a.begin() + 200);
+  const PlotSpec spec = tiling_plot_spec(400, 400, 2, 2);
+  ASSERT_EQ(spec.rows, 2);
+  ASSERT_EQ(spec.cols, 2);
+  ASSERT_EQ(spec.window, 200);
+
+  ComparisonEngine engine(plot_engine());
+  EngineService service(engine);
+  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+  serve_one(service, plot_request(a, b, spec), [&assembler](Response&& response) {
+    EXPECT_EQ(response.status, Status::kOk) << response.text;
+    assembler.feed(response);
+    return true;
+  });
+  ASSERT_TRUE(assembler.complete());
+  EXPECT_EQ(assembler.cell(0, 1), 200);
+  EXPECT_EQ(assembler.cell(1, 0), 200);
+  EXPECT_LT(assembler.cell(0, 0), 160);
+  EXPECT_LT(assembler.cell(1, 1), 160);
+  for (Index u = 0; u < spec.rows; ++u) {
+    for (Index v = 0; v < spec.cols; ++v) {
+      EXPECT_EQ(assembler.cell(u, v), naive_cell(a, b, spec, u, v));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Protocol: round trips, hostile frames, assembler invariants.
 
@@ -559,15 +628,17 @@ class WireClient {
   bool eof_ = false;
 };
 
-/// Engine + reactor frontend + run() thread.
+/// Engine + its service + reactor frontend + run() thread.
 struct Reactor {
   ComparisonEngine engine;
+  EngineService service;
   FrontendServer server;
   std::thread thread;
 
   Reactor(EngineOptions engine_options, FrontendOptions frontend_options)
       : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
+        service(engine),
+        server(service, std::move(frontend_options)),
         thread([this] { server.run(); }) {}
 
   ~Reactor() {
@@ -690,56 +761,19 @@ TEST(AlignmentPlotFrontend, HostilePlotRequestDiesAtDecodeWithOneErrorFrame) {
   EXPECT_EQ(pong->status, Status::kOk);
 }
 
-struct ThreadedServer {
-  ComparisonEngine engine;
-  ThreadedFrontend server;
-  std::thread thread;
-
-  ThreadedServer(EngineOptions engine_options, FrontendOptions frontend_options)
-      : engine(std::move(engine_options)),
-        server(engine, std::move(frontend_options)),
-        thread([this] { server.run(); }) {}
-
-  ~ThreadedServer() {
-    if (thread.joinable()) {
-      server.request_stop();
-      thread.join();
-    }
-  }
-
-  [[nodiscard]] int port() const { return server.port(); }
-};
-
-TEST(AlignmentPlotFrontend, ThreadedFrontendStreamsTheSameTiles) {
-  ThreadedServer server(plot_engine(true, /*tile_cells=*/32), quiet_frontend());
-  const Sequence a = random_seq(160, 161);
-  const Sequence b = random_seq(160, 162);
-  PlotSpec spec;
-  spec.rows = 8;
-  spec.cols = 8;
-  spec.step = 9;
-  spec.window = 16;
-
-  WireClient client(server.port());
-  client.send(plot_request(a, b, spec));
-  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-  const std::size_t frames = client.drain_stream(assembler);
-  EXPECT_GT(frames, 1u);
-  EXPECT_TRUE(assembler.complete());
-  EXPECT_EQ(assembler.cell(3, 4), naive_cell(a, b, spec, 3, 4));
-}
-
 // ---------------------------------------------------------------------------
 // Shard router: stream relay and failover.
 
 struct Backend {
   ComparisonEngine engine;
+  EngineService service;
   FrontendServer server;
   std::thread thread;
 
   Backend()
       : engine(plot_engine(true, /*tile_cells=*/32)),
-        server(engine, quiet_frontend()),
+        service(engine),
+        server(service, quiet_frontend()),
         thread([this] { server.run(); }) {}
 
   ~Backend() {

@@ -2,7 +2,6 @@
 
 #include "lcs/dp.hpp"
 #include "oracles.hpp"
-#include "search/dotplot.hpp"
 #include "search/multi_pattern.hpp"
 #include "util/random.hpp"
 
@@ -68,70 +67,6 @@ TEST(MultiPattern, FindAllValidatesArguments) {
   const MultiPatternIndex index({uniform_sequence(10, 4, 1)}, uniform_sequence(50, 4, 2));
   EXPECT_THROW((void)index.find_all(0.5, 0), std::invalid_argument);
   EXPECT_THROW((void)index.find_all(1.5, 1), std::invalid_argument);
-}
-
-TEST(Dotplot, DiagonalStructureOnSelfComparison) {
-  const auto a = uniform_sequence(600, 20, 7);
-  const auto plot = compute_dotplot(a, a, 6, 6);
-  ASSERT_EQ(plot.rows, 6);
-  ASSERT_EQ(plot.cols, 6);
-  // Diagonal cells compare a chunk against its own window: identity 1.
-  for (Index d = 0; d < 6; ++d) {
-    EXPECT_DOUBLE_EQ(plot.at(d, d), 1.0);
-    for (Index c = 0; c < 6; ++c) {
-      if (c != d) {
-        EXPECT_LT(plot.at(d, c), 0.9) << d << "," << c;
-      }
-    }
-  }
-}
-
-TEST(Dotplot, DetectsBlockSwap) {
-  // b = second half of a + first half of a: anti-diagonal block structure.
-  const auto a = uniform_sequence(400, 16, 8);
-  Sequence b(a.begin() + 200, a.end());
-  b.insert(b.end(), a.begin(), a.begin() + 200);
-  const auto plot = compute_dotplot(a, b, 2, 2);
-  EXPECT_GT(plot.at(0, 1), 0.95);
-  EXPECT_GT(plot.at(1, 0), 0.95);
-  EXPECT_LT(plot.at(0, 0), 0.8);
-  EXPECT_LT(plot.at(1, 1), 0.8);
-}
-
-TEST(Dotplot, CellsMatchDirectComputation) {
-  const auto a = uniform_sequence(120, 4, 9);
-  const auto b = uniform_sequence(150, 4, 10);
-  const auto plot = compute_dotplot(a, b, 3, 4, {}, /*parallel=*/false);
-  const SequenceView va{a};
-  const SequenceView vb{b};
-  for (Index r = 0; r < 3; ++r) {
-    const Index a0 = 120 * r / 3;
-    const Index a1 = 120 * (r + 1) / 3;
-    for (Index c = 0; c < 4; ++c) {
-      const Index b0 = 150 * c / 4;
-      const Index b1 = 150 * (c + 1) / 4;
-      const Index score = testing::lcs_oracle(
-          va.subspan(static_cast<std::size_t>(a0), static_cast<std::size_t>(a1 - a0)),
-          vb.subspan(static_cast<std::size_t>(b0), static_cast<std::size_t>(b1 - b0)));
-      EXPECT_DOUBLE_EQ(plot.at(r, c),
-                       static_cast<double>(score) / static_cast<double>(a1 - a0));
-    }
-  }
-}
-
-TEST(Dotplot, RenderProducesExpectedShape) {
-  const auto a = uniform_sequence(200, 10, 11);
-  const auto plot = compute_dotplot(a, a, 4, 8);
-  const auto text = render_dotplot(plot);
-  // 4 data rows + 2 border rows.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 6);
-  EXPECT_NE(text.find('@'), std::string::npos);  // the self-diagonal peaks
-}
-
-TEST(Dotplot, ValidatesArguments) {
-  const auto a = uniform_sequence(10, 4, 12);
-  EXPECT_THROW((void)compute_dotplot(a, a, 0, 2), std::invalid_argument);
-  EXPECT_THROW((void)compute_dotplot(Sequence{}, a, 2, 2), std::invalid_argument);
 }
 
 }  // namespace

@@ -194,15 +194,17 @@ Sequence random_dna(Index length, Rng& rng) {
   return out;
 }
 
-/// One in-process backend: engine + reactor frontend + its run() thread.
+/// One in-process backend: engine + service + reactor frontend + run() thread.
 struct Backend {
   ComparisonEngine engine;
+  EngineService service;
   FrontendServer server;
   std::thread thread;
 
   explicit Backend(int port = 0)
       : engine(small_engine()),
-        server(engine, frontend_on(port)),
+        service(engine),
+        server(service, frontend_on(port)),
         thread([this] { server.run(); }) {}
 
   ~Backend() { stop(); }
@@ -608,8 +610,7 @@ TEST(ShardRouter, ServesThroughTheHandlerModeFrontendWithStatsSplice) {
   frontend.port = 0;
   frontend.idle_timeout_ms = 0;
   frontend.read_timeout_ms = 0;
-  frontend.handler = [&router](const Request& request) { return router.route(request); };
-  FrontendServer server(std::move(frontend));
+  FrontendServer server(router, std::move(frontend));
   std::thread thread([&server] { server.run(); });
 
   // A raw client against the router's own reactor: the full wire path.
@@ -645,8 +646,8 @@ TEST(ShardRouter, ServesThroughTheHandlerModeFrontendWithStatsSplice) {
   Request stats;
   stats.op = Op::kStats;
   const Response stats_response = exchange(stats);
-  // Both layers in one document: router_* from the handler, frontend_* from
-  // the reactor's splice.
+  // Both layers in one document: router_* from the router service,
+  // frontend_* from the reactor's splice.
   EXPECT_NE(stats_response.text.find("\"router_forwarded\""), std::string::npos);
   EXPECT_NE(stats_response.text.find("\"frontend_connections\""), std::string::npos);
 

@@ -4,7 +4,7 @@
 // std::istream/std::ostream so it works identically over stdin/stdout pipes
 // and sockets, and stays unit-testable against stringstreams. This adapter
 // is the socket side of that bargain: a buffering streambuf over an fd,
-// shared by semilocal_serve and semilocal_loadgen. POSIX-only, like the
+// shared by semilocal_cli and semilocal_loadgen. POSIX-only, like the
 // socket code in the tools themselves.
 #pragma once
 

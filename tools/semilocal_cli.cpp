@@ -18,7 +18,10 @@
 //   generate [--length N] [--gc FRAC] [--pair] [--seed S] [--out PATH]
 //       Emits synthetic genome FASTA (one record, or a related pair).
 //   dotplot <a.fasta> <b.fasta> [--rows R] [--cols C]
-//       ASCII similarity dotplot between the two sequences.
+//       ASCII similarity dotplot between the two sequences: the alignment
+//       plot of square windows spanning both sequences in at most R x C
+//       cells (width = stride = max(|a|/R, |b|/C), see tiling_plot_spec),
+//       run through an in-process engine, one density character per cell.
 //   braid <stringA> <stringB>
 //       Renders the combing grid, the kernel matrix and the strand wiring
 //       (small inputs; teaching/debugging aid).
@@ -65,7 +68,6 @@
 #include <vector>
 
 #include "align/distance.hpp"
-#include "search/dotplot.hpp"
 #include "core/api.hpp"
 #include "core/braid_render.hpp"
 #include "core/kernel_codec.hpp"
@@ -73,6 +75,7 @@
 #include "engine/corpus.hpp"
 #include "engine/corpus_version.hpp"
 #include "engine/protocol.hpp"
+#include "engine/service.hpp"
 #include "fd_stream.hpp"
 #include "util/cli.hpp"
 #include "util/fasta.hpp"
@@ -267,15 +270,53 @@ int cmd_dotplot(const CliArgs& args) {
   if (args.positional().size() != 2) return usage();
   std::string id_a;
   std::string id_b;
-  const Sequence a = first_record(args.positional()[0], id_a);
-  const Sequence b = first_record(args.positional()[1], id_b);
-  const Index rows = args.int_option_or("rows", 32);
-  const Index cols = args.int_option_or("cols", 64);
+  Request request;
+  request.op = Op::kAlignmentPlot;
+  request.a = first_record(args.positional()[0], id_a);
+  request.b = first_record(args.positional()[1], id_b);
+  const PlotSpec spec =
+      tiling_plot_spec(static_cast<Index>(request.a.size()),
+                       static_cast<Index>(request.b.size()),
+                       args.int_option_or("rows", 32), args.int_option_or("cols", 64));
+  request.plot = spec;
+
   Timer t;
-  const auto plot = compute_dotplot(a, b, rows, cols, {}, /*parallel=*/true);
-  std::cout << id_a << " (rows) vs " << id_b << " (cols), computed in " << t.seconds()
-            << " s\n";
-  std::cout << render_dotplot(plot);
+  ComparisonEngine engine;  // memory store; grid rows compute on its workers
+  EngineService service(engine);
+  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+  serve_one(service, std::move(request), [&assembler](Response&& response) {
+    if (response.status != Status::kOk) throw std::runtime_error("dotplot: " + response.text);
+    assembler.feed(response);
+    return true;
+  });
+  std::cout << id_a << " (" << spec.rows << " rows) vs " << id_b << " (" << spec.cols
+            << " cols), window " << spec.window << ", step " << spec.step
+            << ", computed in " << t.seconds() << " s\n";
+
+  // Density ramp, normalized against the observed range so structure stands
+  // out even when background similarity is high (small alphabets).
+  static constexpr char kRamp[] = " .:-=+*#%@";
+  constexpr Index kLevels = static_cast<Index>(sizeof(kRamp)) - 2;  // last index
+  Index lo = spec.window;
+  Index hi = 0;
+  for (Index u = 0; u < spec.rows; ++u) {
+    for (Index v = 0; v < spec.cols; ++v) {
+      lo = std::min(lo, assembler.cell(u, v));
+      hi = std::max(hi, assembler.cell(u, v));
+    }
+  }
+  const Index span = std::max<Index>(1, hi - lo);
+  const std::string rule = "+" + std::string(static_cast<std::size_t>(spec.cols), '-') + "+";
+  std::cout << rule << "  identity " << static_cast<double>(lo) / spec.window << ".."
+            << static_cast<double>(hi) / spec.window << '\n';
+  for (Index u = 0; u < spec.rows; ++u) {
+    std::cout << '|';
+    for (Index v = 0; v < spec.cols; ++v) {
+      std::cout << kRamp[((assembler.cell(u, v) - lo) * kLevels + span / 2) / span];
+    }
+    std::cout << "|\n";
+  }
+  std::cout << rule << '\n';
   return 0;
 }
 
@@ -557,8 +598,7 @@ int cmd_plot(const CliArgs& args) {
   }
   // A requested grid that overhangs the pair would be rejected server-side;
   // shrink it to what fits instead and report the final geometry.
-  spec.rows = std::min(spec.rows, (m - spec.window - spec.row0) / spec.step + 1);
-  spec.cols = std::min(spec.cols, (n - spec.window - spec.col0) / spec.step + 1);
+  fit_plot_grid(spec, m, n);
   request.plot = spec;
 
   std::cerr << id_a << " (" << m << " bp) vs " << id_b << " (" << n << " bp): "

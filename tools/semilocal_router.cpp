@@ -119,13 +119,8 @@ int main(int argc, char** argv) {
     frontend.drain_timeout_ms =
         static_cast<std::uint64_t>(args.int_option_or("drain-timeout-ms", 2'000));
     frontend.pump_threads = static_cast<int>(args.int_option_or("pumps", 8));
-    frontend.handler = [&router](const Request& request) { return router.route(request); };
-    frontend.stream_handler = [&router](const Request& request,
-                                        const std::function<bool(Response&&)>& sink) {
-      router.route_stream(request, sink);
-    };
 
-    FrontendServer server(std::move(frontend));
+    FrontendServer server(router, std::move(frontend));
     g_server = &server;
     install_signal_handlers();
     std::cout << server.port() << std::endl;

@@ -7,7 +7,8 @@
 //
 //   semilocal_serve --stdio [engine options]
 //       One session over stdin/stdout. Single-threaded end to end (the
-//       scheduler still batches; compute runs inline via drain()).
+//       scheduler still batches; compute runs inline via drain()). Same
+//       dispatch core as the reactor (engine/service.hpp).
 //   semilocal_serve --port P [engine options] [frontend options]
 //       Epoll reactor on 127.0.0.1:P (P = 0 picks a free port; the bound
 //       port is printed alone on stdout so spawning harnesses can read it
@@ -15,10 +16,6 @@
 //       pool for cold computes, typed admission control (see
 //       engine/frontend.hpp). SIGINT/SIGTERM drain gracefully: in-flight
 //       requests answer and flush before the process exits.
-//   semilocal_serve --port P --threaded ...
-//       The legacy thread-per-connection frontend (kept for differential
-//       testing), now with joined session lifetimes instead of detached
-//       threads.
 //
 // Engine options:
 //   --store DIR      kernel store directory (default: in-memory only)
@@ -37,8 +34,7 @@
 //                    re-upserts of mostly-unchanged documents cheap.
 //   --chunk N        corpus chunk size in symbols (default 1024)
 //
-// Frontend options (TCP modes):
-//   --threaded           thread-per-connection instead of the reactor
+// Frontend options (TCP mode):
 //   --backlog N          listen(2) backlog (default 128)
 //   --max-conns N        admission gate; beyond it connections are shed
 //                        with one RETRY_AFTER frame (default 10000)
@@ -50,19 +46,15 @@
 //   --drain-timeout-ms N graceful-shutdown budget (default 2000)
 //   --pumps N            cold-path pump threads (default 2)
 #include <csignal>
-#include <cstring>
 #include <iostream>
-
 #include <optional>
 
 #include "core/api.hpp"
 #include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
 #include "engine/frontend.hpp"
-#include "engine/protocol.hpp"
-#include "fd_stream.hpp"
+#include "engine/service.hpp"
 #include "util/cli.hpp"
-#include "util/fasta.hpp"
 #include "util/parallel.hpp"
 
 using namespace semilocal;
@@ -73,7 +65,7 @@ int usage() {
   std::cerr << "usage: semilocal_serve (--stdio | --port P) [--store DIR] [--cache-mb N]\n"
                "                       [--workers N] [--queue N] [--batch N]\n"
                "                       [--algorithm NAME] [--no-persist] [--no-index]\n"
-               "                       [--dna] [--threaded] [--backlog N] [--max-conns N]\n"
+               "                       [--dna] [--backlog N] [--max-conns N]\n"
                "                       [--max-inflight N] [--write-cap-kb N]\n"
                "                       [--idle-timeout-ms N] [--read-timeout-ms N]\n"
                "                       [--drain-timeout-ms N] [--pumps N]\n"
@@ -91,162 +83,11 @@ Strategy parse_strategy(const std::string& name) {
   throw std::invalid_argument("unknown --algorithm '" + name + "'");
 }
 
-struct ServeConfig {
-  bool dna = false;
-  bool inline_compute = false;  // stdio mode: drain on the session thread
-  CorpusManager* corpus = nullptr;  // nullptr: upserts answer kError
-};
-
-Sequence ingest(const ServeConfig& config, Sequence raw) {
-  return config.dna ? pack_dna(raw) : std::move(raw);
-}
-
-QueryKind kind_of(Op op) {
-  switch (op) {
-    case Op::kLcs:
-      return QueryKind::kLcs;
-    case Op::kStringSubstring:
-      return QueryKind::kStringSubstring;
-    case Op::kSubstringString:
-      return QueryKind::kSubstringString;
-    default:
-      throw std::invalid_argument("op carries no query kind");
-  }
-}
-
-Response handle(ComparisonEngine& engine, const ServeConfig& config,
-                const Request& request) {
-  Response response;
-  try {
-    switch (request.op) {
-      case Op::kPing:
-        break;
-      case Op::kLcs:
-      case Op::kStringSubstring:
-      case Op::kSubstringString:
-      case Op::kBatchQuery: {
-        const Sequence a = ingest(config, request.a);
-        const Sequence b = ingest(config, request.b);
-        auto future = engine.entry_async(a, b);
-        if (config.inline_compute) engine.drain();
-        const CachedKernelPtr entry = future.get();
-        if (request.op == Op::kBatchQuery) {
-          response.values = engine.answer_batch(*entry, request.windows);
-          response.value = static_cast<Index>(response.values.size());
-        } else {
-          response.value =
-              engine.answer(*entry, kind_of(request.op), request.x, request.y);
-        }
-        break;
-      }
-      case Op::kStats:
-        response.text = stats_json(engine.stats());
-        break;
-      case Op::kHealth:
-        response.text = health_json(engine.stats());
-        break;
-      case Op::kShardCtl:
-        response.status = Status::kError;
-        response.text = "shardctl: not a router";
-        break;
-      case Op::kAlignmentPlot:
-        // Streamed by the caller (serve_session / the frontends), never a
-        // single response.
-        response.status = Status::kError;
-        response.text = "plot: not answerable as a single frame";
-        break;
-      case Op::kUpsert: {
-        // `a` is the document id (raw bytes, never DNA-packed); `b` is the
-        // document body, packed like every other sequence payload.
-        if (config.corpus == nullptr) {
-          response.status = Status::kError;
-          response.text = "upsert: no corpus attached";
-          break;
-        }
-        const UpsertReport report = config.corpus->upsert_document(
-            to_string(request.a), ingest(config, request.b));
-        response.value = report.version;
-        response.text = report.json();
-        break;
-      }
-    }
-  } catch (const EngineOverloaded& e) {
-    response.status = Status::kOverloaded;
-    response.retry_ms = e.retry_after_ms();
-    response.text = e.what();
-  } catch (const std::exception& e) {
-    response.status = Status::kError;
-    response.text = e.what();
-  }
-  return response;
-}
-
-/// One stdio session: frames in, frames out, until EOF or a framing error.
-void serve_session(ComparisonEngine& engine, const ServeConfig& config, std::istream& in,
-                   std::ostream& out) {
-  while (true) {
-    std::optional<std::string> payload;
-    try {
-      payload = read_frame(in);
-    } catch (const ProtocolError& e) {
-      // The stream is unframed from here on; report and hang up.
-      try {
-        Response unframed;
-        unframed.status = Status::kError;
-        unframed.text = e.what();
-        write_frame(out, encode_response(unframed));
-      } catch (...) {
-      }
-      return;
-    }
-    if (!payload) return;  // clean EOF
-    Response response;
-    try {
-      const Request request = decode_request(*payload);
-      if (request.op == Op::kAlignmentPlot) {
-        // Tiles stream as they compute; the blocking write is the
-        // backpressure. A failed spec or overload becomes the terminal frame.
-        try {
-          if (!request.plot) throw std::out_of_range("plot request without a plot spec");
-          const Sequence a = ingest(config, request.a);
-          const Sequence b = ingest(config, request.b);
-          engine.alignment_plot(
-              a, b, *request.plot,
-              [&](PlotTile&& tile) {
-                Response frame;
-                frame.tile = std::move(tile);
-                write_frame(out, encode_response(frame));
-                return true;
-              },
-              config.inline_compute);
-          continue;
-        } catch (const EngineOverloaded& e) {
-          response.status = Status::kOverloaded;
-          response.retry_ms = e.retry_after_ms();
-          response.text = e.what();
-        } catch (const std::exception& e) {
-          response.status = Status::kError;
-          response.text = e.what();
-        }
-      } else {
-        response = handle(engine, config, request);
-      }
-    } catch (const ProtocolError& e) {
-      response = Response{};
-      response.status = Status::kError;
-      response.text = e.what();
-    }
-    write_frame(out, encode_response(response));
-  }
-}
-
-// Signal plumbing: both frontends expose an async-signal-safe request_stop().
+// Signal plumbing: the reactor exposes an async-signal-safe request_stop().
 FrontendServer* g_reactor = nullptr;
-ThreadedFrontend* g_threaded = nullptr;
 
 void on_signal(int) {
   if (g_reactor != nullptr) g_reactor->request_stop();
-  if (g_threaded != nullptr) g_threaded->request_stop();
 }
 
 void install_signal_handlers() {
@@ -262,7 +103,7 @@ void install_signal_handlers() {
 int main(int argc, char** argv) {
   try {
     const CliArgs args = CliArgs::parse(
-        argc, argv, 1, {"stdio", "no-persist", "no-index", "dna", "threaded"});
+        argc, argv, 1, {"stdio", "no-persist", "no-index", "dna"});
     const bool stdio = args.has_flag("stdio");
     const auto port = args.option("port");
     if (stdio == port.has_value()) return usage();  // exactly one mode
@@ -282,10 +123,7 @@ int main(int argc, char** argv) {
     options.index_queries = !args.has_flag("no-index");
     options.scheduler.build_index = options.index_queries;
 
-    ServeConfig config;
-    config.dna = args.has_flag("dna");
-    config.inline_compute = options.scheduler.workers == 0;
-
+    const bool drain_inline = options.scheduler.workers == 0;
     ComparisonEngine engine(options);
 
     std::optional<CorpusManager> corpus;
@@ -293,13 +131,14 @@ int main(int argc, char** argv) {
       CorpusManagerOptions corpus_options;
       corpus_options.dir = *corpus_dir;
       corpus_options.chunk = static_cast<Index>(args.int_option_or("chunk", 1024));
-      corpus_options.drain_inline = config.inline_compute;
+      corpus_options.drain_inline = drain_inline;
       corpus.emplace(engine, std::move(corpus_options));
-      config.corpus = &*corpus;
     }
+    EngineService service(engine, corpus ? &*corpus : nullptr, args.has_flag("dna"),
+                          drain_inline);
 
     if (stdio) {
-      serve_session(engine, config, std::cin, std::cout);
+      serve_stream(service, std::cin, std::cout);
       return 0;
     }
 
@@ -319,34 +158,19 @@ int main(int argc, char** argv) {
     frontend.drain_timeout_ms =
         static_cast<std::uint64_t>(args.int_option_or("drain-timeout-ms", 2'000));
     frontend.pump_threads = static_cast<int>(args.int_option_or("pumps", 2));
-    frontend.dna = config.dna;
-    frontend.drain_inline = config.inline_compute;
-    frontend.corpus = config.corpus;
 
+    FrontendServer server(service, frontend);
+    g_reactor = &server;
+    install_signal_handlers();
     // The bound port goes to *stdout* (one bare number, flushed before the
     // loop starts): with --port 0 a supervisor or test harness spawning real
     // backends reads it instead of racing for a free port. Human-readable
     // status stays on stderr.
-    const auto announce = [](int bound_port, const char* kind) {
-      std::cout << bound_port << std::endl;
-      std::cerr << "semilocal_serve: listening on 127.0.0.1:" << bound_port << " ("
-                << kind << ")" << std::endl;
-    };
-    if (args.has_flag("threaded")) {
-      ThreadedFrontend server(engine, frontend);
-      g_threaded = &server;
-      install_signal_handlers();
-      announce(server.port(), "threaded");
-      server.run();
-      g_threaded = nullptr;
-    } else {
-      FrontendServer server(engine, frontend);
-      g_reactor = &server;
-      install_signal_handlers();
-      announce(server.port(), "reactor");
-      server.run();
-      g_reactor = nullptr;
-    }
+    std::cout << server.port() << std::endl;
+    std::cerr << "semilocal_serve: listening on 127.0.0.1:" << server.port() << " (reactor)"
+              << std::endl;
+    server.run();
+    g_reactor = nullptr;
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "semilocal_serve: " << e.what() << "\n";
