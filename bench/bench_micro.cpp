@@ -4,9 +4,11 @@
 //
 // Besides the google-benchmark suite, main() writes a machine-readable
 // comb-kernel report to results/bench_micro.json: ns/cell for every
-// dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths)
-// plus single-call vs batched semi-local throughput. Run with
-// `--benchmark_filter=NONE` to emit only the JSON report.
+// dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths),
+// single-call vs batched semi-local throughput, and the score-only kernels
+// a cold `lcs` request can run (the bit-plane comber next to Hyyro's
+// bit-vector LCS and the semi-local comb + query index it replaces). Run
+// with `--benchmark_filter=NONE` to emit only the JSON report.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,10 +20,12 @@
 #include <vector>
 
 #include "bitlcs/bitwise_combing.hpp"
+#include "bitlcs/encoding.hpp"
 #include "braid/permutation.hpp"
 #include "braid/steady_ant.hpp"
 #include "core/api.hpp"
 #include "core/comb_kernels.hpp"
+#include "core/query_index.hpp"
 #include "lcs/bitparallel.hpp"
 #include "lcs/prefix.hpp"
 #include "util/parallel.hpp"
@@ -177,6 +181,37 @@ void comb_cells_portable(const Symbol* __restrict a_rev, const Symbol* __restric
 #define SEMILOCAL_BENCH_PORTABLE 0
 #endif
 
+/// One score-only row: every way the serving path could answer LCS(a, b)
+/// for a cold pair, single-threaded, in ms (median of 5 after a warmup).
+struct ScoreRow {
+  Index length;
+  Symbol alphabet;
+  double plane_ms;       ///< lcs_bit_combing_alphabet on the dense pair (the score job)
+  double hyyro_ms;       ///< Hyyro's bit-vector LCS (the differential oracle)
+  double comb_ms;        ///< semi_local_kernel: the full semi-local comb
+  double comb_index_ms;  ///< comb + QueryIndex build (the kernel miss path)
+};
+
+ScoreRow score_row(Index length, Symbol alphabet) {
+  const auto a = uniform_sequence(length, alphabet, 7);
+  const auto b = uniform_sequence(length, alphabet, 8);
+  const auto ms = [](const auto& fn) { return median_run_seconds(fn) * 1e3; };
+  ScoreRow row{length, alphabet, 0, 0, 0, 0};
+  row.plane_ms = ms([&] {
+    const DensePair d = dense_remap(a, b);
+    benchmark::DoNotOptimize(
+        lcs_bit_combing_alphabet(d.a, d.b, std::max<Symbol>(2, d.alphabet), false));
+  });
+  row.hyyro_ms = ms([&] { benchmark::DoNotOptimize(lcs_bitparallel_hyyro(a, b)); });
+  row.comb_ms = ms([&] { benchmark::DoNotOptimize(semi_local_kernel(a, b)); });
+  row.comb_index_ms = ms([&] {
+    const SemiLocalKernel kernel = semi_local_kernel(a, b);
+    const QueryIndex index(kernel);
+    benchmark::DoNotOptimize(index.lcs());
+  });
+  return row;
+}
+
 struct KernelRow {
   std::string name;
   double u16_ns_per_cell;
@@ -219,6 +254,11 @@ void write_kernel_report(const std::string& path) {
     lcs_semilocal_batch(pairs, scores, {.parallel = true});
   });
 
+  std::vector<ScoreRow> score_rows;
+  for (const Index length : {Index{2000}, Index{8000}}) {
+    for (const Symbol alphabet : {4, 256}) score_rows.push_back(score_row(length, alphabet));
+  }
+
   std::filesystem::create_directories(std::filesystem::path(path).parent_path());
   std::ofstream out(path);
   out << "{\n  \"dispatched\": \"" << kernel_dispatch().name << "\",\n";
@@ -239,7 +279,16 @@ void write_kernel_report(const std::string& path) {
   out << "  \"batch\": {\"pairs\": " << kPairs << ", \"pair_length\": " << kLen
       << ", \"per_call_pairs_per_s\": " << kPairs / per_call_s
       << ", \"batched_pairs_per_s\": " << kPairs / batched_s
-      << ", \"batched_speedup\": " << per_call_s / batched_s << "}\n";
+      << ", \"batched_speedup\": " << per_call_s / batched_s << "},\n";
+  out << "  \"score_kernels\": [\n";
+  for (std::size_t i = 0; i < score_rows.size(); ++i) {
+    const ScoreRow& r = score_rows[i];
+    out << "    {\"length\": " << r.length << ", \"alphabet\": " << r.alphabet
+        << ", \"plane_ms\": " << r.plane_ms << ", \"hyyro_ms\": " << r.hyyro_ms
+        << ", \"comb_ms\": " << r.comb_ms << ", \"comb_index_ms\": " << r.comb_index_ms
+        << "}" << (i + 1 < score_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n";
   out << "}\n";
   std::printf("comb-kernel report written to %s\n", path.c_str());
 }

@@ -46,11 +46,16 @@ Index lcs_bit_combing(SequenceView a, SequenceView b,
 
 /// Alphabet-generalized bit-parallel combing -- an implementation of the
 /// paper's open question "how well this algorithm can be generalized to an
-/// arbitrary alphabet" (Section 6). Symbols must lie in [0, alphabet); the
-/// match word is computed from ceil(log2 alphabet) bit-planes while the
-/// strand state stays one bit per strand, so the cost grows only in the
-/// match test: roughly (3 + planes) ops per step instead of 4. Runs the
-/// register-blocked optimized kernel; `parallel` as in lcs_bit_combing.
+/// arbitrary alphabet" (Section 6). Symbols must lie in [0, alphabet) with
+/// alphabet <= 256; the match word is computed from ceil(log2 alphabet)
+/// bit-planes while the strand state stays one bit per strand, so the cost
+/// grows only in the match test: 3 ops per plane per step. The plane count
+/// is a compile-time constant of the kernel (1..8, dispatched at run time),
+/// and independent blocks of each anti-diagonal run 16 at a time in
+/// lockstep, like kInterleaved's four. Remap sparse symbol
+/// sets with dense_remap (bitlcs/encoding.hpp) first: the plane count
+/// follows the alphabet bound, not the number of distinct symbols.
+/// `parallel` as in lcs_bit_combing.
 Index lcs_bit_combing_alphabet(SequenceView a, SequenceView b, Symbol alphabet,
                                bool parallel = false);
 

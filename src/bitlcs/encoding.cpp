@@ -1,6 +1,8 @@
 #include "bitlcs/encoding.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace semilocal {
 
@@ -45,7 +47,7 @@ PlaneEncoding encode_plane_pair(SequenceView a, SequenceView b, Symbol alphabet)
   int planes = 0;
   while ((Symbol{1} << planes) < alphabet) ++planes;
   if (planes == 0) planes = 1;
-  if (planes > 16) throw std::invalid_argument("encode_plane_pair: alphabet too large");
+  if (planes > kMaxPlanes) throw std::invalid_argument("encode_plane_pair: alphabet too large");
   for (const Symbol s : a) {
     if (s < 0 || s >= alphabet) throw std::invalid_argument("encode_plane_pair: a symbol out of range");
   }
@@ -89,6 +91,29 @@ PlaneEncoding encode_plane_pair(SequenceView a, SequenceView b, Symbol alphabet)
     e.b_valid[word] |= Word{1} << bit;
   }
   return e;
+}
+
+DensePair dense_remap(SequenceView a, SequenceView b) {
+  // Byte symbols (every wire request) take the table; any other value the map.
+  std::array<Symbol, 256> byte_code;
+  byte_code.fill(-1);
+  std::unordered_map<Symbol, Symbol> other_code;
+  DensePair out;
+  const auto code = [&](Symbol s) {
+    if (s >= 0 && s < 256) {
+      Symbol& c = byte_code[static_cast<std::size_t>(s)];
+      if (c < 0) c = out.alphabet++;
+      return c;
+    }
+    const auto [it, fresh] = other_code.try_emplace(s, out.alphabet);
+    if (fresh) ++out.alphabet;
+    return it->second;
+  };
+  out.a.reserve(a.size());
+  out.b.reserve(b.size());
+  for (const Symbol s : a) out.a.push_back(code(s));
+  for (const Symbol s : b) out.b.push_back(code(s));
+  return out;
 }
 
 }  // namespace semilocal

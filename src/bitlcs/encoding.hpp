@@ -56,9 +56,27 @@ struct PlaneEncoding {
   std::vector<Word> b_valid;
 };
 
+/// Most planes the plane kernel is compiled for: 8 planes cover any byte
+/// string.
+inline constexpr int kMaxPlanes = 8;
+
 /// Packs a pair over the alphabet [0, alphabet); chooses the number of
 /// planes as ceil(log2(alphabet)). Throws if symbols fall outside the range
-/// or the alphabet needs more than 16 planes.
+/// or the alphabet needs more than kMaxPlanes planes (alphabet > 256).
 PlaneEncoding encode_plane_pair(SequenceView a, SequenceView b, Symbol alphabet);
+
+/// A pair rewritten over the dense alphabet [0, alphabet): the k distinct
+/// symbols of a and b get codes 0..k-1 in order of first appearance, so
+/// equal symbols stay equal and LCS scores are unchanged.
+struct DensePair {
+  Sequence a;
+  Sequence b;
+  Symbol alphabet = 0;  ///< k, the number of distinct symbols (0 if both empty)
+};
+
+/// Remaps (a, b) onto the smallest alphabet that holds them, which makes the
+/// plane count ceil(log2 k) whatever the raw symbol values are: DNA bytes
+/// need 2 planes, not the 7 their ASCII codes would.
+DensePair dense_remap(SequenceView a, SequenceView b);
 
 }  // namespace semilocal

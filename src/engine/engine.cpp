@@ -8,9 +8,10 @@
 namespace semilocal {
 namespace {
 
-std::shared_future<CachedKernelPtr> ready_future(CachedKernelPtr entry) {
-  std::promise<CachedKernelPtr> promise;
-  promise.set_value(std::move(entry));
+template <typename T>
+std::shared_future<T> ready_future(T value) {
+  std::promise<T> promise;
+  promise.set_value(std::move(value));
   return promise.get_future().share();
 }
 
@@ -47,6 +48,21 @@ std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async_keyed(
     return ready_future(std::move(hit));
   }
   return scheduler_.submit(key, Sequence(a.begin(), a.end()), Sequence(b.begin(), b.end()));
+}
+
+std::shared_future<Index> ComparisonEngine::score_async(SequenceView a, SequenceView b) {
+  const PairKey key = make_pair_key(a, b);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t lookup_ns = env_->now_ns();
+  if (CachedKernelPtr hit = store_.find(key)) {
+    latency_.record(static_cast<double>(env_->now_ns() - lookup_ns) / 1e6);
+    return ready_future(answer(*hit, QueryKind::kLcs, 0, 0));
+  }
+  ScoreTicket ticket = scheduler_.submit_score(key, a, b);
+  if (ticket.score.valid()) return ticket.score;
+  return std::async(std::launch::deferred, [this, entry = std::move(ticket.entry)] {
+           return answer(*entry.get(), QueryKind::kLcs, 0, 0);
+         }).share();
 }
 
 CachedKernelPtr ComparisonEngine::entry(SequenceView a, SequenceView b) {
@@ -213,6 +229,8 @@ std::string stats_json(const EngineStats& s) {
   field("store_pending_persists", s.store.pending_persists);
   field("degraded_mode", s.store.degraded() ? 1 : 0);
   field("computed", s.scheduler.computed);
+  field("scores_computed", s.scheduler.scores_computed);
+  field("score_memo_hits", s.scheduler.score_memo_hits);
   field("coalesced", s.scheduler.coalesced);
   field("rejected", s.scheduler.rejected);
   field("batches", s.scheduler.batches);

@@ -19,6 +19,12 @@
 // store -- the engine stats counters make that auditable (computed stays at
 // the number of distinct pairs while requests grows).
 //
+// A global score alone never builds a kernel: score_async answers it off a
+// cached kernel when there is one, and otherwise from a score memo or a
+// score job -- the paper's bit-parallel combing, O(mn/w) word operations
+// instead of an O(mn) comb plus an index. The first request that needs the
+// kernel (a window, a batch, a plot strip) builds it.
+//
 // Every cached entry carries a shared immutable QueryIndex (built once,
 // read lock-free; see engine/query.hpp), so on the warm path queries cost
 // O(log n) instead of the O(m + n) dominance scan. `index_queries = false`
@@ -62,7 +68,7 @@ struct EngineOptions {
 inline constexpr std::int64_t kStatsVersion = 2;
 
 struct EngineStats {
-  std::uint64_t requests = 0;  ///< kernel acquisitions (all query kinds)
+  std::uint64_t requests = 0;  ///< kernel acquisitions and score_async calls
   KernelStoreStats store;
   SchedulerStats scheduler;
   QueryStats queries;
@@ -109,8 +115,19 @@ class ComparisonEngine {
   /// The bare kernel of (a, b). Same acquisition path as entry().
   KernelPtr kernel(SequenceView a, SequenceView b);
 
+  /// LCS(a, b) without building a kernel, in this order: a cached kernel
+  /// answers it (the same single store probe, counters and latency sample
+  /// as entry_async); then the score memo; then the pair's kernel already in
+  /// flight, read once it resolves (the returned future is deferred and
+  /// waits for it in get()); else a score job is queued, and duplicate
+  /// misses coalesce onto it. Score jobs never write the store. Throws
+  /// EngineOverloaded under backpressure.
+  std::shared_future<Index> score_async(SequenceView a, SequenceView b);
+
   /// Query layer: answers off the (possibly cached) entry, routed through
-  /// the QueryIndex or the dominance scan per `index_queries`.
+  /// the QueryIndex or the dominance scan per `index_queries`. lcs() is
+  /// kernel-backed (it computes and caches the kernel); score_async is the
+  /// score-only path.
   Index lcs(SequenceView a, SequenceView b);
   Index string_substring(SequenceView a, SequenceView b, Index j0, Index j1);
   Index substring_string(SequenceView a, SequenceView b, Index i0, Index i1);

@@ -129,12 +129,6 @@ void append_frontend_fields(std::string& out, const FrontendStats& f) {
 
 }  // namespace
 
-std::string stats_json(const EngineStats& stats, const FrontendStats& f) {
-  std::string out = stats_json(stats);
-  append_frontend_fields(out, f);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // FrontendServer: the epoll reactor.
 

@@ -94,10 +94,6 @@ struct FrontendStats {
   std::uint64_t pump_answers = 0;    ///< deferred jobs a pump ran to completion
 };
 
-/// stats_json() with the frontend_* counters appended -- what the kStats op
-/// returns when an EngineService is served through a frontend.
-std::string stats_json(const EngineStats& stats, const FrontendStats& frontend);
-
 /// The epoll reactor frontend. Construction binds and listens (throws
 /// std::runtime_error on failure); run() executes the event loop on the
 /// calling thread until request_stop(). The service must outlive run().

@@ -4,13 +4,30 @@
 #include <span>
 #include <utility>
 
+#include "bitlcs/bitwise_combing.hpp"
+#include "bitlcs/encoding.hpp"
+#include "lcs/prefix.hpp"
+
 namespace semilocal {
 namespace {
 
-std::shared_future<CachedKernelPtr> ready_future(CachedKernelPtr entry) {
-  std::promise<CachedKernelPtr> promise;
-  promise.set_value(std::move(entry));
+template <typename T>
+std::shared_future<T> ready_future(T value) {
+  std::promise<T> promise;
+  promise.set_value(std::move(value));
   return promise.get_future().share();
+}
+
+/// A score job's work: the paper's bit-parallel combing (Listing 8,
+/// generalized to bit-planes) over the pair's dense alphabet, serial like
+/// every per-pair compute here. Wire symbols are bytes, so a served pair
+/// always fits the kernel's 8 planes; a library caller's pair with more than
+/// 256 distinct symbols falls back to the anti-diagonal prefix DP.
+Index bit_parallel_score(SequenceView a, SequenceView b) {
+  const DensePair dense = dense_remap(a, b);
+  if (dense.alphabet > (Symbol{1} << kMaxPlanes)) return lcs_prefix_antidiag(a, b);
+  return lcs_bit_combing_alphabet(dense.a, dense.b, std::max<Symbol>(2, dense.alphabet),
+                                  /*parallel=*/false);
 }
 
 }  // namespace
@@ -21,7 +38,8 @@ KernelScheduler::KernelScheduler(KernelStore& store, SchedulerOptions options,
       options_(std::move(options)),
       env_(options_.env ? options_.env : &real_env()),
       latency_(latency),
-      counters_(counters) {
+      counters_(counters),
+      memo_(kMemoSlots) {
   threads_.reserve(static_cast<std::size_t>(std::max(0, options_.workers)));
   for (int i = 0; i < options_.workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -37,41 +55,93 @@ KernelScheduler::~KernelScheduler() {
   for (std::thread& t : threads_) t.join();
 }
 
+void KernelScheduler::admit() {
+  if (queue_.size() < options_.max_queue) return;
+  ++rejected_;
+  // Hint scales with how many batches are queued ahead of the retrier.
+  const auto waves =
+      static_cast<Index>(queue_.size() / std::max<std::size_t>(1, options_.max_batch));
+  const Index retry_ms = 5 * (waves + 1) / std::max(1, options_.workers) + 1;
+  throw EngineOverloaded("engine overloaded: " + std::to_string(queue_.size()) +
+                             " jobs queued (limit " + std::to_string(options_.max_queue) +
+                             ")",
+                         retry_ms);
+}
+
+void KernelScheduler::enqueue(JobPtr job) {
+  job->queued_ns = env_->now_ns();
+  inflight_.insert_or_assign(job->key, job);
+  queue_.push_back(std::move(job));
+}
+
+void KernelScheduler::retire(const Job& job) {
+  const auto it = inflight_.find(job.key);
+  if (it != inflight_.end() && it->second.get() == &job) inflight_.erase(it);
+}
+
 std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
                                                             Sequence a, Sequence b) {
   std::unique_lock lock(mutex_);
   ++submitted_;
-  // Duplicate of an in-flight pair: attach to the existing computation.
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
-    ++coalesced_;
-    return it->second;
+    Job& job = *it->second;
+    // Duplicate of an in-flight kernel: attach to the existing computation.
+    if (job.kernel) {
+      ++coalesced_;
+      return job.entry_future;
+    }
+    // A queued score job becomes this kernel job; its score waiters are
+    // answered off the kernel. A running one cannot change: the kernel gets
+    // a job of its own below, which takes over the in-flight entry.
+    if (!job.running) {
+      job.kernel = true;
+      job.entry_future = job.entry.get_future().share();
+      return job.entry_future;
+    }
   }
   // A pair that completed between the caller's cache probe and this lock is
   // gone from inflight_ but present in the store; re-probe so it is never
   // recomputed. (Lock order scheduler -> store; the store never calls back.)
   if (CachedKernelPtr hit = store_.find(key)) return ready_future(std::move(hit));
-  if (queue_.size() >= options_.max_queue) {
-    ++rejected_;
-    // Hint scales with how many batches are queued ahead of the retrier.
-    const auto waves =
-        static_cast<Index>(queue_.size() / std::max<std::size_t>(1, options_.max_batch));
-    const Index retry_ms = 5 * (waves + 1) / std::max(1, options_.workers) + 1;
-    throw EngineOverloaded("engine overloaded: " + std::to_string(queue_.size()) +
-                               " jobs queued (limit " + std::to_string(options_.max_queue) +
-                               ")",
-                           retry_ms);
-  }
+  admit();
   auto job = std::make_shared<Job>();
   job->key = key;
   job->a = std::move(a);
   job->b = std::move(b);
-  job->queued_ns = env_->now_ns();
-  auto future = job->promise.get_future().share();
-  inflight_.emplace(key, future);
-  queue_.push_back(std::move(job));
+  job->kernel = true;
+  job->entry_future = job->entry.get_future().share();
+  auto future = job->entry_future;
+  enqueue(std::move(job));
   lock.unlock();
   work_ready_.notify_one();
   return future;
+}
+
+ScoreTicket KernelScheduler::submit_score(const PairKey& key, SequenceView a,
+                                          SequenceView b) {
+  std::unique_lock lock(mutex_);
+  ++submitted_;
+  if (const MemoSlot& slot = memo_slot(key); slot.score >= 0 && slot.key == key) {
+    ++score_memo_hits_;
+    return {ready_future(slot.score), {}};
+  }
+  if (const auto it = inflight_.find(key); it != inflight_.end()) {
+    ++coalesced_;
+    const Job& job = *it->second;
+    if (job.score_future.valid()) return {job.score_future, {}};
+    return {{}, job.entry_future};
+  }
+  admit();
+  auto job = std::make_shared<Job>();
+  job->key = key;
+  job->a.assign(a.begin(), a.end());
+  job->b.assign(b.begin(), b.end());
+  job->score_future = job->score.get_future().share();
+  ScoreTicket ticket{job->score_future, {}};
+  enqueue(std::move(job));
+  lock.unlock();
+  work_ready_.notify_one();
+  return ticket;
 }
 
 void KernelScheduler::worker_loop() {
@@ -89,12 +159,54 @@ void KernelScheduler::worker_loop() {
 bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
                                     bool build_index) {
   if (queue_.empty()) return false;
-  std::vector<JobPtr> batch;
-  batch.reserve(std::min(queue_.size(), options_.max_batch));
-  while (!queue_.empty() && batch.size() < options_.max_batch) {
-    batch.push_back(std::move(queue_.front()));
+  std::vector<JobPtr> kernels;
+  std::vector<JobPtr> scores;
+  while (!queue_.empty() && kernels.size() + scores.size() < options_.max_batch) {
+    JobPtr job = std::move(queue_.front());
     queue_.pop_front();
+    job->running = true;
+    (job->kernel ? kernels : scores).push_back(std::move(job));
   }
+  // Scores first: each is a fraction of one kernel's comb, so its waiters
+  // should not sit behind the batch's kernels.
+  if (!scores.empty()) run_scores(lock, scores);
+  if (!kernels.empty()) run_kernels(lock, kernels, build_index);
+  return true;
+}
+
+void KernelScheduler::run_scores(std::unique_lock<std::mutex>& lock,
+                                 const std::vector<JobPtr>& jobs) {
+  lock.unlock();
+  std::vector<Index> values(jobs.size());
+  std::vector<std::exception_ptr> failures(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    try {
+      values[i] = bit_parallel_score(jobs[i]->a, jobs[i]->b);
+    } catch (...) {
+      failures[i] = std::current_exception();
+    }
+  }
+  // Memo first, then inflight_, all under the lock: no submit_score() window
+  // finds a finished score in neither place.
+  lock.lock();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    Job& job = *jobs[i];
+    retire(job);
+    if (failures[i]) {
+      job.score.set_exception(failures[i]);
+      continue;
+    }
+    ++scores_computed_;
+    memo_slot(job.key) = MemoSlot{job.key, values[i]};
+    if (latency_) {
+      latency_->record(static_cast<double>(env_->now_ns() - job.queued_ns) / 1e6);
+    }
+    job.score.set_value(values[i]);
+  }
+}
+
+void KernelScheduler::run_kernels(std::unique_lock<std::mutex>& lock,
+                                  const std::vector<JobPtr>& batch, bool build_index) {
   ++batches_;
   lock.unlock();
 
@@ -131,18 +243,20 @@ bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
   // mutex_ until this batch finishes bookkeeping.)
   lock.lock();
   computed_ += failure ? 0 : batch.size();
-  for (const JobPtr& job : batch) inflight_.erase(job->key);
+  for (const JobPtr& job : batch) retire(*job);
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    Job& job = *batch[i];
     if (failure) {
-      batch[i]->promise.set_exception(failure);
-    } else {
-      if (latency_) {
-        latency_->record(static_cast<double>(env_->now_ns() - batch[i]->queued_ns) /
-                         1e6);
-      }
-      const CachedKernelPtr& entry = results[i];
-      batch[i]->promise.set_value(entry);
+      job.entry.set_exception(failure);
+      if (job.score_future.valid()) job.score.set_exception(failure);
+      continue;
     }
+    if (latency_) {
+      latency_->record(static_cast<double>(env_->now_ns() - job.queued_ns) / 1e6);
+    }
+    job.entry.set_value(results[i]);
+    // An upgraded score job: its score waiters read H(m, n) off the kernel.
+    if (job.score_future.valid()) job.score.set_value(kernel_lcs(results[i]->kernel()));
   }
 
   // Eager index builds come *after* the promises resolve: the computing
@@ -156,7 +270,6 @@ bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
     }
     lock.lock();
   }
-  return true;
 }
 
 std::size_t KernelScheduler::drain() {
@@ -173,6 +286,8 @@ SchedulerStats KernelScheduler::stats() const {
   return SchedulerStats{.submitted = submitted_,
                         .coalesced = coalesced_,
                         .computed = computed_,
+                        .scores_computed = scores_computed_,
+                        .score_memo_hits = score_memo_hits_,
                         .batches = batches_,
                         .rejected = rejected_,
                         .queue_depth = queue_.size(),

@@ -1,17 +1,23 @@
-// Batching request scheduler for kernel computations.
+// Batching request scheduler for kernel and score computations.
 //
 // The scheduler turns independent cache misses into efficient compute:
 //
-//   * Coalescing. An in-flight map keyed by PairKey gives every duplicate
-//     submission the same shared_future -- N concurrent requests for one
-//     pair cost one kernel computation.
-//   * Batching. Workers pop up to max_batch queued jobs at once and run
-//     them through semi_local_kernel_batch, so each worker reuses its
+//   * Two job kinds, one queue. A kernel job combs the full semi-local
+//     kernel and publishes it to the store. A score job computes only the
+//     global LCS score, H(m, n), with the paper's bit-parallel combing over
+//     the pair's dense alphabet, and keeps it in a small score memo; it
+//     never touches the store. A kernel submit that finds its pair's score
+//     job still queued upgrades that job to a kernel job.
+//   * Coalescing. An in-flight map keyed by PairKey attaches every duplicate
+//     submission to the pair's queued or running job -- N concurrent
+//     requests for one pair cost one computation.
+//   * Batching. Workers pop up to max_batch queued jobs at once and run the
+//     kernel jobs through semi_local_kernel_batch, so each worker reuses its
 //     persistent tls_workspace() across the batch and reaches the
 //     zero-allocation steady state PR 1 built.
-//   * Backpressure. The queue is bounded; a submit that would exceed it
-//     throws EngineOverloaded carrying a retry-after hint instead of letting
-//     latency grow without bound.
+//   * Backpressure. The queue is bounded (both kinds count); a submit that
+//     would exceed it throws EngineOverloaded carrying a retry-after hint
+//     instead of letting latency grow without bound.
 //
 // workers = 0 runs no threads; call drain() to execute queued batches on the
 // calling thread (deterministic tests, single-threaded stdio serving).
@@ -54,7 +60,8 @@ struct SchedulerOptions {
   int workers = 2;
   /// Pending-job bound; submissions beyond it are rejected.
   std::size_t max_queue = 256;
-  /// Cache misses grouped into one semi_local_kernel_batch call.
+  /// Jobs popped per batch; its kernel jobs share one
+  /// semi_local_kernel_batch call.
   std::size_t max_batch = 8;
   /// Per-pair compute configuration (`parallel` is forced off: pairs are
   /// the parallel unit, one batch per worker thread).
@@ -69,20 +76,30 @@ struct SchedulerOptions {
 };
 
 struct SchedulerStats {
-  std::uint64_t submitted = 0;  ///< jobs accepted (incl. coalesced + fast-path)
-  std::uint64_t coalesced = 0;  ///< duplicates attached to an in-flight job
-  std::uint64_t computed = 0;   ///< kernels actually computed
+  std::uint64_t submitted = 0;  ///< submissions of either kind (incl. coalesced + fast-path)
+  std::uint64_t coalesced = 0;  ///< submissions attached to the pair's in-flight job
+  std::uint64_t computed = 0;   ///< kernels actually computed (score jobs excluded)
+  std::uint64_t scores_computed = 0;  ///< score jobs run: a bit-parallel score, no kernel
+  std::uint64_t score_memo_hits = 0;  ///< score submissions answered by the score memo
   std::uint64_t batches = 0;    ///< semi_local_kernel_batch invocations
-  std::uint64_t rejected = 0;   ///< submissions refused by backpressure
-  std::size_t queue_depth = 0;  ///< jobs currently queued
+  std::uint64_t rejected = 0;   ///< submissions of either kind refused by backpressure
+  std::size_t queue_depth = 0;  ///< jobs of either kind currently queued
   std::size_t inflight = 0;     ///< distinct pairs queued or being computed
+};
+
+/// What submit_score() hands back: `score` for a memo hit or a score job;
+/// `entry` when the pair's kernel job was already in flight -- the score is
+/// then read off that kernel once it resolves. Exactly one is valid.
+struct ScoreTicket {
+  std::shared_future<Index> score;
+  std::shared_future<CachedKernelPtr> entry;
 };
 
 class KernelScheduler {
  public:
-  /// `latency` (optional) receives one sample per computed job, measured
-  /// submit-to-completion. `counters` (optional) receives eager index
-  /// builds. Store results are published via `store.put`.
+  /// `latency` (optional) receives one sample per completed job of either
+  /// kind, measured submit-to-completion. `counters` (optional) receives
+  /// eager index builds. Store results are published via `store.put`.
   KernelScheduler(KernelStore& store, SchedulerOptions options,
                   LatencyRecorder* latency = nullptr,
                   QueryCounters* counters = nullptr);
@@ -92,12 +109,19 @@ class KernelScheduler {
 
   /// Schedules the kernel of (a, b). Returns immediately with a future that
   /// resolves when a worker (or drain()) computes the pair -- or an
-  /// already-ready future if the pair is in the store or in flight.
-  /// Throws EngineOverloaded when the queue is full.
+  /// already-ready future if the pair is in the store. A kernel job in
+  /// flight is joined; a queued score job for the pair becomes this kernel
+  /// job. Throws EngineOverloaded when the queue is full.
   std::shared_future<CachedKernelPtr> submit(const PairKey& key, Sequence a, Sequence b);
 
-  /// Runs queued batches on the calling thread until the queue is empty.
-  /// Returns the number of batches executed.
+  /// Schedules the global LCS score of (a, b): the score memo, then the
+  /// pair's in-flight job of either kind, then a new score job (the only
+  /// case that copies a and b). The store is not probed -- callers look for
+  /// a cached kernel first. Throws EngineOverloaded when the queue is full.
+  ScoreTicket submit_score(const PairKey& key, SequenceView a, SequenceView b);
+
+  /// Runs queued batches (both job kinds) on the calling thread until the
+  /// queue is empty. Returns the number of batches executed.
   std::size_t drain();
 
   [[nodiscard]] SchedulerStats stats() const;
@@ -107,17 +131,46 @@ class KernelScheduler {
     PairKey key;
     Sequence a;
     Sequence b;
-    std::promise<CachedKernelPtr> promise;
+    /// false = a score job. Final once `running` is set.
+    bool kernel = false;
+    bool running = false;  ///< popped by a worker or drain()
+    std::promise<CachedKernelPtr> entry;  ///< kernel jobs
+    std::shared_future<CachedKernelPtr> entry_future;
+    /// Score jobs; kept through an upgrade, whose kernel then answers it.
+    std::promise<Index> score;
+    std::shared_future<Index> score_future;
     std::uint64_t queued_ns = 0;  // env clock at submission; read at completion
   };
   using JobPtr = std::shared_ptr<Job>;
 
+  /// One direct-mapped memo slot; score < 0 marks it empty.
+  struct MemoSlot {
+    PairKey key;
+    Index score = -1;
+  };
+  /// 4096 slots x 40 bytes = 160 KiB.
+  static constexpr std::size_t kMemoSlots = 4096;
+
   void worker_loop();
-  /// Pops and computes one batch. `lock` is held on entry and exit,
-  /// released during compute. `build_index` additionally builds each
-  /// computed entry's QueryIndex after resolving the promises. Returns
-  /// false if the queue was empty.
+  /// Throws EngineOverloaded if the queue is full. `mutex_` held.
+  void admit();
+  /// Queues `job` and maps its key to it. `mutex_` held.
+  void enqueue(JobPtr job);
+  /// Drops `job`'s in-flight entry unless a newer job already owns the
+  /// key. `mutex_` held.
+  void retire(const Job& job);
+  /// `mutex_` held.
+  MemoSlot& memo_slot(const PairKey& key) {
+    return memo_[PairKeyHash{}(key) % kMemoSlots];
+  }
+  /// Pops and runs one batch. `lock` is held on entry and exit, released
+  /// during compute. `build_index` additionally builds each computed
+  /// kernel's QueryIndex after resolving the promises. Returns false if the
+  /// queue was empty.
   bool run_one_batch(std::unique_lock<std::mutex>& lock, bool build_index);
+  void run_scores(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs);
+  void run_kernels(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs,
+                   bool build_index);
 
   KernelStore& store_;
   SchedulerOptions options_;
@@ -128,10 +181,13 @@ class KernelScheduler {
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;
   std::deque<JobPtr> queue_;
-  std::unordered_map<PairKey, std::shared_future<CachedKernelPtr>, PairKeyHash> inflight_;
+  std::unordered_map<PairKey, JobPtr, PairKeyHash> inflight_;
+  std::vector<MemoSlot> memo_;
   std::uint64_t submitted_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t computed_ = 0;
+  std::uint64_t scores_computed_ = 0;
+  std::uint64_t score_memo_hits_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t rejected_ = 0;
   bool stop_ = false;

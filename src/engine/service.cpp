@@ -169,26 +169,48 @@ Step EngineService::begin(Request&& request, bool may_defer) {
     });
   }
 
+  // A global score never builds a kernel; every other query reads one.
+  if (request.op == Op::kLcs) {
+    std::shared_future<Index> score;
+    try {
+      score = engine_.score_async(request.a, request.b);
+    } catch (...) {
+      return answer_now(failure_response());
+    }
+    return settle(std::move(score), [](Index value) {
+      Response response;
+      response.value = value;
+      return response;
+    });
+  }
   std::shared_future<CachedKernelPtr> future;
   try {
     future = engine_.entry_async(request.a, request.b);
   } catch (...) {
     return answer_now(failure_response());
   }
+  return settle(std::move(future), [this, request = std::move(request)](
+                                       const CachedKernelPtr& entry) {
+    return answer(*entry, request);
+  });
+}
+
+template <typename T, typename Respond>
+Step EngineService::settle(std::shared_future<T> future, Respond respond) {
   if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    // Warm: queries off a cached entry are O(log n) descents, no stall.
+    // Warm: a cached kernel's O(log n) descent or a memoized score, no stall.
     try {
-      return answer_now(answer(*future.get(), request));
+      return answer_now(respond(future.get()));
     } catch (...) {
       return answer_now(failure_response());
     }
   }
   return defer([this, future = std::move(future),
-                request = std::move(request)](const Sink& sink) {
+                respond = std::move(respond)](const Sink& sink) {
     Response response;
     try {
       if (drain_inline_) engine_.drain();
-      response = answer(*future.get(), request);
+      response = respond(future.get());
     } catch (...) {
       response = failure_response();
     }

@@ -85,7 +85,10 @@ void serve_stream(Service& service, std::istream& in, std::ostream& out);
 /// The comparison engine as a Service. Warm pairs answer off the cache
 /// without blocking; cold pairs are submitted to the scheduler inside
 /// begin() (so coalescing and EngineOverloaded backpressure act at arrival)
-/// and their job waits on the future. Plots and upserts always defer.
+/// and their job waits on the future. Op::kLcs goes through
+/// ComparisonEngine::score_async: a cached kernel or a memoized score
+/// answers at once, a miss waits for a score job and builds no kernel.
+/// Plots and upserts always defer.
 class EngineService final : public Service {
  public:
   /// `corpus` backs Op::kUpsert (nullptr: upserts answer kError). `dna`
@@ -99,6 +102,10 @@ class EngineService final : public Service {
 
  private:
   Response answer(const CachedKernel& entry, const Request& request);
+  /// Answers now if `future` is ready, else defers a job that waits for it
+  /// (draining first in drain_inline mode); `respond` maps the value.
+  template <typename T, typename Respond>
+  Step settle(std::shared_future<T> future, Respond respond);
   void stream_plot(const Request& request, const Sink& sink);
 
   ComparisonEngine& engine_;

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "bitlcs/encoding.hpp"
+#include "lcs/bitparallel.hpp"
 #include "lcs/dp.hpp"
 #include "util/random.hpp"
 
@@ -145,6 +146,90 @@ TEST(PlaneCombing, ValidatesArguments) {
   EXPECT_THROW((void)encode_plane_pair(Sequence{0}, Sequence{0}, 1 << 20),
                std::invalid_argument);
   EXPECT_EQ(lcs_bit_combing_alphabet(Sequence{}, Sequence{0}, 4), 0);
+}
+
+// --- The compile-time plane kernel against three independent oracles --------
+
+/// Scores (a, b) with the plane kernel, serial and parallel, and checks both
+/// against the DP, Hyyro's and Crochemore's bit-vector LCS.
+void expect_plane_kernel_matches_oracles(SequenceView a, SequenceView b, Symbol alphabet) {
+  const Index expected = lcs_score_dp(a, b);
+  ASSERT_EQ(lcs_bitparallel_hyyro(a, b), expected);
+  ASSERT_EQ(lcs_bitparallel_crochemore(a, b), expected);
+  for (const bool parallel : {false, true}) {
+    EXPECT_EQ(lcs_bit_combing_alphabet(a, b, alphabet, parallel), expected)
+        << "alphabet=" << alphabet << " parallel=" << parallel << " m=" << a.size()
+        << " n=" << b.size();
+  }
+}
+
+class PlaneKernel : public ::testing::TestWithParam<int> {};
+
+TEST_P(PlaneKernel, WordBoundaryLengthsMatchOracles) {
+  const int planes = GetParam();
+  // The largest and the smallest alphabet that need exactly `planes` planes.
+  for (const Symbol alphabet : {Symbol{1} << planes, (Symbol{1} << (planes - 1)) + 1}) {
+    if (alphabet < 2) continue;
+    std::uint64_t seed = 1;
+    for (const Index m : {0, 1, 63, 64, 65, 127, 128}) {
+      for (const Index n : {0, 1, 63, 64, 65, 127, 128}) {
+        const auto a = uniform_sequence(m, alphabet, seed++);
+        const auto b = uniform_sequence(n, alphabet, seed++);
+        expect_plane_kernel_matches_oracles(a, b, alphabet);
+      }
+    }
+  }
+}
+
+TEST_P(PlaneKernel, LongUnequalPairsMatchOracles) {
+  const int planes = GetParam();
+  const Symbol alphabet = Symbol{1} << planes;
+  const auto a = uniform_sequence(3001, alphabet, 100 + planes);
+  const auto shorter = uniform_sequence(2873, alphabet, 200 + planes);
+  const auto longer = uniform_sequence(3170, alphabet, 300 + planes);
+  expect_plane_kernel_matches_oracles(a, shorter, alphabet);  // a longer than b
+  expect_plane_kernel_matches_oracles(a, longer, alphabet);   // a shorter than b
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryPlaneCount, PlaneKernel, ::testing::Range(1, kMaxPlanes + 1));
+
+TEST(PlaneKernel, RejectsAlphabetsBeyondEightPlanes) {
+  EXPECT_THROW((void)lcs_bit_combing_alphabet(Sequence{0}, Sequence{0}, 257),
+               std::invalid_argument);
+}
+
+// --- Dense remap: any symbol set onto [0, k) ---------------------------------
+
+TEST(DenseRemap, CodesFollowFirstAppearance) {
+  const DensePair d = dense_remap(Sequence{7, 200, 7, -3}, Sequence{200, 1 << 20, 7});
+  EXPECT_EQ(d.a, (Sequence{0, 1, 0, 2}));
+  EXPECT_EQ(d.b, (Sequence{1, 3, 0}));
+  EXPECT_EQ(d.alphabet, 4);
+  EXPECT_EQ(dense_remap(Sequence{}, Sequence{}).alphabet, 0);
+}
+
+TEST(DenseRemap, SparseSymbolSetRunsOnOnePlane) {
+  // Symbols {7, 200}: 8 planes raw, one after the remap.
+  Sequence a = binary_sequence(700, 31, 0.5);
+  Sequence b = binary_sequence(650, 32, 0.5);
+  for (Symbol& s : a) s = s != 0 ? 200 : 7;
+  for (Symbol& s : b) s = s != 0 ? 200 : 7;
+  const DensePair d = dense_remap(a, b);
+  ASSERT_EQ(d.alphabet, 2);
+  expect_plane_kernel_matches_oracles(d.a, d.b, d.alphabet);
+  EXPECT_EQ(lcs_bit_combing_alphabet(d.a, d.b, d.alphabet), lcs_score_dp(a, b));
+}
+
+TEST(DenseRemap, AllByteValuesRunOnEightPlanes) {
+  Sequence a(256);
+  for (Symbol s = 0; s < 256; ++s) a[static_cast<std::size_t>(s)] = 255 - s;
+  const auto tail = uniform_sequence(1500, 256, 41);
+  a.insert(a.end(), tail.begin(), tail.end());
+  const auto b = uniform_sequence(1700, 256, 42);
+  const DensePair d = dense_remap(a, b);
+  ASSERT_EQ(d.alphabet, 256);
+  expect_plane_kernel_matches_oracles(d.a, d.b, d.alphabet);
+  EXPECT_EQ(lcs_bit_combing_alphabet(d.a, d.b, d.alphabet), lcs_score_dp(a, b));
 }
 
 }  // namespace

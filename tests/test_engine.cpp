@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bitlcs/encoding.hpp"
 #include "core/api.hpp"
 #include "engine/engine.hpp"
 #include "engine/protocol.hpp"
@@ -325,6 +326,147 @@ TEST(Scheduler, BatchesGroupQueuedMisses) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.computed, 8u);
   EXPECT_EQ(stats.scheduler.batches, 2u);  // 8 jobs / max_batch 4
+}
+
+// --- The score path: a global score never builds a kernel --------------------
+
+TEST(ScorePath, MissComputesAScoreAndNoKernel) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(300, 4, 61);
+  const auto b = testing::random_string(280, 4, 62);
+  auto score = engine.score_async(a, b);
+  EXPECT_EQ(engine.stats().scheduler.queue_depth, 1u);
+  engine.drain();
+  ASSERT_EQ(score.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 0u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 1u);
+  EXPECT_EQ(stats.scheduler.inflight, 0u);
+  EXPECT_EQ(stats.store.cache.entries, 0u);
+  EXPECT_EQ(engine.store().find(make_pair_key(a, b)), nullptr);
+}
+
+TEST(ScorePath, RepeatIsAMemoHitAnsweredAtOnce) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(200, 4, 63);
+  const auto b = testing::random_string(220, 4, 64);
+  auto first = engine.score_async(a, b);
+  engine.drain();
+  auto again = engine.score_async(a, b);
+  ASSERT_EQ(again.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(again.get(), first.get());
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.score_memo_hits, 1u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 1u);
+  EXPECT_EQ(stats.scheduler.queue_depth, 0u);
+  EXPECT_EQ(stats.requests, 2u);
+}
+
+TEST(ScorePath, KernelHitAnswersWithoutAScoreJob) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(90, 4, 65);
+  const auto b = testing::random_string(70, 4, 66);
+  auto entry = engine.entry_async(a, b);
+  engine.drain();
+  ASSERT_NE(entry.get(), nullptr);
+  const std::uint64_t hits = engine.stats().store.cache.hits;
+  auto score = engine.score_async(a, b);
+  ASSERT_EQ(score.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.store.cache.hits, hits + 1);  // one store probe
+  EXPECT_EQ(stats.scheduler.scores_computed, 0u);
+  EXPECT_EQ(stats.scheduler.score_memo_hits, 0u);
+}
+
+TEST(ScorePath, KernelInFlightIsJoinedNotScored) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(120, 4, 67);
+  const auto b = testing::random_string(130, 4, 68);
+  auto entry = engine.entry_async(a, b);
+  auto score = engine.score_async(a, b);
+  EXPECT_EQ(engine.stats().scheduler.queue_depth, 1u);  // no score job
+  engine.drain();
+  EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 1u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 0u);
+  EXPECT_EQ(stats.scheduler.coalesced, 1u);
+}
+
+TEST(ScorePath, KernelSubmitUpgradesAQueuedScoreJob) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(110, 4, 69);
+  const auto b = testing::random_string(100, 4, 70);
+  auto score = engine.score_async(a, b);
+  auto entry = engine.entry_async(a, b);
+  EXPECT_EQ(engine.stats().scheduler.queue_depth, 1u);  // the same job
+  engine.drain();
+  ASSERT_NE(entry.get(), nullptr);
+  EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 1u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 0u);
+  EXPECT_EQ(stats.scheduler.inflight, 0u);
+}
+
+TEST(ScorePath, WindowAfterAScoreBuildsTheKernelExactlyOnce) {
+  EngineOptions options = drain_mode();
+  options.scheduler.workers = 1;
+  ComparisonEngine engine(options);
+  const auto a = testing::random_string(150, 4, 71);
+  const auto b = testing::random_string(140, 4, 72);
+  EXPECT_EQ(engine.score_async(a, b).get(), testing::lcs_oracle(a, b));
+  EXPECT_EQ(engine.stats().scheduler.computed, 0u);
+  const Index window = engine.string_substring(a, b, 10, 90);
+  EXPECT_EQ(window, testing::lcs_oracle(a, SequenceView(b).subspan(10, 80)));
+  (void)engine.answer_batch(a, b, std::vector<WindowQuery>(3));
+  EXPECT_EQ(engine.score_async(a, b).get(), testing::lcs_oracle(a, b));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 1u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 1u);
+}
+
+TEST(ScorePath, DuplicateMissesCoalesceIntoOneScore) {
+  ComparisonEngine engine(drain_mode());
+  const auto a = testing::random_string(256, 4, 73);
+  const auto b = testing::random_string(200, 4, 74);
+  constexpr int kDuplicates = 6;
+  std::vector<std::shared_future<Index>> scores;
+  for (int i = 0; i < kDuplicates; ++i) scores.push_back(engine.score_async(a, b));
+  engine.drain();
+  for (const auto& score : scores) EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.scores_computed, 1u);
+  EXPECT_EQ(stats.scheduler.coalesced, static_cast<std::uint64_t>(kDuplicates - 1));
+}
+
+TEST(ScorePath, FullQueueShedsScoreJobs) {
+  ComparisonEngine engine(drain_mode(/*max_queue=*/1));
+  auto first = engine.score_async(testing::random_string(32, 4, 75),
+                                  testing::random_string(32, 4, 76));
+  try {
+    (void)engine.score_async(testing::random_string(32, 4, 77),
+                             testing::random_string(32, 4, 78));
+    FAIL() << "second score job should have been rejected";
+  } catch (const EngineOverloaded& e) {
+    EXPECT_GT(e.retry_after_ms(), 0);
+  }
+  EXPECT_EQ(engine.stats().scheduler.rejected, 1u);
+  engine.drain();
+  EXPECT_GE(first.get(), 0);
+}
+
+TEST(ScorePath, PairsBeyondTheByteAlphabetStillScoreExactly) {
+  // 300 distinct symbols: more than the plane kernel's 8 planes hold.
+  ComparisonEngine engine(drain_mode());
+  const auto a = uniform_sequence(400, 300, 79);
+  const auto b = uniform_sequence(380, 300, 80);
+  ASSERT_GT(dense_remap(a, b).alphabet, 256);
+  auto score = engine.score_async(a, b);
+  engine.drain();
+  EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
 }
 
 TEST(QueryLayer, MatchesBruteForceOracle) {

@@ -424,8 +424,14 @@ TEST(Frontend, ResponsesParkedBehindAColdHeadStillHitTheWriteQueueCap) {
   Reactor reactor(std::move(engine_options), options);
 
   Client client(reactor.port());
-  // Warm one pair into the cache so batch queries on it answer inline.
-  client.send(lcs_request("ACGTACGT", "AGTCAGTC"));
+  // Warm one pair's kernel into the cache so batch queries on it answer
+  // inline (a one-window batch: a kLcs alone would build no kernel).
+  Request warm;
+  warm.op = Op::kBatchQuery;
+  warm.a = seq("ACGTACGT");
+  warm.b = seq("AGTCAGTC");
+  warm.windows.resize(1);
+  client.send(warm);
   ASSERT_TRUE(eventually([&] { return reactor.engine.stats().scheduler.queue_depth == 1; }));
   reactor.engine.drain();
   ASSERT_TRUE(client.recv().has_value());
@@ -624,19 +630,127 @@ TEST(Frontend, MultiClientHammerKeepsEveryConnectionConsistent) {
 }
 
 TEST(Frontend, StatsJsonSplicesFrontendCountersIntoTheEngineObject) {
-  FrontendStats fs;
-  fs.connections_accepted = 7;
-  fs.connections_shed = 2;
-  fs.retry_after_sent = 3;
-  fs.partial_frames = 11;
-  const std::string json = stats_json(EngineStats{}, fs);
+  // A live reactor's kStats reply: the engine's object with this frontend's
+  // counters spliced in. One scripted short read makes the first frame span
+  // two reads; max_connections = 1 sheds a second client with one
+  // RETRY_AFTER frame.
+  FaultPlan plan;
+  plan.clock_step_ns = 1;
+  FaultRule rule;
+  rule.op = EnvOp::kSockRead;
+  rule.path_substring = "conn:";
+  rule.count = 1;
+  rule.short_write_bytes = 3;
+  plan.rules.push_back(rule);
+  FaultyEnv env(plan);
+  FrontendOptions options = quiet_frontend();
+  options.env = &env;
+  options.max_connections = 1;
+  Reactor reactor(small_engine(1), options);
+
+  Client client(reactor.port());
+  client.send(lcs_request("ACGTACGT", "AGTCAGTC"));
+  ASSERT_TRUE(client.recv().has_value());
+  Client shed(reactor.port());
+  const auto verdict = shed.recv();
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->status, Status::kOverloaded);
+
+  Request stats;
+  stats.op = Op::kStats;
+  client.send(stats);
+  const auto reply = client.recv();
+  ASSERT_TRUE(reply.has_value());
+  const std::string& json = reply->text;
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"requests\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"frontend_connections\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"frontend_shed\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"frontend_retry_after_sent\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"frontend_partial_frames\": 11"), std::string::npos);
+  EXPECT_NE(json.find("\"requests\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"frontend_connections\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"frontend_shed\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"frontend_retry_after_sent\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"frontend_partial_frames\": 1,"), std::string::npos) << json;
+}
+
+// --- the score path: a global score never builds a kernel ------------------
+
+TEST(Frontend, LcsMissScoresWithoutAKernelAndRepeatsAnswerInline) {
+  Reactor reactor(small_engine(1), quiet_frontend());
+  Client client(reactor.port());
+  const std::string a = "ACGTTGCAACGTAGGCTA";
+  const std::string b = "AGCTTGACCGTAGCTTAG";
+  const Index expected = testing::lcs_oracle(seq(a), seq(b));
+
+  client.send(lcs_request(a, b));
+  auto response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, Status::kOk) << response->text;
+  EXPECT_EQ(response->value, expected);
+  EngineStats stats = reactor.engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 0u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 1u);
+  EXPECT_EQ(stats.store.cache.entries, 0u);
+
+  const std::uint64_t inline_before = reactor.server.stats().inline_answers;
+  client.send(lcs_request(a, b));
+  response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->value, expected);
+  EXPECT_EQ(reactor.server.stats().inline_answers, inline_before + 1);
+  stats = reactor.engine.stats();
+  EXPECT_EQ(stats.scheduler.score_memo_hits, 1u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 1u);
+}
+
+TEST(Frontend, LcsWhileThePairsKernelIsInFlightQueuesNoScoreJob) {
+  EngineOptions engine_options = small_engine(0);  // nothing resolves on its own
+  Reactor reactor(std::move(engine_options), quiet_frontend());
+  Client client(reactor.port());
+  Request batch;
+  batch.op = Op::kBatchQuery;
+  batch.a = seq("GATTACAGATTACA");
+  batch.b = seq("TACAGATTAGACAT");
+  batch.windows.resize(2);
+  client.send(batch);
+  ASSERT_TRUE(eventually([&] { return reactor.engine.stats().scheduler.queue_depth == 1; }));
+  client.send(lcs_request("GATTACAGATTACA", "TACAGATTAGACAT"));
+  ASSERT_TRUE(eventually([&] { return reactor.server.stats().frames_decoded == 2; }));
+  EXPECT_EQ(reactor.engine.stats().scheduler.queue_depth, 1u);
+
+  reactor.engine.drain();
+  const Index expected = testing::lcs_oracle(batch.a, batch.b);
+  const auto first = client.recv();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->values.size(), 2u);
+  EXPECT_EQ(first->values[0], expected);
+  const auto second = client.recv();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->value, expected);
+  const EngineStats stats = reactor.engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 1u);
+  EXPECT_EQ(stats.scheduler.scores_computed, 0u);
+}
+
+TEST(Frontend, FullQueueShedsScoreJobsWithRetryAfter) {
+  EngineOptions engine_options = small_engine(0);
+  engine_options.scheduler.max_queue = 1;
+  ComparisonEngine engine(std::move(engine_options));
+  EngineService service(engine);
+  Step queued = service.begin(lcs_request("AAAACCCC", "CCCCAAAA"), /*may_defer=*/true);
+  ASSERT_TRUE(queued.job) << "a cold score must defer";
+  const Step shed = service.begin(lcs_request("GGGGTTTT", "TTTTGGGG"), /*may_defer=*/true);
+  ASSERT_TRUE(shed.answer.has_value());
+  EXPECT_EQ(shed.answer->status, Status::kOverloaded);
+  EXPECT_GE(shed.answer->retry_ms, 1);
+  EXPECT_EQ(engine.stats().scheduler.rejected, 1u);
+
+  engine.drain();
+  std::optional<Response> answered;
+  queued.job([&](Response&& response) {
+    answered = std::move(response);
+    return true;
+  });
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_EQ(answered->value, testing::lcs_oracle(seq("AAAACCCC"), seq("CCCCAAAA")));
 }
 
 // --- the stdio transport ---------------------------------------------------
@@ -658,6 +772,35 @@ std::vector<Response> stdio_session(const std::string& input) {
 }
 
 std::string framed(const Request& request) { return frame_payload(encode_request(request)); }
+
+TEST(Frontend, StdioScoresFromTheMemoThenFromTheKernelAWindowBuilds) {
+  const Sequence a = testing::random_string(60, 4, 511);
+  const Sequence b = testing::random_string(48, 4, 512);
+  Request lcs;
+  lcs.op = Op::kLcs;
+  lcs.a = a;
+  lcs.b = b;
+  Request window = lcs;
+  window.op = Op::kStringSubstring;
+  window.x = 5;
+  window.y = 40;
+  Request stats;
+  stats.op = Op::kStats;
+
+  const auto responses = stdio_session(framed(lcs) + framed(lcs) + framed(window) +
+                                       framed(lcs) + framed(stats));
+  ASSERT_EQ(responses.size(), 5u);
+  const Index expected = testing::lcs_oracle(a, b);
+  for (const std::size_t i : {0u, 1u, 3u}) {
+    ASSERT_EQ(responses[i].status, Status::kOk) << responses[i].text;
+    EXPECT_EQ(responses[i].value, expected) << "kLcs #" << i;
+  }
+  EXPECT_EQ(responses[2].value, testing::lcs_oracle(a, SequenceView(b).subspan(5, 35)));
+  const std::string& json = responses[4].text;
+  EXPECT_NE(json.find("\"scores_computed\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"score_memo_hits\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"computed\": 1,"), std::string::npos) << json;
+}
 
 TEST(Frontend, StdioAnswersPingQueriesAndBatchesAgainstTheOracle) {
   const Sequence a = testing::random_string(40, 4, 501);
