@@ -171,7 +171,6 @@ MixResult run_window_sweep(const std::string& name, int pairs, int requests,
   const auto pool = make_pool(pairs, length, 4242);
   EngineOptions options;
   options.index_queries = use_index;
-  options.scheduler.build_index = use_index;
   options.scheduler.workers = hardware_threads();
   ComparisonEngine engine(options);
   for (const auto& [a, b] : pool) (void)engine.entry(a, b);  // prewarm (no queries)

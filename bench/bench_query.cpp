@@ -4,8 +4,11 @@
 // flattened QueryIndex costs one build and then answers in O(log n). This
 // benchmark measures both across pair lengths and reports the crossover:
 // the number of queries per kernel after which building the index is the
-// cheaper total. Written to results/bench_query.json (plus the usual CSV)
-// so serving configurations can pick a policy from data.
+// cheaper total. It also sweeps the plot-row seam walk against batched
+// descents per stride, and costs one 64 x 2000 plot strip stage by stage
+// (comb, index build, descent- or scan-anchored walk). Written to
+// results/bench_query.json (plus the usual CSV) so serving configurations
+// can pick a policy from data.
 //
 // SEMILOCAL_BENCH_SCALE scales the query count, not the lengths -- the
 // length sweep IS the experiment.
@@ -211,8 +214,82 @@ std::vector<StrideResult> run_stride_sweep(Index length, Index window) {
   return results;
 }
 
+// One plot strip as the server handles it: comb the (window x length)
+// strip kernel, then answer its grid row with the seam walk. The anchor is a
+// wavelet descent when the strip has a QueryIndex (whose build is then part
+// of the strip's cost) or one O(m + n) permutation scan when it has none --
+// the serving path since strips are acquired without an index.
+struct StripResult {
+  Index window = 0;
+  Index length = 0;
+  Index stride = 0;
+  Index windows = 0;
+  double comb_us = 0.0;
+  double index_build_us = 0.0;
+  double walk_indexed_us = 0.0;  // descent anchor + seam walk
+  double walk_scan_us = 0.0;     // scan anchor + seam walk
+  Index mismatches = 0;          // either walk vs batched descents (must be 0)
+};
+
+/// Median over 5 runs of the mean per-call time of `fn` over `reps` calls, in µs.
+template <typename Fn>
+double per_call_us(Fn&& fn, int reps) {
+  return median_seconds(
+             [&] {
+               for (int r = 0; r < reps; ++r) fn();
+             },
+             5) *
+         1e6 / reps;
+}
+
+StripResult run_plot_strip(Index window, Index length, Index stride) {
+  StripResult r;
+  r.window = window;
+  r.length = length;
+  r.stride = stride;
+  const auto a = uniform_sequence(window, 4, 31);
+  const auto b = uniform_sequence(length, 4, 32);
+  // The scheduler's per-pair configuration: serial, default strategy.
+  const SemiLocalOptions serial{.parallel = false};
+  const SemiLocalKernel kernel = semi_local_kernel(a, b, serial);
+  const QueryIndex index(kernel);
+  const Permutation& perm = kernel.permutation();
+  const auto count = static_cast<std::size_t>((length - window) / stride + 1);
+  r.windows = static_cast<Index>(count);
+  constexpr int kReps = 50;
+
+  r.comb_us = per_call_us([&] { (void)semi_local_kernel(a, b, serial); }, kReps);
+  r.index_build_us = per_call_us([&] { (void)QueryIndex(kernel); }, kReps);
+  std::vector<Index> indexed(count);
+  r.walk_indexed_us = per_call_us(
+      [&] { strided_diagonal_sigma(index, perm, window, stride, count, indexed.data()); },
+      kReps);
+  std::vector<Index> scanned(count);
+  r.walk_scan_us = per_call_us(
+      [&] {
+        strided_diagonal_sigma(perm.dominance_sum(window, window), perm, window, stride,
+                               count, scanned.data());
+      },
+      kReps);
+
+  std::vector<HQuery> lowered;
+  lowered.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    const Index j0 = static_cast<Index>(t) * stride;
+    lowered.push_back(string_substring_query(window, length, j0, j0 + window));
+  }
+  std::vector<Index> naive(count);
+  index.answer_many(lowered.data(), naive.data(), count);
+  for (std::size_t t = 0; t < count; ++t) {
+    if (window - indexed[t] != naive[t] || window - scanned[t] != naive[t]) {
+      ++r.mismatches;
+    }
+  }
+  return r;
+}
+
 void write_json(const std::string& path, const std::vector<LengthResult>& results,
-                const std::vector<StrideResult>& strides) {
+                const std::vector<StrideResult>& strides, const StripResult& strip) {
   std::filesystem::create_directories(std::filesystem::path(path).parent_path());
   std::ofstream out(path);
   out << "{\n  \"lengths\": [\n";
@@ -240,7 +317,13 @@ void write_json(const std::string& path, const std::vector<LengthResult>& result
         << ", \"mismatches\": " << r.mismatches << "}"
         << (i + 1 < strides.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"plot_strip\": {\"window\": " << strip.window
+      << ", \"pair_length\": " << strip.length << ", \"stride\": " << strip.stride
+      << ", \"windows\": " << strip.windows << ", \"comb_us\": " << strip.comb_us
+      << ", \"index_build_us\": " << strip.index_build_us
+      << ", \"walk_indexed_us\": " << strip.walk_indexed_us
+      << ", \"walk_scan_us\": " << strip.walk_scan_us
+      << ", \"mismatches\": " << strip.mismatches << "}\n}\n";
   std::cout << "query report written to " << path << "\n";
 }
 
@@ -287,6 +370,23 @@ int main() {
                      "plot-row seam walk vs batched descents per stride "
                      "(window 64, pair 4000)");
 
-  write_json("results/bench_query.json", results, strides);
+  const StripResult strip = run_plot_strip(64, 2000, 8);
+  Table strip_table({"window", "pair_length", "stride", "windows", "comb_us",
+                     "index_build_us", "walk_indexed_us", "walk_scan_us", "mismatches"});
+  strip_table.row()
+      .cell(static_cast<long long>(strip.window))
+      .cell(static_cast<long long>(strip.length))
+      .cell(static_cast<long long>(strip.stride))
+      .cell(static_cast<long long>(strip.windows))
+      .cell(strip.comb_us, 1)
+      .cell(strip.index_build_us, 1)
+      .cell(strip.walk_indexed_us, 2)
+      .cell(strip.walk_scan_us, 2)
+      .cell(static_cast<long long>(strip.mismatches));
+  strip_table.print(std::cout,
+                    "one plot strip: comb, index build, and the row walk with a "
+                    "descent or a scan anchor");
+
+  write_json("results/bench_query.json", results, strides, strip);
   return 0;
 }

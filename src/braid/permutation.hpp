@@ -72,7 +72,8 @@ class Permutation {
   [[nodiscard]] Permutation rotate180() const;
 
   /// Dominance count sigma(i, j) = |{(r, c) : r >= i, c < j}| computed in
-  /// O(n); intended for tests and small inputs (use dominance/ for queries).
+  /// O(n) with no precomputation: the one-shot scan behind unindexed queries
+  /// and plot-row anchors (use dominance/ for repeated queries).
   [[nodiscard]] Index dominance_sum(Index i, Index j) const;
 
   /// All nonzeros as (row, col), in row order.

@@ -126,18 +126,21 @@ class QueryIndex {
 //
 // Both correction terms are contiguous array sweeps, so a whole plot row is
 // two linear passes over the permutation -- cache-friendly and branch-light.
+// The engine takes the anchor from one O(m + n) dominance scan of the
+// permutation -- far cheaper than building an index for a single sigma(i, i).
 
-/// Fills out[t] = sigma(start + t*step, start + t*step) for t in [0, count).
-/// One wavelet descent (the anchor) plus 2*step array probes per subsequent
-/// diagonal point. Requires start + (count-1)*step <= order.
-inline void strided_diagonal_sigma(const QueryIndex& index, const Permutation& perm,
+/// Fills out[t] = sigma(start + t*step, start + t*step) for t in [0, count),
+/// given out[0]'s value `anchor_sigma` = sigma(start, start). 2*step array
+/// probes per subsequent diagonal point. Requires start + (count-1)*step <=
+/// order.
+inline void strided_diagonal_sigma(Index anchor_sigma, const Permutation& perm,
                                    Index start, Index step, std::size_t count,
                                    Index* out) {
   if (count == 0) return;
   const auto& col_of = perm.row_to_col();
   const auto& row_of = perm.col_to_row();
   Index i = start;
-  Index sigma = index.sigma(i, i);
+  Index sigma = anchor_sigma;
   out[0] = sigma;
   for (std::size_t t = 1; t < count; ++t) {
     const Index ni = i + step;
@@ -150,6 +153,15 @@ inline void strided_diagonal_sigma(const QueryIndex& index, const Permutation& p
     sigma += gain - drop;
     i = ni;
     out[t] = sigma;
+  }
+}
+
+/// The same walk anchored by one wavelet descent of `index` (tests, benches).
+inline void strided_diagonal_sigma(const QueryIndex& index, const Permutation& perm,
+                                   Index start, Index step, std::size_t count,
+                                   Index* out) {
+  if (count > 0) {
+    strided_diagonal_sigma(index.sigma(start, start), perm, start, step, count, out);
   }
 }
 

@@ -213,8 +213,8 @@ void CorpusManager::rebuild_pair(const Sequence& a, const Sequence& b,
       strips.push_back(ready_future(std::move(hit)));
       ++report.chunks_reused;
     } else {
-      strips.push_back(chunked_side_a ? engine_.entry_async(piece, other)
-                                      : engine_.entry_async(other, piece));
+      strips.push_back(chunked_side_a ? engine_.braid_async(piece, other)
+                                      : engine_.braid_async(other, piece));
       ++report.chunks_computed;
     }
   }

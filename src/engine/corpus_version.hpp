@@ -19,9 +19,11 @@
 //     never torn state.
 //
 // Dirty-chunk computes go through the engine's batching scheduler
-// (entry_async), so concurrent upserts coalesce, batch per worker, and hit
+// (braid_async), so concurrent upserts coalesce, batch per worker, and hit
 // the same bounded-queue backpressure (EngineOverloaded) as queries -- the
-// frontend's admission control covers upserts for free.
+// frontend's admission control covers upserts for free. Chunk braids are
+// only composed, so they get no QueryIndex; neither do the composed prefix
+// braids. The first point query on a published pair builds its index.
 //
 // Publish protocol (crash consistency; see DESIGN.md §14): kernels land in
 // the store first, then the new document bytes land via temp-file + rename,

@@ -36,18 +36,24 @@ ComparisonEngine::ComparisonEngine(EngineOptions options)
 
 std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async(SequenceView a,
                                                                   SequenceView b) {
-  return entry_async_keyed(make_pair_key(a, b), a, b);
+  return entry_async_keyed(make_pair_key(a, b), a, b, options_.index_queries);
+}
+
+std::shared_future<CachedKernelPtr> ComparisonEngine::braid_async(SequenceView a,
+                                                                  SequenceView b) {
+  return entry_async_keyed(make_pair_key(a, b), a, b, /*index=*/false);
 }
 
 std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async_keyed(
-    const PairKey& key, SequenceView a, SequenceView b) {
+    const PairKey& key, SequenceView a, SequenceView b, bool index) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t lookup_ns = env_->now_ns();
   if (CachedKernelPtr hit = store_.find(key)) {
     latency_.record(static_cast<double>(env_->now_ns() - lookup_ns) / 1e6);
     return ready_future(std::move(hit));
   }
-  return scheduler_.submit(key, Sequence(a.begin(), a.end()), Sequence(b.begin(), b.end()));
+  return scheduler_.submit(key, Sequence(a.begin(), a.end()),
+                           Sequence(b.begin(), b.end()), index);
 }
 
 std::shared_future<Index> ComparisonEngine::score_async(SequenceView a, SequenceView b) {
@@ -140,7 +146,7 @@ void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,
                         .hash_b = hash_b,
                         .len_a = spec.window,
                         .len_b = static_cast<Index>(b.size())};
-      ahead.push_back(entry_async_keyed(key, strip_a, b));
+      ahead.push_back(entry_async_keyed(key, strip_a, b, /*index=*/false));
       ++next_submit;
     }
     if (drain_inline) scheduler_.drain();

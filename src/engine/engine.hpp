@@ -25,10 +25,17 @@
 // instead of an O(mn) comb plus an index. The first request that needs the
 // kernel (a window, a batch, a plot strip) builds it.
 //
-// Every cached entry carries a shared immutable QueryIndex (built once,
-// read lock-free; see engine/query.hpp), so on the warm path queries cost
-// O(log n) instead of the O(m + n) dominance scan. `index_queries = false`
-// forces the scan path -- the ablation knob the benchmarks flip.
+// A cached entry can carry a shared immutable QueryIndex (built once, read
+// lock-free; see engine/query.hpp), so on the warm path queries cost
+// O(log n) instead of the O(m + n) dominance scan. Who asks for a kernel
+// decides whether it gets an index: query acquisitions (entry, entry_async,
+// kernel, lcs, the window calls) have a scheduler worker build it right
+// after the compute when `index_queries` is set; plot strips and corpus
+// chunk braids (braid_async) skip it -- a strip needs one anchoring
+// sigma(i, i), which one O(m + n) scan answers, and a braid is only
+// composed. A later query on such a pair builds the index lazily, once.
+// `index_queries = false` forces the scan path -- the ablation knob the
+// benchmarks flip.
 #pragma once
 
 #include <atomic>
@@ -115,6 +122,12 @@ class ComparisonEngine {
   /// The bare kernel of (a, b). Same acquisition path as entry().
   KernelPtr kernel(SequenceView a, SequenceView b);
 
+  /// entry_async for a kernel that will only be composed or walked, never
+  /// queried through an index: a computed kernel gets no eager QueryIndex
+  /// build. Corpus chunk braids use it. A query on the pair later builds the
+  /// index lazily, once.
+  std::shared_future<CachedKernelPtr> braid_async(SequenceView a, SequenceView b);
+
   /// LCS(a, b) without building a kernel, in this order: a cached kernel
   /// answers it (the same single store probe, counters and latency sample
   /// as entry_async); then the score memo; then the pair's kernel already in
@@ -156,6 +169,8 @@ class ComparisonEngine {
   /// repeated plots hit the LRU. `emit` returning false cancels the stream
   /// (no further tiles, no terminal frame). Throws std::out_of_range on a
   /// bad spec/extent and EngineOverloaded under scheduler backpressure.
+  /// Strips are acquired without a QueryIndex: a profitable stride anchors
+  /// each row's seam walk on one permutation scan (see answer_plot_row).
   /// `drain_inline` runs queued compute on this thread (workers = 0 mode).
   void alignment_plot(SequenceView a, SequenceView b, const PlotSpec& spec,
                       const std::function<bool(PlotTile&&)>& emit,
@@ -172,10 +187,11 @@ class ComparisonEngine {
   /// entry_async with the content key already computed. The alignment-plot
   /// planner digests `b` once per plot instead of once per grid row -- at
   /// dense strides the per-row re-digest would otherwise rival the query
-  /// work itself. `key` must equal make_pair_key(a, b).
+  /// work itself. `key` must equal make_pair_key(a, b). `index` asks the
+  /// scheduler to build a computed kernel's QueryIndex eagerly.
   std::shared_future<CachedKernelPtr> entry_async_keyed(const PairKey& key,
-                                                        SequenceView a,
-                                                        SequenceView b);
+                                                        SequenceView a, SequenceView b,
+                                                        bool index);
 
   EngineOptions options_;
   Env* env_;

@@ -7,7 +7,10 @@
 // kernels scale with m + n, and a serving cache mixing 1 kb and 1 Mb kernels
 // needs to account for that. An entry is charged for its index *up front*
 // (projected from the kernel order) whether or not the index is built yet,
-// so the accounting never changes underneath the LRU. Counters
+// so the accounting never changes underneath the LRU. Plot strips and
+// corpus chunk braids are cached without an index and usually never get
+// one, so the charge -- and the stats' cache_bytes -- is a budget figure,
+// not the bytes actually resident. Counters
 // (hits / misses / evictions) feed the engine stats endpoint.
 //
 // Not internally synchronized: the owner (KernelStore) serializes access.
@@ -42,11 +45,13 @@ std::size_t decoded_entry_bytes(Index order);
 
 /// A cached kernel in one of two residency tiers.
 ///
-/// Decoded tier: the kernel plus its shared immutable query index, built
-/// exactly once -- eagerly by a scheduler worker right after the kernel
-/// computation, or lazily on first query via std::call_once -- and then read
-/// lock-free: index_if_built() is a single acquire load, and index() after
-/// completion is std::call_once's fast path.
+/// Decoded tier: the kernel plus its shared immutable query index, built at
+/// most once -- eagerly by a scheduler worker right after the kernel
+/// computation when the acquiring caller will query it, or lazily on first
+/// query via std::call_once; plot strips and chunk braids that are never
+/// queried never build it -- and then read lock-free: index_if_built() is a
+/// single acquire load, and index() after completion is std::call_once's
+/// fast path.
 ///
 /// Compressed tier (disk hits under format v3): the entry holds only the
 /// validated CompressedKernel and is charged its compressed bytes, so the

@@ -140,15 +140,16 @@ void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index wi
   if (counters) counters->plot_windows.fetch_add(count, std::memory_order_relaxed);
   if (use_planner && use_index && strided_walk_profitable(entry.order(), step)) {
     // On the diagonal: window b[j0, j0+w) sits at H(w + j0, j0 + w), so the
-    // whole row is sigma(i, i) at stride `step` -- one anchoring descent,
-    // then the seam walk (core/query_index.hpp).
-    const QueryIndex& index =
-        entry.index(counters ? &counters->index_builds : nullptr);
+    // whole row is sigma(i, i) at stride `step` -- one anchor, then the seam
+    // walk (core/query_index.hpp). The anchor is one permutation scan: strips
+    // are acquired without an index, and building one for a single sigma
+    // costs several times the comb. A compressed strip decodes once, unindexed.
     const Permutation& perm = entry.kernel().permutation();
-    strided_diagonal_sigma(index, perm, window + col0, step, count, out);
+    const Index start = window + col0;
+    strided_diagonal_sigma(perm.dominance_sum(start, start), perm, start, step, count,
+                           out);
     for (std::size_t v = 0; v < count; ++v) out[v] = window - out[v];
     if (counters) {
-      counters->indexed.fetch_add(1, std::memory_order_relaxed);
       counters->plot_reused_descents.fetch_add(count - 1, std::memory_order_relaxed);
     }
     return;

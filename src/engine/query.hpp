@@ -17,6 +17,9 @@
 //
 // answer_query() routes between them and feeds the queries_indexed /
 // queries_scanned / queries_compressed counters the stats endpoint surfaces.
+// Alignment-plot rows (answer_plot_row) are the one caller that reads a
+// kernel without building its index: a profitable stride walks the strip's
+// permutation from one scanned anchor.
 // All coordinate formulas come from core/query_formulas.hpp, the same header
 // SemiLocalKernel itself uses (Definition 3.2 / 3.3 of the paper).
 #pragma once
@@ -54,8 +57,11 @@ enum class QueryKind : std::uint8_t {
 
 /// The counters surfaced through the JSON stats endpoint.
 struct QueryCounters {
-  std::atomic<std::uint64_t> indexed{0};       ///< queries answered via QueryIndex
-  std::atomic<std::uint64_t> scanned{0};       ///< queries answered via the O(m+n) scan
+  /// Queries answered via QueryIndex. A walked plot row counts only in
+  /// plot_windows / plot_reused_descents, never here or in `scanned`.
+  std::atomic<std::uint64_t> indexed{0};
+  /// Queries answered via the per-window O(m+n) scan.
+  std::atomic<std::uint64_t> scanned{0};
   std::atomic<std::uint64_t> index_builds{0};  ///< QueryIndex constructions
   std::atomic<std::uint64_t> compressed{0};    ///< queries streamed off v3 blocks
   std::atomic<std::uint64_t> blocks_decoded{0};  ///< v3 blocks decoded by queries
@@ -120,12 +126,15 @@ struct PlotTile {
 
 /// Answers one plot row against a strip entry (kernel of (a-window, b),
 /// m == window): out[v] = LCS(strip, b[col0 + v*step, +window)) for v in
-/// [0, count). With `use_planner` (and an indexable entry, and a stride the
-/// heuristic likes) the whole row costs one anchoring wavelet descent plus a
-/// seam walk; otherwise every window lowers independently through
-/// answer_query_batch -- the ablation the bench gates against. Compressed
-/// entries are decoded/indexed on the planner path (a plot touches every
-/// block anyway). Bumps plot_windows / plot_reused_descents.
+/// [0, count). With `use_planner && use_index` and a stride the heuristic
+/// likes, the whole row costs one O(m + n) permutation scan for the anchor
+/// plus a seam walk, and counts only in plot_windows / plot_reused_descents
+/// (queries_scanned means per-window scan fallbacks). This path never builds
+/// or reads an index; a compressed entry decodes its kernel once (a plot
+/// touches every block anyway). Otherwise
+/// every window lowers independently through answer_query_batch -- the
+/// ablation the bench gates against -- which builds the index if
+/// `use_index`. Bumps plot_windows / plot_reused_descents.
 void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index window,
                      std::size_t count, Index* out, bool use_planner, bool use_index,
                      QueryCounters* counters = nullptr);

@@ -80,7 +80,8 @@ void KernelScheduler::retire(const Job& job) {
 }
 
 std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
-                                                            Sequence a, Sequence b) {
+                                                            Sequence a, Sequence b,
+                                                            bool index) {
   std::unique_lock lock(mutex_);
   ++submitted_;
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
@@ -95,6 +96,7 @@ std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
     // a job of its own below, which takes over the in-flight entry.
     if (!job.running) {
       job.kernel = true;
+      job.index = index;
       job.entry_future = job.entry.get_future().share();
       return job.entry_future;
     }
@@ -109,6 +111,7 @@ std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
   job->a = std::move(a);
   job->b = std::move(b);
   job->kernel = true;
+  job->index = index;
   job->entry_future = job->entry.get_future().share();
   auto future = job->entry_future;
   enqueue(std::move(job));
@@ -152,7 +155,7 @@ void KernelScheduler::worker_loop() {
       if (stop_) return;
       continue;
     }
-    run_one_batch(lock, options_.build_index);
+    run_one_batch(lock, /*build_index=*/true);
   }
 }
 
@@ -263,10 +266,13 @@ void KernelScheduler::run_kernels(std::unique_lock<std::mutex>& lock,
   // caller's latency stops at set_value, and the entry's std::call_once
   // arbitrates cleanly if a fast client starts querying before the build
   // lands. Done outside the lock -- builds are pure CPU on private data.
+  // Only jobs whose submitter will query the kernel ask for a build.
   if (build_index && !failure) {
     lock.unlock();
-    for (const CachedKernelPtr& entry : results) {
-      if (entry) (void)entry->index(counters_ ? &counters_->index_builds : nullptr);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i]->index && results[i]) {
+        (void)results[i]->index(counters_ ? &counters_->index_builds : nullptr);
+      }
     }
     lock.lock();
   }

@@ -15,6 +15,14 @@
 //     kernel jobs through semi_local_kernel_batch, so each worker reuses its
 //     persistent tls_workspace() across the batch and reaches the
 //     zero-allocation steady state PR 1 built.
+//   * Index on request. The submit that creates a kernel job (or upgrades
+//     a queued score job) says whether the kernel will answer queries. For
+//     such jobs a worker builds the entry's QueryIndex right after
+//     resolving the promises -- off the caller's latency path, so the first
+//     warm query finds it ready. Jobs whose kernel is only composed or
+//     seam-walked (corpus chunk braids, plot strips) skip the build; a later
+//     query builds it lazily through std::call_once. A submit that joins an
+//     existing job leaves its flag alone. drain() never builds eagerly.
 //   * Backpressure. The queue is bounded (both kinds count); a submit that
 //     would exceed it throws EngineOverloaded carrying a retry-after hint
 //     instead of letting latency grow without bound.
@@ -66,11 +74,6 @@ struct SchedulerOptions {
   /// Per-pair compute configuration (`parallel` is forced off: pairs are
   /// the parallel unit, one batch per worker thread).
   SemiLocalOptions compute;
-  /// Workers build each computed kernel's QueryIndex right after resolving
-  /// its promise -- off the caller's latency path, so the first warm query
-  /// finds the index ready. drain() never builds eagerly (workers = 0 mode
-  /// relies on the lazy std::call_once build instead).
-  bool build_index = true;
   /// Clock source for latency samples. nullptr = real_env().
   Env* env = nullptr;
 };
@@ -111,8 +114,11 @@ class KernelScheduler {
   /// resolves when a worker (or drain()) computes the pair -- or an
   /// already-ready future if the pair is in the store. A kernel job in
   /// flight is joined; a queued score job for the pair becomes this kernel
-  /// job. Throws EngineOverloaded when the queue is full.
-  std::shared_future<CachedKernelPtr> submit(const PairKey& key, Sequence a, Sequence b);
+  /// job. `index` asks a worker to build the entry's QueryIndex after the
+  /// compute; it applies only to a job this call creates or upgrades.
+  /// Throws EngineOverloaded when the queue is full.
+  std::shared_future<CachedKernelPtr> submit(const PairKey& key, Sequence a, Sequence b,
+                                             bool index = true);
 
   /// Schedules the global LCS score of (a, b): the score memo, then the
   /// pair's in-flight job of either kind, then a new score job (the only
@@ -133,6 +139,9 @@ class KernelScheduler {
     Sequence b;
     /// false = a score job. Final once `running` is set.
     bool kernel = false;
+    /// Kernel jobs: a worker builds the QueryIndex once the promises
+    /// resolve. Set by the submit that made this a kernel job.
+    bool index = false;
     bool running = false;  ///< popped by a worker or drain()
     std::promise<CachedKernelPtr> entry;  ///< kernel jobs
     std::shared_future<CachedKernelPtr> entry_future;
@@ -164,9 +173,9 @@ class KernelScheduler {
     return memo_[PairKeyHash{}(key) % kMemoSlots];
   }
   /// Pops and runs one batch. `lock` is held on entry and exit, released
-  /// during compute. `build_index` additionally builds each computed
-  /// kernel's QueryIndex after resolving the promises. Returns false if the
-  /// queue was empty.
+  /// during compute. `build_index` additionally builds the QueryIndex of
+  /// each computed kernel whose job asked for one, after resolving the
+  /// promises. Returns false if the queue was empty.
   bool run_one_batch(std::unique_lock<std::mutex>& lock, bool build_index);
   void run_scores(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs);
   void run_kernels(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs,

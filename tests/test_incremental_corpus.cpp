@@ -230,6 +230,41 @@ TEST(IncrementalCorpus, MidEditRecombsOnlyDirtyChunks) {
   expect_published_pair_matches_oracle(engine, doc, other, "mid-edit");
 }
 
+TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
+  // Chunk braids are only composed: real workers comb them without building
+  // a QueryIndex, and the first point query on the published pair builds
+  // exactly one.
+  const ScratchDir scratch;
+  EngineOptions engine_options = test_engine_options(scratch.file("store"));
+  engine_options.scheduler.workers = 1;
+  ComparisonEngine engine(engine_options);
+  CorpusManagerOptions corpus_options = test_corpus_options(scratch.file("corpus"), 64);
+  corpus_options.drain_inline = false;
+  CorpusManager corpus(engine, corpus_options);
+
+  const Sequence other = testing::random_string(300, 4, 41);
+  const Sequence doc = testing::random_string(320, 4, 42);  // 5 chunks
+  corpus.upsert_document("other", other);
+  const UpsertReport report = corpus.upsert_document("doc", doc);
+  ASSERT_EQ(report.chunks_computed, 5u);
+  // The one worker finishes a batch, index builds included, before it pops
+  // the next: once this later job resolves, every strip's batch is done.
+  const Sequence c = testing::random_string(40, 4, 43);
+  (void)engine.braid_async(c, c).get();
+  EXPECT_EQ(engine.stats().queries.index_builds, 0u);
+
+  const std::uint64_t computed = engine.stats().scheduler.computed;
+  const SemiLocalKernel oracle = semi_local_kernel(doc, other);
+  EXPECT_EQ(engine.string_substring(doc, other, 17, 250),
+            kernel_string_substring(oracle, 17, 250));
+  EXPECT_EQ(engine.substring_string(doc, other, 30, 301),
+            kernel_substring_string(oracle, 30, 301));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, computed) << "published pair was recomputed";
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+  EXPECT_EQ(stats.queries.indexed, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Versioning and publish bookkeeping.
 

@@ -119,13 +119,21 @@ TEST(AlignmentPlotPlanner, SeamWalkMatchesDescentsAcrossStridesAndSeeds) {
         const auto count =
             static_cast<std::size_t>((order - start) / step) + (start <= order ? 1 : 0);
         if (count == 0) continue;
+        // Anchored by a wavelet descent, and by one permutation scan.
         std::vector<Index> walked(count);
         strided_diagonal_sigma(index, kernel.permutation(), start, step, count,
                                walked.data());
+        std::vector<Index> scan_anchored(count);
+        strided_diagonal_sigma(kernel.permutation().dominance_sum(start, start),
+                               kernel.permutation(), start, step, count,
+                               scan_anchored.data());
         for (std::size_t t = 0; t < count; ++t) {
           const Index i = start + static_cast<Index>(t) * step;
           ASSERT_EQ(walked[t], index.sigma(i, i))
               << "seed " << seed << " step " << step << " start " << start << " t " << t;
+          ASSERT_EQ(scan_anchored[t], index.sigma(i, i))
+              << "scan anchor: seed " << seed << " step " << step << " start " << start
+              << " t " << t;
         }
       }
     }
@@ -173,6 +181,65 @@ TEST(AlignmentPlotEngine, TilesBitEqualNaivePerWindowOracle) {
   EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
   EXPECT_GT(stats.queries.plot_reused_descents, 0u);
   EXPECT_EQ(stats.queries.scanned, 0u) << "planner leg fell back to the O(m+n) scan";
+}
+
+TEST(AlignmentPlotEngine, ProfitableStripsAreWalkedWithoutAnyIndex) {
+  // Strips are acquired without an index and a profitable stride anchors
+  // each row on one permutation scan: no index is built, no query is
+  // counted as indexed or scanned, and every cell still matches the oracle.
+  const Sequence a = random_seq(300, 111);
+  const Sequence b = random_seq(260, 112);
+  PlotSpec spec;
+  spec.row0 = 2;
+  spec.col0 = 3;
+  spec.rows = 12;
+  spec.cols = 14;
+  spec.step = 6;
+  spec.window = 24;
+  ASSERT_TRUE(strided_walk_profitable(spec.window + static_cast<Index>(b.size()),
+                                      spec.step));
+
+  ComparisonEngine engine(plot_engine(true));  // two workers
+  const std::vector<Index> grid = collect_plot(engine, a, b, spec);
+  for (Index u = 0; u < spec.rows; ++u) {
+    for (Index v = 0; v < spec.cols; ++v) {
+      ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)],
+                naive_cell(a, b, spec, u, v))
+          << "cell (" << u << ", " << v << ")";
+    }
+  }
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, static_cast<std::uint64_t>(spec.rows));
+  EXPECT_EQ(stats.queries.index_builds, 0u);
+  EXPECT_EQ(stats.queries.indexed, 0u);
+  EXPECT_EQ(stats.queries.scanned, 0u);
+  EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
+
+  // A window query on one strip pair hits the cached strip and builds
+  // exactly its index, once.
+  const Index u = 5;
+  const Index v = 4;
+  const auto start = static_cast<std::ptrdiff_t>(spec.row_start(u));
+  const Sequence strip_a(a.begin() + start, a.begin() + start + spec.window);
+  const Index j0 = spec.col_start(v);
+  EXPECT_EQ(engine.string_substring(strip_a, b, j0, j0 + spec.window),
+            grid[static_cast<std::size_t>(u * spec.cols + v)]);
+  EXPECT_EQ(engine.string_substring(strip_a, b, j0, j0 + spec.window),
+            grid[static_cast<std::size_t>(u * spec.cols + v)]);
+  stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, static_cast<std::uint64_t>(spec.rows));
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+  EXPECT_EQ(stats.queries.indexed, 2u);
+
+  // Re-plotting walks every row again, that one included, without touching
+  // its index: walked rows count only in the plot counters.
+  const std::vector<Index> again = collect_plot(engine, a, b, spec);
+  EXPECT_EQ(again, grid);
+  stats = engine.stats();
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+  EXPECT_EQ(stats.queries.indexed, 2u);
+  EXPECT_EQ(stats.queries.scanned, 0u);
+  EXPECT_EQ(stats.queries.plot_windows, 2u * static_cast<std::uint64_t>(spec.cells()));
 }
 
 TEST(AlignmentPlotEngine, UnprofitableStrideStillAnswersCorrectly) {
@@ -302,8 +369,9 @@ TEST(AlignmentPlotEngine, CancelledSinkStopsTheStream) {
 }
 
 TEST(AlignmentPlotEngine, ConcurrentPlotsShareOneIndex) {
-  // Several threads stream the same plot off one engine: the strips and
-  // their query indexes are shared immutable state (the tsan workload).
+  // Several threads stream the same plot off one engine: the strips (and
+  // any query index a strip gets) are shared immutable state (the tsan
+  // workload).
   const Sequence a = random_seq(220, 101);
   const Sequence b = random_seq(220, 102);
   PlotSpec spec;

@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
     options.scheduler.compute.strategy =
         parse_strategy(args.option_or("algorithm", "antidiag"));
     options.index_queries = !args.has_flag("no-index");
-    options.scheduler.build_index = options.index_queries;
 
     const bool drain_inline = options.scheduler.workers == 0;
     ComparisonEngine engine(options);
