@@ -6,7 +6,8 @@
 // the number of queries per kernel after which building the index is the
 // cheaper total. It also sweeps the plot-row seam walk against batched
 // descents per stride, and costs one 64 x 2000 plot strip stage by stage
-// (comb, index build, descent- or scan-anchored walk). Written to
+// (comb, index build, descent- or scan-anchored walk), and times the
+// PairKey digest every request pays before it reaches the cache. Written to
 // results/bench_query.json (plus the usual CSV) so serving configurations
 // can pick a policy from data.
 //
@@ -19,6 +20,7 @@
 
 #include "core/api.hpp"
 #include "core/query_index.hpp"
+#include "engine/key.hpp"
 #include "engine/query.hpp"
 #include "util/random.hpp"
 
@@ -288,8 +290,26 @@ StripResult run_plot_strip(Index window, Index length, Index stride) {
   return r;
 }
 
+// The PairKey digest of one sequence: the first stage of every request
+// (twice when sharded), linear in the symbols it hashes.
+struct DigestResult {
+  Index length = 0;
+  double digest_us = 0.0;
+  double ns_per_symbol = 0.0;
+};
+
+DigestResult run_digest(Index length) {
+  DigestResult r;
+  r.length = length;
+  const Sequence s = uniform_sequence(length, 4, 41);
+  r.digest_us = per_call_us([&] { (void)sequence_digest(s); }, 1000);
+  r.ns_per_symbol = r.digest_us * 1e3 / static_cast<double>(length);
+  return r;
+}
+
 void write_json(const std::string& path, const std::vector<LengthResult>& results,
-                const std::vector<StrideResult>& strides, const StripResult& strip) {
+                const std::vector<StrideResult>& strides, const StripResult& strip,
+                const std::vector<DigestResult>& digests) {
   std::filesystem::create_directories(std::filesystem::path(path).parent_path());
   std::ofstream out(path);
   out << "{\n  \"lengths\": [\n";
@@ -323,7 +343,14 @@ void write_json(const std::string& path, const std::vector<LengthResult>& result
       << ", \"index_build_us\": " << strip.index_build_us
       << ", \"walk_indexed_us\": " << strip.walk_indexed_us
       << ", \"walk_scan_us\": " << strip.walk_scan_us
-      << ", \"mismatches\": " << strip.mismatches << "}\n}\n";
+      << ", \"mismatches\": " << strip.mismatches << "},\n  \"pair_key\": [\n";
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    const DigestResult& r = digests[i];
+    out << "    {\"length\": " << r.length << ", \"digest_us\": " << r.digest_us
+        << ", \"ns_per_symbol\": " << r.ns_per_symbol << "}"
+        << (i + 1 < digests.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
   std::cout << "query report written to " << path << "\n";
 }
 
@@ -387,6 +414,17 @@ int main() {
                     "one plot strip: comb, index build, and the row walk with a "
                     "descent or a scan anchor");
 
-  write_json("results/bench_query.json", results, strides, strip);
+  std::vector<DigestResult> digests;
+  Table digest_table({"length", "digest_us", "ns_per_symbol"});
+  for (const Index length : {64, 2000, 8000}) {
+    const DigestResult& r = digests.emplace_back(run_digest(length));
+    digest_table.row()
+        .cell(static_cast<long long>(r.length))
+        .cell(r.digest_us, 3)
+        .cell(r.ns_per_symbol, 3);
+  }
+  digest_table.print(std::cout, "PairKey digest per sequence (median of 5)");
+
+  write_json("results/bench_query.json", results, strides, strip, digests);
   return 0;
 }

@@ -134,8 +134,7 @@ void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,
   std::deque<std::shared_future<CachedKernelPtr>> ahead;
   Index next_submit = 0;
   // One digest of b covers every grid row; only the window-sized strip of a
-  // is re-digested per row. At dense strides the per-row b re-digest would
-  // rival the seam walk itself.
+  // is re-digested per row, which saves hashing |b| symbols per row.
   const std::uint64_t hash_b = sequence_digest(b);
   const auto top_up = [&] {
     while (next_submit < spec.rows && static_cast<Index>(ahead.size()) < lookahead) {

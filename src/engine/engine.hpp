@@ -185,9 +185,8 @@ class ComparisonEngine {
 
  private:
   /// entry_async with the content key already computed. The alignment-plot
-  /// planner digests `b` once per plot instead of once per grid row -- at
-  /// dense strides the per-row re-digest would otherwise rival the query
-  /// work itself. `key` must equal make_pair_key(a, b). `index` asks the
+  /// planner digests `b` once per plot instead of once per grid row.
+  /// `key` must equal make_pair_key(a, b). `index` asks the
   /// scheduler to build a computed kernel's QueryIndex eagerly.
   std::shared_future<CachedKernelPtr> entry_async_keyed(const PairKey& key,
                                                         SequenceView a, SequenceView b,

@@ -1,25 +1,72 @@
 #include "engine/key.hpp"
 
 #include <array>
+#include <bit>
 
 namespace semilocal {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+/// Two symbols as one word, built arithmetically so the digest does not
+/// depend on the host byte order.
+std::uint64_t word_at(const Symbol* p) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(p[0])) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(p[1])) << 32;
+}
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t merge_lane(std::uint64_t hash, std::uint64_t lane) {
+  return (hash ^ lane_round(0, lane)) * kPrime1 + kPrime4;
+}
 
 }  // namespace
 
 std::uint64_t sequence_digest(SequenceView s) {
-  std::uint64_t hash = kFnvOffset;
-  for (const Symbol sym : s) {
-    auto v = static_cast<std::uint32_t>(sym);
-    for (int byte = 0; byte < 4; ++byte) {
-      hash ^= v & 0xffU;
-      hash *= kFnvPrime;
-      v >>= 8;
+  const Symbol* p = s.data();
+  const Symbol* const end = p + s.size();
+  std::uint64_t hash = kPrime5;
+  if (s.size() >= 8) {
+    // Four independent lanes, one word (two symbols) each per step: the
+    // multiplies of one step do not wait on each other.
+    std::uint64_t v1 = kPrime1 + kPrime2;
+    std::uint64_t v2 = kPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 8; p += 8) {
+      v1 = lane_round(v1, word_at(p));
+      v2 = lane_round(v2, word_at(p + 2));
+      v3 = lane_round(v3, word_at(p + 4));
+      v4 = lane_round(v4, word_at(p + 6));
     }
+    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    hash = merge_lane(hash, v1);
+    hash = merge_lane(hash, v2);
+    hash = merge_lane(hash, v3);
+    hash = merge_lane(hash, v4);
   }
+  hash += static_cast<std::uint64_t>(s.size()) * sizeof(Symbol);
+  // Tail of up to 7 symbols: whole words, then a lone symbol.
+  for (; end - p >= 2; p += 2) {
+    hash = std::rotl(hash ^ lane_round(0, word_at(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (p != end) {
+    hash ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(*p)) * kPrime1;
+    hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
+  }
+  // Avalanche: every input bit reaches every output bit.
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
   return hash;
 }
 

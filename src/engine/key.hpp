@@ -4,9 +4,25 @@
 // not by caller-supplied names: two requests for the same (a, b) pair -- from
 // different connections, or the same corpus record under two ids -- hit the
 // same cache entry and the same on-disk kernel file. A key is the pair of
-// 64-bit FNV-1a digests of the symbol data plus both lengths; lengths are
-// kept explicit so hash collisions between strings of different sizes are
+// 64-bit digests of the symbol data plus both lengths; lengths are kept
+// explicit so hash collisions between strings of different sizes are
 // structurally impossible and so the store can size-check files cheaply.
+//
+// The digest runs on every request (and again in the router), so it hashes
+// 64-bit words, not bytes: each word is two 32-bit symbols, built
+// arithmetically so the result does not depend on the host byte order, and
+// four independent multiply-rotate lanes take 8 symbols per step. The lanes
+// merge, the length folds in, a tail of up to 7 symbols is absorbed, and a
+// final avalanche spreads every input bit over the whole digest. The result
+// equals XXH64 (seed 0) of the symbols' little-endian bytes. A byte-serial
+// hash chains four dependent multiplies per symbol: on one Xeon core the
+// word-wise digest costs ~0.5 ns per symbol against ~6.5 ns (bench_query's
+// pair_key rows).
+//
+// Upgrading: the digest names every kernel file, and stores written under
+// the earlier FNV-1a digest use different names. They are never hit: each
+// pair is recomputed once on first use and stored under its new name, and
+// the old `*.slk` files can be deleted.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +51,7 @@ struct PairKey {
 /// Digests the symbol data of both strings into a PairKey.
 PairKey make_pair_key(SequenceView a, SequenceView b);
 
-/// FNV-1a over a symbol sequence (the digest make_pair_key uses per side).
+/// 64-bit digest of a symbol sequence (the one make_pair_key uses per side).
 std::uint64_t sequence_digest(SequenceView s);
 
 struct PairKeyHash {

@@ -1,22 +1,29 @@
 // Comparison-engine subsystem tests: LRU cache accounting and eviction
 // order, kernel store disk tier, scheduler coalescing + backpressure
 // (deterministic via workers = 0 + drain()), wire protocol round-trips, the
-// thread-safe query layer against the brute-force oracle, and the
+// thread-safe query layer against the brute-force oracle, the PairKey
+// digest (known answers, bit sensitivity, near-duplicate DNA), and the
 // acceptance end-to-end: a mixed repeated load must cost one computation per
 // distinct pair -- asserted via the engine stats counters, not timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bitlcs/encoding.hpp"
 #include "core/api.hpp"
 #include "engine/engine.hpp"
+#include "engine/key.hpp"
 #include "engine/protocol.hpp"
 #include "oracles.hpp"
 #include "scratch.hpp"
@@ -39,6 +46,143 @@ PairKey key_for(std::uint64_t seed) {
   const auto a = testing::random_string(16, 4, seed * 2 + 1);
   const auto b = testing::random_string(16, 4, seed * 2 + 2);
   return make_pair_key(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// PairKey digest: known answers, bit sensitivity, near-duplicate inputs.
+
+/// Deterministic known-answer input: every third symbol cycles through the
+/// edge values 0, 255, 256, -1, INT32_MIN and INT32_MAX; the others are a
+/// multiplicative sequence that sets high bits too.
+Sequence known_answer_input(std::size_t length) {
+  static constexpr std::array<Symbol, 6> kEdges = {
+      0, 255, 256, -1, std::numeric_limits<Symbol>::min(),
+      std::numeric_limits<Symbol>::max()};
+  Sequence s(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    s[i] = i % 3 == 0 ? kEdges[(i / 3) % kEdges.size()]
+                      : static_cast<Symbol>(static_cast<std::uint32_t>(i) * 2654435761U);
+  }
+  return s;
+}
+
+TEST(PairKey, DigestKnownAnswers) {
+  // The digest names every kernel file on disk: changing any of these values
+  // renames every content address and orphans every existing kernel store.
+  // Lengths straddle the 8-symbol lane step and the 2-symbol word tail.
+  struct Known {
+    std::size_t length;
+    std::uint64_t digest;
+  };
+  static constexpr std::array<Known, 11> kKnown = {{
+      {0, 0xef46db3751d8e999ULL},
+      {1, 0x3aefa6fd5cf2deb4ULL},
+      {2, 0xb617e10f4a256a10ULL},
+      {7, 0xc15ad9e27f2e88f1ULL},
+      {8, 0x8da8f853b0c8f584ULL},
+      {9, 0xced79472e5884782ULL},
+      {15, 0x3ae43752cb6cfee1ULL},
+      {16, 0x8e447a2563f5e763ULL},
+      {17, 0x6eb04246292ecf0cULL},
+      {64, 0x5d4d497eeeee5ec9ULL},
+      {2000, 0x1b3091bdf2591c15ULL},
+  }};
+  for (const Known& k : kKnown) {
+    EXPECT_EQ(sequence_digest(known_answer_input(k.length)), k.digest)
+        << "length " << k.length;
+  }
+  const Sequence a = known_answer_input(17);
+  const Sequence b = known_answer_input(9);
+  const PairKey key = make_pair_key(a, b);
+  EXPECT_EQ(key.hex(), "6eb04246292ecf0cced79472e5884782");
+  EXPECT_EQ(key.len_a, 17);
+  EXPECT_EQ(key.len_b, 9);
+}
+
+TEST(PairKey, EveryBitOfEverySymbolReachesTheDigest) {
+  // 17 symbols: two full lane steps plus a one-symbol tail, so both the
+  // lanes and the tail are covered.
+  const Sequence base = testing::random_string(17, 1 << 30, 5);
+  std::unordered_set<std::uint64_t> digests = {sequence_digest(base)};
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (int bit = 0; bit < 32; ++bit) {
+      Sequence flipped = base;
+      flipped[i] = static_cast<Symbol>(static_cast<std::uint32_t>(flipped[i]) ^ (1U << bit));
+      EXPECT_TRUE(digests.insert(sequence_digest(flipped)).second)
+          << "symbol " << i << " bit " << bit;
+    }
+  }
+
+  std::unordered_set<std::uint64_t> zeros;
+  for (std::size_t length = 0; length <= 40; ++length) {
+    EXPECT_TRUE(zeros.insert(sequence_digest(Sequence(length, 0))).second)
+        << "all-zero length " << length;
+  }
+}
+
+TEST(PairKey, NearDuplicateDnaStringsGetDistinctDigests) {
+  // DNA is low-entropy and upserted versions differ by small edits: a weak
+  // digest would collide here and serve one string's kernel for another.
+  // Every digest is remembered with the edit that produced it; a repeat
+  // must come from an identical string.
+  const Sequence base = testing::random_string(2000, 4, 77);
+  constexpr Index kPatch = 256;
+  enum class Kind { kSubstitute, kInsert, kDelete, kPatch, kPrefix };
+  struct Edit {
+    Kind kind;
+    std::size_t at;
+    Symbol symbol;  // substituted/inserted symbol, or the patch's seed
+  };
+  const auto apply = [&](const Edit& e) {
+    Sequence s = base;
+    const auto at = static_cast<std::ptrdiff_t>(e.at);
+    switch (e.kind) {
+      case Kind::kSubstitute:
+        s[e.at] = e.symbol;
+        break;
+      case Kind::kInsert:
+        s.insert(s.begin() + at, e.symbol);
+        break;
+      case Kind::kDelete:
+        s.erase(s.begin() + at);
+        break;
+      case Kind::kPatch: {
+        const Sequence patch =
+            testing::random_string(kPatch, 4, static_cast<std::uint64_t>(e.symbol));
+        std::copy(patch.begin(), patch.end(), s.begin() + at);
+        break;
+      }
+      case Kind::kPrefix:
+        s.resize(e.at);
+        break;
+    }
+    return s;
+  };
+
+  std::unordered_map<std::uint64_t, Edit> seen;
+  std::size_t collisions = 0;
+  const auto check = [&](const Edit& e) {
+    const Sequence s = apply(e);
+    const auto [it, fresh] = seen.emplace(sequence_digest(s), e);
+    if (!fresh && apply(it->second) != s) ++collisions;
+  };
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (Symbol c = 0; c < 4; ++c) {
+      if (c != base[i]) check({Kind::kSubstitute, i, c});
+    }
+    check({Kind::kDelete, i, 0});
+  }
+  for (std::size_t i = 0; i <= base.size(); ++i) {
+    for (Symbol c = 0; c < 4; ++c) check({Kind::kInsert, i, c});
+    check({Kind::kPrefix, i, 0});  // every truncation, the base included
+  }
+  for (std::size_t at = 0; at + kPatch <= base.size(); at += 3) {
+    check({Kind::kPatch, at, static_cast<Symbol>(1000 + at)});
+  }
+  EXPECT_EQ(collisions, 0u);
+  // Substitutions and patches each make a new string; so do insertions and
+  // deletions up to runs of equal symbols -- the map must hold thousands.
+  EXPECT_GT(seen.size(), 12000u);
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsedFirst) {

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -373,6 +374,62 @@ TEST(IncrementalCorpus, RestartLoadsPublishedGeneration) {
   EXPECT_TRUE(report.changed);
   EXPECT_EQ(report.chunks_computed + report.chunks_reused, 1u);
   expect_published_pair_matches_oracle(engine, grown, doc_b, "post-restart");
+}
+
+TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
+  // A store written under another digest holds every kernel under a name
+  // the current make_pair_key never produces. Renaming each .slk file to a
+  // random hex name stands in for one: a restart must recompute every pair
+  // exactly, never load or quarantine a file it does not own.
+  const ScratchDir scratch;
+  const std::string store_dir = scratch.file("store");
+  const Sequence doc_a = testing::random_string(192, 4, 91);
+  const Sequence doc_b = testing::random_string(150, 4, 92);
+  const Sequence doc_c = testing::random_string(130, 4, 93);
+  {
+    ComparisonEngine engine(test_engine_options(store_dir));
+    CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
+    corpus.upsert_document("a", doc_a);
+    corpus.upsert_document("b", doc_b);
+    corpus.upsert_document("c", doc_c);
+  }
+
+  std::vector<std::filesystem::path> kernels;
+  for (const auto& file : std::filesystem::directory_iterator(store_dir)) {
+    if (file.path().extension() == ".slk") kernels.push_back(file.path());
+  }
+  ASSERT_GT(kernels.size(), 3u);
+  Rng rng(94);
+  for (const auto& path : kernels) {
+    std::string name;
+    for (int i = 0; i < 32; ++i) name += "0123456789abcdef"[rng.uniform(0, 15)];
+    std::filesystem::rename(path, path.parent_path() / (name + ".slk"));
+  }
+
+  ComparisonEngine engine(test_engine_options(store_dir));
+  CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
+  // An upsert finds no braid of the old bytes: it recombs every chunk.
+  Sequence grown = doc_a;
+  const Sequence tail = testing::random_string(64, 4, 95);
+  grown.insert(grown.end(), tail.begin(), tail.end());
+  const UpsertReport report = corpus.upsert_document("a", grown);
+  EXPECT_EQ(report.prefix_reused, 0u);
+  EXPECT_EQ(report.chunks_computed, 8u);  // 4 chunks against each of b and c
+
+  const auto entries = corpus.index_entries();
+  ASSERT_EQ(entries.size(), 3u);
+  for (const CorpusIndexEntry& entry : entries) {
+    const Sequence a = *corpus.document(entry.id_a);
+    const Sequence b = *corpus.document(entry.id_b);
+    auto pending = engine.entry_async(a, b);
+    engine.drain();
+    expect_kernel_equal(pending.get()->kernel(), semi_local_kernel(a, b),
+                        entry.id_a + "/" + entry.id_b);
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.scheduler.computed, 0u);
+  EXPECT_EQ(stats.store.quarantined, 0u);
+  EXPECT_EQ(stats.store.disk_hits, 0u);
 }
 
 TEST(IncrementalCorpus, IndexVersionColumnsRoundTripAndBackCompat) {

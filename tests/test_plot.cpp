@@ -242,6 +242,31 @@ TEST(AlignmentPlotEngine, ProfitableStripsAreWalkedWithoutAnyIndex) {
   EXPECT_EQ(stats.queries.plot_windows, 2u * static_cast<std::uint64_t>(spec.cells()));
 }
 
+TEST(AlignmentPlotEngine, StripKeysMatchMakePairKey) {
+  // alignment_plot digests b once and keys each strip by hand; every strip
+  // it cached must be found under the ordinary key of its two inputs, or a
+  // later window query on the same strip would recompute it.
+  const Sequence a = random_seq(260, 121);
+  const Sequence b = random_seq(190, 122);
+  PlotSpec spec;
+  spec.row0 = 1;
+  spec.rows = 9;
+  spec.cols = 6;
+  spec.step = 25;
+  spec.window = 20;
+  ComparisonEngine engine(plot_engine(true));
+  (void)collect_plot(engine, a, b, spec);
+  ASSERT_EQ(engine.stats().scheduler.computed, static_cast<std::uint64_t>(spec.rows));
+  for (Index u = 0; u < spec.rows; ++u) {
+    const auto start = static_cast<std::ptrdiff_t>(spec.row_start(u));
+    const Sequence strip_a(a.begin() + start, a.begin() + start + spec.window);
+    const CachedKernelPtr strip = engine.store().find(make_pair_key(strip_a, b));
+    ASSERT_NE(strip, nullptr) << "row " << u << " strip not under make_pair_key";
+    EXPECT_EQ(strip->kernel().m(), spec.window);
+    EXPECT_EQ(strip->kernel().n(), static_cast<Index>(b.size()));
+  }
+}
+
 TEST(AlignmentPlotEngine, UnprofitableStrideStillAnswersCorrectly) {
   // A stride past the profitability gate must transparently use the batched
   // descent lowering -- same cells, no reused descents.

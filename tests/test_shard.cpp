@@ -42,8 +42,9 @@ using namespace std::chrono_literals;
 // HashRing properties.
 
 PairKey synthetic_key(std::uint64_t i) {
-  // Sequential ids through the FNV-ish fold in PairKeyHash give well-spread
-  // ring points; the ring must balance them without help.
+  // Sequential ids through PairKeyHash's fold and the ring's splitmix64
+  // finalizer give well-spread ring points; the ring must balance them
+  // without help.
   PairKey key;
   key.hash_a = i * 0x9e3779b97f4a7c15ULL + 1;
   key.hash_b = i ^ 0xdeadbeefcafef00dULL;
