@@ -41,8 +41,10 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -921,32 +923,41 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
 }
 
 // upsert_sweep: the incremental-corpus update path (engine/corpus_version)
-// measured end to end -- update cost vs document length vs edit shape. A
-// two-document corpus ("edit" mutates, "ref" stays fixed) absorbs the same
-// edit script twice: once with chunked braid caching on (chunk 1000) and
-// once as the ablation -- chunk set past the document length, so every
-// upsert recombs the full pair from scratch through the exact same
-// manager/scheduler/store code path. Two edit shapes per length: whole-chunk
-// appends (the sublinear O((m+n) log(m+n)) claim) and a single-symbol
-// mid-document mutate (one dirty strip + recombination from the last clean
-// boundary). The final published kernel of every leg is bit-compared
-// against a fresh semi_local_kernel.
+// measured end to end -- update cost vs document length vs edit shape. Each
+// seeded edit script runs through two managers side by side, edit by edit,
+// with the same engine and store configuration: one gated (each pair takes
+// the cheapest of the Cached / Resume / Whole plans) and one as the
+// whole-recompute ablation, where every edited document is removed
+// (untimed) before its upsert, so the corpus has no previous version to
+// resume from and each pair not already in the store is recombed whole.
+// Three shapes:
 //
-// Two pinned document lengths, because the crossover is the honest story:
-// a fresh SIMD-comb kernel is O(mn) with a tiny constant (~0.15 ns/cell)
-// while a steady-ant compose is O(N log N) with a large one (~16 ns/step),
-// so at 8000x8000 a full recompute costs ~11 ms against a ~4 ms compose
-// floor and the incremental path wins only ~2x. At 32000 the quadratic
-// term dominates (~160 ms) and the append path's one-strip-one-compose
-// update is >= 5x cheaper -- that larger point carries the check gate; the
-// 8000 point is reported so the constant-factor regime stays visible.
+//   append_<L>  two documents of L symbols, 1000-symbol appends (one
+//               chunk-wide tail strip and one compose per upsert);
+//   mid_<L>     the same pair, one symbol mutated near the middle (never an
+//               extension, so both runs recompute whole);
+//   mixed       corpus_mixed's shape: six 3000-symbol random DNA documents,
+//               60 seeded 256-symbol appends (while a document stays at
+//               most 4500 symbols), mid-document patches and truncations,
+//               a 2 GB cache and 4 workers.
+//
+// Every leg's published pair kernels are bit-compared against fresh
+// semi_local_kernel computes at the end. The append crossover is the
+// honest story: a fresh SIMD comb is O(mn) with a tiny constant while a
+// steady-ant compose is O(N log N) with a large one, so at 8000 x 8000 the
+// append wins ~2x and at 32000 the quadratic term dominates -- that larger
+// point carries the >= 5x check gate. The mixed leg carries the other gate:
+// on corpus-sized documents the gate must not lose to whole recompute
+// (gated / whole mean CPU per upsert <= 1.1).
 struct UpsertLeg {
   std::string name;
   Index doc_length = 0;     // starting document length (appends grow past it)
+  std::size_t docs = 0;
   Index chunk = 0;
   int edits = 0;
   Index edit_bytes = 0;     // appended symbols per edit (0 = mid-doc mutate)
   double median_ms = 0.0;   // median per-upsert wall time
+  double mean_cpu_ms = 0.0; // mean per-upsert process CPU time
   std::uint64_t chunks_computed = 0;
   std::uint64_t chunks_reused = 0;
   std::uint64_t prefix_reused = 0;
@@ -966,17 +977,30 @@ struct UpsertSweepResult {
     return nullptr;
   }
 
-  /// How much cheaper an upsert is with chunk braids vs full recombination.
-  [[nodiscard]] double speedup(const std::string& kind, Index length) const {
-    const std::string suffix = "_" + std::to_string(length);
-    const UpsertLeg* chunked = find("upsert_" + kind + "_chunked" + suffix);
-    const UpsertLeg* full = find("upsert_" + kind + "_full" + suffix);
-    if (chunked == nullptr || full == nullptr || chunked->median_ms <= 0) return 0.0;
-    return full->median_ms / chunked->median_ms;
+  /// Whole-recompute median over gated median for one shape.
+  [[nodiscard]] double speedup(const std::string& shape) const {
+    const UpsertLeg* gated = find("upsert_" + shape + "_gated");
+    const UpsertLeg* whole = find("upsert_" + shape + "_whole");
+    if (gated == nullptr || whole == nullptr || gated->median_ms <= 0) return 0.0;
+    return whole->median_ms / gated->median_ms;
   }
 
-  [[nodiscard]] double append_speedup() const { return speedup("append", gate_length); }
-  [[nodiscard]] double mid_speedup() const { return speedup("mid", gate_length); }
+  [[nodiscard]] double append_speedup() const {
+    return speedup("append_" + std::to_string(gate_length));
+  }
+  [[nodiscard]] double mid_speedup() const {
+    return speedup("mid_" + std::to_string(gate_length));
+  }
+  /// Gated over whole mean CPU per upsert on the corpus_mixed-shaped leg
+  /// (gated at <= 1.1). CPU, not wall time: whether the scheduler batches
+  /// an upsert's five pair jobs on one worker or spreads them is a race
+  /// that moves the wall-clock median by up to 2x for the same work.
+  [[nodiscard]] double mixed_ratio() const {
+    const UpsertLeg* gated = find("upsert_mixed_gated");
+    const UpsertLeg* whole = find("upsert_mixed_whole");
+    if (gated == nullptr || whole == nullptr || whole->mean_cpu_ms <= 0) return 0.0;
+    return gated->mean_cpu_ms / whole->mean_cpu_ms;
+  }
 
   [[nodiscard]] Index mismatches() const {
     Index total = 0;
@@ -985,107 +1009,180 @@ struct UpsertSweepResult {
   }
 };
 
-/// One upsert leg: build the two-document corpus (untimed), apply `edits`
-/// upserts timing each, then oracle-check the final published pair kernel.
-UpsertLeg run_upsert_leg(const std::string& name, Index length, Index chunk,
-                         bool append, int edits, Index edit_bytes) {
+/// Mutates `docs` by one edit and returns the index of the edited document.
+using UpsertEdit = std::function<std::size_t(std::vector<Sequence>& docs, Rng& rng)>;
+
+/// One edit script through two managers side by side, each on its own
+/// engine and store: gated, and the whole-recompute ablation, which removes
+/// the edited document (untimed) before each upsert. Both build the corpus
+/// from `docs` untimed, then take the same edits, alternating which side
+/// goes first so drift in machine speed lands on both. Every published pair
+/// kernel is oracle-checked at the end. Returns {gated, whole}.
+std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
+                                                std::vector<Sequence> docs, Index chunk,
+                                                int workers, std::size_t cache_bytes,
+                                                int edits, Index edit_bytes,
+                                                const UpsertEdit& edit) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / ("semilocal_bench_" + name);
-  fs::remove_all(dir);
-
-  UpsertLeg leg;
-  leg.name = name;
-  leg.doc_length = length;
-  leg.chunk = chunk;
-  leg.edits = edits;
-  leg.edit_bytes = append ? edit_bytes : 0;
-
-  EngineOptions options;
-  options.store.dir = (dir / "store").string();
-  options.store.cache_bytes = std::size_t{1} << 30;  // every braid stays resident
-  options.scheduler.workers = hardware_threads();
-  options.scheduler.max_queue = 1024;
-  ComparisonEngine engine(options);
-  CorpusManagerOptions corpus_options;
-  corpus_options.dir = (dir / "corpus").string();
-  corpus_options.chunk = chunk;
-  CorpusManager corpus(engine, corpus_options);
-
-  const Sequence ref = uniform_sequence(length, 4, 501);
-  Sequence doc = uniform_sequence(length, 4, 502);
-  (void)corpus.upsert_document("ref", ref);
-  (void)corpus.upsert_document("edit", doc);  // untimed initial build
+  struct Side {
+    UpsertLeg leg;
+    fs::path dir;
+    std::unique_ptr<ComparisonEngine> engine;
+    std::unique_ptr<CorpusManager> corpus;
+    std::vector<double> wall_ms;
+    std::vector<double> cpu_ms;
+  };
+  const auto id_of = [](std::size_t d) { return "d" + std::to_string(d); };
+  std::array<Side, 2> sides;  // [0] gated, [1] whole
+  for (std::size_t k = 0; k < sides.size(); ++k) {
+    Side& side = sides[k];
+    side.leg.name = "upsert_" + name + (k == 0 ? "_gated" : "_whole");
+    side.leg.doc_length = static_cast<Index>(docs.front().size());
+    side.leg.docs = docs.size();
+    side.leg.chunk = chunk;
+    side.leg.edits = edits;
+    side.leg.edit_bytes = edit_bytes;
+    side.dir = fs::temp_directory_path() / ("semilocal_bench_" + side.leg.name);
+    fs::remove_all(side.dir);
+    EngineOptions options;
+    options.store.dir = (side.dir / "store").string();
+    options.store.cache_bytes = cache_bytes;  // every kernel stays resident
+    options.scheduler.workers = workers;
+    options.scheduler.max_queue = 1024;
+    side.engine = std::make_unique<ComparisonEngine>(options);
+    CorpusManagerOptions corpus_options;
+    corpus_options.dir = (side.dir / "corpus").string();
+    corpus_options.chunk = chunk;
+    side.corpus = std::make_unique<CorpusManager>(*side.engine, corpus_options);
+    for (std::size_t d = 0; d < docs.size(); ++d) {
+      (void)side.corpus->upsert_document(id_of(d), docs[d]);  // untimed build
+    }
+  }
 
   Rng rng(77);
-  std::vector<double> per_edit;
   for (int e = 0; e < edits; ++e) {
-    if (append) {
-      for (Index i = 0; i < edit_bytes; ++i) {
-        doc.push_back(static_cast<Symbol>(rng.uniform(0, 3)));
-      }
-    } else {
-      // Mutate one symbol near the middle -- a different one each edit so
-      // every upsert really dirties a chunk (no idempotent no-ops).
-      const auto pos = static_cast<std::size_t>(length / 2 + e);
-      doc[pos] = static_cast<Symbol>((doc[pos] + 1) % 4);
+    const std::size_t d = edit(docs, rng);
+    for (std::size_t turn = 0; turn < sides.size(); ++turn) {
+      const std::size_t k = (turn + static_cast<std::size_t>(e)) % sides.size();
+      Side& side = sides[k];
+      if (k == 1) (void)side.corpus->remove_document(id_of(d));
+      Timer timer;
+      const std::clock_t cpu_start = std::clock();  // every thread of the process
+      const UpsertReport report = side.corpus->upsert_document(id_of(d), docs[d]);
+      side.cpu_ms.push_back(1e3 * static_cast<double>(std::clock() - cpu_start) /
+                            CLOCKS_PER_SEC);
+      side.wall_ms.push_back(timer.milliseconds());
+      side.leg.chunks_computed += report.chunks_computed;
+      side.leg.chunks_reused += report.chunks_reused;
+      side.leg.prefix_reused += report.prefix_reused;
+      side.leg.composes += report.composes;
     }
-    Timer timer;
-    const UpsertReport report = corpus.upsert_document("edit", doc);
-    per_edit.push_back(timer.milliseconds());
-    leg.chunks_computed += report.chunks_computed;
-    leg.chunks_reused += report.chunks_reused;
-    leg.prefix_reused += report.prefix_reused;
-    leg.composes += report.composes;
   }
-  std::sort(per_edit.begin(), per_edit.end());
-  leg.median_ms = per_edit[per_edit.size() / 2];
 
-  // Ground truth: the published pair kernel must be bit-identical to a fresh
-  // full compute over the final document bytes ("edit" < "ref", so the pair
-  // key is (doc, ref)).
-  const CachedKernelPtr published = engine.store().find(make_pair_key(doc, ref));
-  if (published == nullptr) {
-    ++leg.mismatches;
-  } else {
-    const SemiLocalKernel fresh = semi_local_kernel(doc, ref);
-    if (published->kernel().permutation() != fresh.permutation()) ++leg.mismatches;
+  for (Side& side : sides) {
+    std::sort(side.wall_ms.begin(), side.wall_ms.end());
+    side.leg.median_ms = side.wall_ms[side.wall_ms.size() / 2];
+    double cpu_total = 0.0;
+    for (const double ms : side.cpu_ms) cpu_total += ms;
+    side.leg.mean_cpu_ms = cpu_total / static_cast<double>(side.cpu_ms.size());
+    // Ground truth: every published pair kernel must be bit-identical to a
+    // fresh full compute over the final document bytes (ids sort as indices).
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      for (std::size_t j = i + 1; j < docs.size(); ++j) {
+        const CachedKernelPtr published =
+            side.engine->store().find(make_pair_key(docs[i], docs[j]));
+        if (published == nullptr ||
+            published->kernel().permutation() !=
+                semi_local_kernel(docs[i], docs[j]).permutation()) {
+          ++side.leg.mismatches;
+        }
+      }
+    }
+    side.corpus.reset();
+    side.engine.reset();
+    fs::remove_all(side.dir);
   }
-  fs::remove_all(dir);
-  return leg;
+  return {sides[0].leg, sides[1].leg};
 }
 
 UpsertSweepResult run_upsert_sweep() {
   UpsertSweepResult r;
-  // Pinned, not scaled: the acceptance claim names exact document lengths,
+  // Pinned, not scaled: the acceptance claims name exact document lengths,
   // so shrinking the geometry under SEMILOCAL_BENCH_SCALE would change the
   // experiment, not its cost.
-  r.chunk = 1000;  // every doc length is a chunk multiple: whole-chunk
-                   // appends keep boundaries aligned, so each upsert finds
-                   // the previous full-pair kernel as its cached prefix.
+  r.chunk = 1000;  // appends are exactly one chunk: one strip, one compose
   r.gate_length = 32000;
-  const int edits = 4;
+  const std::size_t pair_cache = std::size_t{1} << 30;
   for (const Index length : {Index{8000}, Index{32000}}) {
-    const std::string suffix = "_" + std::to_string(length);
-    for (const bool append : {true, false}) {
-      const std::string kind = append ? "append" : "mid";
-      r.legs.push_back(run_upsert_leg("upsert_" + kind + "_chunked" + suffix, length,
-                                      r.chunk, append, edits,
-                                      /*edit_bytes=*/r.chunk));
-      // The ablation: chunk past the document, so the whole pair is one
-      // always-dirty strip and every upsert is a from-scratch recompute.
-      r.legs.push_back(run_upsert_leg("upsert_" + kind + "_full" + suffix, length,
-                                      /*chunk=*/length * 2, append, edits,
-                                      /*edit_bytes=*/r.chunk));
+    const auto append = [&](std::vector<Sequence>& docs, Rng& rng) -> std::size_t {
+      for (Index i = 0; i < r.chunk; ++i) {
+        docs[0].push_back(static_cast<Symbol>(rng.uniform(0, 3)));
+      }
+      return 0;
+    };
+    int mid_edit = 0;
+    const auto mid = [&](std::vector<Sequence>& docs, Rng&) -> std::size_t {
+      // A different symbol near the middle each edit, so every upsert
+      // really changes the bytes (no idempotent no-ops).
+      const auto pos = static_cast<std::size_t>(length / 2 + mid_edit++);
+      docs[0][pos] = static_cast<Symbol>((docs[0][pos] + 1) % 4);
+      return 0;
+    };
+    const std::vector<Sequence> pair = {uniform_sequence(length, 4, 502),
+                                        uniform_sequence(length, 4, 501)};
+    for (const bool appends : {true, false}) {
+      const auto [gated, whole] = run_upsert_legs(
+          (appends ? "append_" : "mid_") + std::to_string(length), pair, r.chunk,
+          hardware_threads(), pair_cache, /*edits=*/4, appends ? r.chunk : 0,
+          appends ? UpsertEdit(append) : UpsertEdit(mid));
+      r.legs.push_back(gated);
+      r.legs.push_back(whole);
     }
   }
+
+  // corpus_mixed's shape: the kind of each edit is drawn among those the
+  // document's length allows, as the perfbench workload does.
+  constexpr Index kBase = 3000;
+  constexpr Index kMax = 4500;
+  constexpr Index kEdit = 256;
+  const auto mixed = [&](std::vector<Sequence>& docs, Rng& rng) -> std::size_t {
+    const auto d = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(docs.size()) - 1));
+    Sequence& doc = docs[d];
+    const auto len = static_cast<Index>(doc.size());
+    std::vector<int> allowed = {1};                    // mid-document patch
+    if (len + kEdit <= kMax) allowed.push_back(0);     // append
+    if (len > kBase) allowed.push_back(2);             // truncate
+    const int kind = allowed[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(allowed.size()) - 1))];
+    if (kind == 0) {
+      for (Index i = 0; i < kEdit; ++i) doc.push_back(static_cast<Symbol>(rng.uniform(0, 3)));
+    } else if (kind == 1) {
+      const auto at = static_cast<std::size_t>(rng.uniform(0, len - kEdit - 1));
+      for (Index i = 0; i < kEdit; ++i) {
+        doc[at + static_cast<std::size_t>(i)] = static_cast<Symbol>(rng.uniform(0, 3));
+      }
+    } else {
+      doc.resize(static_cast<std::size_t>(std::max(kBase, len - 2 * kEdit)));
+    }
+    return d;
+  };
+  std::vector<Sequence> corpus;
+  for (std::uint64_t d = 0; d < 6; ++d) corpus.push_back(uniform_sequence(kBase, 4, 600 + d));
+  const auto [gated, whole] =
+      run_upsert_legs("mixed", corpus, CorpusManagerOptions{}.chunk, /*workers=*/4,
+                      std::size_t{2} << 30, /*edits=*/60, kEdit, mixed);
+  r.legs.push_back(gated);
+  r.legs.push_back(whole);
   return r;
 }
 
 void write_upsert_leg(std::ofstream& out, const UpsertLeg& leg, bool last) {
   out << "    {\"name\": \"" << leg.name << "\", \"doc_length\": " << leg.doc_length
-      << ", \"chunk\": " << leg.chunk
+      << ", \"docs\": " << leg.docs << ", \"chunk\": " << leg.chunk
       << ", \"edits\": " << leg.edits << ", \"edit_bytes\": " << leg.edit_bytes
       << ", \"median_ms\": " << leg.median_ms
+      << ", \"mean_cpu_ms\": " << leg.mean_cpu_ms
       << ",\n     \"chunks_computed\": " << leg.chunks_computed
       << ", \"chunks_reused\": " << leg.chunks_reused
       << ", \"prefix_reused\": " << leg.prefix_reused
@@ -1156,7 +1253,8 @@ void write_json(const std::string& path, const std::vector<MixResult>& mixes,
       << ", \"gate_length\": " << upsert.gate_length
       << ", \"upsert_speedup\": " << upsert.append_speedup()
       << ", \"upsert_mid_speedup\": " << upsert.mid_speedup()
-      << ", \"upsert_crossover_speedup\": " << upsert.speedup("append", 8000)
+      << ", \"upsert_crossover_speedup\": " << upsert.speedup("append_8000")
+      << ", \"upsert_mixed_ratio\": " << upsert.mixed_ratio()
       << ", \"upsert_mismatches\": " << upsert.mismatches() << ",\n"
       << "    \"legs\": [\n";
   for (std::size_t i = 0; i < upsert.legs.size(); ++i) {
@@ -1323,27 +1421,30 @@ int main() {
       .cell(static_cast<long long>(plot.plot_mismatches));
   pt.print(std::cout, "plot sweep (warm strips: planner vs per-window lowering)");
 
-  Table up({"leg", "doc_length", "chunk", "edits", "median_ms", "chunks_computed",
+  Table up({"leg", "doc_length", "docs", "chunk", "edits", "median_ms", "mean_cpu_ms",
+            "chunks_computed",
             "chunks_reused", "prefix_reused", "composes", "mismatches"});
   for (const UpsertLeg& leg : upsert.legs) {
     up.row()
         .cell(leg.name)
         .cell(static_cast<long long>(leg.doc_length))
+        .cell(static_cast<long long>(leg.docs))
         .cell(static_cast<long long>(leg.chunk))
         .cell(static_cast<long long>(leg.edits))
         .cell(leg.median_ms, 3)
+        .cell(leg.mean_cpu_ms, 3)
         .cell(static_cast<long long>(leg.chunks_computed))
         .cell(static_cast<long long>(leg.chunks_reused))
         .cell(static_cast<long long>(leg.prefix_reused))
         .cell(static_cast<long long>(leg.composes))
         .cell(static_cast<long long>(leg.mismatches));
   }
-  up.print(std::cout, "upsert sweep (incremental corpus vs full recombination)");
+  up.print(std::cout, "upsert sweep (gated upserts vs whole recompute)");
   std::cout << "upsert append speedup " << upsert.append_speedup() << "x at length "
             << upsert.gate_length << " (crossover point at 8000: "
-            << upsert.speedup("append", 8000) << "x), mid-edit "
-            << upsert.mid_speedup() << "x, mismatches " << upsert.mismatches()
-            << "\n";
+            << upsert.speedup("append_8000") << "x), mid-edit "
+            << upsert.mid_speedup() << "x, mixed gated/whole CPU " << upsert.mixed_ratio()
+            << ", mismatches " << upsert.mismatches() << "\n";
 
   write_json("results/bench_engine.json", mixes, capacity, frontends, shard, plot,
              upsert, length);

@@ -44,15 +44,16 @@
 # >= 3x warm windows/s, with zero oracle mismatches and zero scan fallbacks
 # (a fallback means the planner silently declined a grid it claims to own).
 #
-# The incremental label slice is re-run under ASan as well: the corpus
-# upsert path recombines cached chunk braids through the steady-ant arena
-# and rolls back partially-published generations on injected faults --
-# lifetime bugs in either direction are exactly ASan's beat. The bench gate
-# then enforces the upsert_sweep contract: an append upsert at the gated
-# document length (32000, where the O(mn) recompute dominates the compose
-# floor; the 8000 crossover point is reported ungated) must be >= 5x
-# cheaper than the full-recombination ablation, with zero oracle mismatches
-# across every leg's final published kernel.
+# The incremental label slice is re-run under ASan as well: a resumed
+# corpus upsert composes tail strips onto the previous pair kernel through
+# the steady-ant arena, and rolls back partially-published generations on
+# injected faults -- lifetime bugs in either direction are exactly ASan's
+# beat. The bench gate then enforces the upsert_sweep contract: an append
+# upsert at the gated document length (32000, where the O(mn) recompute
+# dominates the compose floor; the 8000 crossover point is reported
+# ungated) must be >= 5x cheaper than the whole-recompute ablation, the
+# corpus_mixed-shaped leg must cost at most 1.1x whole recompute, and every
+# leg's published kernels must be oracle-exact.
 #
 # The serve gate then stands up the real semilocal_serve reactor and fires
 # the open-loop loadgen at it: 10000 concurrent sockets at 5000 req/s, which
@@ -198,9 +199,10 @@ if ! awk -v s="${plot_speedup:-0}" 'BEGIN { exit !(s >= 3) }'; then
   echo "error: plot_sweep plot_speedup=${plot_speedup:-unset} < 3" >&2
   exit 1
 fi
-# The incremental-corpus claim, enforced: every leg's final published kernel
-# oracle-exact, and an append upsert at the gated document length >= 5x
-# cheaper than recombing the whole pair from scratch.
+# The incremental-corpus claim, enforced: every leg's published kernels
+# oracle-exact, an append upsert at the gated document length >= 5x cheaper
+# than recombing the whole pair from scratch, and corpus-sized upserts no
+# more than 1.1x the cost of recomputing every pair whole.
 if grep -Eq '"upsert_mismatches": *[1-9]' build/release/results/bench_engine.json; then
   echo "error: upsert_sweep published a kernel that disagreed with a fresh compute" >&2
   grep -o '"upsert_mismatches": *[0-9]*' build/release/results/bench_engine.json >&2
@@ -210,6 +212,12 @@ upsert_speedup=$(grep -o '"upsert_speedup": *[0-9.]*' build/release/results/benc
                  | head -n1 | grep -o '[0-9.]*$')
 if ! awk -v s="${upsert_speedup:-0}" 'BEGIN { exit !(s >= 5) }'; then
   echo "error: upsert_sweep upsert_speedup=${upsert_speedup:-unset} < 5" >&2
+  exit 1
+fi
+upsert_mixed_ratio=$(grep -o '"upsert_mixed_ratio": *[0-9.]*' build/release/results/bench_engine.json \
+                     | head -n1 | grep -o '[0-9.]*$')
+if ! awk -v r="${upsert_mixed_ratio:-0}" 'BEGIN { exit !(r > 0 && r <= 1.1) }'; then
+  echo "error: upsert_sweep upsert_mixed_ratio=${upsert_mixed_ratio:-unset} not in (0, 1.1]" >&2
   exit 1
 fi
 

@@ -43,12 +43,6 @@ Sequence decode_symbols(const std::string& blob) {
   return out;
 }
 
-std::shared_future<CachedKernelPtr> ready_future(CachedKernelPtr entry) {
-  std::promise<CachedKernelPtr> promise;
-  promise.set_value(std::move(entry));
-  return promise.get_future().share();
-}
-
 }  // namespace
 
 bool valid_document_id(const std::string& id) {
@@ -165,84 +159,6 @@ void CorpusManager::publish_locked(const std::vector<CorpusIndexEntry>& entries,
   }
 }
 
-void CorpusManager::rebuild_pair(const Sequence& a, const Sequence& b,
-                                 bool chunked_side_a, UpsertReport& report) {
-  const Sequence& doc = chunked_side_a ? a : b;
-  const Sequence& other = chunked_side_a ? b : a;
-  const auto doc_len = static_cast<Index>(doc.size());
-  std::vector<Index> ends;  // chunk boundaries: chunk i covers [ends[i-1], ends[i])
-  for (Index lo = 0; lo < doc_len; lo += options_.chunk) {
-    ends.push_back(std::min(doc_len, lo + options_.chunk));
-  }
-  if (ends.empty()) ends.push_back(0);  // an empty document is one empty chunk
-
-  KernelStore& store = engine_.store();
-  const auto prefix_view = [&](std::size_t i) {
-    return SequenceView(doc.data(), static_cast<std::size_t>(ends[i - 1]));
-  };
-  const auto prefix_key = [&](std::size_t i) {
-    return chunked_side_a ? make_pair_key(prefix_view(i), other)
-                          : make_pair_key(other, prefix_view(i));
-  };
-
-  // Longest composed prefix braid already in the store. Content addressing
-  // makes this find the previous version's whole kernel on an append, and
-  // the last clean boundary on an in-place edit -- also across restarts.
-  std::size_t start = 0;
-  CachedKernelPtr acc;
-  for (std::size_t i = ends.size(); i >= 1; --i) {
-    if (CachedKernelPtr hit = store.find(prefix_key(i))) {
-      acc = std::move(hit);
-      start = i;
-      break;
-    }
-  }
-  report.prefix_reused += start;
-  if (start == ends.size()) return;  // the full pair kernel is already cached
-
-  // Dirty strips are submitted together so the scheduler batches/coalesces
-  // them; strips unchanged from an earlier version resolve off the store.
-  std::vector<std::shared_future<CachedKernelPtr>> strips;
-  strips.reserve(ends.size() - start);
-  for (std::size_t i = start; i < ends.size(); ++i) {
-    const Index lo = i == 0 ? 0 : ends[i - 1];
-    const SequenceView piece(doc.data() + lo, static_cast<std::size_t>(ends[i] - lo));
-    const PairKey key =
-        chunked_side_a ? make_pair_key(piece, other) : make_pair_key(other, piece);
-    if (CachedKernelPtr hit = store.find(key)) {
-      strips.push_back(ready_future(std::move(hit)));
-      ++report.chunks_reused;
-    } else {
-      strips.push_back(chunked_side_a ? engine_.braid_async(piece, other)
-                                      : engine_.braid_async(other, piece));
-      ++report.chunks_computed;
-    }
-  }
-  if (options_.drain_inline) engine_.drain();
-
-  for (std::size_t i = start; i < ends.size(); ++i) {
-    CachedKernelPtr strip = strips[i - start].get();
-    if (acc == nullptr) {
-      // First chunk: the strip *is* the prefix braid (same content key), so
-      // it is already published under prefix_key(1).
-      acc = std::move(strip);
-      continue;
-    }
-    SemiLocalKernel composed =
-        chunked_side_a
-            ? compose_horizontal(acc->kernel(), strip->kernel(), options_.ant,
-                                 &workspace_)
-            : compose_vertical(acc->kernel(), strip->kernel(), options_.ant,
-                               &workspace_);
-    ++report.composes;
-    acc = std::make_shared<const CachedKernel>(
-        std::make_shared<const SemiLocalKernel>(std::move(composed)));
-    // Publish the braid at this boundary: the final one is the pair kernel
-    // itself, the inner ones are what the next append/edit resumes from.
-    store.put(prefix_key(i + 1), acc);
-  }
-}
-
 UpsertReport CorpusManager::upsert_document(const std::string& id, Sequence bytes) {
   if (!valid_document_id(id)) {
     throw std::invalid_argument("corpus: bad document id");
@@ -257,20 +173,79 @@ UpsertReport CorpusManager::upsert_document(const std::string& id, Sequence byte
     report.generation = generation_;
     return report;  // idempotent: same bytes, nothing to republish
   }
-  const Index new_version = it == docs_.end() ? 1 : it->second.version + 1;
+  const bool existed = it != docs_.end();
+  const Index new_version = existed ? it->second.version + 1 : 1;
+  const auto new_len = static_cast<Index>(bytes.size());
+  const Index kept = existed ? static_cast<Index>(it->second.bytes.size()) : 0;
+  const bool extends = existed && kept < new_len &&
+                       std::equal(it->second.bytes.begin(), it->second.bytes.end(),
+                                  bytes.begin());
 
-  // Rebuild the pair kernel against every other document from cached chunk
-  // braids. Store writes are additive and content-addressed, so a failure
-  // (or crash) beyond this point never corrupts the previous generation.
+  // Plan every pair, submitting all comb jobs before joining any so the
+  // scheduler batches them. Store writes are additive and content-addressed,
+  // so a failure (or crash) beyond this point never corrupts the previous
+  // generation.
+  struct Pending {
+    PairKey key;
+    bool a_side = false;
+    CachedKernelPtr base;  // Resume: the previous pair kernel
+    std::vector<std::shared_future<CachedKernelPtr>> strips;
+  };
+  std::vector<Pending> pending;
+  KernelStore& store = engine_.store();
   for (const auto& [other_id, other] : docs_) {
     if (other_id == id) continue;
-    const bool a_side = id < other_id;
-    rebuild_pair(a_side ? bytes : other.bytes, a_side ? other.bytes : bytes, a_side,
-                 report);
     ++report.pairs;
+    const bool a_side = id < other_id;
+    const auto key_of = [&](SequenceView doc) {
+      return a_side ? make_pair_key(doc, other.bytes) : make_pair_key(other.bytes, doc);
+    };
+    const auto comb = [&](SequenceView doc) {
+      ++report.chunks_computed;
+      return a_side ? engine_.braid_async(doc, other.bytes)
+                    : engine_.braid_async(other.bytes, doc);
+    };
+    Pending pair{.key = key_of(bytes), .a_side = a_side, .base = nullptr, .strips = {}};
+    if (store.find(pair.key) != nullptr) {
+      ++report.chunks_reused;  // Cached
+      continue;
+    }
+    if (extends && resume_profitable(new_len, static_cast<Index>(other.bytes.size()),
+                                     new_len - kept, options_.chunk)) {
+      pair.base = store.find(key_of(it->second.bytes));
+    }
+    if (pair.base == nullptr) {
+      pair.strips.push_back(comb(bytes));  // Whole
+    } else {
+      ++report.prefix_reused;  // Resume
+      for (Index lo = kept; lo < new_len; lo += options_.chunk) {
+        pair.strips.push_back(comb(SequenceView(bytes).subspan(
+            static_cast<std::size_t>(lo),
+            static_cast<std::size_t>(std::min(options_.chunk, new_len - lo)))));
+      }
+    }
+    pending.push_back(std::move(pair));
+  }
+  if (options_.drain_inline) engine_.drain();
+
+  for (Pending& pair : pending) {
+    if (pair.base == nullptr) {
+      (void)pair.strips.front().get();  // the scheduler published it
+      continue;
+    }
+    CachedKernelPtr acc = std::move(pair.base);
+    for (const auto& strip : pair.strips) {
+      const SemiLocalKernel& tail = strip.get()->kernel();
+      SemiLocalKernel composed =
+          pair.a_side ? compose_horizontal(acc->kernel(), tail, options_.ant, &workspace_)
+                      : compose_vertical(acc->kernel(), tail, options_.ant, &workspace_);
+      ++report.composes;
+      acc = std::make_shared<const CachedKernel>(
+          std::make_shared<const SemiLocalKernel>(std::move(composed)));
+    }
+    store.put(pair.key, std::move(acc));
   }
 
-  const bool existed = it != docs_.end();
   const Doc previous = existed ? it->second : Doc{};
   docs_[id] = Doc{new_version, bytes};
   const std::vector<CorpusIndexEntry> entries = entries_locked();
@@ -290,7 +265,7 @@ UpsertReport CorpusManager::upsert_document(const std::string& id, Sequence byte
         throw CorpusPublishError(std::string("corpus: document write: ") + e.what());
       }
     }
-    // Give any strip/prefix kernels that hit a transient persist fault one
+    // Give any pair/strip kernels that hit a transient persist fault one
     // more chance to land before the index references them.
     engine_.store().retry_pending();
     publish_locked(entries, new_generation);

@@ -1,44 +1,41 @@
-// Versioned incremental corpus: upsert_document via cached chunk braids.
+// Versioned incremental corpus: cost-gated upserts.
 //
 // A CorpusManager owns a mutable set of named documents and keeps the pair
-// kernel of every document pair published in the engine's KernelStore. The
-// trick that makes edits cheap is the composition theorem (Thm 3.4): each
-// document is split into fixed-size chunks, and the kernel of (doc, other)
-// is the steady-ant product of the per-chunk *strip braids*
-// P_{chunk_i, other}. Every strip braid -- and every composed *prefix
-// braid* P_{chunk_1..i, other} at a chunk boundary -- is content-addressed
-// in the store under the ordinary make_pair_key of its input bytes, so:
+// kernel of every document pair published in the engine's KernelStore,
+// content-addressed under make_pair_key of the pair's bytes. An upsert plans
+// each pair (doc, other) one of three ways:
 //
-//   * an append finds the old whole-document kernel as the longest cached
-//     prefix braid and pays only O(chunk * n) combing for the new chunks
-//     plus O((m+n) log(m+n)) steady-ant multiplications, not O(mn);
-//   * an in-place edit re-combs only the dirty chunks (the clean ones hit
-//     the store by content) and recomposes from the last clean boundary;
-//   * a crash mid-upsert is harmless on the kernel side -- store writes are
-//     additive and content-addressed, an interrupted run leaves orphans,
-//     never torn state.
+//   * Cached: the new pair kernel is already in the store (a truncation
+//     back to earlier bytes, a re-add), so nothing is computed.
+//   * Resume: the new bytes strictly extend the document's current bytes
+//     and the store holds the current pair kernel. The appended tail is
+//     combed in strips of at most `chunk` symbols, and each strip is
+//     composed onto that kernel by the steady-ant product (Thm 3.4): the
+//     comb pays only tail x n cells, plus O((m+n) log(m+n)) per compose.
+//   * Whole: the pair is recombed from scratch.
 //
-// Dirty-chunk computes go through the engine's batching scheduler
-// (braid_async), so concurrent upserts coalesce, batch per worker, and hit
-// the same bounded-queue backpressure (EngineOverloaded) as queries -- the
-// frontend's admission control covers upserts for free. Chunk braids are
-// only composed, so they get no QueryIndex; neither do the composed prefix
-// braids. The first point query on a published pair builds its index.
+// resume_profitable() picks between Resume and Whole from sizes alone; a
+// compose has a floor that only long documents amortise. Every comb job of
+// one upsert -- whole pairs and tail strips alike -- is submitted to the
+// engine's batching scheduler (braid_async) before any is joined, so no
+// pair waits on the previous one, and all of them hit the same
+// bounded-queue backpressure (EngineOverloaded) as queries. None of them
+// builds a QueryIndex; the first point query on a published pair builds
+// its index.
 //
 // Publish protocol (crash consistency; see DESIGN.md §14): kernels land in
-// the store first, then the new document bytes land via temp-file + rename,
-// and finally the whole index.tsv -- generation header, per-document
-// version manifest, versioned pair entries -- is republished atomically via
-// temp + rename. The rename is the commit point: a reader (or a restarted
-// manager) sees the previous generation or the new one, entire, never a
-// blend. In-memory state is mutated only after the commit succeeds.
-//
-// Old-version pair kernels are never touched: content addressing means the
-// new version keys simply miss the LRU and the store, so stale entries age
-// out of the cache naturally and queries for the new bytes rebuild (or
-// reuse) lazily.
+// the store first (additive and content-addressed, so a crash leaves
+// orphans, never torn state), then the new document bytes land via
+// temp-file + rename, and finally the whole index.tsv -- generation header,
+// per-document version manifest, versioned pair entries -- is republished
+// atomically via temp + rename. The rename is the commit point: a reader
+// (or a restarted manager) sees the previous generation or the new one,
+// entire, never a blend. In-memory state is mutated only after the commit
+// succeeds. Old-version pair kernels are never touched: the new bytes hash
+// to new keys, and stale entries age out of the cache.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -57,10 +54,10 @@ struct CorpusManagerOptions {
   /// disables durability (in-memory corpus; kernels may still persist via
   /// the engine's store).
   std::string dir;
-  /// Strip-braid chunk width in symbols. Small chunks localize edits but
-  /// cost more compositions; the default suits multi-kilobyte documents.
+  /// Widest strip, in symbols, that a resumed append combs and composes in
+  /// one step: a longer tail is split into several strips.
   Index chunk = 1024;
-  /// workers = 0 engines: run queued strip computes on this thread before
+  /// workers = 0 engines: run queued comb jobs on this thread before
   /// waiting on them (deterministic tests, stdio serving).
   bool drain_inline = false;
   /// Steady-ant configuration for the composition products.
@@ -75,11 +72,15 @@ struct UpsertReport {
   Index version = 0;            ///< document version after the call
   std::uint64_t generation = 0; ///< corpus generation after the call
   bool changed = false;         ///< false = same bytes, nothing republished
-  std::size_t pairs = 0;            ///< pair kernels (re)published
-  std::size_t chunks_computed = 0;  ///< dirty strip braids combed
-  std::size_t chunks_reused = 0;    ///< strip braids served by content hash
-  std::size_t prefix_reused = 0;    ///< chunks skipped via a cached prefix braid
-  std::size_t composes = 0;         ///< steady-ant multiplications run
+  std::size_t pairs = 0;  ///< pairs planned against the other documents
+  /// Comb jobs run: one per Whole pair, one per tail strip of a Resume pair.
+  std::size_t chunks_computed = 0;
+  /// Pairs on the Cached plan: the new pair kernel was already in the store.
+  std::size_t chunks_reused = 0;
+  /// Pairs on the Resume plan: the previous pair kernel was extended.
+  std::size_t prefix_reused = 0;
+  /// Steady-ant multiplications: one per Resume tail strip, none otherwise.
+  std::size_t composes = 0;
 
   /// Compact JSON rendering (one flat object).
   [[nodiscard]] std::string json() const;
@@ -95,15 +96,15 @@ class CorpusPublishError : public std::runtime_error {
 
 class CorpusManager {
  public:
-  /// Binds to `engine` (whose store receives every strip/prefix/pair
+  /// Binds to `engine` (whose store receives every pair and tail-strip
   /// kernel). If `options.dir` holds an index.tsv, the corpus -- documents,
   /// versions, generation -- is loaded from it.
   CorpusManager(ComparisonEngine& engine, CorpusManagerOptions options);
 
   /// Inserts or updates a document. Identical bytes are a no-op (the
   /// current version is echoed; nothing is republished), which makes
-  /// retried/failed-over upserts idempotent. Otherwise rebuilds the pair
-  /// kernel against every other document from cached chunk braids, bumps
+  /// retried/failed-over upserts idempotent. Otherwise publishes the pair
+  /// kernel against every other document (Cached, Resume or Whole), bumps
   /// the document version and corpus generation, and publishes atomically.
   /// Throws std::invalid_argument on a malformed id, EngineOverloaded under
   /// scheduler backpressure, CorpusPublishError when the commit fails.
@@ -128,12 +129,6 @@ class CorpusManager {
     Sequence bytes;
   };
 
-  /// Rebuilds P_{a, b} where the document on `chunked_side_a ? a : b` is
-  /// chunked and composed from cached braids. Publishes prefix braids at
-  /// every composed boundary plus the final pair kernel into the store.
-  void rebuild_pair(const Sequence& a, const Sequence& b, bool chunked_side_a,
-                    UpsertReport& report);
-
   /// The id-sorted pair entries for the current (locked) document map.
   [[nodiscard]] std::vector<CorpusIndexEntry> entries_locked() const;
 
@@ -154,6 +149,29 @@ class CorpusManager {
   std::uint64_t generation_ = 0;
   AntWorkspace workspace_;
 };
+
+/// Whether an append resumes from the previous pair kernel rather than
+/// recombing the pair whole. The document grows to `m` symbols by a `tail`,
+/// against an `other` of `n` symbols; the tail is combed in strips of at
+/// most `chunk` symbols, each composed onto the kernel. Resume costs
+/// tail x n comb cells plus one steady-ant product of order m + n per
+/// strip, Whole costs m x n cells; ties go to Whole. The constants are
+/// committed rows: 0.176 ns/cell is `score_kernels` {length 8000,
+/// alphabet 4} `comb_ms` in results/bench_micro.json (11.29 ms over
+/// 8000^2 cells), and 27.5 ns per N log2 N step is the 16384 row's
+/// `combined_s` in results/fig4a_braid_opts.csv (6.3 ms; precalc +
+/// preallocate, the corpus's SteadyAntOptions).
+[[nodiscard]] inline bool resume_profitable(Index m, Index n, Index tail, Index chunk) {
+  constexpr double kCombNsPerCell = 0.176;
+  constexpr double kComposeNsPerStep = 27.5;
+  if (tail < 1 || tail >= m || n < 1 || chunk < 1) return false;
+  const auto order = static_cast<double>(m + n);
+  const auto composes = static_cast<double>((tail + chunk - 1) / chunk);
+  const double resume = static_cast<double>(tail) * static_cast<double>(n) * kCombNsPerCell +
+                        composes * kComposeNsPerStep * order * std::log2(order);
+  const double whole = static_cast<double>(m) * static_cast<double>(n) * kCombNsPerCell;
+  return resume < whole;
+}
 
 /// True iff `id` is usable as a document id: 1..128 printable ASCII chars,
 /// no whitespace, no path separators (ids appear in index.tsv columns and

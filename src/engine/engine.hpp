@@ -31,9 +31,10 @@
 // decides whether it gets an index: query acquisitions (entry, entry_async,
 // kernel, lcs, the window calls) have a scheduler worker build it right
 // after the compute when `index_queries` is set; plot strips and corpus
-// chunk braids (braid_async) skip it -- a strip needs one anchoring
-// sigma(i, i), which one O(m + n) scan answers, and a braid is only
-// composed. A later query on such a pair builds the index lazily, once.
+// upsert kernels (braid_async) skip it -- a strip needs one anchoring
+// sigma(i, i), which one O(m + n) scan answers, a tail strip is only
+// composed, and a published pair may never be queried. A later query on
+// such a pair builds the index lazily, once.
 // `index_queries = false` forces the scan path -- the ablation knob the
 // benchmarks flip.
 #pragma once
@@ -122,10 +123,10 @@ class ComparisonEngine {
   /// The bare kernel of (a, b). Same acquisition path as entry().
   KernelPtr kernel(SequenceView a, SequenceView b);
 
-  /// entry_async for a kernel that will only be composed or walked, never
-  /// queried through an index: a computed kernel gets no eager QueryIndex
-  /// build. Corpus chunk braids use it. A query on the pair later builds the
-  /// index lazily, once.
+  /// entry_async for a kernel that is composed, walked, or may never be
+  /// queried: a computed kernel gets no eager QueryIndex build. Corpus
+  /// upserts use it. A query on the pair later builds the index lazily,
+  /// once.
   std::shared_future<CachedKernelPtr> braid_async(SequenceView a, SequenceView b);
 
   /// LCS(a, b) without building a kernel, in this order: a cached kernel

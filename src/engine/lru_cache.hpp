@@ -8,7 +8,7 @@
 // needs to account for that. An entry is charged for its index *up front*
 // (projected from the kernel order) whether or not the index is built yet,
 // so the accounting never changes underneath the LRU. Plot strips and
-// corpus chunk braids are cached without an index and usually never get
+// corpus upsert kernels are cached without an index and many never get
 // one, so the charge -- and the stats' cache_bytes -- is a budget figure,
 // not the bytes actually resident. Counters
 // (hits / misses / evictions) feed the engine stats endpoint.
@@ -48,7 +48,7 @@ std::size_t decoded_entry_bytes(Index order);
 /// Decoded tier: the kernel plus its shared immutable query index, built at
 /// most once -- eagerly by a scheduler worker right after the kernel
 /// computation when the acquiring caller will query it, or lazily on first
-/// query via std::call_once; plot strips and chunk braids that are never
+/// query via std::call_once; plot strips and upsert kernels that are never
 /// queried never build it -- and then read lock-free: index_if_built() is a
 /// single acquire load, and index() after completion is std::call_once's
 /// fast path.

@@ -20,7 +20,7 @@
 //     such jobs a worker builds the entry's QueryIndex right after
 //     resolving the promises -- off the caller's latency path, so the first
 //     warm query finds it ready. Jobs whose kernel is only composed or
-//     seam-walked (corpus chunk braids, plot strips) skip the build; a later
+//     seam-walked (corpus upsert kernels, plot strips) skip the build; a later
 //     query builds it lazily through std::call_once. A submit that joins an
 //     existing job leaves its flag alone. drain() never builds eagerly.
 //   * Backpressure. The queue is bounded (both kinds count); a submit that

@@ -146,7 +146,7 @@ Step EngineService::begin(Request&& request, bool may_defer) {
   ingest(request.b);
 
   if (request.op == Op::kUpsert) {
-    // Combs dirty chunks through the scheduler and publishes a generation:
+    // Combs pair kernels through the scheduler and publishes a generation:
     // milliseconds of work that never runs on the caller's thread.
     return defer([this, request = std::move(request)](const Sink& sink) mutable {
       Response response;

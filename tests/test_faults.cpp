@@ -666,14 +666,19 @@ struct UpsertScenarioResult {
   std::string trace;
   std::uint64_t faults = 0;
   std::uint64_t committed = 0;  ///< upserts whose generation landed
+  std::uint64_t resumed = 0;    ///< pairs extended from the previous kernel
+  std::uint64_t whole = 0;      ///< pairs recombed from scratch
 };
 
 /// One scenario: a manager absorbs a deterministic edit stream under faults,
 /// "crashes" (destruction), restarts over the surviving directory, and
 /// absorbs more edits. A shadow map tracks the last *committed* state; after
 /// every attempt and after the restart the corpus must match the shadow
-/// exactly, and the final pair answer must be oracle-exact.
-UpsertScenarioResult run_upsert_scenario(std::uint64_t seed, const std::string& dir) {
+/// exactly, and the final pair answer must be oracle-exact. A document's
+/// first version gets `base_length` extra symbols; past the resume gate's
+/// crossover, appends then extend the previous pair kernel.
+UpsertScenarioResult run_upsert_scenario(std::uint64_t seed, const std::string& dir,
+                                         Index base_length = 0) {
   const FaultPlan plan = upsert_fault_plan(seed);
   FaultyEnv env(plan);
   UpsertScenarioResult result;
@@ -685,7 +690,7 @@ UpsertScenarioResult run_upsert_scenario(std::uint64_t seed, const std::string& 
   const auto corpus_options = [&] {
     CorpusManagerOptions options;
     options.dir = dir + "/corpus";
-    options.chunk = 16;
+    options.chunk = base_length > 0 ? 64 : 16;  // one strip per long-shape append
     options.drain_inline = true;
     options.env = &env;
     return options;
@@ -709,7 +714,7 @@ UpsertScenarioResult run_upsert_scenario(std::uint64_t seed, const std::string& 
       Sequence bytes = shadow.count(id) ? shadow.at(id) : Sequence{};
       // Deterministic edit: mostly appends (the fast path), some rewrites.
       if (bytes.empty() || rng.bernoulli(0.75)) {
-        const Index grow = rng.uniform(1, 40);
+        const Index grow = (bytes.empty() ? base_length : 0) + rng.uniform(1, 40);
         for (Index i = 0; i < grow; ++i) {
           bytes.push_back(static_cast<Symbol>(rng.uniform(0, 3)));
         }
@@ -723,6 +728,8 @@ UpsertScenarioResult run_upsert_scenario(std::uint64_t seed, const std::string& 
         shadow[id] = bytes;
         shadow_generation = report.generation;
         ++result.committed;
+        result.resumed += report.prefix_reused;
+        result.whole += report.chunks_computed - report.composes;
       } catch (const CorpusPublishError&) {
         // Commit failed: the manager must have rolled back to the shadow.
       }
@@ -760,35 +767,64 @@ UpsertScenarioResult run_upsert_scenario(std::uint64_t seed, const std::string& 
   return result;
 }
 
+/// Runs one upsert schedule twice; the replays must match byte for byte.
+void replay_upsert_scenario(std::uint64_t seed, Index base_length,
+                            UpsertScenarioResult& out) {
+  ScratchDir first_dir("run1");
+  out = run_upsert_scenario(seed, first_dir.str(), base_length);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ScratchDir second_dir("run2");
+  const UpsertScenarioResult second =
+      run_upsert_scenario(seed, second_dir.str(), base_length);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_EQ(out.trace, second.trace);
+  ASSERT_EQ(out.faults, second.faults);
+  ASSERT_EQ(out.committed, second.committed);
+}
+
 /// Seeded upsert->crash->restart->query schedules with byte-identical trace
 /// replay, sharing the SEMILOCAL_FAULT_SEED_BASE/SEMILOCAL_FAULT_SEEDS
-/// replay contract with the main schedule sweep.
+/// replay contract with the main schedule sweep. Three more fixed seeds run
+/// on documents of 6000+ symbols, where appends take the Resume plan, so a
+/// fault between a tail strip's put and the composed kernel's put is covered.
 TEST(FaultSchedules, UpsertCrashRestartCyclesNeverBlendGenerations) {
   const std::uint64_t base = env_u64("SEMILOCAL_FAULT_SEED_BASE", 1);
   const std::uint64_t seeds = env_u64("SEMILOCAL_FAULT_SEEDS", 60);
   std::uint64_t total_faults = 0;
   std::uint64_t total_committed = 0;
+  std::uint64_t total_resumed = 0;
+  std::uint64_t total_whole = 0;
+  const auto run = [&](std::uint64_t seed, Index base_length) {
+    SCOPED_TRACE(base_length > 0
+                     ? "upsert fault seed " + std::to_string(seed) +
+                           " on 6000-symbol documents (fixed; replay: ./test_faults"
+                           " --gtest_filter='FaultSchedules.Upsert*')"
+                     : "upsert fault seed " + std::to_string(seed) +
+                           " (replay: SEMILOCAL_FAULT_SEED_BASE=" + std::to_string(seed) +
+                           " SEMILOCAL_FAULT_SEEDS=1 ./test_faults"
+                           " --gtest_filter='FaultSchedules.Upsert*')");
+    UpsertScenarioResult result;
+    replay_upsert_scenario(seed, base_length, result);
+    total_faults += result.faults;
+    total_committed += result.committed;
+    total_resumed += result.resumed;
+    total_whole += result.whole;
+  };
   for (std::uint64_t seed = base; seed < base + seeds; ++seed) {
-    SCOPED_TRACE("upsert fault seed " + std::to_string(seed) +
-                 " (replay: SEMILOCAL_FAULT_SEED_BASE=" + std::to_string(seed) +
-                 " SEMILOCAL_FAULT_SEEDS=1 ./test_faults"
-                 " --gtest_filter='FaultSchedules.Upsert*')");
-    ScratchDir first_dir("run1");
-    const UpsertScenarioResult first = run_upsert_scenario(seed, first_dir.str());
-    ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    ScratchDir second_dir("run2");
-    const UpsertScenarioResult second = run_upsert_scenario(seed, second_dir.str());
-    ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    ASSERT_EQ(first.trace, second.trace);
-    ASSERT_EQ(first.faults, second.faults);
-    ASSERT_EQ(first.committed, second.committed);
-    total_faults += first.faults;
-    total_committed += first.committed;
+    run(seed, 0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    run(seed, 6000);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // The schedules must both bite (faults fired) and let progress through
   // (some upserts committed) -- otherwise the invariant checks are vacuous.
   EXPECT_GT(total_faults, 0u);
   EXPECT_GT(total_committed, seeds);
+  // Both recompute plans ran under faults.
+  EXPECT_GT(total_resumed, 0u);
+  EXPECT_GT(total_whole, 0u);
 }
 
 /// Corpus precompute under a hostile disk: never throws, reports exactly the

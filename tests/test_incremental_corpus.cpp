@@ -5,12 +5,15 @@
 // CorpusManager, where after EVERY upsert the published pair kernel of every
 // document pair is bit-compared -- the full permutation, not a summary
 // statistic -- against a fresh semi_local_kernel computed from the shadow
-// copy of the documents. Any divergence in the chunk-braid composition path
-// (stale prefix reuse, wrong compose order, off-by-one chunk boundaries)
-// fails here deterministically.
+// copy of the documents. Any divergence on an upsert plan (a Cached kernel
+// under the wrong key, a Resume composed in the wrong order or off by one
+// at a strip boundary) fails here deterministically. The 216 small scripts
+// all recompute Whole; a few more scripts on documents past the resume
+// gate's crossover drive the Resume plan through the same oracle.
 //
-// The suite also pins IncrementalKernel::append_a/append_b against fresh
-// kernels across uneven chunk sizes (1, prime, power-of-two), exercises the
+// The suite also pins the resume gate and each plan's accounting, pins
+// IncrementalKernel::append_a/append_b against fresh kernels across uneven
+// chunk sizes (1, prime, power-of-two), exercises the
 // generation/version bookkeeping (idempotent re-sends, restart loads, index
 // back-compat), and hammers concurrent upserts + reads for TSan.
 #include <gtest/gtest.h>
@@ -55,6 +58,10 @@ CorpusManagerOptions test_corpus_options(const std::string& dir, Index chunk) {
   return options;
 }
 
+/// Documents this long resume a one-strip append: past the gate's crossover,
+/// a 64-symbol tail combed and composed beats recombing 6000 x 6000 cells.
+constexpr Index kResumeLength = 6000;
+
 /// Bit-exact kernel equality: order, m/n split, and every permutation entry.
 void expect_kernel_equal(const SemiLocalKernel& got, const SemiLocalKernel& want,
                          const std::string& context) {
@@ -81,160 +88,268 @@ void expect_published_pair_matches_oracle(ComparisonEngine& engine,
 // ---------------------------------------------------------------------------
 // The differential oracle sweep.
 
+/// Upsert plans seen by a run of edit scripts: Whole pairs are the comb jobs
+/// that were not Resume tail strips (one compose each).
+struct PlanTally {
+  int scripts = 0;
+  std::size_t resumed = 0;
+  std::size_t whole = 0;
+
+  void add(const UpsertReport& report) {
+    resumed += report.prefix_reused;
+    whole += report.chunks_computed - report.composes;
+  }
+};
+
+/// Runs one seed's `edits` edit scripts over `ids` -- append / in-place edit
+/// / truncate / delete / re-add, where fresh documents get `base_length`
+/// plus 1..400 random symbols -- and bit-compares every live pair against a
+/// fresh full recompute after each one.
+void run_edit_script(int seed, int edits, Index chunk, Index base_length,
+                     const std::vector<std::string>& ids, PlanTally& tally) {
+  const ScratchDir scratch("oracle" + std::to_string(seed));
+  ComparisonEngine engine(test_engine_options(scratch.file("store")));
+  CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), chunk));
+
+  // Shadow truth: id -> bytes, mutated in lockstep with the manager.
+  std::vector<std::pair<std::string, Sequence>> shadow;
+  Rng rng(0x1CC0 + static_cast<std::uint64_t>(seed));
+  std::uint64_t last_generation = corpus.generation();
+
+  const auto find_shadow = [&](const std::string& id) {
+    return std::find_if(shadow.begin(), shadow.end(),
+                        [&](const auto& doc) { return doc.first == id; });
+  };
+  const auto fresh_bytes = [&](Index length) {
+    Sequence bytes;
+    bytes.reserve(static_cast<std::size_t>(length));
+    for (Index i = 0; i < length; ++i) {
+      bytes.push_back(static_cast<Symbol>(rng.uniform(0, 3)));
+    }
+    return bytes;
+  };
+
+  for (int edit = 0; edit < edits; ++edit) {
+    const std::string& id = ids[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    const auto it = find_shadow(id);
+    const int op = static_cast<int>(rng.uniform(0, 4));
+
+    if (op == 3 && it != shadow.end()) {
+      // Delete: pairs naming the id leave the index.
+      corpus.remove_document(id);
+      shadow.erase(it);
+      EXPECT_FALSE(corpus.version(id).has_value());
+    } else {
+      Sequence bytes;
+      if (it == shadow.end()) {
+        // (Re-)add: a fresh document, deliberately not chunk-aligned.
+        bytes = fresh_bytes(base_length + rng.uniform(1, 400));
+      } else if (op == 0) {
+        // Append: the only shape the Resume plan applies to.
+        bytes = it->second;
+        const Sequence tail = fresh_bytes(rng.uniform(1, 150));
+        bytes.insert(bytes.end(), tail.begin(), tail.end());
+      } else if (op == 1) {
+        // In-place edit: flip a handful of symbols somewhere.
+        bytes = it->second;
+        const Index flips = rng.uniform(1, 5);
+        for (Index k = 0; k < flips; ++k) {
+          const auto pos = static_cast<std::size_t>(
+              rng.uniform(0, static_cast<std::int64_t>(bytes.size()) - 1));
+          bytes[pos] = static_cast<Symbol>(rng.uniform(0, 3));
+        }
+      } else {
+        // Truncate (op == 2, or a delete rolled for an absent id), keeping
+        // at least base_length symbols.
+        bytes = it->second;
+        const auto size = static_cast<Index>(bytes.size());
+        const auto keep = static_cast<std::size_t>(
+            rng.uniform(std::min(std::max<Index>(1, base_length), size), size));
+        bytes.resize(keep);
+      }
+
+      const bool expect_change = it == shadow.end() || it->second != bytes;
+      const UpsertReport report = corpus.upsert_document(id, bytes);
+      EXPECT_EQ(report.changed, expect_change);
+      tally.add(report);
+      if (it == shadow.end()) {
+        shadow.emplace_back(id, std::move(bytes));
+      } else {
+        it->second = std::move(bytes);
+      }
+      if (report.changed) {
+        EXPECT_GT(report.generation, last_generation);
+        last_generation = report.generation;
+      }
+    }
+
+    // Differential oracle: every live pair, bit-compared against a fresh
+    // full recompute of the shadow bytes.
+    std::sort(shadow.begin(), shadow.end());
+    for (std::size_t i = 0; i < shadow.size(); ++i) {
+      for (std::size_t j = i + 1; j < shadow.size(); ++j) {
+        expect_published_pair_matches_oracle(
+            engine, shadow[i].second, shadow[j].second,
+            "seed " + std::to_string(seed) + " edit " + std::to_string(edit) +
+                " pair " + shadow[i].first + "/" + shadow[j].first);
+      }
+    }
+    EXPECT_EQ(corpus.index_entries().size(),
+              shadow.size() < 2 ? 0 : shadow.size() * (shadow.size() - 1) / 2);
+    ++tally.scripts;
+  }
+}
+
 TEST(IncrementalCorpus, EditScriptDifferentialOracle) {
   constexpr int kSeeds = 12;
   constexpr int kEditsPerSeed = 18;  // 12 * 18 = 216 seeded edit scripts
-  constexpr Index kChunk = 64;
-  const std::vector<std::string> ids = {"alpha", "beta", "gamma"};
-
-  int scripts = 0;
+  PlanTally small;
   for (int seed = 0; seed < kSeeds; ++seed) {
-    const ScratchDir scratch("oracle" + std::to_string(seed));
-    ComparisonEngine engine(test_engine_options(scratch.file("store")));
-    CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), kChunk));
-
-    // Shadow truth: id -> bytes, mutated in lockstep with the manager.
-    std::vector<std::pair<std::string, Sequence>> shadow;
-    Rng rng(0x1CC0 + static_cast<std::uint64_t>(seed));
-    std::uint64_t last_generation = corpus.generation();
-
-    const auto find_shadow = [&](const std::string& id) {
-      return std::find_if(shadow.begin(), shadow.end(),
-                          [&](const auto& doc) { return doc.first == id; });
-    };
-    const auto fresh_bytes = [&](Index length) {
-      Sequence bytes;
-      bytes.reserve(static_cast<std::size_t>(length));
-      for (Index i = 0; i < length; ++i) {
-        bytes.push_back(static_cast<Symbol>(rng.uniform(0, 3)));
-      }
-      return bytes;
-    };
-
-    for (int edit = 0; edit < kEditsPerSeed; ++edit) {
-      const std::string& id = ids[static_cast<std::size_t>(
-          rng.uniform(0, static_cast<std::int64_t>(ids.size()) - 1))];
-      const auto it = find_shadow(id);
-      const int op = static_cast<int>(rng.uniform(0, 4));
-
-      if (op == 3 && it != shadow.end()) {
-        // Delete: pairs naming the id leave the index.
-        corpus.remove_document(id);
-        shadow.erase(it);
-        EXPECT_FALSE(corpus.version(id).has_value());
-      } else {
-        Sequence bytes;
-        if (it == shadow.end()) {
-          // (Re-)add: a fresh document, deliberately not chunk-aligned.
-          bytes = fresh_bytes(rng.uniform(1, 400));
-        } else if (op == 0) {
-          // Append: the sublinear fast path.
-          bytes = it->second;
-          const Sequence tail = fresh_bytes(rng.uniform(1, 150));
-          bytes.insert(bytes.end(), tail.begin(), tail.end());
-        } else if (op == 1) {
-          // In-place edit: flip a handful of symbols somewhere.
-          bytes = it->second;
-          const Index edits = rng.uniform(1, 5);
-          for (Index k = 0; k < edits; ++k) {
-            const auto pos = static_cast<std::size_t>(
-                rng.uniform(0, static_cast<std::int64_t>(bytes.size()) - 1));
-            bytes[pos] = static_cast<Symbol>(rng.uniform(0, 3));
-          }
-        } else {
-          // Truncate (op == 2, or a delete rolled for an absent id).
-          bytes = it->second;
-          const auto keep = static_cast<std::size_t>(
-              rng.uniform(1, static_cast<std::int64_t>(bytes.size())));
-          bytes.resize(keep);
-        }
-
-        const bool expect_change = it == shadow.end() || it->second != bytes;
-        const UpsertReport report = corpus.upsert_document(id, bytes);
-        EXPECT_EQ(report.changed, expect_change);
-        if (it == shadow.end()) {
-          shadow.emplace_back(id, std::move(bytes));
-        } else {
-          it->second = std::move(bytes);
-        }
-        if (report.changed) {
-          EXPECT_GT(report.generation, last_generation);
-          last_generation = report.generation;
-        }
-      }
-
-      // Differential oracle: every live pair, bit-compared against a fresh
-      // full recompute of the shadow bytes.
-      std::sort(shadow.begin(), shadow.end());
-      for (std::size_t i = 0; i < shadow.size(); ++i) {
-        for (std::size_t j = i + 1; j < shadow.size(); ++j) {
-          expect_published_pair_matches_oracle(
-              engine, shadow[i].second, shadow[j].second,
-              "seed " + std::to_string(seed) + " edit " + std::to_string(edit) +
-                  " pair " + shadow[i].first + "/" + shadow[j].first);
-        }
-      }
-      EXPECT_EQ(corpus.index_entries().size(),
-                shadow.size() < 2 ? 0 : shadow.size() * (shadow.size() - 1) / 2);
-      ++scripts;
-    }
+    run_edit_script(seed, kEditsPerSeed, /*chunk=*/64, /*base_length=*/0,
+                    {"alpha", "beta", "gamma"}, small);
   }
-  EXPECT_GE(scripts, 200);
+  EXPECT_GE(small.scripts, 200);
+  EXPECT_GT(small.whole, 0u);
+
+  // 36 more scripts on two documents of at least 4500 symbols, past the
+  // gate's crossover: once both documents exist, an append resumes (one
+  // tail strip, as chunk >= every tail), everything else recomputes whole.
+  PlanTally large;
+  for (int seed = kSeeds; seed < kSeeds + 3; ++seed) {
+    run_edit_script(seed, /*edits=*/12, /*chunk=*/150, /*base_length=*/4500,
+                    {"alpha", "beta"}, large);
+  }
+  EXPECT_GT(large.resumed, 0u);
+  EXPECT_GT(large.whole, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Chunk-braid reuse accounting.
+// The resume gate and each upsert plan's accounting.
+
+TEST(IncrementalCorpus, ResumeGateFollowsTheCostModel) {
+  // Small shapes: a compose costs more than recombing the whole pair.
+  EXPECT_FALSE(resume_profitable(110, 100, 10, 64));
+  EXPECT_FALSE(resume_profitable(464, 400, 64, 64));
+  // corpus_mixed: 3000-symbol documents and 256-symbol appends.
+  EXPECT_FALSE(resume_profitable(3256, 3000, 256, 1024));
+  // Appends above the crossover resume, as in upsert_sweep's append legs.
+  EXPECT_TRUE(resume_profitable(9000, 8000, 1000, 1000));
+  EXPECT_TRUE(resume_profitable(33000, 32000, 1000, 1000));
+  EXPECT_TRUE(resume_profitable(kResumeLength + 64, kResumeLength, 64, 64));
+  // Each strip adds a compose: at 10000 two strips still resume, three not.
+  EXPECT_TRUE(resume_profitable(10128, 10000, 128, 64));
+  EXPECT_FALSE(resume_profitable(10150, 10000, 150, 64));
+  // upsert_mid_* as a resume from the edit's chunk boundary, recombing the
+  // half after it: the composes outweigh the cells kept, so Whole wins.
+  EXPECT_FALSE(resume_profitable(8000, 8000, 4000, 1000));
+  EXPECT_FALSE(resume_profitable(32000, 32000, 16000, 1000));
+  // Nothing kept, nothing appended, or an empty other side: Whole.
+  EXPECT_FALSE(resume_profitable(9000, 8000, 9000, 1000));
+  EXPECT_FALSE(resume_profitable(9000, 8000, 0, 1000));
+  EXPECT_FALSE(resume_profitable(9000, 0, 1000, 1000));
+}
 
 TEST(IncrementalCorpus, AppendReusesWholeDocumentPrefix) {
   const ScratchDir scratch;
   ComparisonEngine engine(test_engine_options(scratch.file("store")));
   CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
 
-  const Sequence other = testing::random_string(500, 4, 11);
-  Sequence doc = testing::random_string(512, 4, 12);  // exactly 8 chunks
+  const Sequence other = testing::random_string(kResumeLength, 4, 11);
+  Sequence doc = testing::random_string(kResumeLength, 4, 12);
   corpus.upsert_document("other", other);
   corpus.upsert_document("doc", doc);
 
-  // Append one chunk: the old whole-document kernel is itself the cached
-  // 8-chunk prefix braid, so only the new chunk is combed and one compose
-  // stitches it on. Nothing from the old document is recomputed.
+  // Append one chunk: the previous pair kernel is in the store, so only the
+  // new strip is combed and one compose stitches it on. Nothing from the
+  // old document is recomputed.
   const Sequence tail = testing::random_string(64, 4, 13);
   doc.insert(doc.end(), tail.begin(), tail.end());
   const UpsertReport report = corpus.upsert_document("doc", doc);
   EXPECT_TRUE(report.changed);
   EXPECT_EQ(report.pairs, 1u);
-  EXPECT_EQ(report.prefix_reused, 8u);
+  EXPECT_EQ(report.prefix_reused, 1u);
   EXPECT_EQ(report.chunks_computed, 1u);
+  EXPECT_EQ(report.chunks_reused, 0u);
   EXPECT_EQ(report.composes, 1u);
   expect_published_pair_matches_oracle(engine, doc, other, "append");
 }
 
-TEST(IncrementalCorpus, MidEditRecombsOnlyDirtyChunks) {
+TEST(IncrementalCorpus, AppendResumesAcrossSeveralTailStrips) {
   const ScratchDir scratch;
   ComparisonEngine engine(test_engine_options(scratch.file("store")));
   CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
 
-  const Sequence other = testing::random_string(300, 4, 21);
-  Sequence doc = testing::random_string(640, 4, 22);  // 10 chunks
+  // At 10000 symbols a two-strip resume still beats recombing the pair.
+  const Sequence other = testing::random_string(10000, 4, 14);
+  Sequence doc = testing::random_string(10000, 4, 15);
+  corpus.upsert_document("a", other);
+  corpus.upsert_document("b", doc);
+
+  // The grown document is the pair's b side, so both 64-symbol tail strips
+  // are composed vertically, in order.
+  const Sequence tail = testing::random_string(128, 4, 16);
+  doc.insert(doc.end(), tail.begin(), tail.end());
+  const UpsertReport report = corpus.upsert_document("b", doc);
+  EXPECT_EQ(report.prefix_reused, 1u);
+  EXPECT_EQ(report.chunks_computed, 2u);
+  EXPECT_EQ(report.composes, 2u);
+  expect_published_pair_matches_oracle(engine, other, doc, "two-strip append");
+}
+
+TEST(IncrementalCorpus, MidEditRecomputesPairWhole) {
+  const ScratchDir scratch;
+  ComparisonEngine engine(test_engine_options(scratch.file("store")));
+  CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
+
+  const Sequence other = testing::random_string(kResumeLength, 4, 21);
+  Sequence doc = testing::random_string(kResumeLength, 4, 22);
   corpus.upsert_document("other", other);
   corpus.upsert_document("doc", doc);
 
-  // Dirty exactly chunk 4: prefix braids up to boundary 4 stay valid, the
-  // clean chunks after it are served by content hash, only one strip combs.
-  doc[4 * 64 + 7] = (doc[4 * 64 + 7] + 1) % 4;
+  // Even at a length where appends resume, an in-place edit is not an
+  // extension: the pair is recombed as one job, with no compose.
+  doc[kResumeLength / 2] = (doc[kResumeLength / 2] + 1) % 4;
   const UpsertReport report = corpus.upsert_document("doc", doc);
   EXPECT_TRUE(report.changed);
-  EXPECT_EQ(report.prefix_reused, 4u);
+  EXPECT_EQ(report.prefix_reused, 0u);
   EXPECT_EQ(report.chunks_computed, 1u);
-  EXPECT_EQ(report.chunks_reused, 5u);
-  EXPECT_EQ(report.composes, 6u);
+  EXPECT_EQ(report.chunks_reused, 0u);
+  EXPECT_EQ(report.composes, 0u);
   expect_published_pair_matches_oracle(engine, doc, other, "mid-edit");
 }
 
+TEST(IncrementalCorpus, TruncationBackToEarlierBytesIsCached) {
+  const ScratchDir scratch;
+  ComparisonEngine engine(test_engine_options(scratch.file("store")));
+  CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
+
+  const Sequence other = testing::random_string(300, 4, 31);
+  const Sequence doc = testing::random_string(400, 4, 32);
+  corpus.upsert_document("other", other);
+  corpus.upsert_document("doc", doc);
+  Sequence grown = doc;
+  const Sequence tail = testing::random_string(90, 4, 33);
+  grown.insert(grown.end(), tail.begin(), tail.end());
+  corpus.upsert_document("doc", grown);
+
+  // Truncating the tail away restores version 1's bytes, whose pair kernel
+  // is still in the store under its content key: nothing is combed.
+  const std::uint64_t computed = engine.stats().scheduler.computed;
+  const UpsertReport report = corpus.upsert_document("doc", doc);
+  EXPECT_TRUE(report.changed);
+  EXPECT_EQ(report.version, 3);
+  EXPECT_EQ(report.chunks_reused, 1u);
+  EXPECT_EQ(report.chunks_computed, 0u);
+  EXPECT_EQ(report.prefix_reused, 0u);
+  EXPECT_EQ(report.composes, 0u);
+  EXPECT_EQ(engine.stats().scheduler.computed, computed);
+  expect_published_pair_matches_oracle(engine, doc, other, "truncation");
+}
+
 TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
-  // Chunk braids are only composed: real workers comb them without building
-  // a QueryIndex, and the first point query on the published pair builds
-  // exactly one.
+  // Upserted pair kernels are combed by real workers without a QueryIndex,
+  // and the first point query on the published pair builds exactly one.
   const ScratchDir scratch;
   EngineOptions engine_options = test_engine_options(scratch.file("store"));
   engine_options.scheduler.workers = 1;
@@ -244,12 +359,12 @@ TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
   CorpusManager corpus(engine, corpus_options);
 
   const Sequence other = testing::random_string(300, 4, 41);
-  const Sequence doc = testing::random_string(320, 4, 42);  // 5 chunks
+  const Sequence doc = testing::random_string(320, 4, 42);
   corpus.upsert_document("other", other);
   const UpsertReport report = corpus.upsert_document("doc", doc);
-  ASSERT_EQ(report.chunks_computed, 5u);
+  ASSERT_EQ(report.chunks_computed, 1u);  // Whole: one job for the pair
   // The one worker finishes a batch, index builds included, before it pops
-  // the next: once this later job resolves, every strip's batch is done.
+  // the next: once this later job resolves, the pair's batch is done.
   const Sequence c = testing::random_string(40, 4, 43);
   (void)engine.braid_async(c, c).get();
   EXPECT_EQ(engine.stats().queries.index_builds, 0u);
@@ -332,10 +447,9 @@ TEST(IncrementalCorpus, RejectsInvalidDocumentIds) {
 
 TEST(IncrementalCorpus, RestartLoadsPublishedGeneration) {
   const ScratchDir scratch;
-  // Chunk-aligned length: the whole-document kernel is then itself a
-  // boundary prefix braid, so the post-restart append below can reuse it.
-  const Sequence doc_a = testing::random_string(320, 4, 61);
-  const Sequence doc_b = testing::random_string(250, 4, 62);
+  // Past the gate's crossover, so the post-restart append below resumes.
+  const Sequence doc_a = testing::random_string(kResumeLength, 4, 61);
+  const Sequence doc_b = testing::random_string(kResumeLength, 4, 62);
   std::uint64_t generation = 0;
 
   {
@@ -365,14 +479,15 @@ TEST(IncrementalCorpus, RestartLoadsPublishedGeneration) {
 
   // And an idempotent re-send across the restart still recognises the bytes.
   EXPECT_FALSE(corpus.upsert_document("a", doc_a).changed);
-  // The store persisted every braid: a re-upsert of grown bytes reuses the
-  // whole old document as a prefix even though this is a new process.
+  // The store persisted the pair kernel: an append resumes from it even
+  // though this is a new process.
   Sequence grown = doc_a;
   const Sequence tail = testing::random_string(64, 4, 63);
   grown.insert(grown.end(), tail.begin(), tail.end());
   const UpsertReport report = corpus.upsert_document("a", grown);
   EXPECT_TRUE(report.changed);
-  EXPECT_EQ(report.chunks_computed + report.chunks_reused, 1u);
+  EXPECT_EQ(report.prefix_reused, 1u);
+  EXPECT_EQ(report.chunks_computed, 1u);
   expect_published_pair_matches_oracle(engine, grown, doc_b, "post-restart");
 }
 
@@ -380,12 +495,13 @@ TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
   // A store written under another digest holds every kernel under a name
   // the current make_pair_key never produces. Renaming each .slk file to a
   // random hex name stands in for one: a restart must recompute every pair
-  // exactly, never load or quarantine a file it does not own.
+  // exactly, never load or quarantine a file it does not own. The documents
+  // are past the gate's crossover, so a found pair kernel would resume.
   const ScratchDir scratch;
   const std::string store_dir = scratch.file("store");
-  const Sequence doc_a = testing::random_string(192, 4, 91);
-  const Sequence doc_b = testing::random_string(150, 4, 92);
-  const Sequence doc_c = testing::random_string(130, 4, 93);
+  const Sequence doc_a = testing::random_string(kResumeLength, 4, 91);
+  const Sequence doc_b = testing::random_string(kResumeLength, 4, 92);
+  const Sequence doc_c = testing::random_string(kResumeLength, 4, 93);
   {
     ComparisonEngine engine(test_engine_options(store_dir));
     CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
@@ -398,7 +514,7 @@ TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
   for (const auto& file : std::filesystem::directory_iterator(store_dir)) {
     if (file.path().extension() == ".slk") kernels.push_back(file.path());
   }
-  ASSERT_GT(kernels.size(), 3u);
+  ASSERT_EQ(kernels.size(), 3u);  // the three pair kernels
   Rng rng(94);
   for (const auto& path : kernels) {
     std::string name;
@@ -408,13 +524,13 @@ TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
 
   ComparisonEngine engine(test_engine_options(store_dir));
   CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
-  // An upsert finds no braid of the old bytes: it recombs every chunk.
+  // An upsert finds no kernel of the old bytes: both pairs recompute whole.
   Sequence grown = doc_a;
   const Sequence tail = testing::random_string(64, 4, 95);
   grown.insert(grown.end(), tail.begin(), tail.end());
   const UpsertReport report = corpus.upsert_document("a", grown);
   EXPECT_EQ(report.prefix_reused, 0u);
-  EXPECT_EQ(report.chunks_computed, 8u);  // 4 chunks against each of b and c
+  EXPECT_EQ(report.chunks_computed, 2u);
 
   const auto entries = corpus.index_entries();
   ASSERT_EQ(entries.size(), 3u);

@@ -43,9 +43,10 @@
 //   upsert <host:port|port> <doc.fasta> [--id ID]
 //       Versioned corpus upsert (Op::kUpsert) against a running
 //       semilocal_serve started with --corpus-dir (or a router in front of
-//       one). Sends raw residues; the server chunks the document, reuses
-//       every cached chunk braid, recomputes only what changed, and bumps
-//       the corpus generation. Prints the upsert report JSON.
+//       one). Sends raw residues; the server republishes the document's
+//       pair kernels (reusing a cached kernel, extending the previous one
+//       on a long append, or recomputing the pair), and bumps the corpus
+//       generation. Prints the upsert report JSON.
 //   plot <a.fasta> <b.fasta> --port P [--host H] [--rows R] [--cols C]
 //        [--step S] [--window W] [--quant 8|16] [--format pgm|csv] [--out PATH]
 //       Alignment dot-plot over the wire: one Op::kAlignmentPlot request to a

@@ -25,7 +25,7 @@
 // --upsert-fraction F turns F of the requests into Op::kUpsert writes against
 // a small set of rotating document ids ("lg-doc-0".."lg-doc-3"): each upsert
 // re-sends a random-length prefix of the id's base document, so the server's
-// chunk-braid cache sees the full mix of appends, truncations and idempotent
+// upsert plans see the full mix of appends, truncations and idempotent
 // re-sends under live query load. Requires the server to run with
 // --corpus-dir (upserts answer kError otherwise and count as client errors).
 // Open-loop runs tag these with op class "upsert".

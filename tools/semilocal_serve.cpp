@@ -29,10 +29,11 @@
 //                    shared QueryIndex (ablation / debugging)
 //   --dna            pack request bytes as DNA (match CLI precompute keys)
 //   --corpus-dir DIR versioned incremental corpus root; enables Op::kUpsert
-//                    (without it upserts answer kError). Chunked braids are
-//                    cached in the kernel store, so --store persistence makes
-//                    re-upserts of mostly-unchanged documents cheap.
-//   --chunk N        corpus chunk size in symbols (default 1024)
+//                    (without it upserts answer kError). Pair kernels are
+//                    cached in the kernel store, so --store persistence lets
+//                    a restarted server resume long appends.
+//   --chunk N        widest appended-tail strip a resumed upsert combs and
+//                    composes at once, in symbols (default 1024)
 //
 // Frontend options (TCP mode):
 //   --backlog N          listen(2) backlog (default 128)
