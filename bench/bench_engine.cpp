@@ -22,10 +22,12 @@
 //             (disk hits stay compressed-resident; only the hot subset is
 //             promoted). Reports resident pairs per GB and the warm p50/p99
 //             of a hot-heavy request stream for both legs, plus the derived
-//             capacity_ratio and p50_regression the check gate enforces.
+//             capacity_ratio (the check gate enforces >= 4) and
+//             p50_regression (reported, not gated: at gate scale it is
+//             timing noise).
 //   frontend_sweep
 //             the serve frontend measured over real sockets: an in-process
-//             open-loop client (engine/open_loop.hpp) fires a fixed offered
+//             open-loop client (client/open_loop.hpp) fires a fixed offered
 //             load at a warm engine behind the epoll reactor, sweeping the
 //             arrival rate to produce the latency-vs-offered-load curve, plus
 //             one high-concurrency point. Every leg records two gate
@@ -50,11 +52,11 @@
 #include <memory>
 #include <thread>
 
+#include "client/open_loop.hpp"
 #include "core/api.hpp"
 #include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
 #include "engine/frontend.hpp"
-#include "engine/open_loop.hpp"
 #include "engine/protocol.hpp"
 #include "engine/shard/router.hpp"
 #include "util/random.hpp"

@@ -25,7 +25,9 @@
 #
 # The bench gate then runs a scaled-down bench_engine (release) and fails if
 # the happy path ever fell back from mmap to whole-file reads
-# (mmap_fallbacks > 0 means the seam is broken on this platform), if any
+# (mmap_fallbacks > 0 means the seam is broken on this platform), if the
+# capacity sweep's compressed v3 store holds fewer than 4x the resident
+# pairs per GB of the raw v2 store (capacity_ratio < 4), if any
 # frontend-sweep leg stalled a socket (a request answered by neither a frame
 # nor a close), or if the overload accounting disagreed between server and
 # client (shed_mismatch != 0).
@@ -56,10 +58,13 @@
 # leg's published kernels must be oracle-exact.
 #
 # The serve gate then stands up the real semilocal_serve reactor and fires
-# the open-loop loadgen at it: 10000 concurrent sockets at 5000 req/s, which
-# must finish with zero stalled sockets (loadgen exits nonzero otherwise),
-# plus an admission leg where 200 clients hit a --max-conns 50 server and
-# every refused connection must receive a typed RETRY_AFTER frame.
+# the open-loop loadgen at it. One helper (start_server) starts every server
+# of the gate and waits for the bound port it prints on stdout, so no leg
+# probes readiness with requests. The legs: 10000 concurrent sockets at
+# 5000 req/s, which must finish with zero stalled sockets (loadgen exits
+# nonzero otherwise), plus an admission leg where 200 clients hit a
+# --max-conns 50 server and every refused connection must receive a typed
+# RETRY_AFTER frame, plus the shard failover leg.
 # SKIP_SERVE_GATE=1 skips it (needs ~20k fds; raise ulimit -n if the default
 # hard limit is lower).
 #
@@ -153,6 +158,14 @@ if grep -Eq '"mmap_fallbacks": *[1-9]' build/release/results/bench_engine.json; 
   grep -o '"mmap_fallbacks": *[0-9]*' build/release/results/bench_engine.json >&2
   exit 1
 fi
+# The v3 capacity claim, enforced: a fixed cache budget holds >= 4x the
+# resident pairs per GB with compressed kernels as with raw v2 ones.
+capacity_ratio=$(grep -o '"capacity_ratio": *[0-9.]*' build/release/results/bench_engine.json \
+                 | head -n1 | grep -o '[0-9.]*$')
+if ! awk -v r="${capacity_ratio:-0}" 'BEGIN { exit !(r >= 4) }'; then
+  echo "error: capacity_sweep capacity_ratio=${capacity_ratio:-unset} < 4" >&2
+  exit 1
+fi
 if grep -Eq '"stalled_sockets": *[1-9]' build/release/results/bench_engine.json; then
   echo "error: a frontend-sweep leg stalled a socket (request with no frame and no close)" >&2
   grep -o '"stalled_sockets": *[0-9]*' build/release/results/bench_engine.json >&2
@@ -223,23 +236,48 @@ fi
 
 if [[ "${SKIP_SERVE_GATE:-0}" != "1" ]]; then
   echo "==> serve gate: 10k open-loop sockets against the real reactor"
-  cmake --build --preset release -j "$jobs" --target semilocal_serve semilocal_loadgen >/dev/null
-  serve_port=19777
-  build/release/tools/semilocal_serve --port "$serve_port" --no-persist &
-  serve_pid=$!
-  trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-  for _ in $(seq 50); do
-    if build/release/tools/semilocal_loadgen --port "$serve_port" --requests 1 \
-         --pairs 1 --length 64 --threads 1 >/dev/null 2>&1; then break; fi
-    sleep 0.1
-  done
+  cmake --build --preset release -j "$jobs" \
+    --target semilocal_serve semilocal_router semilocal_loadgen >/dev/null
+  # start_server OUT BINARY ARGS...: starts one server in the background with
+  # its stdout in OUT and returns once it has printed its bound port there
+  # (semilocal_serve and semilocal_router both print it once they listen).
+  # Sets server_pid and server_port. stop_servers (and the EXIT trap) kill
+  # every server started since the last stop_servers.
+  server_pids=()
+  start_server() {
+    local out=$1
+    shift
+    : > "$out"  # truncate first, so an old port line is never read
+    "$@" > "$out" &
+    server_pid=$!
+    server_pids+=("$server_pid")
+    for _ in $(seq 50); do
+      [[ -s "$out" ]] && break
+      sleep 0.1
+    done
+    server_port=$(head -n1 "$out")
+    if [[ -z "$server_port" ]]; then
+      echo "error: $1 printed no port within 5 s" >&2
+      exit 1
+    fi
+  }
+  stop_servers() {
+    for pid in "${server_pids[@]}"; do
+      kill "$pid" 2>/dev/null || true
+      wait "$pid" 2>/dev/null || true
+    done
+    server_pids=()
+  }
+  trap 'kill "${server_pids[@]}" 2>/dev/null || true' EXIT
+
   # The headline leg: 10000 concurrent sockets, 5000 req/s offered for 2 s.
   # loadgen exits nonzero on any stalled socket or decode error.
-  build/release/tools/semilocal_loadgen --port "$serve_port" \
+  start_server build/release/serve_gate_port.txt \
+    build/release/tools/semilocal_serve --port 19777 --no-persist
+  build/release/tools/semilocal_loadgen --port "$server_port" \
     --arrival-rate 5000 --connections 10000 --duration-ms 2000 --drain-ms 5000 \
     --pairs 8 --length 256 --json | tee build/release/serve_gate_10k.json
-  kill "$serve_pid" 2>/dev/null || true
-  wait "$serve_pid" 2>/dev/null || true
+  stop_servers
   # connect_failures > 0 means the fleet silently shrank (fd limit, backlog):
   # the leg would then prove much less than "10k concurrent sockets".
   if ! grep -q '"connect_failures": 0' build/release/serve_gate_10k.json; then
@@ -249,19 +287,12 @@ if [[ "${SKIP_SERVE_GATE:-0}" != "1" ]]; then
 
   # Admission leg: 200 clients against a 50-connection gate; every refused
   # connection owes one typed RETRY_AFTER frame before the close.
-  build/release/tools/semilocal_serve --port "$serve_port" --no-persist --max-conns 50 &
-  serve_pid=$!
-  for _ in $(seq 50); do
-    if build/release/tools/semilocal_loadgen --port "$serve_port" --requests 1 \
-         --pairs 1 --length 64 --threads 1 >/dev/null 2>&1; then break; fi
-    sleep 0.1
-  done
-  build/release/tools/semilocal_loadgen --port "$serve_port" \
+  start_server build/release/serve_gate_port.txt \
+    build/release/tools/semilocal_serve --port 19777 --no-persist --max-conns 50
+  build/release/tools/semilocal_loadgen --port "$server_port" \
     --arrival-rate 1000 --connections 200 --duration-ms 1000 --drain-ms 5000 \
     --pairs 4 --length 64 --json | tee build/release/serve_gate_shed.json
-  kill "$serve_pid" 2>/dev/null || true
-  wait "$serve_pid" 2>/dev/null || true
-  trap - EXIT
+  stop_servers
   # 150 connections over the gate: each owes exactly one kOverloaded frame
   # before its close, and nothing may stall (loadgen already exited 0).
   if ! grep -Eq '"overloaded": *1[0-9][0-9]' build/release/serve_gate_shed.json; then
@@ -274,49 +305,25 @@ if [[ "${SKIP_SERVE_GATE:-0}" != "1" ]]; then
   # --verify exits nonzero on any wrong answer or stalled socket; a dead
   # backend may cost latency or a typed RETRY_AFTER, never a lie.
   echo "==> shard failover gate: kill one of three backends mid-load"
-  cmake --build --preset release -j "$jobs" --target semilocal_router >/dev/null
   shard_pids=()
   shard_ports=()
   for i in 0 1 2; do
-    build/release/tools/semilocal_serve --port 0 --no-persist \
-      > "build/release/shard_gate_port_$i.txt" 2>/dev/null &
-    shard_pids[i]=$!
+    start_server "build/release/shard_gate_port_$i.txt" \
+      build/release/tools/semilocal_serve --port 0 --no-persist
+    shard_pids[i]=$server_pid
+    shard_ports[i]=$server_port
   done
-  router_pid=""
-  cleanup_failover() {
-    [[ -n "$router_pid" ]] && kill "$router_pid" 2>/dev/null || true
-    for pid in "${shard_pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-  }
-  trap cleanup_failover EXIT
-  for i in 0 1 2; do
-    for _ in $(seq 50); do
-      [[ -s "build/release/shard_gate_port_$i.txt" ]] && break
-      sleep 0.1
-    done
-    shard_ports[i]=$(head -n1 "build/release/shard_gate_port_$i.txt")
-  done
-  build/release/tools/semilocal_router --port 0 \
+  start_server build/release/shard_gate_router.txt \
+    build/release/tools/semilocal_router --port 0 \
     --shards "${shard_ports[0]},${shard_ports[1]},${shard_ports[2]}" \
-    --replicas 2 --probe-interval-ms 100 --unhealthy-after 2 --hedge-ms 100 \
-    > build/release/shard_gate_router.txt 2>/dev/null &
-  router_pid=$!
-  for _ in $(seq 50); do
-    [[ -s build/release/shard_gate_router.txt ]] && break
-    sleep 0.1
-  done
-  router_port=$(head -n1 build/release/shard_gate_router.txt)
-  for _ in $(seq 50); do
-    if build/release/tools/semilocal_loadgen --port "$router_port" --requests 1 \
-         --pairs 1 --length 64 --threads 1 >/dev/null 2>&1; then break; fi
-    sleep 0.1
-  done
+    --replicas 2 --probe-interval-ms 100 --unhealthy-after 2 --hedge-ms 100
   ( sleep 1; kill -9 "${shard_pids[0]}" 2>/dev/null ) &
   killer_pid=$!
-  build/release/tools/semilocal_loadgen --port "$router_port" \
+  build/release/tools/semilocal_loadgen --port "$server_port" \
     --arrival-rate 400 --connections 16 --duration-ms 2500 --drain-ms 5000 \
     --pairs 8 --length 256 --verify --json | tee build/release/serve_gate_failover.json
   wait "$killer_pid" 2>/dev/null || true
-  cleanup_failover
+  stop_servers
   trap - EXIT
   if ! grep -q '"wrong_answers": 0' build/release/serve_gate_failover.json; then
     echo "error: failover leg returned a wrong answer after a backend was killed" >&2

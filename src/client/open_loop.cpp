@@ -1,4 +1,4 @@
-#include "engine/open_loop.hpp"
+#include "client/open_loop.hpp"
 
 #include "engine/protocol.hpp"
 

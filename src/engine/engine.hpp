@@ -72,7 +72,8 @@ struct EngineOptions {
 };
 
 /// stats_json format version; bumped when fields change meaning (additions
-/// do not bump it). Health probes use it to refuse incompatible peers.
+/// do not bump it). Emitted for readers of the JSON; the router's health
+/// probe reads only pid and uptime_ms, and checks no version.
 inline constexpr std::int64_t kStatsVersion = 2;
 
 struct EngineStats {

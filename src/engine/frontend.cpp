@@ -24,6 +24,10 @@
 namespace semilocal {
 namespace {
 
+/// retry_ms hint attached to frontend-level RETRY_AFTER verdicts (the
+/// scheduler's own backpressure hint is forwarded verbatim).
+constexpr Index kAdmissionRetryMs = 10;
+
 /// Atomic twins of FrontendStats, written from the event loop and the pumps,
 /// read by any stats() caller.
 struct Counters {
@@ -337,7 +341,7 @@ struct FrontendServer::Impl {
   void shed(int fd) {
     counters.shed.fetch_add(1, std::memory_order_relaxed);
     const std::string frame =
-        encode_frame(overloaded_response(options.admission_retry_ms, "connection limit reached"));
+        encode_frame(overloaded_response(kAdmissionRetryMs, "connection limit reached"));
     // Best effort: a fresh socket's send buffer always holds one small frame.
     (void)env->fd_write(fd, frame.data(), frame.size(), "conn:shed");
     ::close(fd);
@@ -472,7 +476,7 @@ struct FrontendServer::Impl {
     if (!step.answer) {
       // A client may not park unbounded work on one socket. The verdict is
       // typed, the connection lives.
-      push_response(conn, overloaded_response(options.admission_retry_ms,
+      push_response(conn, overloaded_response(kAdmissionRetryMs,
                                               "per-connection in-flight limit"));
       return;
     }

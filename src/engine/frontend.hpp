@@ -66,9 +66,6 @@ struct FrontendOptions {
   /// How long stop() waits for in-flight requests to answer and flush
   /// before hard-closing the stragglers.
   std::uint64_t drain_timeout_ms = 2'000;
-  /// retry_ms hint attached to frontend-level RETRY_AFTER verdicts (the
-  /// scheduler's own backpressure hint is forwarded verbatim).
-  Index admission_retry_ms = 10;
   /// Threads that run deferred jobs (cold compute waits, upserts, plot
   /// streams, backend exchanges). Answers begin() gives at once -- warm
   /// cache hits included -- go out on the event loop and never touch a pump.

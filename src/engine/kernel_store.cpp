@@ -8,6 +8,13 @@
 #include "core/serialize.hpp"
 
 namespace semilocal {
+namespace {
+
+/// Bound on entries tracked for persist retry; beyond it a failed write is
+/// counted but the entry is immediately cache-only (no retry).
+constexpr std::size_t kMaxPendingPersists = 256;
+
+}  // namespace
 
 KernelStore::KernelStore(KernelStoreOptions options)
     : options_(std::move(options)),
@@ -112,14 +119,14 @@ CachedKernelPtr KernelStore::load_from_disk(const PairKey& key) {
   MappedFilePtr map;
   std::string owned;
   std::string_view bytes;
-  if (options_.mmap_reads) {
-    try {
-      map = env_->map_file(path);
-      bytes = map->view();
-    } catch (const EnvError&) {
-      std::lock_guard lock(mutex_);
-      ++mmap_fallbacks_;
-    }
+  // Zero-copy for v3; a failed map falls back to read_file and bumps
+  // mmap_fallbacks.
+  try {
+    map = env_->map_file(path);
+    bytes = map->view();
+  } catch (const EnvError&) {
+    std::lock_guard lock(mutex_);
+    ++mmap_fallbacks_;
   }
   if (!map) {
     try {
@@ -221,7 +228,7 @@ void KernelStore::put(const PairKey& key, CachedKernelPtr entry) {
     it->second.entry = std::move(entry);  // keep the freshest pointer
     return;
   }
-  if (pending_.size() >= options_.max_pending_persists) return;
+  if (pending_.size() >= kMaxPendingPersists) return;
   pending_.emplace(key,
                    PendingPersist{std::move(entry), options_.persist_retries});
 }

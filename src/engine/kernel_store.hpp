@@ -63,9 +63,6 @@ struct KernelStoreOptions {
   /// On-disk encoding for persisted kernels. Loads always auto-detect, so
   /// stores written under either format keep reading.
   KernelFormat format = KernelFormat::kV3Compressed;
-  /// Serve disk reads through Env::map_file (zero-copy for v3); a failed
-  /// map falls back to read_file and bumps mmap_fallbacks.
-  bool mmap_reads = true;
   /// Cache hits a compressed-resident entry takes before the store promotes
   /// it to a fully-decoded kernel (+index). < 0 disables promotion; 0
   /// promotes on the first cache hit after the disk load.
@@ -77,9 +74,6 @@ struct KernelStoreOptions {
   /// Re-attempts a failed persist gets (via retry_pending()) before the
   /// entry is abandoned as cache-only.
   int persist_retries = 3;
-  /// Bound on entries tracked for persist retry; beyond it a failed write
-  /// is counted but the entry is immediately cache-only (no retry).
-  std::size_t max_pending_persists = 256;
   /// Filesystem the store runs on. nullptr = real_env().
   Env* env = nullptr;
 };

@@ -3,8 +3,10 @@
 // real sockets, the typed admission-control verdicts (shed, per-connection
 // budget, scheduler backpressure as RETRY_AFTER), slow-client defenses
 // (slow-loris read timeout, idle eviction, write-queue cap), deterministic
-// fault injection through the Env socket seam, graceful drain on stop, and
-// the stdio loop over string streams. Every reactor test binds port 0 (a
+// fault injection through the Env socket seam, graceful drain on stop, the
+// stdio loop over string streams, and the open-loop load client
+// (client/open_loop.hpp) against a reactor over a stub Service. Every
+// reactor test binds port 0 (a
 // fresh free port) and runs the frontend on a background thread; the
 // multi-client hammer doubles as the tsan workload for the reactor / pump /
 // counter interleavings.
@@ -16,14 +18,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <future>
 #include <optional>
 #include <sstream>
 #include <system_error>
 #include <thread>
 
+#include "client/open_loop.hpp"
 #include "engine/engine.hpp"
 #include "engine/env.hpp"
 #include "engine/frontend.hpp"
@@ -897,6 +903,144 @@ TEST(Frontend, StdioTruncatedFrameGetsOneErrorThenEof) {
   EXPECT_EQ(responses[0].status, Status::kOk);
   EXPECT_EQ(responses[1].status, Status::kError);
   EXPECT_NE(responses[1].text.find("truncated"), std::string::npos) << responses[1].text;
+}
+
+// --- the open-loop client ---------------------------------------------------
+
+/// A Service whose every decision is the test's `decide`.
+class StubService final : public Service {
+ public:
+  explicit StubService(std::function<Step(Request&&)> decide) : decide_(std::move(decide)) {}
+  Step begin(Request&& request, bool /*may_defer*/) override {
+    return decide_(std::move(request));
+  }
+
+ private:
+  std::function<Step(Request&&)> decide_;
+};
+
+/// Stub service + reactor + its run() thread, torn down in order.
+struct StubReactor {
+  StubService service;
+  FrontendServer server;
+  std::thread thread;
+
+  StubReactor(std::function<Step(Request&&)> decide, FrontendOptions options)
+      : service(std::move(decide)),
+        server(service, std::move(options)),
+        thread([this] { server.run(); }) {}
+
+  ~StubReactor() { stop(); }
+
+  void stop() {
+    if (thread.joinable()) {
+      server.request_stop();
+      thread.join();
+    }
+  }
+};
+
+Step answer_now(Index value) {
+  Response response;
+  response.value = value;
+  return Step{std::move(response), {}};
+}
+
+/// 200 ms of kLcs sends at 200 req/s, then up to 300 ms of drain.
+OpenLoopOptions short_open_loop(int port, std::size_t connections) {
+  OpenLoopOptions options;
+  options.port = port;
+  options.connections = connections;
+  options.arrival_rate = 200;
+  options.duration_ms = 200;
+  options.drain_ms = 300;
+  options.next_payload = [] { return encode_request(lcs_request("ACGTACGT", "AGTCAGTC")); };
+  return options;
+}
+
+TEST(FrontendOpenLoop, EveryRequestAnsweredCountsNoStall) {
+  StubReactor reactor([](Request&&) { return answer_now(1); }, quiet_frontend());
+  const OpenLoopResult result = run_open_loop(short_open_loop(reactor.server.port(), 4));
+  EXPECT_EQ(result.connected, 4u);
+  EXPECT_GT(result.sent, 0u);
+  EXPECT_EQ(result.received, result.sent);
+  EXPECT_EQ(result.ok, result.sent);
+  EXPECT_EQ(result.stalled, 0u);
+  EXPECT_EQ(result.decode_errors, 0u);
+}
+
+TEST(FrontendOpenLoop, AJobParkedPastTheDrainStallsItsSocket) {
+  std::promise<void> latch;
+  const std::shared_future<void> released = latch.get_future().share();
+  std::atomic<bool> parked{false};
+  StubReactor reactor(
+      [&](Request&&) -> Step {
+        if (parked.exchange(true)) return answer_now(1);
+        return Step{std::nullopt, [released](const Sink& sink) {
+                      released.wait();
+                      sink(answer_now(1).answer.value());
+                    }};
+      },
+      quiet_frontend());
+  // Destroyed before the reactor, even on a throw: stopping the reactor
+  // waits for the parked job, so the latch must be open by then.
+  struct Opener {
+    std::promise<void>& latch;
+    ~Opener() { latch.set_value(); }
+  } const opener{latch};
+  const OpenLoopResult result = run_open_loop(short_open_loop(reactor.server.port(), 2));
+  EXPECT_GT(result.sent, 2u);
+  EXPECT_EQ(result.stalled, 1u) << "only the parked job's socket still owes a response";
+}
+
+TEST(FrontendOpenLoop, WrongKLcsValuesCountOncePerCheckedSend) {
+  StubReactor reactor(
+      [](Request&& request) {
+        EXPECT_EQ(request.op, Op::kLcs);
+        return answer_now(7);
+      },
+      quiet_frontend());
+  OpenLoopOptions options = short_open_loop(reactor.server.port(), 4);
+  std::uint64_t calls = 0;
+  std::uint64_t checked = 0;
+  options.next_expected = [&]() -> Index {
+    if (calls++ % 2 != 0) return -1;  // unverifiable: never a wrong answer
+    ++checked;
+    return 3;
+  };
+  const OpenLoopResult result = run_open_loop(options);
+  EXPECT_EQ(result.stalled, 0u);
+  EXPECT_EQ(calls, result.sent);
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(result.wrong_answers, checked);
+}
+
+TEST(FrontendOpenLoop, PerOpBucketsSumToReceived) {
+  StubReactor reactor([](Request&&) { return answer_now(1); }, quiet_frontend());
+  OpenLoopOptions options = short_open_loop(reactor.server.port(), 4);
+  std::uint64_t calls = 0;
+  options.next_op_class = [&]() -> std::string { return calls++ % 3 == 0 ? "plot" : "query"; };
+  const OpenLoopResult result = run_open_loop(options);
+  EXPECT_EQ(result.stalled, 0u);
+  ASSERT_EQ(result.per_op.size(), 2u);
+  std::uint64_t bucketed = 0;
+  for (const OpenLoopOpResult& per : result.per_op) bucketed += per.received;
+  EXPECT_EQ(bucketed, result.received);
+}
+
+TEST(FrontendOpenLoop, ConnectionsOverTheGateEachCountOneOverloaded) {
+  FrontendOptions frontend = quiet_frontend();
+  frontend.max_connections = 2;
+  StubReactor reactor([](Request&&) { return answer_now(1); }, frontend);
+  OpenLoopOptions options = short_open_loop(reactor.server.port(), 5);
+  // 50 ms between sends: the shed sockets' RETRY_AFTER frames are read
+  // before the round robin reaches them.
+  options.arrival_rate = 20;
+  const OpenLoopResult result = run_open_loop(options);
+  EXPECT_EQ(result.connected, 5u);
+  EXPECT_EQ(result.overloaded, 3u);
+  EXPECT_EQ(result.ok, result.sent);
+  EXPECT_EQ(result.stalled, 0u);
 }
 
 }  // namespace

@@ -1,15 +1,22 @@
-// semilocal_loadgen -- load generator / client for semilocal_serve.
+// semilocal_loadgen -- open-loop load generator for semilocal_serve and
+// semilocal_router.
 //
-// Drives a mixed query load over TCP: a pool of distinct sequence pairs is
-// sampled per request (pool smaller than the request count => repeats, the
-// cache-friendly regime; --zipf skews sampling toward a hot head). Overloaded
-// responses are retried after the server's hint, so the tool also exercises
-// the backpressure path. Prints client-side throughput and latency
-// percentiles, then the server's own stats endpoint for comparison.
+//   semilocal_loadgen --port P [--arrival-rate R] [--connections C]
+//                     [--duration-ms D] [--drain-ms D] [--json] [--verify]
+//                     [--pairs K] [--length L] [--substring-frac F] [--zipf]
+//                     [--seed S] [--queries-per-pair Q] [--plot-fraction F]
+//                     [--upsert-fraction F]
 //
-//   semilocal_loadgen --port P [--requests N] [--pairs K] [--length L]
-//                     [--threads T] [--substring-frac F] [--zipf] [--seed S]
-//                     [--queries-per-pair Q]
+// Fires R requests/second (default 1000) round-robin across C persistent
+// sockets (default 256) for D ms on a fixed schedule, never waiting for
+// responses (see client/open_loop.hpp): the latency-vs-offered-load curve
+// this produces stays honest under overload. Each request samples a pair from
+// a pool of K distinct sequence pairs (--zipf skews sampling toward a hot
+// head). Prints client-side counts and latency percentiles, then the server's
+// own stats endpoint for comparison. --json instead emits the OpenLoopResult
+// as one JSON object on stdout (the bench harness parses it). Exit status is
+// nonzero if any socket stalled (an unanswered request with no close), a
+// response failed to decode, or --verify caught a wrong answer.
 //
 // --queries-per-pair Q > 1 switches each request to the batched kBatchQuery
 // op: one frame carries Q windows (mixed LCS / string-substring /
@@ -18,8 +25,8 @@
 //
 // --plot-fraction F turns F of the requests into streamed kAlignmentPlot ops
 // (an 8x8 grid over the sampled pair, tiles drained to the terminal frame).
-// Open-loop runs tag every request with an op class ("query" / "batch" /
-// "plot") and report per-class latency buckets in --json, so the plot tail
+// Every request is tagged with an op class ("query" / "batch" / "plot" /
+// "upsert") and --json reports per-class latency buckets, so the plot tail
 // is visible separately from the point-query tail.
 //
 // --upsert-fraction F turns F of the requests into Op::kUpsert writes against
@@ -28,19 +35,6 @@
 // upsert plans see the full mix of appends, truncations and idempotent
 // re-sends under live query load. Requires the server to run with
 // --corpus-dir (upserts answer kError otherwise and count as client errors).
-// Open-loop runs tag these with op class "upsert".
-//
-// Open-loop mode (the overload-measurement regime; see engine/open_loop.hpp):
-//
-//   semilocal_loadgen --port P --arrival-rate R --connections C
-//                     [--duration-ms D] [--drain-ms D] [--json] [...workload]
-//
-// fires R requests/second round-robin across C persistent sockets on a fixed
-// schedule, never waiting for responses -- the latency-vs-offered-load curve
-// this produces is honest under overload where closed-loop numbers are not.
-// --json emits the OpenLoopResult as one JSON object on stdout (the bench
-// harness parses it); exit status is nonzero if any socket stalled (an
-// unanswered request with no close) or a response failed to decode.
 //
 // --verify turns the tool into a correctness oracle: the client computes the
 // semi-local kernel of every pool pair up front and pins each single-window
@@ -58,30 +52,26 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
-#include <thread>
 #include <vector>
 
+#include "client/open_loop.hpp"
 #include "core/api.hpp"
-#include "engine/open_loop.hpp"
 #include "engine/protocol.hpp"
 #include "engine/query.hpp"
 #include "fd_stream.hpp"
 #include "util/cli.hpp"
 #include "util/random.hpp"
-#include "util/timer.hpp"
 
 using namespace semilocal;
 
 namespace {
 
 int usage() {
-  std::cerr << "usage: semilocal_loadgen --port P [--requests N] [--pairs K] [--length L]\n"
-               "                         [--threads T] [--substring-frac F] [--zipf] [--seed S]\n"
-               "                         [--queries-per-pair Q] [--plot-fraction F]\n"
-               "                         [--upsert-fraction F]\n"
-               "       semilocal_loadgen --port P --arrival-rate R --connections C\n"
-               "                         [--duration-ms D] [--drain-ms D] [--json]\n"
-               "       either mode also accepts --verify (client-side answer oracle)\n";
+  std::cerr << "usage: semilocal_loadgen --port P [--arrival-rate R] [--connections C]\n"
+               "                         [--duration-ms D] [--drain-ms D] [--json] [--verify]\n"
+               "                         [--pairs K] [--length L] [--substring-frac F] [--zipf]\n"
+               "                         [--seed S] [--queries-per-pair Q] [--plot-fraction F]\n"
+               "                         [--upsert-fraction F]\n";
   return 2;
 }
 
@@ -234,67 +224,6 @@ Request pick_request(const Workload& workload, Rng& rng,
   return request;
 }
 
-struct ClientTotals {
-  std::vector<double> latencies_ms;
-  std::uint64_t ok = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t wrong = 0;  ///< --verify: kOk responses with the wrong value
-};
-
-ClientTotals run_client(int port, const Workload& workload, int requests,
-                        std::uint64_t seed) {
-  ClientTotals totals;
-  Rng rng(seed);
-  tools::FdStream stream(connect_to(port));
-  for (int i = 0; i < requests; ++i) {
-    std::size_t pool_index = 0;
-    const Request request = pick_request(workload, rng, &pool_index);
-    const Index expected = expected_value(workload, pool_index, request);
-    const std::string encoded = encode_request(request);
-    Timer t;
-    while (true) {
-      write_frame(stream.out, encoded);
-      const auto payload = read_frame(stream.in);
-      if (!payload) throw std::runtime_error("server closed connection");
-      Response response = decode_response(*payload);
-      // Streamed ops (plots): drain tile frames until the terminal one; the
-      // closed loop measures whole-stream latency.
-      while (!terminal_response_frame(response)) {
-        const auto next = read_frame(stream.in);
-        if (!next) throw std::runtime_error("server closed mid-stream");
-        response = decode_response(*next);
-      }
-      if (response.status == Status::kOverloaded) {
-        ++totals.retries;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::max<Index>(1, response.retry_ms)));
-        continue;
-      }
-      if (response.status == Status::kOk) {
-        ++totals.ok;
-        if (expected >= 0 && response.value != expected) {
-          ++totals.wrong;
-          std::cerr << "loadgen: WRONG ANSWER: got " << response.value << " want "
-                    << expected << " (shard " << response.shard << ")\n";
-        }
-      } else {
-        ++totals.errors;
-        std::cerr << "loadgen: server error: " << response.text << "\n";
-      }
-      break;
-    }
-    totals.latencies_ms.push_back(t.milliseconds());
-  }
-  return totals;
-}
-
-double percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -303,10 +232,8 @@ int main(int argc, char** argv) {
     const auto port_opt = args.option("port");
     if (!port_opt) return usage();
     const int port = static_cast<int>(std::stol(*port_opt));
-    const int requests = static_cast<int>(args.int_option_or("requests", 200));
     const auto pairs = args.int_option_or("pairs", 16);
     const Index length = args.int_option_or("length", 2000);
-    const int threads = static_cast<int>(args.int_option_or("threads", 4));
     const auto seed = static_cast<std::uint64_t>(args.int_option_or("seed", 1));
 
     Workload workload;
@@ -341,112 +268,57 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (const auto rate_opt = args.option("arrival-rate")) {
-      OpenLoopOptions open;
-      open.port = port;
-      open.connections = static_cast<std::size_t>(args.int_option_or("connections", 256));
-      open.arrival_rate = std::stod(*rate_opt);
-      open.duration_ms = static_cast<std::uint64_t>(args.int_option_or("duration-ms", 2000));
-      open.drain_ms = static_cast<std::uint64_t>(args.int_option_or("drain-ms", 3000));
-      Rng payload_rng(seed + 42);
-      // next_payload / next_expected run back-to-back per send, so the
-      // captured expectation always describes the request just encoded.
-      Index pending_expected = -1;
-      std::string pending_op;
-      open.next_payload = [&workload, &payload_rng, &pending_expected, &pending_op] {
-        std::size_t pool_index = 0;
-        const Request request = pick_request(workload, payload_rng, &pool_index);
-        pending_expected = expected_value(workload, pool_index, request);
-        pending_op = request.op == Op::kAlignmentPlot ? "plot"
-                     : request.op == Op::kBatchQuery  ? "batch"
-                     : request.op == Op::kUpsert      ? "upsert"
-                                                      : "query";
-        return encode_request(request);
-      };
-      if (!workload.kernels.empty()) {
-        open.next_expected = [&pending_expected] { return pending_expected; };
-      }
-      open.next_op_class = [&pending_op] { return pending_op; };
-      const OpenLoopResult open_result = run_open_loop(open);
-      if (args.has_flag("json")) {
-        std::cout << to_json(open_result) << "\n";
-      } else {
-        std::cout << "open loop: " << open_result.connected << " conns, offered "
-                  << open.arrival_rate << " req/s, achieved "
-                  << open_result.achieved_rate << " req/s\n"
-                  << "sent: " << open_result.sent << " received: " << open_result.received
-                  << " ok: " << open_result.ok << " overloaded: " << open_result.overloaded
-                  << " errors: " << open_result.errors
-                  << " closed_early: " << open_result.closed_early
-                  << " stalled: " << open_result.stalled
-                  << " wrong: " << open_result.wrong_answers << "\n"
-                  << "latency ms  p50: " << open_result.p50_ms
-                  << "  p90: " << open_result.p90_ms << "  p99: " << open_result.p99_ms
-                  << "  max: " << open_result.max_ms << "\n";
-        for (const OpenLoopShardResult& per : open_result.per_shard) {
-          std::cout << "shard " << per.shard << ": " << per.received
-                    << " responses, p50 " << per.p50_ms << " ms, p99 " << per.p99_ms
-                    << " ms\n";
-        }
-        for (const OpenLoopOpResult& per : open_result.per_op) {
-          std::cout << "op " << per.op << ": " << per.received << " responses, p50 "
-                    << per.p50_ms << " ms, p99 " << per.p99_ms << " ms\n";
-        }
-      }
-      return (open_result.stalled == 0 && open_result.decode_errors == 0 &&
-              open_result.wrong_answers == 0)
-                 ? 0
-                 : 1;
+    OpenLoopOptions open;
+    open.port = port;
+    open.connections = static_cast<std::size_t>(args.int_option_or("connections", 256));
+    open.arrival_rate = args.double_option_or("arrival-rate", open.arrival_rate);
+    open.duration_ms = static_cast<std::uint64_t>(args.int_option_or("duration-ms", 2000));
+    open.drain_ms = static_cast<std::uint64_t>(args.int_option_or("drain-ms", 3000));
+    Rng payload_rng(seed + 42);
+    // next_payload / next_expected run back-to-back per send, so the
+    // captured expectation always describes the request just encoded.
+    Index pending_expected = -1;
+    std::string pending_op;
+    open.next_payload = [&workload, &payload_rng, &pending_expected, &pending_op] {
+      std::size_t pool_index = 0;
+      const Request request = pick_request(workload, payload_rng, &pool_index);
+      pending_expected = expected_value(workload, pool_index, request);
+      pending_op = request.op == Op::kAlignmentPlot ? "plot"
+                   : request.op == Op::kBatchQuery  ? "batch"
+                   : request.op == Op::kUpsert      ? "upsert"
+                                                    : "query";
+      return encode_request(request);
+    };
+    if (!workload.kernels.empty()) {
+      open.next_expected = [&pending_expected] { return pending_expected; };
     }
-
-    const int per_thread = std::max(1, requests / std::max(1, threads));
-    std::vector<std::thread> team;
-    std::vector<ClientTotals> results(static_cast<std::size_t>(threads));
-    Timer wall;
-    for (int t = 0; t < threads; ++t) {
-      team.emplace_back([&, t] {
-        // An exception escaping a thread is std::terminate; a refused connect
-        // or a mid-run close must count as a client error, not kill the tool.
-        try {
-          results[static_cast<std::size_t>(t)] =
-              run_client(port, workload, per_thread, seed + 100 + static_cast<std::uint64_t>(t));
-        } catch (const std::exception& e) {
-          std::cerr << "loadgen client " << t << ": " << e.what() << "\n";
-          ++results[static_cast<std::size_t>(t)].errors;
-        }
-      });
+    open.next_op_class = [&pending_op] { return pending_op; };
+    const OpenLoopResult result = run_open_loop(open);
+    const int status =
+        (result.stalled == 0 && result.decode_errors == 0 && result.wrong_answers == 0) ? 0
+                                                                                        : 1;
+    if (args.has_flag("json")) {
+      std::cout << to_json(result) << "\n";
+      return status;
     }
-    for (std::thread& t : team) t.join();
-    const double elapsed = wall.seconds();
-
-    ClientTotals merged;
-    for (ClientTotals& r : results) {
-      merged.ok += r.ok;
-      merged.errors += r.errors;
-      merged.retries += r.retries;
-      merged.wrong += r.wrong;
-      merged.latencies_ms.insert(merged.latencies_ms.end(), r.latencies_ms.begin(),
-                                 r.latencies_ms.end());
+    std::cout << "open loop: " << result.connected << " conns, offered "
+              << open.arrival_rate << " req/s, achieved " << result.achieved_rate
+              << " req/s\n"
+              << "sent: " << result.sent << " received: " << result.received
+              << " ok: " << result.ok << " overloaded: " << result.overloaded
+              << " errors: " << result.errors << " closed_early: " << result.closed_early
+              << " stalled: " << result.stalled << " wrong: " << result.wrong_answers
+              << "\n"
+              << "latency ms  p50: " << result.p50_ms << "  p90: " << result.p90_ms
+              << "  p99: " << result.p99_ms << "  max: " << result.max_ms << "\n";
+    for (const OpenLoopShardResult& per : result.per_shard) {
+      std::cout << "shard " << per.shard << ": " << per.received << " responses, p50 "
+                << per.p50_ms << " ms, p99 " << per.p99_ms << " ms\n";
     }
-    std::sort(merged.latencies_ms.begin(), merged.latencies_ms.end());
-    const auto total = merged.ok + merged.errors;
-    std::cout << "requests: " << total << " ok: " << merged.ok
-              << " errors: " << merged.errors << " retries: " << merged.retries
-              << " wrong: " << merged.wrong << "\n";
-    std::cout << "elapsed: " << elapsed << " s  throughput: "
-              << static_cast<double>(total) / elapsed << " req/s";
-    if (workload.queries_per_pair > 1) {
-      std::cout << "  ("
-                << static_cast<double>(total) *
-                       static_cast<double>(workload.queries_per_pair) / elapsed
-                << " queries/s, " << workload.queries_per_pair << " per frame)";
+    for (const OpenLoopOpResult& per : result.per_op) {
+      std::cout << "op " << per.op << ": " << per.received << " responses, p50 "
+                << per.p50_ms << " ms, p99 " << per.p99_ms << " ms\n";
     }
-    std::cout << "\n";
-    std::cout << "latency ms  p50: " << percentile(merged.latencies_ms, 0.50)
-              << "  p90: " << percentile(merged.latencies_ms, 0.90)
-              << "  p99: " << percentile(merged.latencies_ms, 0.99) << "  max: "
-              << (merged.latencies_ms.empty() ? 0.0 : merged.latencies_ms.back())
-              << "\n";
 
     // Server-side view of the same run.
     tools::FdStream stats(connect_to(port));
@@ -456,7 +328,7 @@ int main(int argc, char** argv) {
     if (const auto payload = read_frame(stats.in)) {
       std::cout << "server stats: " << decode_response(*payload).text << "\n";
     }
-    return (merged.errors == 0 && merged.wrong == 0) ? 0 : 1;
+    return status;
   } catch (const std::exception& e) {
     std::cerr << "semilocal_loadgen: " << e.what() << "\n";
     return 1;
