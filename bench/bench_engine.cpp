@@ -22,7 +22,7 @@
 //             (disk hits stay compressed-resident; only the hot subset is
 //             promoted). Reports resident pairs per GB and the warm p50/p99
 //             of a hot-heavy request stream for both legs, plus the derived
-//             capacity_ratio (the check gate enforces >= 4) and
+//             capacity_ratio (gated in bench/gates.tsv) and
 //             p50_regression (reported, not gated: at gate scale it is
 //             timing noise).
 //   frontend_sweep
@@ -753,70 +753,57 @@ ShardSweepResult run_shard_sweep() {
   return result;
 }
 
-void write_shard_leg(std::ofstream& out, const ShardLeg& leg, bool last) {
+void write_shard_leg(Json& out, const ShardLeg& leg) {
   const OpenLoopResult& r = leg.open;
-  out << "    {\"shards\": " << leg.shards << ", \"offered_rate\": " << leg.offered_rate
-      << ", \"throughput_rps\": " << leg.throughput()
-      << ", \"elapsed_s\": " << r.elapsed_s
-      << ",\n     \"sent\": " << r.sent << ", \"received\": " << r.received
-      << ", \"ok\": " << r.ok << ", \"overloaded\": " << r.overloaded
-      << ", \"errors\": " << r.errors << ", \"decode_errors\": " << r.decode_errors
-      << ", \"wrong_answers\": " << r.wrong_answers
-      << ", \"stalled_sockets\": " << r.stalled
-      << ",\n     \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
-      << ", \"router_forwarded\": " << leg.router.forwarded
-      << ", \"router_failovers\": " << leg.router.failovers
-      << ", \"router_hedges\": " << leg.router.hedges
-      << ", \"router_unavailable\": " << leg.router.unavailable
-      << ",\n     \"per_shard\": [";
-  for (std::size_t i = 0; i < r.per_shard.size(); ++i) {
-    const OpenLoopShardResult& s = r.per_shard[i];
-    out << (i ? ", " : "") << "{\"shard\": " << s.shard << ", \"received\": "
-        << s.received << ", \"p50_ms\": " << s.p50_ms << ", \"p99_ms\": " << s.p99_ms
-        << "}";
+  out.begin_object().field("shards", leg.shards).field("offered_rate", leg.offered_rate);
+  out.field("throughput_rps", leg.throughput()).field("elapsed_s", r.elapsed_s);
+  out.field("sent", r.sent).field("received", r.received).field("ok", r.ok);
+  out.field("overloaded", r.overloaded).field("errors", r.errors);
+  out.field("decode_errors", r.decode_errors).field("wrong_answers", r.wrong_answers);
+  out.field("stalled_sockets", r.stalled).field("p50_ms", r.p50_ms).field("p99_ms", r.p99_ms);
+  out.field("router_forwarded", leg.router.forwarded);
+  out.field("router_failovers", leg.router.failovers).field("router_hedges", leg.router.hedges);
+  out.field("router_unavailable", leg.router.unavailable).key("per_shard").begin_array();
+  for (const OpenLoopShardResult& s : r.per_shard) {
+    out.begin_object().field("shard", s.shard).field("received", s.received);
+    out.field("p50_ms", s.p50_ms).field("p99_ms", s.p99_ms).end_object();
   }
-  out << "]}" << (last ? "" : ",") << "\n";
+  out.end_array().end_object();
 }
 
-void write_frontend_leg(std::ofstream& out, const FrontendLeg& leg, bool last) {
+void write_frontend_leg(Json& out, const FrontendLeg& leg) {
   const OpenLoopResult& r = leg.open;
-  out << "    {\"connections\": " << leg.connections
-      << ", \"offered_rate\": " << leg.offered_rate
-      << ", \"achieved_rate\": " << r.achieved_rate
-      << ",\n     \"sent\": " << r.sent << ", \"received\": " << r.received
-      << ", \"ok\": " << r.ok << ", \"overloaded\": " << r.overloaded
-      << ", \"errors\": " << r.errors << ", \"decode_errors\": " << r.decode_errors
-      << ", \"closed_early\": " << r.closed_early
-      << ",\n     \"stalled_sockets\": " << r.stalled
-      << ", \"shed_mismatch\": " << leg.shed_mismatch()
-      << ", \"connections_shed\": " << leg.frontend.connections_shed
-      << ", \"retry_after_sent\": " << leg.frontend.retry_after_sent
-      << ",\n     \"frames_decoded\": " << leg.frontend.frames_decoded
-      << ", \"partial_frames\": " << leg.frontend.partial_frames
-      << ", \"inline_answers\": " << leg.frontend.inline_answers
-      << ", \"pump_answers\": " << leg.frontend.pump_answers
-      << ",\n     \"p50_ms\": " << r.p50_ms << ", \"p90_ms\": " << r.p90_ms
-      << ", \"p99_ms\": " << r.p99_ms << ", \"max_ms\": " << r.max_ms << "}"
-      << (last ? "" : ",") << "\n";
+  out.begin_object().field("connections", leg.connections);
+  out.field("offered_rate", leg.offered_rate).field("achieved_rate", r.achieved_rate);
+  out.field("sent", r.sent).field("received", r.received).field("ok", r.ok);
+  out.field("overloaded", r.overloaded).field("errors", r.errors);
+  out.field("decode_errors", r.decode_errors).field("closed_early", r.closed_early);
+  out.field("stalled_sockets", r.stalled).field("shed_mismatch", leg.shed_mismatch());
+  out.field("connections_shed", leg.frontend.connections_shed);
+  out.field("retry_after_sent", leg.frontend.retry_after_sent);
+  out.field("frames_decoded", leg.frontend.frames_decoded);
+  out.field("partial_frames", leg.frontend.partial_frames);
+  out.field("inline_answers", leg.frontend.inline_answers);
+  out.field("pump_answers", leg.frontend.pump_answers);
+  out.field("p50_ms", r.p50_ms).field("p90_ms", r.p90_ms).field("p99_ms", r.p99_ms);
+  out.field("max_ms", r.max_ms).end_object();
 }
 
-void write_capacity_leg(std::ofstream& out, const CapacityLeg& leg, bool last) {
+void write_capacity_leg(Json& out, const CapacityLeg& leg) {
   const EngineStats& s = leg.stats;
-  out << "    {\"name\": \"" << leg.name << "\", \"resident_pairs\": "
-      << leg.resident_pairs << ", \"pairs_per_gb\": " << leg.pairs_per_gb
-      << ", \"p50_ms\": " << leg.p50_ms << ", \"p99_ms\": " << leg.p99_ms
-      << ",\n     \"disk_hits\": " << s.store.disk_hits
-      << ", \"disk_errors\": " << s.store.disk_errors
-      << ", \"compressed_loads\": " << s.store.compressed_loads
-      << ", \"promotions\": " << s.store.promotions
-      << ", \"blocks_decoded\": " << s.store.blocks_decoded + s.queries.blocks_decoded
-      << ",\n     \"store_bytes_on_disk\": " << leg.bytes_on_disk
-      << ", \"store_bytes_resident\": " << s.store.cache.bytes
-      << ", \"compression_ratio\": " << leg.compression_ratio
-      << ", \"queries_compressed\": " << s.queries.compressed
-      << ", \"queries_scanned\": " << s.queries.scanned
-      << ", \"mmap_fallbacks\": " << s.store.mmap_fallbacks << "}"
-      << (last ? "" : ",") << "\n";
+  out.begin_object().field("name", leg.name).field("resident_pairs", leg.resident_pairs);
+  out.field("pairs_per_gb", leg.pairs_per_gb).field("p50_ms", leg.p50_ms);
+  out.field("p99_ms", leg.p99_ms).field("disk_hits", s.store.disk_hits);
+  out.field("disk_errors", s.store.disk_errors);
+  out.field("compressed_loads", s.store.compressed_loads);
+  out.field("promotions", s.store.promotions);
+  out.field("blocks_decoded", s.store.blocks_decoded + s.queries.blocks_decoded);
+  out.field("store_bytes_on_disk", leg.bytes_on_disk);
+  out.field("store_bytes_resident", s.store.cache.bytes);
+  out.field("compression_ratio", leg.compression_ratio);
+  out.field("queries_compressed", s.queries.compressed);
+  out.field("queries_scanned", s.queries.scanned);
+  out.field("mmap_fallbacks", s.store.mmap_fallbacks).end_object();
 }
 
 // plot_sweep: the alignment-plot planner measured end to end through the
@@ -825,8 +812,8 @@ void write_capacity_leg(std::ofstream& out, const CapacityLeg& leg, bool last) {
 // planner changes) is run twice: planner on, and the ablation that lowers
 // every cell to a per-window kBatchQuery descent. The two grids must be
 // bit-identical, and a sampled direct-kernel oracle pins them both to
-// ground truth. The check gate enforces speedup >= 3x at stride <= 8 on a
-// pair >= 4000, zero mismatches, and zero scan fallbacks on the planner leg.
+// ground truth. bench/gates.tsv gates the speedup, the mismatches and the
+// planner leg's scan fallbacks.
 struct PlotSweepResult {
   Index pair_length = 0;
   Index window = 0;
@@ -948,9 +935,9 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
 // honest story: a fresh SIMD comb is O(mn) with a tiny constant while a
 // steady-ant compose is O(N log N) with a large one, so at 8000 x 8000 the
 // append wins ~2x and at 32000 the quadratic term dominates -- that larger
-// point carries the >= 5x check gate. The mixed leg carries the other gate:
-// on corpus-sized documents the gate must not lose to whole recompute
-// (gated / whole mean CPU per upsert <= 1.1).
+// point is the gated one. The mixed leg is gated too: on corpus-sized
+// documents the gate must not lose to whole recompute (bounds in
+// bench/gates.tsv).
 struct UpsertLeg {
   std::string name;
   Index doc_length = 0;     // starting document length (appends grow past it)
@@ -994,9 +981,9 @@ struct UpsertSweepResult {
     return speedup("mid_" + std::to_string(gate_length));
   }
   /// Gated over whole mean CPU per upsert on the corpus_mixed-shaped leg
-  /// (gated at <= 1.1). CPU, not wall time: whether the scheduler batches
-  /// an upsert's five pair jobs on one worker or spreads them is a race
-  /// that moves the wall-clock median by up to 2x for the same work.
+  /// (gated in bench/gates.tsv). CPU, not wall time: whether the scheduler
+  /// batches an upsert's five pair jobs on one worker or spreads them is a
+  /// race that moves the wall-clock median by up to 2x for the same work.
   [[nodiscard]] double mixed_ratio() const {
     const UpsertLeg* gated = find("upsert_mixed_gated");
     const UpsertLeg* whole = find("upsert_mixed_whole");
@@ -1179,17 +1166,13 @@ UpsertSweepResult run_upsert_sweep() {
   return r;
 }
 
-void write_upsert_leg(std::ofstream& out, const UpsertLeg& leg, bool last) {
-  out << "    {\"name\": \"" << leg.name << "\", \"doc_length\": " << leg.doc_length
-      << ", \"docs\": " << leg.docs << ", \"chunk\": " << leg.chunk
-      << ", \"edits\": " << leg.edits << ", \"edit_bytes\": " << leg.edit_bytes
-      << ", \"median_ms\": " << leg.median_ms
-      << ", \"mean_cpu_ms\": " << leg.mean_cpu_ms
-      << ",\n     \"chunks_computed\": " << leg.chunks_computed
-      << ", \"chunks_reused\": " << leg.chunks_reused
-      << ", \"prefix_reused\": " << leg.prefix_reused
-      << ", \"composes\": " << leg.composes
-      << ", \"mismatches\": " << leg.mismatches << "}" << (last ? "" : ",") << "\n";
+void write_upsert_leg(Json& out, const UpsertLeg& leg) {
+  out.begin_object().field("name", leg.name).field("doc_length", leg.doc_length);
+  out.field("docs", leg.docs).field("chunk", leg.chunk).field("edits", leg.edits);
+  out.field("edit_bytes", leg.edit_bytes).field("median_ms", leg.median_ms);
+  out.field("mean_cpu_ms", leg.mean_cpu_ms).field("chunks_computed", leg.chunks_computed);
+  out.field("chunks_reused", leg.chunks_reused).field("prefix_reused", leg.prefix_reused);
+  out.field("composes", leg.composes).field("mismatches", leg.mismatches).end_object();
 }
 
 void write_json(const std::string& path, const std::vector<MixResult>& mixes,
@@ -1197,93 +1180,67 @@ void write_json(const std::string& path, const std::vector<MixResult>& mixes,
                 const std::vector<FrontendLeg>& frontends,
                 const ShardSweepResult& shard, const PlotSweepResult& plot,
                 const UpsertSweepResult& upsert, Index length) {
-  std::filesystem::create_directories(std::filesystem::path(path).parent_path());
-  std::ofstream out(path);
-  out << "{\n  \"workers\": " << hardware_threads() << ",\n";
-  out << "  \"pair_length\": " << length << ",\n";
-  out << "  \"mixes\": [\n";
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    const MixResult& m = mixes[i];
-    out << "    {\"name\": \"" << m.name << "\", \"requests\": " << m.requests
-        << ", \"distinct_pairs\": " << m.distinct_pairs
-        << ", \"client_threads\": " << m.client_threads
-        << ", \"queries_per_request\": " << m.queries_per_request
-        << ", \"passes\": " << m.passes
-        << ", \"elapsed_s\": " << m.elapsed_s
-        << ", \"throughput_req_s\": " << m.throughput()
-        << ", \"queries_per_s\": " << m.queries_per_s()
-        << ",\n     \"p50_ms\": " << m.p50_ms << ", \"p90_ms\": " << m.p90_ms
-        << ", \"p99_ms\": " << m.p99_ms << ", \"max_ms\": " << m.max_ms
-        << ",\n     \"computed\": " << m.stats.scheduler.computed
-        << ", \"coalesced\": " << m.stats.scheduler.coalesced
-        << ", \"cache_hits\": " << m.stats.store.cache.hits
-        << ", \"cache_hit_rate\": " << m.stats.cache_hit_rate()
-        << ",\n     \"queries_indexed\": " << m.stats.queries.indexed
-        << ", \"queries_scanned\": " << m.stats.queries.scanned
-        << ", \"index_builds\": " << m.stats.queries.index_builds << "}"
-        << (i + 1 < mixes.size() ? "," : "") << "\n";
+  Json out(/*wrap_depth=*/3);
+  out.begin_object().field("workers", hardware_threads()).field("pair_length", length);
+  out.key("mixes").begin_array();
+  for (const MixResult& m : mixes) {
+    out.begin_object().field("name", m.name).field("requests", m.requests);
+    out.field("distinct_pairs", m.distinct_pairs).field("client_threads", m.client_threads);
+    out.field("queries_per_request", m.queries_per_request).field("passes", m.passes);
+    out.field("elapsed_s", m.elapsed_s).field("throughput_req_s", m.throughput());
+    out.field("queries_per_s", m.queries_per_s()).field("p50_ms", m.p50_ms);
+    out.field("p90_ms", m.p90_ms).field("p99_ms", m.p99_ms).field("max_ms", m.max_ms);
+    out.field("computed", m.stats.scheduler.computed);
+    out.field("coalesced", m.stats.scheduler.coalesced);
+    out.field("cache_hits", m.stats.store.cache.hits);
+    out.field("cache_hit_rate", m.stats.cache_hit_rate());
+    out.field("queries_indexed", m.stats.queries.indexed);
+    out.field("queries_scanned", m.stats.queries.scanned);
+    out.field("index_builds", m.stats.queries.index_builds).end_object();
   }
-  out << "  ],\n";
-  out << "  \"capacity_sweep\": {\n"
-      << "    \"pool_pairs\": " << capacity.pool_pairs
-      << ", \"hot_pairs\": " << capacity.hot_pairs
-      << ", \"cache_bytes\": " << capacity.cache_bytes
-      << ", \"capacity_ratio\": " << capacity.capacity_ratio()
-      << ", \"p50_regression\": " << capacity.p50_regression() << ",\n"
-      << "    \"legs\": [\n";
-  write_capacity_leg(out, capacity.v2, /*last=*/false);
-  write_capacity_leg(out, capacity.v3, /*last=*/true);
-  out << "  ]},\n";
-  out << "  \"frontend_sweep\": {\n    \"legs\": [\n";
-  for (std::size_t i = 0; i < frontends.size(); ++i) {
-    write_frontend_leg(out, frontends[i], i + 1 == frontends.size());
-  }
-  out << "  ]},\n";
-  out << "  \"plot_sweep\": {\n"
-      << "    \"pair_length\": " << plot.pair_length << ", \"window\": " << plot.window
-      << ", \"stride\": " << plot.stride << ", \"rows\": " << plot.rows
-      << ", \"cols\": " << plot.cols << ", \"cells\": " << plot.cells() << ",\n"
-      << "    \"planner_windows_per_s\": " << plot.planner_windows_per_s
-      << ", \"naive_windows_per_s\": " << plot.naive_windows_per_s
-      << ", \"plot_speedup\": " << plot.speedup() << ",\n"
-      << "    \"planner_reused_descents\": " << plot.planner_reused_descents
-      << ", \"planner_scan_fallbacks\": " << plot.planner_scan_fallbacks
-      << ", \"naive_scan_fallbacks\": " << plot.naive_scan_fallbacks
-      << ", \"plot_mismatches\": " << plot.plot_mismatches << "\n  },\n";
-  out << "  \"upsert_sweep\": {\n"
-      << "    \"chunk\": " << upsert.chunk
-      << ", \"gate_length\": " << upsert.gate_length
-      << ", \"upsert_speedup\": " << upsert.append_speedup()
-      << ", \"upsert_mid_speedup\": " << upsert.mid_speedup()
-      << ", \"upsert_crossover_speedup\": " << upsert.speedup("append_8000")
-      << ", \"upsert_mixed_ratio\": " << upsert.mixed_ratio()
-      << ", \"upsert_mismatches\": " << upsert.mismatches() << ",\n"
-      << "    \"legs\": [\n";
-  for (std::size_t i = 0; i < upsert.legs.size(); ++i) {
-    write_upsert_leg(out, upsert.legs[i], i + 1 == upsert.legs.size());
-  }
-  out << "  ]},\n";
-  out << "  \"shard_sweep\": {\n"
-      << "    \"service_us\": " << shard.service_us
-      << ", \"single_shard_rps\": " << shard.single_shard_rps
-      << ", \"speedup_4x_vs_1x\": " << shard.speedup() << ",\n"
-      << "    \"legs\": [\n";
-  for (std::size_t i = 0; i < shard.scale.size(); ++i) {
-    write_shard_leg(out, shard.scale[i], i + 1 == shard.scale.size());
-  }
-  out << "  ],\n"
-      << "    \"failover\": {\"shards\": " << shard.failover.shards
-      << ", \"wrong_answers\": " << shard.failover.open.wrong_answers
-      << ", \"stalled_sockets\": " << shard.failover.open.stalled
-      << ", \"decode_errors\": " << shard.failover.open.decode_errors
-      << ", \"ok\": " << shard.failover.open.ok
-      << ", \"overloaded\": " << shard.failover.open.overloaded
-      << ",\n     \"router_failovers\": " << shard.failover.router.failovers
-      << ", \"router_hedges\": " << shard.failover.router.hedges
-      << ", \"router_unavailable\": " << shard.failover.router.unavailable
-      << ", \"ring_generation\": " << shard.failover.router.ring_generation << "}\n"
-      << "  }\n}\n";
-  std::cout << "engine report written to " << path << "\n";
+  out.end_array().key("capacity_sweep").begin_object();
+  out.field("pool_pairs", capacity.pool_pairs).field("hot_pairs", capacity.hot_pairs);
+  out.field("cache_bytes", capacity.cache_bytes);
+  out.field("capacity_ratio", capacity.capacity_ratio());
+  out.field("p50_regression", capacity.p50_regression()).key("legs").begin_array();
+  write_capacity_leg(out, capacity.v2);
+  write_capacity_leg(out, capacity.v3);
+  out.end_array().end_object().key("frontend_sweep").begin_object().key("legs").begin_array();
+  for (const FrontendLeg& leg : frontends) write_frontend_leg(out, leg);
+  out.end_array().end_object().key("plot_sweep").begin_object();
+  out.field("pair_length", plot.pair_length).field("window", plot.window);
+  out.field("stride", plot.stride).field("rows", plot.rows).field("cols", plot.cols);
+  out.field("cells", plot.cells()).field("planner_windows_per_s", plot.planner_windows_per_s);
+  out.field("naive_windows_per_s", plot.naive_windows_per_s);
+  out.field("plot_speedup", plot.speedup());
+  out.field("planner_reused_descents", plot.planner_reused_descents);
+  out.field("planner_scan_fallbacks", plot.planner_scan_fallbacks);
+  out.field("naive_scan_fallbacks", plot.naive_scan_fallbacks);
+  out.field("plot_mismatches", plot.plot_mismatches).end_object();
+  out.key("upsert_sweep").begin_object();
+  out.field("chunk", upsert.chunk).field("gate_length", upsert.gate_length);
+  out.field("upsert_speedup", upsert.append_speedup());
+  out.field("upsert_mid_speedup", upsert.mid_speedup());
+  out.field("upsert_crossover_speedup", upsert.speedup("append_8000"));
+  out.field("upsert_mixed_ratio", upsert.mixed_ratio());
+  out.field("upsert_mismatches", upsert.mismatches()).key("legs").begin_array();
+  for (const UpsertLeg& leg : upsert.legs) write_upsert_leg(out, leg);
+  out.end_array().end_object().key("shard_sweep").begin_object();
+  out.field("service_us", shard.service_us).field("single_shard_rps", shard.single_shard_rps);
+  out.field("speedup_4x_vs_1x", shard.speedup()).key("legs").begin_array();
+  for (const ShardLeg& leg : shard.scale) write_shard_leg(out, leg);
+  const OpenLoopResult& failover = shard.failover.open;
+  out.end_array().key("failover").begin_object().field("shards", shard.failover.shards);
+  out.field("wrong_answers", failover.wrong_answers);
+  out.field("stalled_sockets", failover.stalled);
+  out.field("decode_errors", failover.decode_errors);
+  out.field("ok", failover.ok).field("overloaded", failover.overloaded);
+  out.field("router_failovers", shard.failover.router.failovers);
+  out.field("router_hedges", shard.failover.router.hedges);
+  out.field("router_unavailable", shard.failover.router.unavailable);
+  out.field("ring_generation", shard.failover.router.ring_generation);
+  out.end_object().end_object().end_object();
+  write_report(path, out);
 }
 
 }  // namespace

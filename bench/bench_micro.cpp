@@ -9,13 +9,12 @@
 // a cold `lcs` request can run (the bit-plane comber next to Hyyro's
 // bit-vector LCS and the semi-local comb + query index it replaces). Run
 // with `--benchmark_filter=NONE` to emit only the JSON report.
+#include "common.hpp"
+
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -259,38 +258,30 @@ void write_kernel_report(const std::string& path) {
     for (const Symbol alphabet : {4, 256}) score_rows.push_back(score_row(length, alphabet));
   }
 
-  std::filesystem::create_directories(std::filesystem::path(path).parent_path());
-  std::ofstream out(path);
-  out << "{\n  \"dispatched\": \"" << kernel_dispatch().name << "\",\n";
-  out << "  \"threads\": " << hardware_threads() << ",\n";
-  out << "  \"baseline\": \"" << rows.front().name << "\",\n";
-  out << "  \"kernels\": [\n";
+  Json out(/*wrap_depth=*/2);
+  out.begin_object().field("dispatched", kernel_dispatch().name);
+  out.field("threads", hardware_threads()).field("baseline", rows.front().name);
+  out.key("kernels").begin_array();
   const double base_u16 = rows.front().u16_ns_per_cell;
   const double base_u32 = rows.front().u32_ns_per_cell;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    out << "    {\"name\": \"" << r.name << "\", \"u16_ns_per_cell\": "
-        << r.u16_ns_per_cell << ", \"u32_ns_per_cell\": " << r.u32_ns_per_cell
-        << ", \"u16_speedup_vs_baseline\": " << base_u16 / r.u16_ns_per_cell
-        << ", \"u32_speedup_vs_baseline\": " << base_u32 / r.u32_ns_per_cell
-        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  for (const auto& r : rows) {
+    out.begin_object().field("name", r.name).field("u16_ns_per_cell", r.u16_ns_per_cell);
+    out.field("u32_ns_per_cell", r.u32_ns_per_cell);
+    out.field("u16_speedup_vs_baseline", base_u16 / r.u16_ns_per_cell);
+    out.field("u32_speedup_vs_baseline", base_u32 / r.u32_ns_per_cell).end_object();
   }
-  out << "  ],\n";
-  out << "  \"batch\": {\"pairs\": " << kPairs << ", \"pair_length\": " << kLen
-      << ", \"per_call_pairs_per_s\": " << kPairs / per_call_s
-      << ", \"batched_pairs_per_s\": " << kPairs / batched_s
-      << ", \"batched_speedup\": " << per_call_s / batched_s << "},\n";
-  out << "  \"score_kernels\": [\n";
-  for (std::size_t i = 0; i < score_rows.size(); ++i) {
-    const ScoreRow& r = score_rows[i];
-    out << "    {\"length\": " << r.length << ", \"alphabet\": " << r.alphabet
-        << ", \"plane_ms\": " << r.plane_ms << ", \"hyyro_ms\": " << r.hyyro_ms
-        << ", \"comb_ms\": " << r.comb_ms << ", \"comb_index_ms\": " << r.comb_index_ms
-        << "}" << (i + 1 < score_rows.size() ? "," : "") << "\n";
+  out.end_array().key("batch").begin_object().field("pairs", kPairs);
+  out.field("pair_length", kLen).field("per_call_pairs_per_s", kPairs / per_call_s);
+  out.field("batched_pairs_per_s", kPairs / batched_s);
+  out.field("batched_speedup", per_call_s / batched_s).end_object();
+  out.key("score_kernels").begin_array();
+  for (const ScoreRow& r : score_rows) {
+    out.begin_object().field("length", r.length).field("alphabet", r.alphabet);
+    out.field("plane_ms", r.plane_ms).field("hyyro_ms", r.hyyro_ms);
+    out.field("comb_ms", r.comb_ms).field("comb_index_ms", r.comb_index_ms).end_object();
   }
-  out << "  ]\n";
-  out << "}\n";
-  std::printf("comb-kernel report written to %s\n", path.c_str());
+  out.end_array().end_object();
+  bench::write_report(path, out);
 }
 
 }  // namespace

@@ -15,8 +15,6 @@
 // length sweep IS the experiment.
 #include "common.hpp"
 
-#include <filesystem>
-#include <fstream>
 
 #include "core/api.hpp"
 #include "core/query_index.hpp"
@@ -310,48 +308,39 @@ DigestResult run_digest(Index length) {
 void write_json(const std::string& path, const std::vector<LengthResult>& results,
                 const std::vector<StrideResult>& strides, const StripResult& strip,
                 const std::vector<DigestResult>& digests) {
-  std::filesystem::create_directories(std::filesystem::path(path).parent_path());
-  std::ofstream out(path);
-  out << "{\n  \"lengths\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const LengthResult& r = results[i];
-    out << "    {\"pair_length\": " << r.length << ", \"order\": " << r.order
-        << ", \"build_s\": " << r.build_s
-        << ", \"scan_queries_per_s\": " << r.scan_queries_per_s
-        << ", \"index_queries_per_s\": " << r.index_queries_per_s
-        << ", \"batch_queries_per_s\": " << r.batch_queries_per_s
-        << ", \"speedup\": " << r.index_queries_per_s / r.scan_queries_per_s
-        << ", \"batch_speedup\": " << r.batch_queries_per_s / r.scan_queries_per_s
-        << ", \"crossover_queries\": " << r.crossover_queries()
-        << ", \"index_bytes\": " << r.index_bytes << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+  Json out(/*wrap_depth=*/2);
+  out.begin_object().key("lengths").begin_array();
+  for (const LengthResult& r : results) {
+    out.begin_object().field("pair_length", r.length).field("order", r.order);
+    out.field("build_s", r.build_s).field("scan_queries_per_s", r.scan_queries_per_s);
+    out.field("index_queries_per_s", r.index_queries_per_s);
+    out.field("batch_queries_per_s", r.batch_queries_per_s);
+    out.field("speedup", r.index_queries_per_s / r.scan_queries_per_s);
+    out.field("batch_speedup", r.batch_queries_per_s / r.scan_queries_per_s);
+    out.field("crossover_queries", r.crossover_queries());
+    out.field("index_bytes", r.index_bytes).end_object();
   }
-  out << "  ],\n  \"plot_strides\": [\n";
-  for (std::size_t i = 0; i < strides.size(); ++i) {
-    const StrideResult& r = strides[i];
-    out << "    {\"stride\": " << r.stride << ", \"windows\": " << r.windows
-        << ", \"planner_windows_per_s\": " << r.planner_windows_per_s
-        << ", \"naive_windows_per_s\": " << r.naive_windows_per_s
-        << ", \"speedup\": " << r.planner_windows_per_s / r.naive_windows_per_s
-        << ", \"profitable\": " << (r.profitable ? "true" : "false")
-        << ", \"mismatches\": " << r.mismatches << "}"
-        << (i + 1 < strides.size() ? "," : "") << "\n";
+  out.end_array().key("plot_strides").begin_array();
+  for (const StrideResult& r : strides) {
+    out.begin_object().field("stride", r.stride).field("windows", r.windows);
+    out.field("planner_windows_per_s", r.planner_windows_per_s);
+    out.field("naive_windows_per_s", r.naive_windows_per_s);
+    out.field("speedup", r.planner_windows_per_s / r.naive_windows_per_s);
+    out.field("profitable", r.profitable).field("mismatches", r.mismatches).end_object();
   }
-  out << "  ],\n  \"plot_strip\": {\"window\": " << strip.window
-      << ", \"pair_length\": " << strip.length << ", \"stride\": " << strip.stride
-      << ", \"windows\": " << strip.windows << ", \"comb_us\": " << strip.comb_us
-      << ", \"index_build_us\": " << strip.index_build_us
-      << ", \"walk_indexed_us\": " << strip.walk_indexed_us
-      << ", \"walk_scan_us\": " << strip.walk_scan_us
-      << ", \"mismatches\": " << strip.mismatches << "},\n  \"pair_key\": [\n";
-  for (std::size_t i = 0; i < digests.size(); ++i) {
-    const DigestResult& r = digests[i];
-    out << "    {\"length\": " << r.length << ", \"digest_us\": " << r.digest_us
-        << ", \"ns_per_symbol\": " << r.ns_per_symbol << "}"
-        << (i + 1 < digests.size() ? "," : "") << "\n";
+  out.end_array().key("plot_strip").begin_object().field("window", strip.window);
+  out.field("pair_length", strip.length).field("stride", strip.stride);
+  out.field("windows", strip.windows).field("comb_us", strip.comb_us);
+  out.field("index_build_us", strip.index_build_us);
+  out.field("walk_indexed_us", strip.walk_indexed_us);
+  out.field("walk_scan_us", strip.walk_scan_us);
+  out.field("mismatches", strip.mismatches).end_object().key("pair_key").begin_array();
+  for (const DigestResult& r : digests) {
+    out.begin_object().field("length", r.length).field("digest_us", r.digest_us);
+    out.field("ns_per_symbol", r.ns_per_symbol).end_object();
   }
-  out << "  ]\n}\n";
-  std::cout << "query report written to " << path << "\n";
+  out.end_array().end_object();
+  write_report(path, out);
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 // toward the paper's sizes.
 #pragma once
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -46,6 +49,13 @@ inline void emit(Table& table, const std::string& name, const std::string& title
   table.print(std::cout, title);
   table.write_csv(name + ".csv");
   std::cout << "(csv: " << name << ".csv)\n\n";
+}
+
+/// Writes a result document to `path`, creating its directory.
+inline void write_report(const std::string& path, const Json& json) {
+  std::filesystem::create_directories(std::filesystem::path(path).parent_path());
+  std::ofstream(path) << json.str() << "\n";
+  std::cout << "report written to " << path << "\n";
 }
 
 }  // namespace semilocal::bench

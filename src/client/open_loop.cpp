@@ -1,6 +1,7 @@
 #include "client/open_loop.hpp"
 
 #include "engine/protocol.hpp"
+#include "util/json.hpp"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -14,7 +15,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -315,63 +315,38 @@ OpenLoopResult run_open_loop(const OpenLoopOptions& options) {
 }
 
 std::string to_json(const OpenLoopResult& r) {
-  std::string out = "{";
-  const auto u64 = [&out](const char* name, std::uint64_t v, bool first = false) {
-    if (!first) out += ", ";
-    out += "\"";
-    out += name;
-    out += "\": ";
-    out += std::to_string(v);
-  };
-  const auto dbl = [&out](const char* name, double v) {
-    out += ", \"";
-    out += name;
-    out += "\": ";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    out += buf;
-  };
-  u64("connected", r.connected, /*first=*/true);
-  u64("connect_failures", r.connect_failures);
-  u64("sent", r.sent);
-  u64("received", r.received);
-  u64("ok", r.ok);
-  u64("errors", r.errors);
-  u64("overloaded", r.overloaded);
-  u64("decode_errors", r.decode_errors);
-  u64("closed_early", r.closed_early);
-  u64("stalled_sockets", r.stalled);
-  u64("wrong_answers", r.wrong_answers);
-  dbl("achieved_rate", r.achieved_rate);
-  dbl("elapsed_s", r.elapsed_s);
-  dbl("p50_ms", r.p50_ms);
-  dbl("p90_ms", r.p90_ms);
-  dbl("p99_ms", r.p99_ms);
-  dbl("max_ms", r.max_ms);
-  out += ", \"per_shard\": [";
-  for (std::size_t i = 0; i < r.per_shard.size(); ++i) {
-    const OpenLoopShardResult& per = r.per_shard[i];
-    if (i != 0) out += ", ";
-    out += "{\"shard\": " + std::to_string(per.shard) +
-           ", \"received\": " + std::to_string(per.received);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ", \"p50_ms\": %.3f, \"p99_ms\": %.3f}",
-                  per.p50_ms, per.p99_ms);
-    out += buf;
+  Json json;
+  json.begin_object()
+      .field("connected", r.connected)
+      .field("connect_failures", r.connect_failures)
+      .field("sent", r.sent)
+      .field("received", r.received)
+      .field("ok", r.ok)
+      .field("errors", r.errors)
+      .field("overloaded", r.overloaded)
+      .field("decode_errors", r.decode_errors)
+      .field("closed_early", r.closed_early)
+      .field("stalled_sockets", r.stalled)
+      .field("wrong_answers", r.wrong_answers)
+      .field("achieved_rate", r.achieved_rate)
+      .field("elapsed_s", r.elapsed_s)
+      .field("p50_ms", r.p50_ms)
+      .field("p90_ms", r.p90_ms)
+      .field("p99_ms", r.p99_ms)
+      .field("max_ms", r.max_ms)
+      .key("per_shard")
+      .begin_array();
+  for (const OpenLoopShardResult& per : r.per_shard) {
+    json.begin_object().field("shard", per.shard).field("received", per.received);
+    json.field("p50_ms", per.p50_ms).field("p99_ms", per.p99_ms).end_object();
   }
-  out += "], \"per_op\": [";
-  for (std::size_t i = 0; i < r.per_op.size(); ++i) {
-    const OpenLoopOpResult& per = r.per_op[i];
-    if (i != 0) out += ", ";
-    out += "{\"op\": \"" + per.op +
-           "\", \"received\": " + std::to_string(per.received);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ", \"p50_ms\": %.3f, \"p99_ms\": %.3f}",
-                  per.p50_ms, per.p99_ms);
-    out += buf;
+  json.end_array().key("per_op").begin_array();
+  for (const OpenLoopOpResult& per : r.per_op) {
+    json.begin_object().field("op", per.op).field("received", per.received);
+    json.field("p50_ms", per.p50_ms).field("p99_ms", per.p99_ms).end_object();
   }
-  out += "]}";
-  return out;
+  json.end_array().end_object();
+  return json.str();
 }
 
 }  // namespace semilocal

@@ -99,7 +99,7 @@ struct OpenLoopResult {
 /// failures (socket/epoll exhaustion); per-connection failures are counted.
 OpenLoopResult run_open_loop(const OpenLoopOptions& options);
 
-/// The result as a flat JSON object (bench_engine.json / loadgen --json).
+/// The result as one JSON object (loadgen --json).
 std::string to_json(const OpenLoopResult& result);
 
 }  // namespace semilocal

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "engine/key.hpp"
+#include "util/json.hpp"
 
 namespace semilocal {
 
@@ -57,13 +58,12 @@ bool valid_document_id(const std::string& id) {
 }
 
 std::string UpsertReport::json() const {
-  std::ostringstream out;
-  out << "{\"id\": \"" << id << "\", \"version\": " << version
-      << ", \"generation\": " << generation << ", \"changed\": " << (changed ? 1 : 0)
-      << ", \"pairs\": " << pairs << ", \"chunks_computed\": " << chunks_computed
-      << ", \"chunks_reused\": " << chunks_reused
-      << ", \"prefix_reused\": " << prefix_reused << ", \"composes\": " << composes
-      << "}";
+  Json out;
+  out.begin_object().field("id", id).field("version", version);
+  out.field("generation", generation).field("changed", changed ? 1 : 0);
+  out.field("pairs", pairs).field("chunks_computed", chunks_computed);
+  out.field("chunks_reused", chunks_reused).field("prefix_reused", prefix_reused);
+  out.field("composes", composes).end_object();
   return out.str();
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "util/json.hpp"
+
 namespace semilocal {
 namespace {
 
@@ -208,70 +210,66 @@ void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,
 }
 
 std::string stats_json(const EngineStats& s) {
-  std::string out = "{";
-  const auto field = [&out](const char* name, auto value, bool last = false) {
-    out += '"';
-    out += name;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last) out += ", ";
-  };
-  field("stats_version", kStatsVersion);
-  field("pid", s.pid);
-  field("uptime_ms", s.uptime_ms);
-  field("requests", s.requests);
-  field("cache_hits", s.store.cache.hits);
-  field("cache_misses", s.store.cache.misses);
-  field("cache_evictions", s.store.cache.evictions);
-  field("cache_entries", s.store.cache.entries);
-  field("cache_bytes", s.store.cache.bytes);
-  field("disk_hits", s.store.disk_hits);
-  field("disk_errors", s.store.disk_errors);
-  field("disk_writes", s.store.disk_writes);
-  field("store_write_failures", s.store.write_failures);
-  field("store_quarantined", s.store.quarantined);
-  field("store_tmp_swept", s.store.tmp_swept);
-  field("store_pending_persists", s.store.pending_persists);
-  field("degraded_mode", s.store.degraded() ? 1 : 0);
-  field("computed", s.scheduler.computed);
-  field("scores_computed", s.scheduler.scores_computed);
-  field("score_memo_hits", s.scheduler.score_memo_hits);
-  field("coalesced", s.scheduler.coalesced);
-  field("rejected", s.scheduler.rejected);
-  field("batches", s.scheduler.batches);
-  field("queue_depth", s.scheduler.queue_depth);
-  field("cache_hit_rate", s.cache_hit_rate());
-  field("store_bytes_on_disk", s.store.bytes_on_disk);
-  field("store_bytes_resident", s.store.cache.bytes);
-  field("compression_ratio", s.store.compression_ratio());
-  field("compressed_entries", s.store.cache.compressed_entries);
-  field("compressed_bytes", s.store.cache.compressed_bytes);
-  field("compressed_loads", s.store.compressed_loads);
-  field("promotions", s.store.promotions);
-  field("blocks_decoded", s.store.blocks_decoded + s.queries.blocks_decoded);
-  field("mmap_fallbacks", s.store.mmap_fallbacks);
-  field("queries_indexed", s.queries.indexed);
-  field("queries_scanned", s.queries.scanned);
-  field("queries_compressed", s.queries.compressed);
-  field("index_builds", s.queries.index_builds);
-  field("plot_tiles", s.queries.plot_tiles);
-  field("plot_windows", s.queries.plot_windows);
-  field("plot_reused_descents", s.queries.plot_reused_descents);
-  field("latency_count", s.latency.count);
-  field("p50_ms", s.latency.p50_ms);
-  field("p90_ms", s.latency.p90_ms);
-  field("p99_ms", s.latency.p99_ms, /*last=*/true);
-  out += "}";
-  return out;
+  return Json()
+      .begin_object()
+      .field("stats_version", kStatsVersion)
+      .field("pid", s.pid)
+      .field("uptime_ms", s.uptime_ms)
+      .field("requests", s.requests)
+      .field("cache_hits", s.store.cache.hits)
+      .field("cache_misses", s.store.cache.misses)
+      .field("cache_evictions", s.store.cache.evictions)
+      .field("cache_entries", s.store.cache.entries)
+      .field("cache_bytes", s.store.cache.bytes)
+      .field("disk_hits", s.store.disk_hits)
+      .field("disk_errors", s.store.disk_errors)
+      .field("disk_writes", s.store.disk_writes)
+      .field("store_write_failures", s.store.write_failures)
+      .field("store_quarantined", s.store.quarantined)
+      .field("store_tmp_swept", s.store.tmp_swept)
+      .field("store_pending_persists", s.store.pending_persists)
+      .field("degraded_mode", s.store.degraded() ? 1 : 0)
+      .field("computed", s.scheduler.computed)
+      .field("scores_computed", s.scheduler.scores_computed)
+      .field("score_memo_hits", s.scheduler.score_memo_hits)
+      .field("coalesced", s.scheduler.coalesced)
+      .field("rejected", s.scheduler.rejected)
+      .field("batches", s.scheduler.batches)
+      .field("queue_depth", s.scheduler.queue_depth)
+      .field("cache_hit_rate", s.cache_hit_rate())
+      .field("store_bytes_on_disk", s.store.bytes_on_disk)
+      .field("store_bytes_resident", s.store.cache.bytes)
+      .field("compression_ratio", s.store.compression_ratio())
+      .field("compressed_entries", s.store.cache.compressed_entries)
+      .field("compressed_bytes", s.store.cache.compressed_bytes)
+      .field("compressed_loads", s.store.compressed_loads)
+      .field("promotions", s.store.promotions)
+      .field("blocks_decoded", s.store.blocks_decoded + s.queries.blocks_decoded)
+      .field("mmap_fallbacks", s.store.mmap_fallbacks)
+      .field("queries_indexed", s.queries.indexed)
+      .field("queries_scanned", s.queries.scanned)
+      .field("queries_compressed", s.queries.compressed)
+      .field("index_builds", s.queries.index_builds)
+      .field("plot_tiles", s.queries.plot_tiles)
+      .field("plot_windows", s.queries.plot_windows)
+      .field("plot_reused_descents", s.queries.plot_reused_descents)
+      .field("latency_count", s.latency.count)
+      .field("p50_ms", s.latency.p50_ms)
+      .field("p90_ms", s.latency.p90_ms)
+      .field("p99_ms", s.latency.p99_ms)
+      .end_object()
+      .str();
 }
 
 std::string health_json(const EngineStats& s) {
-  std::string out = "{\"stats_version\": " + std::to_string(kStatsVersion);
-  out += ", \"pid\": " + std::to_string(s.pid);
-  out += ", \"uptime_ms\": " + std::to_string(s.uptime_ms);
-  out += ", \"requests\": " + std::to_string(s.requests);
-  out += "}";
-  return out;
+  return Json()
+      .begin_object()
+      .field("stats_version", kStatsVersion)
+      .field("pid", s.pid)
+      .field("uptime_ms", s.uptime_ms)
+      .field("requests", s.requests)
+      .end_object()
+      .str();
 }
 
 EngineStats ComparisonEngine::stats() const {

@@ -1,6 +1,7 @@
 #include "engine/frontend.hpp"
 
 #include "engine/env.hpp"
+#include "util/json.hpp"
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -105,30 +106,24 @@ std::pair<int, int> make_listener(int port, int backlog) {
   return {fd, static_cast<int>(ntohs(addr.sin_port))};
 }
 
-/// Splices the frontend_* counters into a flat JSON object (any service's
-/// stats document ends with '}').
-void append_frontend_fields(std::string& out, const FrontendStats& f) {
-  out.pop_back();  // reopen the object
-  const auto field = [&out](const char* name, std::uint64_t value) {
-    out += ", \"";
-    out += name;
-    out += "\": ";
-    out += std::to_string(value);
-  };
-  field("frontend_connections", f.connections_accepted);
-  field("frontend_active", f.connections_active);
-  field("frontend_shed", f.connections_shed);
-  field("frontend_closed", f.connections_closed);
-  field("frontend_retry_after_sent", f.retry_after_sent);
-  field("frontend_frames", f.frames_decoded);
-  field("frontend_partial_frames", f.partial_frames);
-  field("frontend_protocol_errors", f.protocol_errors);
-  field("frontend_timeouts_idle", f.timeouts_idle);
-  field("frontend_timeouts_read", f.timeouts_read);
-  field("frontend_write_queue_disconnects", f.write_queue_disconnects);
-  field("frontend_inline_answers", f.inline_answers);
-  field("frontend_pump_answers", f.pump_answers);
-  out += "}";
+/// Splices the frontend_* counters into a service's stats object.
+std::string with_frontend_fields(std::string stats, const FrontendStats& f) {
+  return Json::extend(std::move(stats))
+      .field("frontend_connections", f.connections_accepted)
+      .field("frontend_active", f.connections_active)
+      .field("frontend_shed", f.connections_shed)
+      .field("frontend_closed", f.connections_closed)
+      .field("frontend_retry_after_sent", f.retry_after_sent)
+      .field("frontend_frames", f.frames_decoded)
+      .field("frontend_partial_frames", f.partial_frames)
+      .field("frontend_protocol_errors", f.protocol_errors)
+      .field("frontend_timeouts_idle", f.timeouts_idle)
+      .field("frontend_timeouts_read", f.timeouts_read)
+      .field("frontend_write_queue_disconnects", f.write_queue_disconnects)
+      .field("frontend_inline_answers", f.inline_answers)
+      .field("frontend_pump_answers", f.pump_answers)
+      .end_object()
+      .str();
 }
 
 }  // namespace
@@ -481,9 +476,9 @@ struct FrontendServer::Impl {
       return;
     }
     Response& response = *step.answer;
-    if (stats && response.status == Status::kOk && !response.text.empty() &&
-        response.text.back() == '}') {
-      append_frontend_fields(response.text, counters.snapshot());
+    if (stats && response.status == Status::kOk && response.text.size() >= 2 &&
+        response.text.front() == '{' && response.text.back() == '}') {
+      response.text = with_frontend_fields(std::move(response.text), counters.snapshot());
     }
     counters.inline_answers.fetch_add(1, std::memory_order_relaxed);
     push_response(conn, std::move(response));

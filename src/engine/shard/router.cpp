@@ -7,36 +7,9 @@
 #include <stdexcept>
 
 #include "engine/engine.hpp"  // kStatsVersion
+#include "util/json.hpp"
 
 namespace semilocal {
-namespace {
-
-/// Pulls an integer field out of a flat JSON document ("\"key\": 123").
-/// Returns `missing` when the key is absent -- good enough for the health
-/// payloads the engine itself emits; this is not a general parser.
-std::int64_t find_int(std::string_view json, std::string_view key,
-                      std::int64_t missing) {
-  const std::string needle = "\"" + std::string(key) + "\": ";
-  const std::size_t at = json.find(needle);
-  if (at == std::string_view::npos) return missing;
-  std::size_t pos = at + needle.size();
-  bool negative = false;
-  if (pos < json.size() && json[pos] == '-') {
-    negative = true;
-    ++pos;
-  }
-  std::int64_t value = 0;
-  bool any = false;
-  while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
-    value = value * 10 + (json[pos] - '0');
-    ++pos;
-    any = true;
-  }
-  if (!any) return missing;
-  return negative ? -value : value;
-}
-
-}  // namespace
 
 ShardRouter::ShardRouter(RouterOptions options)
     : options_(std::move(options)),
@@ -137,12 +110,15 @@ Response ShardRouter::route(const Request& request) {
 
 Response ShardRouter::router_health() const {
   Response response;
-  response.text = "{\"stats_version\": " + std::to_string(kStatsVersion) +
-                  ", \"pid\": " + std::to_string(static_cast<std::int64_t>(::getpid())) +
-                  ", \"uptime_ms\": " +
-                  std::to_string((env_->now_ns() - start_ns_) / 1'000'000) +
-                  ", \"role\": \"router\", \"ring_generation\": " +
-                  std::to_string(generation_.load(std::memory_order_relaxed)) + "}";
+  response.text = Json()
+                      .begin_object()
+                      .field("stats_version", kStatsVersion)
+                      .field("pid", ::getpid())
+                      .field("uptime_ms", (env_->now_ns() - start_ns_) / 1'000'000)
+                      .field("role", "router")
+                      .field("ring_generation", generation_.load(std::memory_order_relaxed))
+                      .end_object()
+                      .str();
   return response;
 }
 
@@ -603,47 +579,40 @@ RouterStats ShardRouter::stats() const {
 
 std::string ShardRouter::stats_json() const {
   const RouterStats s = stats();
-  std::string out = "{";
-  const auto field = [&out](const char* name, std::uint64_t value, bool first = false) {
-    if (!first) out += ", ";
-    out += "\"";
-    out += name;
-    out += "\": ";
-    out += std::to_string(value);
-  };
-  field("router_requests", s.requests, /*first=*/true);
-  field("router_forwarded", s.forwarded);
-  field("router_failovers", s.failovers);
-  field("router_hedges", s.hedges);
-  field("router_hedge_wins", s.hedge_wins);
-  field("router_unavailable", s.unavailable);
-  field("router_probes", s.probes);
-  field("router_probe_failures", s.probe_failures);
-  field("router_ring_generation", s.ring_generation);
-  out += ", \"router_shards\": [";
-  for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    const RouterShardStats& sh = s.shards[i];
-    if (i != 0) out += ", ";
-    out += "{";
-    field("id", static_cast<std::uint64_t>(sh.id), /*first=*/true);
-    field("weight", static_cast<std::uint64_t>(sh.weight));
-    field("healthy", sh.healthy ? 1 : 0);
-    field("drained", sh.drained ? 1 : 0);
-    field("requests", sh.requests);
-    field("ok", sh.ok);
-    field("errors", sh.errors);
-    field("hedges", sh.hedges);
-    field("hedge_wins", sh.hedge_wins);
-    field("failovers", sh.failovers);
-    field("restarts", sh.restarts);
-    field("probes", sh.probes);
-    field("probe_failures", sh.probe_failures);
-    field("last_pid", static_cast<std::uint64_t>(std::max<std::int64_t>(0, sh.last_pid)));
-    field("last_uptime_ms", sh.last_uptime_ms);
-    out += "}";
+  Json json;
+  json.begin_object()
+      .field("router_requests", s.requests)
+      .field("router_forwarded", s.forwarded)
+      .field("router_failovers", s.failovers)
+      .field("router_hedges", s.hedges)
+      .field("router_hedge_wins", s.hedge_wins)
+      .field("router_unavailable", s.unavailable)
+      .field("router_probes", s.probes)
+      .field("router_probe_failures", s.probe_failures)
+      .field("router_ring_generation", s.ring_generation)
+      .key("router_shards")
+      .begin_array();
+  for (const RouterShardStats& sh : s.shards) {
+    json.begin_object()
+        .field("id", sh.id)
+        .field("weight", sh.weight)
+        .field("healthy", sh.healthy ? 1 : 0)
+        .field("drained", sh.drained ? 1 : 0)
+        .field("requests", sh.requests)
+        .field("ok", sh.ok)
+        .field("errors", sh.errors)
+        .field("hedges", sh.hedges)
+        .field("hedge_wins", sh.hedge_wins)
+        .field("failovers", sh.failovers)
+        .field("restarts", sh.restarts)
+        .field("probes", sh.probes)
+        .field("probe_failures", sh.probe_failures)
+        .field("last_pid", std::max<std::int64_t>(0, sh.last_pid))
+        .field("last_uptime_ms", sh.last_uptime_ms)
+        .end_object();
   }
-  out += "]}";
-  return out;
+  json.end_array().end_object();
+  return json.str();
 }
 
 }  // namespace semilocal

@@ -4,8 +4,10 @@
 // budget, scheduler backpressure as RETRY_AFTER), slow-client defenses
 // (slow-loris read timeout, idle eviction, write-queue cap), deterministic
 // fault injection through the Env socket seam, graceful drain on stop, the
-// stdio loop over string streams, and the open-loop load client
-// (client/open_loop.hpp) against a reactor over a stub Service. Every
+// stdio loop over string streams, the open-loop load client
+// (client/open_loop.hpp) against a reactor over a stub Service, and golden
+// JSON documents (engine stats through the reactor's splice, engine health,
+// the open-loop result). Every
 // reactor test binds port 0 (a
 // fresh free port) and runs the frontend on a background thread; the
 // multi-client hammer doubles as the tsan workload for the reactor / pump /
@@ -1041,6 +1043,109 @@ TEST(FrontendOpenLoop, ConnectionsOverTheGateEachCountOneOverloaded) {
   EXPECT_EQ(result.overloaded, 3u);
   EXPECT_EQ(result.ok, result.sent);
   EXPECT_EQ(result.stalled, 0u);
+}
+
+// --- golden documents ---------------------------------------------------------
+
+/// Every field distinct, so a swapped or dropped key changes the document.
+EngineStats fixed_engine_stats() {
+  EngineStats s;
+  s.requests = 8;
+  s.store.cache = LruCacheStats{.hits = 6, .misses = 2, .evictions = 3, .entries = 4,
+                                .bytes = 5000, .compressed_entries = 1,
+                                .compressed_bytes = 700};
+  s.store.disk_hits = 9;
+  s.store.disk_errors = 10;
+  s.store.disk_writes = 11;
+  s.store.write_failures = 12;
+  s.store.quarantined = 13;
+  s.store.tmp_swept = 14;
+  s.store.pending_persists = 15;
+  s.store.mmap_fallbacks = 16;
+  s.store.compressed_loads = 17;
+  s.store.promotions = 18;
+  s.store.blocks_decoded = 19;
+  s.store.bytes_on_disk = 400;
+  s.store.bytes_on_disk_raw = 1000;
+  s.scheduler = SchedulerStats{.coalesced = 23, .computed = 20, .scores_computed = 21,
+                               .score_memo_hits = 22, .batches = 25, .rejected = 24,
+                               .queue_depth = 26};
+  s.queries = QueryStats{.indexed = 27, .scanned = 28, .index_builds = 29, .compressed = 30,
+                         .blocks_decoded = 31, .plot_tiles = 32, .plot_windows = 33,
+                         .plot_reused_descents = 34};
+  s.latency = {.count = 35, .p50_ms = 0.25, .p90_ms = 1.5, .p99_ms = 12.75};
+  s.uptime_ms = 36;
+  s.pid = 4242;
+  return s;
+}
+
+TEST(FrontendDocuments, EngineStatsWithFrontendFieldsGolden) {
+  // The reactor splices its counters into the service's stats object; one
+  // client that sent only this kStats frame fixes every counter.
+  StubReactor reactor(
+      [](Request&& request) {
+        EXPECT_EQ(request.op, Op::kStats);
+        Response response;
+        response.text = stats_json(fixed_engine_stats());
+        return Step{std::move(response), {}};
+      },
+      quiet_frontend());
+  Client client(reactor.server.port());
+  Request stats;
+  stats.op = Op::kStats;
+  client.send(stats);
+  const auto reply = client.recv();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(
+      reply->text,
+      "{\"stats_version\": 2, \"pid\": 4242, \"uptime_ms\": 36, \"requests\": 8, "
+      "\"cache_hits\": 6, \"cache_misses\": 2, \"cache_evictions\": 3, "
+      "\"cache_entries\": 4, \"cache_bytes\": 5000, \"disk_hits\": 9, "
+      "\"disk_errors\": 10, \"disk_writes\": 11, \"store_write_failures\": 12, "
+      "\"store_quarantined\": 13, \"store_tmp_swept\": 14, "
+      "\"store_pending_persists\": 15, \"degraded_mode\": 1, \"computed\": 20, "
+      "\"scores_computed\": 21, \"score_memo_hits\": 22, \"coalesced\": 23, "
+      "\"rejected\": 24, \"batches\": 25, \"queue_depth\": 26, "
+      "\"cache_hit_rate\": 0.75, \"store_bytes_on_disk\": 400, "
+      "\"store_bytes_resident\": 5000, \"compression_ratio\": 2.5, "
+      "\"compressed_entries\": 1, \"compressed_bytes\": 700, "
+      "\"compressed_loads\": 17, \"promotions\": 18, \"blocks_decoded\": 50, "
+      "\"mmap_fallbacks\": 16, \"queries_indexed\": 27, \"queries_scanned\": 28, "
+      "\"queries_compressed\": 30, \"index_builds\": 29, \"plot_tiles\": 32, "
+      "\"plot_windows\": 33, \"plot_reused_descents\": 34, \"latency_count\": 35, "
+      "\"p50_ms\": 0.25, \"p90_ms\": 1.5, \"p99_ms\": 12.75, "
+      "\"frontend_connections\": 1, \"frontend_active\": 1, \"frontend_shed\": 0, "
+      "\"frontend_closed\": 0, \"frontend_retry_after_sent\": 0, "
+      "\"frontend_frames\": 1, \"frontend_partial_frames\": 0, "
+      "\"frontend_protocol_errors\": 0, \"frontend_timeouts_idle\": 0, "
+      "\"frontend_timeouts_read\": 0, \"frontend_write_queue_disconnects\": 0, "
+      "\"frontend_inline_answers\": 0, \"frontend_pump_answers\": 0}");
+}
+
+TEST(FrontendDocuments, EngineHealthGolden) {
+  EXPECT_EQ(health_json(fixed_engine_stats()),
+            "{\"stats_version\": 2, \"pid\": 4242, \"uptime_ms\": 36, \"requests\": 8}");
+}
+
+TEST(FrontendDocuments, OpenLoopResultGolden) {
+  const OpenLoopResult r{.connected = 1, .connect_failures = 2, .sent = 3, .received = 4,
+                   .ok = 5, .errors = 6, .overloaded = 7, .decode_errors = 8,
+                   .closed_early = 9, .stalled = 10, .wrong_answers = 11,
+                   .achieved_rate = 199.5, .elapsed_s = 2.125, .p50_ms = 0.5,
+                   .p90_ms = 1.25, .p99_ms = 3.875, .max_ms = 10.0,
+                   .per_shard = {{0, 2, 0.25, 0.75}, {1, 2, 0.5, 1.5}},
+                   .per_op = {{"plot", 1, 4.5, 4.5}, {"query", 3, 0.125, 0.625}}};
+  EXPECT_EQ(
+      to_json(r),
+      "{\"connected\": 1, \"connect_failures\": 2, \"sent\": 3, \"received\": 4, "
+      "\"ok\": 5, \"errors\": 6, \"overloaded\": 7, \"decode_errors\": 8, "
+      "\"closed_early\": 9, \"stalled_sockets\": 10, \"wrong_answers\": 11, "
+      "\"achieved_rate\": 199.5, \"elapsed_s\": 2.125, \"p50_ms\": 0.5, "
+      "\"p90_ms\": 1.25, \"p99_ms\": 3.875, \"max_ms\": 10, "
+      "\"per_shard\": [{\"shard\": 0, \"received\": 2, \"p50_ms\": 0.25, \"p99_ms\": 0.75}, "
+      "{\"shard\": 1, \"received\": 2, \"p50_ms\": 0.5, \"p99_ms\": 1.5}], "
+      "\"per_op\": [{\"op\": \"plot\", \"received\": 1, \"p50_ms\": 4.5, \"p99_ms\": 4.5}, "
+      "{\"op\": \"query\", \"received\": 3, \"p50_ms\": 0.125, \"p99_ms\": 0.625}]}");
 }
 
 }  // namespace

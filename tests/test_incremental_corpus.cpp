@@ -445,6 +445,21 @@ TEST(IncrementalCorpus, RejectsInvalidDocumentIds) {
   EXPECT_FALSE(valid_document_id("no space"));
 }
 
+TEST(IncrementalCorpus, UpsertReportEscapesTheDocumentId) {
+  // valid_document_id admits '"', so the report must escape it: perfbench
+  // and the wire clients parse these reports as JSON.
+  const ScratchDir scratch;
+  ComparisonEngine engine(test_engine_options(scratch.file("store")));
+  CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
+
+  corpus.upsert_document("doc", testing::random_string(100, 4, 61));
+  const UpsertReport report = corpus.upsert_document("q\"x", testing::random_string(90, 4, 62));
+  EXPECT_EQ(report.json(),
+            "{\"id\": \"q\\\"x\", \"version\": 1, \"generation\": 2, \"changed\": 1, "
+            "\"pairs\": 1, \"chunks_computed\": 1, \"chunks_reused\": 0, "
+            "\"prefix_reused\": 0, \"composes\": 0}");
+}
+
 TEST(IncrementalCorpus, RestartLoadsPublishedGeneration) {
   const ScratchDir scratch;
   // Past the gate's crossover, so the post-restart append below resumes.

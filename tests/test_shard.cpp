@@ -4,7 +4,8 @@
 // in-process backends -- replica failover when a backend dies mid-run,
 // deterministic fault schedules through the Env socket seam ("shard:<id>"
 // labels), hedged requests against a silent backend, drain/undrain via
-// kShardCtl frames, and restart detection by the health prober.
+// kShardCtl frames, restart detection by the health prober, and the golden
+// router stats and health documents.
 //
 // The oracle discipline throughout: every kOk response must carry the exact
 // client-side LCS value; a typed RETRY_AFTER (kOverloaded) is an acceptable
@@ -655,6 +656,37 @@ TEST(ShardRouter, ServesThroughTheHandlerModeFrontendWithStatsSplice) {
   ::close(fd);
   server.request_stop();
   thread.join();
+}
+
+TEST(ShardRouter, StatsAndHealthDocumentsGolden) {
+  // No backend is ever dialed: only local ops and admin edits. A clock that
+  // never advances pins uptime_ms at 0.
+  FaultPlan plan;
+  plan.clock_step_ns = 0;
+  FaultyEnv env(plan);
+  RouterOptions options = router_over({1, 2});
+  options.shards[1].weight = 2;
+  options.env = &env;
+  ShardRouter router(options);
+  ASSERT_TRUE(router.set_weight(1, 3));
+  ASSERT_TRUE(router.drain(0));
+  const std::string shard_zeros =
+      "\"requests\": 0, \"ok\": 0, \"errors\": 0, \"hedges\": 0, \"hedge_wins\": 0, "
+      "\"failovers\": 0, \"restarts\": 0, \"probes\": 0, \"probe_failures\": 0, "
+      "\"last_pid\": 0, \"last_uptime_ms\": 0}";
+  EXPECT_EQ(router.stats_json(),
+            "{\"router_requests\": 0, \"router_forwarded\": 0, \"router_failovers\": 0, "
+            "\"router_hedges\": 0, \"router_hedge_wins\": 0, \"router_unavailable\": 0, "
+            "\"router_probes\": 0, \"router_probe_failures\": 0, "
+            "\"router_ring_generation\": 2, \"router_shards\": ["
+            "{\"id\": 0, \"weight\": 0, \"healthy\": 1, \"drained\": 1, " +
+                shard_zeros + ", {\"id\": 1, \"weight\": 3, \"healthy\": 1, \"drained\": 0, " +
+                shard_zeros + "]}");
+  Request health;
+  health.op = Op::kHealth;
+  EXPECT_EQ(router.route(health).text,
+            "{\"stats_version\": 2, \"pid\": " + std::to_string(::getpid()) +
+                ", \"uptime_ms\": 0, \"role\": \"router\", \"ring_generation\": 2}");
 }
 
 }  // namespace

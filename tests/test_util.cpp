@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/bits.hpp"
 #include "util/fasta.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -207,6 +210,111 @@ TEST(Table, ThrowsOnOverfullRow) {
   Table t({"a"});
   t.row().cell("x");
   EXPECT_THROW(t.cell("y"), std::logic_error);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes) {
+  Json json;
+  json.begin_object().field(std::string("k\"ey"), std::string("a\"b\\c\n\x01\x1f\x7f") + "\xc3\xa9");
+  json.end_object();
+  EXPECT_EQ(json.str(), "{\"k\\\"ey\": \"a\\\"b\\\\c\\u000a\\u0001\\u001f\x7f\xc3\xa9\"}");
+  Json nul;
+  nul.value(std::string_view("\0x", 2));
+  EXPECT_EQ(nul.str(), "\"\\u0000x\"");
+}
+
+TEST(Json, IntegersPrintExactlyAtTheirLimits) {
+  Json json;
+  json.begin_array()
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(0)
+      .value(-1)
+      .value(true)
+      .value(false)
+      .end_array();
+  EXPECT_EQ(json.str(), "[-9223372036854775808, 18446744073709551615, 0, -1, true, false]");
+}
+
+TEST(Json, DoublesRoundTripAndNonFiniteIsNull) {
+  Json json;
+  json.begin_array()
+      .value(0.1)
+      .value(2.5)
+      .value(10.0)
+      .value(1e21)
+      .value(1.0 / 3.0)
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .value(std::numeric_limits<double>::infinity())
+      .end_array();
+  EXPECT_EQ(json.str(), "[0.1, 2.5, 10, 1e+21, 0.3333333333333333, null, null]");
+}
+
+TEST(Json, EmptyAndNestedContainers) {
+  Json json;
+  json.begin_object()
+      .key("empty")
+      .begin_array()
+      .end_array()
+      .key("nested")
+      .begin_array()
+      .begin_array()
+      .end_array()
+      .begin_array()
+      .value(1)
+      .begin_array()
+      .value(2)
+      .end_array()
+      .end_array()
+      .begin_object()
+      .end_object()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(json.str(), "{\"empty\": [], \"nested\": [[], [1, [2]], {}]}");
+}
+
+TEST(Json, WrapDepthBreaksOnlyTheOuterContainers) {
+  Json json(/*wrap_depth=*/2);
+  json.begin_object()
+      .field("n", 1)
+      .key("rows")
+      .begin_array()
+      .begin_object()
+      .field("a", 1)
+      .field("b", 2)
+      .end_object()
+      .begin_object()
+      .end_object()
+      .end_array()
+      .key("none")
+      .begin_array()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(json.str(),
+            "{\n  \"n\": 1,\n  \"rows\": [\n    {\"a\": 1, \"b\": 2},\n    {}\n  ],\n"
+            "  \"none\": []\n}");
+}
+
+TEST(Json, ExtendAppendsMembersToAFinishedObject) {
+  Json json = Json::extend("{\"a\": 1}");
+  json.field("b", 2).end_object();
+  EXPECT_EQ(json.str(), "{\"a\": 1, \"b\": 2}");
+  Json empty = Json::extend("{}");
+  empty.field("b", 2).end_object();
+  EXPECT_EQ(empty.str(), "{\"b\": 2}");
+  EXPECT_THROW(Json::extend("[1]"), std::invalid_argument);
+  EXPECT_THROW(Json::extend("}"), std::invalid_argument);
+}
+
+TEST(Json, FindIntReadsFlatFields) {
+  const std::string doc = "{\"pid\": 4242, \"delta\": -17, \"role\": \"router\", \"big_pid\": 9}";
+  EXPECT_EQ(find_int(doc, "pid", 0), 4242);
+  EXPECT_EQ(find_int(doc, "delta", 0), -17);
+  EXPECT_EQ(find_int(doc, "big_pid", 0), 9);
+  EXPECT_EQ(find_int(doc, "uptime_ms", -5), -5) << "missing key";
+  EXPECT_EQ(find_int(doc, "role", -5), -5) << "non-numeric value";
+  EXPECT_EQ(find_int("{\"x\": -}", "x", 7), 7) << "a sign without digits";
+  EXPECT_EQ(find_int("{\"x\": 99999999999999999999}", "x", 7), 7) << "past int64";
+  EXPECT_EQ(find_int("{\"x\":1}", "x", 7), 7) << "only the writer's \": \" separator matches";
 }
 
 }  // namespace
