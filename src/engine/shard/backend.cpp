@@ -83,13 +83,11 @@ BackendPool::ConnPtr BackendPool::acquire(std::uint64_t deadline_ns) {
     }
     if (outstanding_ < options_.max_connections) {
       ++outstanding_;  // reserve the slot before dropping the lock to dial
-      ++stats_.dials;
       lock.unlock();
       const int fd = dial();
       if (fd < 0) {
         lock.lock();
         --outstanding_;
-        ++stats_.dial_failures;
         returned_.notify_one();
         return nullptr;
       }
@@ -108,6 +106,7 @@ BackendPool::ConnPtr BackendPool::acquire(std::uint64_t deadline_ns) {
 
 void BackendPool::release(ConnPtr conn) {
   if (!conn) return;
+  if (conn->dirty()) return discard(std::move(conn));
   std::lock_guard lock(mutex_);
   idle_.push_back(std::move(conn));
   returned_.notify_one();
@@ -118,20 +117,7 @@ void BackendPool::discard(ConnPtr conn) {
   conn.reset();  // closes the fd
   std::lock_guard lock(mutex_);
   --outstanding_;
-  ++stats_.discarded;
   returned_.notify_one();
-}
-
-void BackendPool::close_idle() {
-  std::lock_guard lock(mutex_);
-  outstanding_ -= idle_.size();
-  idle_.clear();
-  returned_.notify_all();
-}
-
-BackendPoolStats BackendPool::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 bool send_frame(Env& env, BackendPool::Conn& conn, std::string_view payload,

@@ -43,12 +43,6 @@ struct BackendOptions {
   Env* env = nullptr;
 };
 
-struct BackendPoolStats {
-  std::uint64_t dials = 0;
-  std::uint64_t dial_failures = 0;
-  std::uint64_t discarded = 0;  ///< poisoned connections closed
-};
-
 class BackendPool {
  public:
   /// One pooled connection. The decoder persists across poll iterations so
@@ -65,8 +59,7 @@ class BackendPool {
     std::deque<std::string> pending;
 
     /// True when reuse would cross exchanges: a partial frame mid-decode or
-    /// a banked frame nobody consumed. Callers releasing a connection back
-    /// to the pool must discard it instead when this holds.
+    /// a banked frame nobody consumed. release() discards such a connection.
     [[nodiscard]] bool dirty() const { return decoder.mid_frame() || !pending.empty(); }
 
     Conn(const Conn&) = delete;
@@ -87,28 +80,22 @@ class BackendPool {
   /// capacity timeout -- the caller treats both as "this shard is busy".
   ConnPtr acquire(std::uint64_t deadline_ns);
 
-  /// Returns a healthy connection (exchange fully completed, decoder empty).
+  /// Returns a connection whose exchange completed; a dirty() one is
+  /// discarded instead.
   void release(ConnPtr conn);
 
   /// Closes a poisoned connection (error / timeout / abandoned exchange).
   void discard(ConnPtr conn);
-
-  /// Drops every idle connection (drain support; leased ones finish).
-  void close_idle();
-
-  [[nodiscard]] BackendPoolStats stats() const;
-  [[nodiscard]] const BackendOptions& options() const { return options_; }
 
  private:
   int dial();  ///< blocking-with-timeout connect; -1 on failure
 
   BackendOptions options_;
   Env* env_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable returned_;
   std::vector<ConnPtr> idle_;
   std::size_t outstanding_ = 0;  ///< leased + idle
-  BackendPoolStats stats_;
 };
 
 /// Sends one framed payload on a leased connection, polling for writability

@@ -95,17 +95,19 @@ Step ShardRouter::begin(Request&& request, bool may_defer) {
   if (auto answer = control(request)) return Step{std::move(answer), {}};
   if (!may_defer) return {};
   return Step{std::nullopt, [this, request = std::move(request)](const Sink& sink) {
-                if (request.op == Op::kAlignmentPlot) {
-                  route_stream(request, sink);
-                } else {
-                  (void)sink(forward(request));
-                }
+                route_stream(request, sink);
               }};
 }
 
 Response ShardRouter::route(const Request& request) {
   if (auto answer = control(request)) return std::move(*answer);
-  return forward(request);
+  // A unary op is a stream of exactly one frame.
+  Response answer;
+  route_stream(request, [&answer](Response&& frame) {
+    answer = std::move(frame);
+    return false;
+  });
+  return answer;
 }
 
 Response ShardRouter::router_health() const {
@@ -122,15 +124,41 @@ Response ShardRouter::router_health() const {
   return response;
 }
 
-Response ShardRouter::forward(const Request& request) {
+BackendPool::ConnPtr ShardRouter::lease_and_send(Shard& shard, std::string_view payload) {
+  BackendPool::ConnPtr conn =
+      shard.pool->acquire(env_->now_ns() + options_.connect_timeout_ms * 1'000'000);
+  if (conn && !send_frame(*env_, *conn, payload,
+                          env_->now_ns() + options_.attempt_timeout_ms * 1'000'000)) {
+    shard.pool->discard(std::move(conn));
+  }
+  return conn;
+}
+
+RecvStatus ShardRouter::next_frame(const std::vector<BackendPool::Conn*>& conns,
+                                   std::uint64_t deadline_ns, int& winner, Response& response) {
+  std::string frame;
+  const RecvStatus status = recv_first(*env_, conns, deadline_ns, winner, frame);
+  if (status != RecvStatus::kOk) return status;
+  try {
+    response = decode_response(frame);
+  } catch (const ProtocolError&) {
+    return RecvStatus::kError;  // a garbled response is a shard failure, not a client error
+  }
+  return RecvStatus::kOk;
+}
+
+void ShardRouter::route_stream(const Request& request, const Sink& sink) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   // Upserts hash on the document id alone so every version of a document --
-  // whatever its bytes -- lands on one shard's corpus; pair queries keep the
-  // full-content key.
-  const PairKey key = request.op == Op::kUpsert ? make_pair_key(request.a, {})
-                                                : make_pair_key(request.a, request.b);
+  // whatever its bytes -- lands on one shard's corpus, and they go to that
+  // primary only: an upsert replayed on a replica after the primary may have
+  // committed it would leave two copies that diverge. Pair queries keep the
+  // full-content key and the whole replica list.
+  const bool upsert = request.op == Op::kUpsert;
+  const PairKey key = upsert ? make_pair_key(request.a, {})
+                             : make_pair_key(request.a, request.b);
   std::vector<int> candidates;
-  ring()->replicas_for(key, std::max(1, options_.replicas), candidates);
+  ring()->replicas_for(key, upsert ? 1 : std::max(1, options_.replicas), candidates);
   // Benched shards go to the back of the preference list, ring order
   // otherwise preserved -- they are a last resort, not gone (probes may be
   // stale, and a fully-benched fleet should still try rather than blackhole).
@@ -139,22 +167,17 @@ Response ShardRouter::forward(const Request& request) {
   });
   if (candidates.empty()) {
     unavailable_.fetch_add(1, std::memory_order_relaxed);
-    return overloaded_response(options_.retry_after_ms, "ring is empty (all drained)");
+    (void)sink(overloaded_response(options_.retry_after_ms, "ring is empty (all drained)"));
+    return;
   }
   const std::string payload = encode_request(request);
   const std::uint64_t attempt_ns = options_.attempt_timeout_ms * 1'000'000;
+  const bool plot = request.op == Op::kAlignmentPlot;
 
-  struct Live {
-    std::size_t shard = 0;
-    std::size_t rank = 0;  ///< index into candidates (0 = primary)
-    bool hedged = false;
-    BackendPool::ConnPtr conn;
-  };
-  std::vector<Live> active;
-
+  std::vector<Attempt> live;
   std::size_t next = 0;
-  /// Leases + sends to the next candidate; skips candidates that fail at
-  /// dial or send time (each one recorded). false = list exhausted.
+  /// Sends to the next candidate; skips candidates that fail at dial or send
+  /// time (each one recorded). false = list exhausted.
   const auto launch = [&](bool hedged) -> bool {
     while (next < candidates.size()) {
       const auto s = static_cast<std::size_t>(candidates[next]);
@@ -165,105 +188,94 @@ Response ShardRouter::forward(const Request& request) {
         shard.hedges.fetch_add(1, std::memory_order_relaxed);
         hedges_.fetch_add(1, std::memory_order_relaxed);
       }
-      BackendPool::ConnPtr conn = shard.pool->acquire(
-          env_->now_ns() + options_.connect_timeout_ms * 1'000'000);
+      BackendPool::ConnPtr conn = lease_and_send(shard, payload);
       if (!conn) {
         shard.errors.fetch_add(1, std::memory_order_relaxed);
         record_failure(shard);
         continue;
       }
-      if (!send_frame(*env_, *conn, payload, env_->now_ns() + attempt_ns)) {
-        shard.pool->discard(std::move(conn));
-        shard.errors.fetch_add(1, std::memory_order_relaxed);
-        record_failure(shard);
-        continue;
-      }
-      active.push_back(Live{s, rank, hedged, std::move(conn)});
+      live.push_back(Attempt{s, rank, hedged, std::move(conn)});
       return true;
     }
     return false;
   };
   const auto drop = [&](std::size_t i, bool failure) {
-    Live live = std::move(active[i]);
-    active.erase(active.begin() + static_cast<long>(i));
-    Shard& shard = *shards_[live.shard];
-    shard.pool->discard(std::move(live.conn));
+    Attempt attempt = std::move(live[i]);
+    live.erase(live.begin() + static_cast<long>(i));
+    Shard& shard = *shards_[attempt.shard];
+    shard.pool->discard(std::move(attempt.conn));
     if (failure) {
       shard.errors.fetch_add(1, std::memory_order_relaxed);
       record_failure(shard);
     }
   };
-  const auto exhausted = [&]() -> Response {
-    while (!active.empty()) drop(0, /*failure=*/true);
+  const auto exhausted = [&] {
+    while (!live.empty()) drop(0, /*failure=*/true);
     unavailable_.fetch_add(1, std::memory_order_relaxed);
-    return overloaded_response(options_.retry_after_ms, "no shard replica available");
+    (void)sink(overloaded_response(options_.retry_after_ms, "no shard replica available"));
   };
 
   if (!launch(/*hedged=*/false)) return exhausted();
   std::uint64_t attempt_deadline = env_->now_ns() + attempt_ns;
-  // Never hedge an upsert: a raced duplicate is harmless only because the
-  // corpus treats same-bytes re-sends as idempotent no-ops, but two live
-  // replicas bumping generations concurrently would double the write work
-  // for zero latency win. Sequential failover below still applies.
-  bool hedge_armed = options_.hedge_after_ms > 0 && candidates.size() > 1 &&
-                     request.op != Op::kUpsert;
+  // Plots never hedge: two concurrent relays would interleave their tiles.
+  bool hedge_armed = options_.hedge_after_ms > 0 && candidates.size() > 1 && !plot;
   const std::uint64_t hedge_deadline =
       env_->now_ns() + options_.hedge_after_ms * 1'000'000;
 
+  std::vector<BackendPool::Conn*> conns;
   while (true) {
-    std::vector<BackendPool::Conn*> conns;
-    conns.reserve(active.size());
-    for (const Live& live : active) conns.push_back(live.conn.get());
+    conns.clear();
+    for (const Attempt& attempt : live) conns.push_back(attempt.conn.get());
     const std::uint64_t wait_until =
         hedge_armed ? std::min(hedge_deadline, attempt_deadline) : attempt_deadline;
-    int winner = -1;
-    std::string frame;
-    const RecvStatus status = recv_first(*env_, conns, wait_until, winner, frame);
+    int index = -1;
+    Response response;
+    const RecvStatus status = next_frame(conns, wait_until, index, response);
 
-    if (status == RecvStatus::kOk) {
-      Live won = std::move(active[static_cast<std::size_t>(winner)]);
-      active.erase(active.begin() + winner);
+    // A backend shedding mid-plot is a failover, not an answer: the next
+    // replica gets the whole plot and the client's assembler dedups. A
+    // unary op relays the backend's RETRY_AFTER (or kError) as its answer.
+    if (status == RecvStatus::kOk && !(plot && response.status == Status::kOverloaded)) {
+      // The first frame from any live attempt wins. The losers' late frames
+      // must never be read by a future request, so their connections die
+      // with them; later frames come from the winner alone.
+      std::swap(live.front(), live[static_cast<std::size_t>(index)]);
+      while (live.size() > 1) drop(live.size() - 1, /*failure=*/false);
+      hedge_armed = false;
+      Attempt& won = live.front();
       Shard& shard = *shards_[won.shard];
-      Response response;
-      try {
-        response = decode_response(frame);
-      } catch (const ProtocolError&) {
-        // A garbled response is a shard failure, not a client error.
-        shard.pool->discard(std::move(won.conn));
-        shard.errors.fetch_add(1, std::memory_order_relaxed);
-        record_failure(shard);
-        if (active.empty() && !launch(/*hedged=*/false)) return exhausted();
-        attempt_deadline = env_->now_ns() + attempt_ns;
-        continue;
-      }
-      // A clean exchange: the connection goes back unless trailing bytes
-      // arrived (a second frame nobody asked for poisons it).
-      if (won.conn->dirty()) {
+      response.shard = shard.config.id;
+      const bool terminal = terminal_response_frame(response);
+      if (!terminal) {
+        if (sink(std::move(response))) {
+          // One attempt budget per frame, so a long plot never runs out of
+          // overall time as long as each tile keeps arriving.
+          attempt_deadline = env_->now_ns() + attempt_ns;
+          continue;
+        }
+        // Client cancelled: the backend may still be mid-stream on this
+        // connection, so it cannot be reused.
         shard.pool->discard(std::move(won.conn));
       } else {
         shard.pool->release(std::move(won.conn));
+        if (won.hedged) {
+          shard.hedge_wins.fetch_add(1, std::memory_order_relaxed);
+          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+        } else if (won.rank > 0) {
+          shard.failovers.fetch_add(1, std::memory_order_relaxed);
+          failovers_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
       record_success(shard);
       shard.ok.fetch_add(1, std::memory_order_relaxed);
-      if (won.hedged) {
-        shard.hedge_wins.fetch_add(1, std::memory_order_relaxed);
-        hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (won.rank > 0 && !won.hedged) {
-        shard.failovers.fetch_add(1, std::memory_order_relaxed);
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Abandoned hedge partners: their late responses must never be read
-      // by a future request, so the connections die with them.
-      while (!active.empty()) drop(0, /*failure=*/false);
       forwarded_.fetch_add(1, std::memory_order_relaxed);
-      response.shard = shard.config.id;
-      return response;
+      if (terminal) (void)sink(std::move(response));
+      return;
     }
 
-    if (status == RecvStatus::kError) {
-      drop(static_cast<std::size_t>(winner), /*failure=*/true);
-      if (active.empty()) {
+    if (status != RecvStatus::kTimeout) {
+      drop(static_cast<std::size_t>(index), /*failure=*/true);
+      if (live.empty()) {
         if (!launch(/*hedged=*/false)) return exhausted();
         attempt_deadline = env_->now_ns() + attempt_ns;
       }
@@ -280,105 +292,12 @@ Response ShardRouter::forward(const Request& request) {
       continue;
     }
     if (env_->now_ns() >= attempt_deadline) {
-      while (!active.empty()) drop(0, /*failure=*/true);
+      while (!live.empty()) drop(0, /*failure=*/true);
       if (!launch(/*hedged=*/false)) return exhausted();
       attempt_deadline = env_->now_ns() + attempt_ns;
       hedge_armed = false;
     }
   }
-}
-
-void ShardRouter::route_stream(const Request& request, const Sink& sink) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  const PairKey key = make_pair_key(request.a, request.b);
-  std::vector<int> candidates;
-  ring()->replicas_for(key, std::max(1, options_.replicas), candidates);
-  std::stable_partition(candidates.begin(), candidates.end(), [&](int i) {
-    return shards_[static_cast<std::size_t>(i)]->healthy.load(std::memory_order_relaxed);
-  });
-  if (candidates.empty()) {
-    unavailable_.fetch_add(1, std::memory_order_relaxed);
-    (void)sink(overloaded_response(options_.retry_after_ms, "ring is empty (all drained)"));
-    return;
-  }
-  const std::string payload = encode_request(request);
-  const std::uint64_t attempt_ns = options_.attempt_timeout_ms * 1'000'000;
-
-  for (std::size_t rank = 0; rank < candidates.size(); ++rank) {
-    const auto s = static_cast<std::size_t>(candidates[rank]);
-    Shard& shard = *shards_[s];
-    shard.requests.fetch_add(1, std::memory_order_relaxed);
-    BackendPool::ConnPtr conn =
-        shard.pool->acquire(env_->now_ns() + options_.connect_timeout_ms * 1'000'000);
-    if (!conn) {
-      shard.errors.fetch_add(1, std::memory_order_relaxed);
-      record_failure(shard);
-      continue;
-    }
-    if (!send_frame(*env_, *conn, payload, env_->now_ns() + attempt_ns)) {
-      shard.pool->discard(std::move(conn));
-      shard.errors.fetch_add(1, std::memory_order_relaxed);
-      record_failure(shard);
-      continue;
-    }
-    // Relay loop: one attempt budget per frame, so a long plot never runs
-    // out of overall time as long as each tile keeps arriving.
-    bool failed = false;
-    while (!failed) {
-      int winner = -1;
-      std::string frame;
-      const RecvStatus status = recv_first(*env_, {conn.get()},
-                                           env_->now_ns() + attempt_ns, winner, frame);
-      if (status != RecvStatus::kOk) {
-        failed = true;
-        break;
-      }
-      Response response;
-      try {
-        response = decode_response(frame);
-      } catch (const ProtocolError&) {
-        failed = true;
-        break;
-      }
-      if (response.status == Status::kOverloaded) {
-        // A backend shedding mid-plot is a failover, not an answer: the next
-        // replica gets the whole plot and the client's assembler dedups.
-        failed = true;
-        break;
-      }
-      response.shard = shard.config.id;
-      const bool terminal = terminal_response_frame(response);
-      if (!sink(std::move(response))) {
-        // Client cancelled: the backend may still be mid-stream on this
-        // connection, so it cannot be reused.
-        shard.pool->discard(std::move(conn));
-        record_success(shard);
-        shard.ok.fetch_add(1, std::memory_order_relaxed);
-        forwarded_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (terminal) {
-        if (conn->dirty()) {
-          shard.pool->discard(std::move(conn));
-        } else {
-          shard.pool->release(std::move(conn));
-        }
-        record_success(shard);
-        shard.ok.fetch_add(1, std::memory_order_relaxed);
-        if (rank > 0) {
-          shard.failovers.fetch_add(1, std::memory_order_relaxed);
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-        }
-        forwarded_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    shard.pool->discard(std::move(conn));
-    shard.errors.fetch_add(1, std::memory_order_relaxed);
-    record_failure(shard);
-  }
-  unavailable_.fetch_add(1, std::memory_order_relaxed);
-  (void)sink(overloaded_response(options_.retry_after_ms, "no shard replica available"));
 }
 
 // ---------------------------------------------------------------------------
@@ -396,34 +315,16 @@ bool ShardRouter::probe_shard(std::size_t index) {
   };
   Request probe;
   probe.op = Op::kHealth;
-  const std::string payload = encode_request(probe);
-  BackendPool::ConnPtr conn =
-      shard.pool->acquire(env_->now_ns() + options_.connect_timeout_ms * 1'000'000);
+  BackendPool::ConnPtr conn = lease_and_send(shard, encode_request(probe));
   if (!conn) return fail();
-  const std::uint64_t deadline = env_->now_ns() + options_.attempt_timeout_ms * 1'000'000;
-  if (!send_frame(*env_, *conn, payload, deadline)) {
-    shard.pool->discard(std::move(conn));
-    return fail();
-  }
   int winner = -1;
-  std::string frame;
-  const RecvStatus status = recv_first(*env_, {conn.get()}, deadline, winner, frame);
-  if (status != RecvStatus::kOk) {
-    shard.pool->discard(std::move(conn));
-    return fail();
-  }
   Response response;
-  try {
-    response = decode_response(frame);
-  } catch (const ProtocolError&) {
+  const std::uint64_t deadline = env_->now_ns() + options_.attempt_timeout_ms * 1'000'000;
+  if (next_frame({conn.get()}, deadline, winner, response) != RecvStatus::kOk) {
     shard.pool->discard(std::move(conn));
     return fail();
   }
-  if (conn->dirty()) {
-    shard.pool->discard(std::move(conn));
-  } else {
-    shard.pool->release(std::move(conn));
-  }
+  shard.pool->release(std::move(conn));
   if (response.status != Status::kOk) return fail();
   // Restart detection: a new pid, or the same pid with the clock rewound.
   const std::int64_t pid = find_int(response.text, "pid", 0);

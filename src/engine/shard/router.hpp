@@ -3,19 +3,28 @@
 // A ShardRouter owns a HashRing over N backend `semilocal_serve` processes
 // and one BackendPool per shard, and answers the same wire protocol it
 // forwards -- the length-prefixed frames of engine/protocol.hpp are the
-// inter-node RPC, reused verbatim. Per request:
+// inter-node RPC, reused verbatim. Every forwarded op -- unary or plot --
+// runs one attempt loop (route_stream; a unary answer is a one-frame
+// stream):
 //
 //   decode --> PairKey --> ring.replicas_for(key, R) --> preference list
-//     (healthy shards first, ring order preserved)
+//     (healthy shards first, ring order preserved; an upsert keys on its
+//     document id and gets R = 1, its ring primary alone)
 //   attempt 1: lease a connection to the first candidate, send, await
-//   hedge:     after hedge_after_ms with no reply, send the same request to
-//              the next candidate and await both -- first success wins, the
-//              loser's connection is discarded (a late response on a reused
-//              connection could answer the wrong request)
-//   failover:  a connect failure, injected EIO, torn frame, EOF or attempt
-//              timeout moves to the next candidate
+//   hedge:     non-plot ops only: after hedge_after_ms with no reply, send
+//              the same request to the next candidate and await both --
+//              the first frame wins, the loser's connection is discarded (a
+//              late response on a reused connection could answer the wrong
+//              request)
+//   stream:    later frames come from the winner only, each with a fresh
+//              attempt budget
+//   failover:  a connect failure, injected EIO, torn or garbled frame, EOF,
+//              attempt timeout -- or a backend RETRY_AFTER on a plot --
+//              moves to the next candidate; a backend kError or unary
+//              RETRY_AFTER is relayed as the answer
 //   exhausted: every candidate failed -> typed RETRY_AFTER (kOverloaded
-//              with a retry hint), never a wrong answer, never a stall
+//              with a retry hint), never a wrong answer, never a stall; an
+//              upsert whose primary failed is never written elsewhere
 //
 // Health is probed on Op::kHealth: the prober remembers each backend's
 // (pid, uptime_ms) and counts a restart when the pid changes or the uptime
@@ -39,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -51,6 +61,7 @@ namespace semilocal {
 struct RouterOptions {
   std::vector<ShardConfig> shards;
   /// Replica fan-out: candidates per key (primary + failover/hedge targets).
+  /// Upserts always go to the primary alone.
   int replicas = 2;
   /// Ring granularity (vnodes = weight * this).
   int vnodes_per_weight = 64;
@@ -118,18 +129,19 @@ class ShardRouter final : public Service {
 
   Step begin(Request&& request, bool may_defer) override;
 
-  /// Routes one request to its single response on the calling thread
-  /// (plots stream through route_stream instead). Thread-safe; blocking
-  /// (bounded by the attempt budget times the candidate count).
+  /// Routes one request to its first response frame on the calling thread:
+  /// control ops answer locally, everything else is route_stream into a
+  /// one-frame sink (a plot's relay is cancelled after its first tile).
+  /// Thread-safe; blocking (bounded by the attempt budget times the
+  /// candidate count).
   Response route(const Request& request);
 
-  /// Streaming twin of route() for Op::kAlignmentPlot: relays each backend
-  /// tile frame through `sink` as it arrives (shard id stamped on every
-  /// frame). A mid-stream failure (timeout, garble, EOF, backend
-  /// RETRY_AFTER) discards the connection and re-sends the whole plot to the
-  /// next replica -- re-delivered tiles are deduplicated client-side by
-  /// PlotAssembler. Streams never hedge: two concurrent relays would
-  /// interleave. Always ends with a terminal frame unless `sink` returns
+  /// The attempt loop every forwarded op runs: relays each backend frame
+  /// through `sink` as it arrives (shard id stamped on every frame). For a
+  /// plot, a mid-stream failure (timeout, garble, EOF, backend RETRY_AFTER)
+  /// discards the connection and re-sends the whole plot to the next
+  /// replica -- re-delivered tiles are deduplicated client-side by
+  /// PlotAssembler. Always ends with a terminal frame unless `sink` returns
   /// false (client gone), which cancels the relay.
   void route_stream(const Request& request, const Sink& sink);
 
@@ -168,16 +180,25 @@ class ShardRouter final : public Service {
     std::atomic<std::uint64_t> last_uptime_ms{0};
   };
 
-  /// One in-flight exchange: a leased connection that was sent to.
+  /// One in-flight exchange of the attempt loop: a leased connection that
+  /// was sent to.
   struct Attempt {
     std::size_t shard = 0;  ///< index into shards_
+    std::size_t rank = 0;   ///< index into the candidate list (0 = primary)
+    bool hedged = false;
     BackendPool::ConnPtr conn;
   };
 
   /// The ops the router answers itself (ping, stats, health, shardctl);
   /// nullopt for everything a backend answers.
   std::optional<Response> control(const Request& request);
-  Response forward(const Request& request);
+  /// Leases a connection to `shard` and sends `payload` on it. nullptr =
+  /// dial, capacity or send failure (a leased connection is discarded).
+  BackendPool::ConnPtr lease_and_send(Shard& shard, std::string_view payload);
+  /// Waits for the next frame on any of `conns` and decodes it; a frame
+  /// that does not decode is kError on `winner`.
+  RecvStatus next_frame(const std::vector<BackendPool::Conn*>& conns,
+                        std::uint64_t deadline_ns, int& winner, Response& response);
   Response shardctl(const Request& request);
   Response router_health() const;
   void rebuild_ring();  ///< caller holds ring_mutex_

@@ -952,6 +952,68 @@ TEST(AlignmentPlotRouter, FailsOverToTheReplicaWhenTheFirstCandidateIsDead) {
   }
 }
 
+/// A backend that sheds every request with RETRY_AFTER.
+struct SheddingService final : Service {
+  Step begin(Request&&, bool) override {
+    return Step{overloaded_response(5, "stub: shedding"), {}};
+  }
+};
+
+TEST(AlignmentPlotRouter, BackendRetryAfterOnAPlotFailsOverToTheReplica) {
+  // The shedding backend is the plot key's ring primary, so the stream must
+  // start there, get kOverloaded, and complete off the replica.
+  SheddingService shedding;
+  FrontendServer stub(shedding, quiet_frontend());
+  std::thread stub_thread([&stub] { stub.run(); });
+  Backend live;
+
+  const Sequence a = random_seq(150, 201);
+  const Sequence b = random_seq(150, 202);
+  PlotSpec spec;
+  spec.rows = 8;
+  spec.cols = 8;
+  spec.step = 8;
+  spec.window = 16;
+  std::vector<int> order;
+  HashRing(router_over({0, 0}).shards).replicas_for(make_pair_key(a, b), 2, order);
+  ASSERT_EQ(order.size(), 2u);
+  const int stub_id = order[0];
+  const int live_id = order[1];
+  std::vector<int> ports(2);
+  ports[static_cast<std::size_t>(stub_id)] = stub.port();
+  ports[static_cast<std::size_t>(live_id)] = live.port();
+  RouterOptions options = router_over(ports);
+  options.replicas = 2;
+  ShardRouter router(std::move(options));
+
+  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+  bool terminal = false;
+  router.route_stream(plot_request(a, b, spec), [&](Response&& response) {
+    EXPECT_EQ(response.status, Status::kOk) << response.text;
+    EXPECT_EQ(response.shard, live_id);
+    assembler.feed(response);
+    terminal = terminal_response_frame(response);
+    return true;
+  });
+  EXPECT_TRUE(terminal);
+  ASSERT_TRUE(assembler.complete());
+  for (Index u = 0; u < spec.rows; ++u) {
+    for (Index v = 0; v < spec.cols; ++v) {
+      ASSERT_EQ(assembler.cell(u, v), naive_cell(a, b, spec, u, v))
+          << "cell (" << u << ", " << v << ")";
+    }
+  }
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.unavailable, 0u);
+  EXPECT_EQ(stats.shards[static_cast<std::size_t>(stub_id)].requests, 1u);
+  EXPECT_EQ(stats.shards[static_cast<std::size_t>(stub_id)].errors, 1u);
+  EXPECT_EQ(stats.shards[static_cast<std::size_t>(live_id)].ok, 1u);
+
+  stub.request_stop();
+  stub_thread.join();
+}
+
 TEST(AlignmentPlotRouter, CancelledSinkDiscardsTheBackendConnection) {
   Backend b0;
   ShardRouter router(router_over({b0.port()}));

@@ -3,9 +3,10 @@
 // across construction order), and the ShardRouter driven against real
 // in-process backends -- replica failover when a backend dies mid-run,
 // deterministic fault schedules through the Env socket seam ("shard:<id>"
-// labels), hedged requests against a silent backend, drain/undrain via
-// kShardCtl frames, restart detection by the health prober, and the golden
-// router stats and health documents.
+// labels), hedged requests against a silent backend, backend kError and
+// kOverloaded answers relayed unchanged, upserts confined to the ring
+// primary, drain/undrain via kShardCtl frames, restart detection by the
+// health prober, and the golden router stats and health documents.
 //
 // The oracle discipline throughout: every kOk response must carry the exact
 // client-side LCS value; a typed RETRY_AFTER (kOverloaded) is an acceptable
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
 #include "engine/env.hpp"
 #include "engine/frontend.hpp"
@@ -196,16 +198,19 @@ Sequence random_dna(Index length, Rng& rng) {
   return out;
 }
 
-/// One in-process backend: engine + service + reactor frontend + run() thread.
+/// One in-process backend: engine + in-memory corpus + service + reactor
+/// frontend + run() thread.
 struct Backend {
   ComparisonEngine engine;
+  CorpusManager corpus;
   EngineService service;
   FrontendServer server;
   std::thread thread;
 
   explicit Backend(int port = 0)
       : engine(small_engine()),
-        service(engine),
+        corpus(engine, CorpusManagerOptions{}),
+        service(engine, &corpus),
         server(service, frontend_on(port)),
         thread([this] { server.run(); }) {}
 
@@ -277,6 +282,29 @@ struct SilentBackend {
   }
 };
 
+/// A backend that answers every request with one canned frame.
+struct CannedBackend {
+  struct Canned final : Service {
+    explicit Canned(Response reply) : reply(std::move(reply)) {}
+    Step begin(Request&&, bool) override { return Step{reply, {}}; }
+    Response reply;
+  } service;
+  FrontendServer server;
+  std::thread thread;
+
+  explicit CannedBackend(Response reply)
+      : service(std::move(reply)),
+        server(service, Backend::frontend_on(0)),
+        thread([this] { server.run(); }) {}
+
+  ~CannedBackend() {
+    server.request_stop();
+    thread.join();
+  }
+
+  [[nodiscard]] int port() const { return server.port(); }
+};
+
 struct OraclePair {
   Sequence a;
   Sequence b;
@@ -311,6 +339,14 @@ RouterOptions router_over(const std::vector<int>& ports) {
         ShardConfig{static_cast<int>(i), "127.0.0.1", ports[i], 1});
   }
   return options;
+}
+
+/// The ring order of `key` over two shards with ids 0 and 1: the primary's
+/// id first. Placement depends on the ids only, not on the ports.
+std::vector<int> ring_order(const PairKey& key) {
+  std::vector<int> order;
+  HashRing(router_over({0, 0}).shards).replicas_for(key, 2, order);
+  return order;
 }
 
 TEST(ShardRouter, RoutesOracleCheckedAnswersAndStampsShardIds) {
@@ -483,6 +519,89 @@ TEST(ShardRouter, ExhaustedReplicasYieldTypedRetryAfterNeverAStall) {
     EXPECT_EQ(response.retry_ms, 75);
   }
   EXPECT_EQ(router.stats().unavailable, 3u);
+}
+
+TEST(ShardRouter, RelaysBackendErrorAndRetryAfterAnswersUnchanged) {
+  // A backend's kError or kOverloaded is its answer, not a shard failure:
+  // the router relays it and never tries the replica.
+  const OraclePair pair = oracle_pairs(1, 64, 37)[0];
+  const std::vector<int> order = ring_order(make_pair_key(pair.a, pair.b));
+  ASSERT_EQ(order.size(), 2u);
+  const auto stub_id = static_cast<std::size_t>(order[0]);
+  const auto live_id = static_cast<std::size_t>(order[1]);
+  for (const Response& canned :
+       {error_response("stub: bad request"), overloaded_response(7, "stub: shedding")}) {
+    CannedBackend stub(canned);
+    Backend live;
+    std::vector<int> ports(2);
+    ports[stub_id] = stub.port();
+    ports[live_id] = live.port();
+    auto options = router_over(ports);
+    options.replicas = 2;
+    ShardRouter router(std::move(options));
+
+    const Response response = router.route(lcs_request(pair));
+    EXPECT_EQ(response.status, canned.status);
+    EXPECT_EQ(response.text, canned.text);
+    EXPECT_EQ(response.retry_ms, canned.retry_ms);
+    EXPECT_EQ(response.shard, static_cast<int>(stub_id));
+    const RouterStats stats = router.stats();
+    EXPECT_EQ(stats.forwarded, 1u);
+    EXPECT_EQ(stats.failovers, 0u);
+    EXPECT_EQ(stats.unavailable, 0u);
+    EXPECT_EQ(stats.shards[stub_id].ok, 1u);
+    EXPECT_EQ(stats.shards[stub_id].errors, 0u);
+    EXPECT_EQ(stats.shards[live_id].requests, 0u);
+  }
+}
+
+TEST(ShardRouter, UpsertFailingOnItsPrimaryIsNeverWrittenToTheReplica) {
+  // Seeded reproducer: the primary commits the upsert, then the router's
+  // read of its answer fails. The client must get RETRY_AFTER and the
+  // replica must never see the document -- a second copy written there would
+  // diverge from the primary's on the next update.
+  Backend b0;
+  Backend b1;
+  Backend* backends[] = {&b0, &b1};
+  Rng rng(43);
+  const Sequence base = random_dna(64, rng);
+  for (Backend* backend : backends) (void)backend->corpus.upsert_document("base", base);
+
+  const std::string id = "doc";
+  const std::vector<int> order = ring_order(make_pair_key(to_sequence(id), {}));
+  ASSERT_EQ(order.size(), 2u);
+  Backend& primary = *backends[order[0]];
+  Backend& replica = *backends[order[1]];
+
+  FaultPlan plan;
+  plan.clock_step_ns = 100'000;
+  FaultRule rule;
+  rule.op = EnvOp::kSockRead;
+  rule.path_substring = "shard:" + std::to_string(order[0]);
+  rule.skip = 0;
+  rule.count = 1;
+  plan.rules.push_back(rule);
+  FaultyEnv env(plan);
+  auto options = router_over({b0.port(), b1.port()});
+  options.replicas = 2;
+  options.env = &env;
+  ShardRouter router(std::move(options));
+
+  Request upsert;
+  upsert.op = Op::kUpsert;
+  upsert.a = to_sequence(id);
+  upsert.b = random_dna(64, rng);
+  const Response response = router.route(upsert);
+  EXPECT_EQ(env.faults_injected(), 1u);
+  EXPECT_EQ(response.status, Status::kOverloaded) << response.text;
+  EXPECT_GT(response.retry_ms, 0);
+  EXPECT_TRUE(primary.corpus.version(id).has_value()) << "the primary never committed";
+  EXPECT_FALSE(replica.corpus.version(id).has_value()) << "upsert written to a replica";
+  for (const CorpusIndexEntry& entry : replica.corpus.index_entries()) {
+    EXPECT_NE(entry.id_a, id);
+    EXPECT_NE(entry.id_b, id);
+  }
+  EXPECT_EQ(router.stats().failovers, 0u);
 }
 
 TEST(ShardRouter, DrainStopsNewTrafficAndUndrainRestoresIt) {

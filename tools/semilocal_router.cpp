@@ -19,7 +19,8 @@
 // Router options:
 //   --shards SPEC            backend fleet (required)
 //   --replicas N             candidates per key: primary + failover/hedge
-//                            targets (default 2)
+//                            targets (default 2); upserts go to the
+//                            primary only
 //   --vnodes N               ring points per unit of weight (default 64)
 //   --pool N                 connections per backend pool (default 8)
 //   --connect-timeout-ms N   dial budget per backend connection (default 1000)
