@@ -6,7 +6,9 @@
 // labels), hedged requests against a silent backend, backend kError and
 // kOverloaded answers relayed unchanged, upserts confined to the ring
 // primary, drain/undrain via kShardCtl frames, restart detection by the
-// health prober, and the golden router stats and health documents.
+// health prober, the golden router stats and health documents, one relay
+// driven both by route() and by a live reactor (identical frames), and the
+// per-shard pool bound under concurrent requests.
 //
 // The oracle discipline throughout: every kOk response must carry the exact
 // client-side LCS value; a typed RETRY_AFTER (kOverloaded) is an acceptable
@@ -21,8 +23,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -775,6 +779,228 @@ TEST(ShardRouter, ServesThroughTheHandlerModeFrontendWithStatsSplice) {
   ::close(fd);
   server.request_stop();
   thread.join();
+}
+
+/// A router behind its own reactor, the way semilocal_router serves it.
+struct ServedRouter {
+  ShardRouter router;
+  FrontendServer server;
+  std::thread thread;
+
+  explicit ServedRouter(RouterOptions options, FrontendOptions frontend = Backend::frontend_on(0))
+      : router(std::move(options)),
+        server(router, std::move(frontend)),
+        thread([this] { server.run(); }) {}
+
+  ~ServedRouter() {
+    server.request_stop();
+    thread.join();
+  }
+};
+
+/// One blocking client connection: send a request, read its one response.
+class RawClient {
+ public:
+  explicit RawClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      throw std::runtime_error("client connect failed");
+    }
+  }
+  ~RawClient() { ::close(fd_); }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  Response exchange(const Request& request) {
+    const std::string frame = frame_payload(encode_request(request));
+    if (::write(fd_, frame.data(), frame.size()) != static_cast<ssize_t>(frame.size())) {
+      throw std::runtime_error("client write failed");
+    }
+    FrameDecoder decoder;
+    std::string payload;
+    bool done = false;
+    char buf[1 << 14];
+    while (!done) {
+      const auto n = ::read(fd_, buf, sizeof(buf));
+      if (n <= 0) throw std::runtime_error("client read failed");
+      decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)),
+                   [&](std::string_view p, bool) {
+                     payload.assign(p);
+                     done = true;
+                   });
+    }
+    return decode_response(payload);
+  }
+
+ private:
+  int fd_;
+};
+
+void expect_same_frame(const Response& routed, const Response& served, const char* what) {
+  EXPECT_EQ(routed.status, served.status) << what;
+  EXPECT_EQ(routed.value, served.value) << what;
+  EXPECT_EQ(routed.retry_ms, served.retry_ms) << what;
+  EXPECT_EQ(routed.text, served.text) << what;
+  EXPECT_EQ(routed.values, served.values) << what;
+  EXPECT_EQ(routed.shard, served.shard) << what;
+  EXPECT_EQ(routed.tile.has_value(), served.tile.has_value()) << what;
+}
+
+TEST(ShardRouter, RouteAndServedRelayReturnIdenticalFrames) {
+  // One relay, two drivers: route() on the caller's thread and a live
+  // reactor over the router must hand back the same frame for the same
+  // request, shard stamp included. Each driver gets its own fresh pair of
+  // backends, so even an upsert (which bumps a version) answers alike.
+  const OraclePair pair = oracle_pairs(1, 64, 41)[0];
+  Request lcs = lcs_request(pair);
+  Request batch = lcs_request(pair);
+  batch.op = Op::kBatchQuery;
+  batch.windows = {WindowQuery{QueryKind::kLcs, 0, 0},
+                   WindowQuery{QueryKind::kStringSubstring, 3, 40},
+                   WindowQuery{QueryKind::kSubstringString, 10, 20}};
+  Request bad = lcs_request(pair);  // a window past the end: the backend's kError
+  bad.op = Op::kStringSubstring;
+  bad.x = 10;
+  bad.y = 999;
+  Request upsert;
+  upsert.op = Op::kUpsert;
+  upsert.a = to_sequence("doc");
+  upsert.b = pair.b;
+  const std::vector<std::pair<const char*, const Request*>> requests = {
+      {"lcs", &lcs}, {"batch", &batch}, {"error", &bad}, {"upsert", &upsert}};
+
+  std::vector<Response> routed;
+  {
+    Backend b0;
+    Backend b1;
+    ShardRouter router(router_over({b0.port(), b1.port()}));
+    for (const auto& [name, request] : requests) routed.push_back(router.route(*request));
+  }
+  std::vector<Response> served;
+  {
+    Backend b0;
+    Backend b1;
+    ServedRouter rig(router_over({b0.port(), b1.port()}));
+    RawClient client(rig.server.port());
+    for (const auto& [name, request] : requests) served.push_back(client.exchange(*request));
+    EXPECT_EQ(rig.router.stats().forwarded, requests.size());
+  }
+  ASSERT_EQ(routed.size(), served.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_same_frame(routed[i], served[i], requests[i].first);
+  }
+  EXPECT_EQ(routed[0].status, Status::kOk);
+  EXPECT_EQ(routed[0].value, pair.lcs);
+  EXPECT_EQ(routed[1].values.size(), 3u);
+  EXPECT_EQ(routed[2].status, Status::kError);
+  EXPECT_FALSE(routed[2].text.empty());
+  EXPECT_EQ(routed[3].status, Status::kOk) << routed[3].text;
+  EXPECT_EQ(routed[3].value, 1);
+  for (const Response& response : routed) EXPECT_GE(response.shard, 0);
+}
+
+/// A backend that holds every request until the test opens its latch, and
+/// records the most exchanges it ever held at once.
+struct LatchedBackend {
+  struct Held final : Service {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+    int active = 0;
+    int peak = 0;
+
+    Step begin(Request&&, bool may_defer) override {
+      if (!may_defer) return {};
+      return Step{std::nullopt, [this](const Sink& sink) {
+                    {
+                      std::unique_lock lock(mutex);
+                      peak = std::max(peak, ++active);
+                      cv.wait_for(lock, 10s, [this] { return open; });
+                      --active;
+                    }
+                    Response response;
+                    response.value = 1;
+                    (void)sink(std::move(response));
+                  }};
+    }
+
+    void release() {
+      {
+        std::lock_guard lock(mutex);
+        open = true;
+      }
+      cv.notify_all();
+    }
+  } service;
+  FrontendServer server;
+  std::thread thread;
+
+  LatchedBackend() : server(service, many_pumps()), thread([this] { server.run(); }) {}
+  ~LatchedBackend() {
+    service.release();
+    server.request_stop();
+    thread.join();
+  }
+
+  /// More pumps than requests: the backend itself never caps the count.
+  static FrontendOptions many_pumps() {
+    FrontendOptions options = Backend::frontend_on(0);
+    options.pump_threads = 8;
+    return options;
+  }
+};
+
+TEST(ShardRouter, PoolBoundsInFlightExchangesAndTimesOutWaiters) {
+  // pool_connections = 2 bounds the exchanges one shard sees, whichever
+  // driver sends. Five concurrent requests: two reach the backend and wait
+  // on its latch; three find no connection free, wait connect_timeout_ms
+  // and get the exhausted path's RETRY_AFTER. Then the latch opens and the
+  // two held requests answer.
+  constexpr int kRequests = 5;
+  const OraclePair pair = oracle_pairs(1, 32, 53)[0];
+  for (const bool served : {false, true}) {
+    SCOPED_TRACE(served ? "served" : "route()");
+    LatchedBackend backend;
+    RouterOptions options = router_over({backend.server.port()});
+    options.pool_connections = 2;
+    options.connect_timeout_ms = 300;
+    options.attempt_timeout_ms = 20'000;
+    options.retry_after_ms = 9;
+    FrontendOptions frontend = Backend::frontend_on(0);
+    frontend.pump_threads = 8;
+    ServedRouter rig(std::move(options), std::move(frontend));
+
+    std::atomic<int> ok{0};
+    std::atomic<int> overloaded{0};
+    std::vector<std::thread> clients;
+    for (int i = 0; i < kRequests; ++i) {
+      clients.emplace_back([&] {
+        Response response;
+        if (served) {
+          RawClient client(rig.server.port());
+          response = client.exchange(lcs_request(pair));
+        } else {
+          response = rig.router.route(lcs_request(pair));
+        }
+        if (response.status == Status::kOk && response.value == 1) ++ok;
+        if (response.status == Status::kOverloaded && response.retry_ms == 9) ++overloaded;
+      });
+    }
+    const auto until = std::chrono::steady_clock::now() + 10s;
+    while (overloaded.load() < kRequests - 2 && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(5ms);
+    }
+    EXPECT_EQ(ok.load(), 0) << "a held request answered before the latch opened";
+    backend.service.release();
+    for (std::thread& client : clients) client.join();
+    EXPECT_EQ(ok.load(), 2);
+    EXPECT_EQ(overloaded.load(), kRequests - 2);
+    std::lock_guard lock(backend.service.mutex);
+    EXPECT_EQ(backend.service.peak, 2) << "the pool let more exchanges through";
+  }
 }
 
 TEST(ShardRouter, StatsAndHealthDocumentsGolden) {
