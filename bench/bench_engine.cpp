@@ -600,7 +600,6 @@ ShardLeg run_shard_scale_leg(int shards, const std::vector<Index>& oracle,
   frontend.port = 0;
   frontend.idle_timeout_ms = 0;
   frontend.read_timeout_ms = 0;
-  frontend.pump_threads = 32;  // pumps block on backend RTTs: this is fan-out
   FrontendServer server(router, std::move(frontend));
   std::thread loop([&server] { server.run(); });
 
@@ -694,7 +693,6 @@ ShardLeg run_shard_failover_leg(Index length, double rate, std::uint64_t duratio
   frontend.port = 0;
   frontend.idle_timeout_ms = 0;
   frontend.read_timeout_ms = 0;
-  frontend.pump_threads = 16;
   FrontendServer server(router, std::move(frontend));
   std::thread loop([&server] { server.run(); });
 
@@ -1021,7 +1019,11 @@ std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
     std::vector<double> wall_ms;
     std::vector<double> cpu_ms;
   };
-  const auto id_of = [](std::size_t d) { return "d" + std::to_string(d); };
+  const auto id_of = [](std::size_t d) {
+    std::string id = "d";
+    id += std::to_string(d);
+    return id;
+  };
   std::array<Side, 2> sides;  // [0] gated, [1] whole
   for (std::size_t k = 0; k < sides.size(); ++k) {
     Side& side = sides[k];

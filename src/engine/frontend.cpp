@@ -1,6 +1,7 @@
 #include "engine/frontend.hpp"
 
 #include "engine/env.hpp"
+#include "engine/loop.hpp"
 #include "util/json.hpp"
 
 #include <netinet/in.h>
@@ -11,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -131,8 +133,8 @@ std::string with_frontend_fields(std::string stats, const FrontendStats& f) {
 // ---------------------------------------------------------------------------
 // FrontendServer: the epoll reactor.
 
-struct FrontendServer::Impl {
-  // epoll_event.data.u64 tags; connection ids start above the sentinels.
+struct FrontendServer::Impl final : EventLoop::Handler {
+  // Event-loop tokens; connection ids start above the sentinels.
   static constexpr std::uint64_t kListenerTag = 1;
   static constexpr std::uint64_t kStopTag = 2;
   static constexpr std::uint64_t kCompletionTag = 3;
@@ -160,6 +162,26 @@ struct FrontendServer::Impl {
     std::condition_variable cv;
     bool proceed = false;
     bool cancel = false;
+  };
+
+  struct Conn;
+
+  /// Loop work (Service::begin's third outcome) in flight on a connection:
+  /// its frames land in pending slot `seq` straight from the event loop.
+  struct LoopSlot final : FrameOut {
+    LoopSlot(Impl& owner, Conn& on, std::uint64_t slot_seq, std::unique_ptr<LoopWork> w)
+        : impl(&owner), conn(&on), seq(slot_seq), work(std::move(w)) {}
+    LoopSlot(const LoopSlot&) = delete;
+    LoopSlot& operator=(const LoopSlot&) = delete;
+
+    Flow frame(std::string_view framed, bool terminal) override {
+      return impl->loop_frame(*this, framed, terminal);
+    }
+
+    Impl* impl;
+    Conn* conn;  ///< outlives the slot's work: close_conn cancels it first
+    std::uint64_t seq;
+    std::unique_ptr<LoopWork> work;
   };
 
   struct Conn {
@@ -193,6 +215,10 @@ struct FrontendServer::Impl {
     /// peer that never drains its socket trips the read-timeout clock on it.
     std::vector<std::shared_ptr<StreamGate>> parked_gates;
     std::uint64_t stream_parked_ns = 0;
+    /// Loop work running for this connection, and the streams among it
+    /// paused (FrameOut::kPause) until the write queue drains.
+    std::vector<std::unique_ptr<LoopSlot>> loop_slots;
+    std::vector<LoopSlot*> parked_slots;
   };
 
   /// A deferred job waiting for a pump; its frames land in slot `seq`.
@@ -214,10 +240,12 @@ struct FrontendServer::Impl {
   FrontendOptions options;
   Env* env;
   Counters counters;
+  /// Declared before everything that watches it: connections and loop work
+  /// are torn down while it still exists.
+  EventLoop loop;
 
   int listener = -1;
   int bound_port = 0;
-  int epoll_fd = -1;
   int stop_fd = -1;        // eventfd; request_stop() writes it (signal-safe)
   int completion_fd = -1;  // eventfd; pumps ring it after posting
 
@@ -225,6 +253,9 @@ struct FrontendServer::Impl {
   /// Closed conns parked until the current event-loop iteration ends, so
   /// references held by in-progress handlers stay valid.
   std::vector<std::unique_ptr<Conn>> graveyard;
+  /// Finished or cancelled loop work, freed with the graveyard: a work may
+  /// end from inside its own handler.
+  std::vector<std::unique_ptr<LoopSlot>> slot_graveyard;
   std::uint64_t next_conn_id = kFirstConnId;
 
   std::mutex pump_mutex;
@@ -241,26 +272,28 @@ struct FrontendServer::Impl {
   std::uint64_t drain_deadline_ns = 0;
 
   Impl(Service& svc, FrontendOptions opts)
-      : service(svc), options(std::move(opts)), env(options.env ? options.env : &real_env()) {
+      : service(svc),
+        options(std::move(opts)),
+        env(options.env ? options.env : &real_env()),
+        loop(*env) {
     raise_fd_limit();
     auto [fd, port] = make_listener(options.port, options.listen_backlog);
     listener = fd;
     bound_port = port;
-    epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     stop_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     completion_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (epoll_fd < 0 || stop_fd < 0 || completion_fd < 0) {
+    if (stop_fd < 0 || completion_fd < 0) {
       const int err = errno;
       close_fds();
       errno = err;
-      throw_errno("frontend: epoll/eventfd");
+      throw_errno("frontend: eventfd");
     }
     try {
-      watch(listener, kListenerTag, EPOLLIN);
-      watch(stop_fd, kStopTag, EPOLLIN);
-      watch(completion_fd, kCompletionTag, EPOLLIN);
+      loop.watch(listener, EPOLLIN, *this, kListenerTag);
+      loop.watch(stop_fd, EPOLLIN, *this, kStopTag);
+      loop.watch(completion_fd, EPOLLIN, *this, kCompletionTag);
     } catch (...) {
-      // ~Impl never runs for a partially constructed object; sweep the four
+      // ~Impl never runs for a partially constructed object; sweep the
       // live descriptors here or they leak.
       close_fds();
       throw;
@@ -270,31 +303,19 @@ struct FrontendServer::Impl {
   ~Impl() { close_fds(); }
 
   void close_fds() {
-    for (auto& [id, conn] : conns) {
-      if (conn->fd >= 0) ::close(conn->fd);
-    }
-    conns.clear();
-    for (int* fd : {&listener, &epoll_fd, &stop_fd, &completion_fd}) {
+    std::vector<std::uint64_t> ids;
+    ids.reserve(conns.size());
+    for (const auto& [id, conn] : conns) ids.push_back(id);
+    for (const std::uint64_t id : ids) close_conn(id);
+    slot_graveyard.clear();
+    graveyard.clear();
+    for (int* fd : {&listener, &stop_fd, &completion_fd}) {
       if (*fd >= 0) ::close(*fd);
       *fd = -1;
     }
   }
 
-  void watch(int fd, std::uint64_t tag, std::uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.u64 = tag;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      throw_errno("frontend: epoll_ctl add");
-    }
-  }
-
-  void rearm(Conn& conn, std::uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.u64 = conn.id;
-    (void)::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
-  }
+  void rearm(Conn& conn, std::uint32_t events) { loop.rearm(conn.fd, events); }
 
   [[nodiscard]] std::uint64_t now_ms() { return env->now_ns() / 1'000'000; }
 
@@ -326,7 +347,7 @@ struct FrontendServer::Impl {
       conn->id = next_conn_id++;
       conn->label = "conn:" + std::to_string(conn->id);
       conn->last_read_ns = env->now_ns();
-      watch(fd, conn->id, EPOLLIN);
+      loop.watch(fd, EPOLLIN, *this, conn->id);
       counters.accepted.fetch_add(1, std::memory_order_relaxed);
       counters.active.fetch_add(1, std::memory_order_relaxed);
       conns.emplace(conn->id, std::move(conn));
@@ -368,7 +389,15 @@ struct FrontendServer::Impl {
     conn.dead = true;
     for (const auto& gate : conn.parked_gates) gate_signal(*gate, /*cancel=*/true);
     conn.parked_gates.clear();
-    ::close(conn.fd);  // EPOLL_CTL_DEL is implicit in close(2)
+    conn.parked_slots.clear();
+    // Cancelling may re-enter a work that is mid-frame(); the slots stay
+    // alive in slot_graveyard until the end of the iteration.
+    std::vector<std::unique_ptr<LoopSlot>> slots = std::move(conn.loop_slots);
+    conn.loop_slots.clear();
+    for (const auto& slot : slots) slot->work->cancel();
+    for (auto& slot : slots) slot_graveyard.push_back(std::move(slot));
+    loop.unwatch(conn.fd);
+    ::close(conn.fd);
     conn.fd = -1;
     graveyard.push_back(std::move(it->second));  // freed after this iteration
     conns.erase(it);
@@ -437,25 +466,32 @@ struct FrontendServer::Impl {
     return bytes;
   }
 
-  /// One decoded request frame: the service answers it now or defers it to
-  /// a pump; the per-connection in-flight budget is checked before either.
+  /// One request frame: the service answers it now, defers it to a pump,
+  /// or hands back loop work; the per-connection in-flight budget is
+  /// checked before any but an answer.
   void on_frame(Conn& conn, std::string_view payload) {
     if (conn.dead) return;
-    Request request;
+    const bool stats = !payload.empty() && payload[0] == static_cast<char>(Op::kStats);
+    Step step;
     try {
-      request = decode_request(payload);
+      step = service.begin_frame(payload,
+                                 /*may_defer=*/conn.inflight < options.max_inflight_per_conn);
     } catch (const ProtocolError& e) {
       counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       push_response(conn, error_response(e.what()));
       return;
-    }
-    const bool stats = request.op == Op::kStats;
-    Step step;
-    try {
-      step = service.begin(std::move(request),
-                           /*may_defer=*/conn.inflight < options.max_inflight_per_conn);
     } catch (...) {
-      step.answer = failure_response();
+      step = Step{failure_response(), {}, {}};
+    }
+    if (step.work) {
+      const std::uint64_t seq = conn.next_seq++;
+      conn.pending.push_back(Pending{seq, false, {}});
+      ++conn.inflight;
+      auto slot = std::make_unique<LoopSlot>(*this, conn, seq, std::move(step.work));
+      LoopSlot& started = *slot;
+      conn.loop_slots.push_back(std::move(slot));
+      started.work->start(loop, started);
+      return;
     }
     if (step.job) {
       const std::uint64_t seq = conn.next_seq++;
@@ -496,9 +532,27 @@ struct FrontendServer::Impl {
 
   // -- write path -----------------------------------------------------------
 
+  /// flush_bytes, then resumes the paused loop work of a connection whose
+  /// queue drained back under the watermark.
+  void flush(Conn& conn) {
+    flush_bytes(conn);
+    if (conn.dead || conn.parked_slots.empty() || queued_bytes(conn) > stream_watermark()) {
+      return;
+    }
+    // A resumed work may emit (and flush) again at once; it parks anew if it
+    // fills the queue, so walk a snapshot.
+    const std::vector<LoopSlot*> parked = std::move(conn.parked_slots);
+    conn.parked_slots.clear();
+    if (conn.parked_gates.empty()) conn.stream_parked_ns = 0;
+    for (LoopSlot* slot : parked) {
+      if (conn.dead) return;  // close_conn cancelled the rest
+      slot->work->resume();
+    }
+  }
+
   /// Moves ready FIFO-head slots into the flush buffer, writes what the
   /// socket takes, enforces the write-queue cap, arms EPOLLOUT for the rest.
-  void flush(Conn& conn) {
+  void flush_bytes(Conn& conn) {
     if (conn.dead) return;
     while (!conn.pending.empty()) {
       Pending& head = conn.pending.front();
@@ -537,7 +591,7 @@ struct FrontendServer::Impl {
       // The socket drained: wake every stream paced on this connection.
       for (const auto& gate : conn.parked_gates) gate_signal(*gate, /*cancel=*/false);
       conn.parked_gates.clear();
-      conn.stream_parked_ns = 0;
+      if (conn.parked_slots.empty()) conn.stream_parked_ns = 0;
     }
     if (conn.out_off == conn.out.size()) {
       conn.out.clear();
@@ -553,6 +607,38 @@ struct FrontendServer::Impl {
       conn.want_write = true;
       rearm(conn, read_interest(conn) | EPOLLOUT);
     }
+  }
+
+  // -- loop work ------------------------------------------------------------
+
+  /// A loop work's frame lands in its pending slot directly (no pump, no
+  /// completion queue). A stream pauses while the connection's queue sits
+  /// above the watermark -- the same pacing the pump streams' gates get.
+  FrameOut::Flow loop_frame(LoopSlot& slot, std::string_view framed, bool terminal) {
+    Conn& conn = *slot.conn;
+    if (conn.dead) return FrameOut::Flow::kStop;
+    if (framed.size() > 4 && framed[4] == static_cast<char>(Status::kOverloaded)) {
+      counters.retry_after.fetch_add(1, std::memory_order_relaxed);
+    }
+    Pending& pending = conn.pending[static_cast<std::size_t>(slot.seq - conn.pending.front().seq)];
+    pending.bytes.append(framed);
+    conn.pending_ready_bytes += framed.size();
+    if (terminal) {
+      pending.done = true;
+      --conn.inflight;
+      const auto it = std::find_if(conn.loop_slots.begin(), conn.loop_slots.end(),
+                                   [&](const auto& s) { return s.get() == &slot; });
+      slot_graveyard.push_back(std::move(*it));
+      conn.loop_slots.erase(it);
+    }
+    flush(conn);
+    if (conn.dead) return FrameOut::Flow::kStop;
+    if (terminal || queued_bytes(conn) <= stream_watermark()) return FrameOut::Flow::kMore;
+    if (conn.parked_gates.empty() && conn.parked_slots.empty()) {
+      conn.stream_parked_ns = env->now_ns();
+    }
+    conn.parked_slots.push_back(&slot);
+    return FrameOut::Flow::kPause;
   }
 
   // -- pump pool (deferred jobs) --------------------------------------------
@@ -726,7 +812,8 @@ struct FrontendServer::Impl {
     if (draining) return;
     draining = true;
     drain_deadline_ns = env->now_ns() + options.drain_timeout_ms * 1'000'000;
-    ::close(listener);  // stop accepting; implicit EPOLL_CTL_DEL
+    loop.unwatch(listener);  // stop accepting
+    ::close(listener);
     listener = -1;
     // Stop reading: in-flight requests finish, new bytes are ignored.
     for (const auto& [id, conn] : conns) {
@@ -761,43 +848,11 @@ struct FrontendServer::Impl {
     for (int p = 0; p < std::max(1, options.pump_threads); ++p) {
       pumps.emplace_back([this] { pump_loop(); });
     }
-    epoll_event events[256];
     std::uint64_t last_scan_ns = env->now_ns();
     while (true) {
-      const int timeout_ms = draining ? 10 : 20;
-      const int n = ::epoll_wait(epoll_fd, events, 256, timeout_ms);
-      if (n < 0 && errno != EINTR) break;
-      for (int i = 0; i < n; ++i) {
-        const std::uint64_t tag = events[i].data.u64;
-        const std::uint32_t ev = events[i].events;
-        if (tag == kListenerTag) {
-          if (!draining) accept_ready();
-          continue;
-        }
-        if (tag == kStopTag) {
-          std::uint64_t v = 0;
-          (void)::read(stop_fd, &v, sizeof(v));
-          begin_drain();
-          continue;
-        }
-        if (tag == kCompletionTag) {
-          completions_ready();
-          continue;
-        }
-        const auto it = conns.find(tag);
-        if (it == conns.end()) continue;  // closed earlier in this batch
-        Conn& conn = *it->second;
-        if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
-          close_conn(tag);
-          continue;
-        }
-        if ((ev & EPOLLOUT) != 0) flush(conn);
-        // flush may have closed the conn; re-check before reading.
-        if ((ev & EPOLLIN) != 0 && conns.count(tag) != 0 && !draining) {
-          read_ready(conn);
-        }
-      }
-      graveyard.clear();  // no handler is live past the events loop
+      if (!loop.poll(draining ? 10 : 20)) break;
+      slot_graveyard.clear();  // no handler is live past poll()
+      graveyard.clear();
       const std::uint64_t now = env->now_ns();
       if (now - last_scan_ns >= 10'000'000) {  // scan timeouts every ~10ms
         last_scan_ns = now;
@@ -815,6 +870,33 @@ struct FrontendServer::Impl {
     pump_ready.notify_all();
     for (std::thread& t : pumps) t.join();
     pumps.clear();
+  }
+
+  void on_ready(std::uint64_t tag, std::uint32_t ev) override {
+    if (tag == kListenerTag) {
+      if (!draining) accept_ready();
+      return;
+    }
+    if (tag == kStopTag) {
+      std::uint64_t v = 0;
+      (void)::read(stop_fd, &v, sizeof(v));
+      begin_drain();
+      return;
+    }
+    if (tag == kCompletionTag) {
+      completions_ready();
+      return;
+    }
+    const auto it = conns.find(tag);
+    if (it == conns.end()) return;  // closed earlier in this batch
+    Conn& conn = *it->second;
+    if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
+      close_conn(tag);
+      return;
+    }
+    if ((ev & EPOLLOUT) != 0) flush(conn);
+    // flush may have closed the conn; re-check before reading.
+    if ((ev & EPOLLIN) != 0 && conns.count(tag) != 0 && !draining) read_ready(conn);
   }
 
   void request_stop() const {

@@ -1,12 +1,15 @@
 // The serve frontend: an epoll reactor over one Service.
 //
 // The reactor is what lets one engine face tens of thousands of sockets:
-// a single event-loop thread owns every connection (non-blocking accept /
-// read / write through the Env fd seam), an incremental FrameDecoder turns
-// partial reads into protocol frames with zero copies on the contained-frame
-// path, and a small fixed pump pool runs the jobs Service::begin defers
-// (cold compute waits, upserts, plot streams, backend exchanges) so nothing
-// blocks the loop. What an op means is the service's business
+// a single event-loop thread (engine/loop.hpp) owns every connection
+// (non-blocking accept / read / write through the Env fd seam), an
+// incremental FrameDecoder turns partial reads into protocol frames with
+// zero copies on the contained-frame path, and a small fixed pump pool runs
+// the jobs Service::begin defers (cold compute waits, upserts, plot
+// streams) so nothing blocks the loop. Loop work -- the shard router's
+// backend relay -- runs on the event-loop thread itself: its fds and
+// deadlines join the loop, and its frames go straight into the request's
+// response slot. What an op means is the service's business
 // (engine/service.hpp); admission control is the reactor's, explicit and
 // typed:
 //
@@ -67,8 +70,8 @@ struct FrontendOptions {
   /// before hard-closing the stragglers.
   std::uint64_t drain_timeout_ms = 2'000;
   /// Threads that run deferred jobs (cold compute waits, upserts, plot
-  /// streams, backend exchanges). Answers begin() gives at once -- warm
-  /// cache hits included -- go out on the event loop and never touch a pump.
+  /// streams). Answers begin() gives at once -- warm cache hits included --
+  /// and loop work go out on the event loop and never touch a pump.
   int pump_threads = 2;
   /// Clock + socket-I/O seam. nullptr = real_env().
   Env* env = nullptr;
@@ -89,6 +92,7 @@ struct FrontendStats {
   std::uint64_t write_queue_disconnects = 0;
   std::uint64_t inline_answers = 0;  ///< begin() answered at once, on the event loop
   std::uint64_t pump_answers = 0;    ///< deferred jobs a pump ran to completion
+  // Loop work (the router's relay) is in neither: its service counts it.
 };
 
 /// The epoll reactor frontend. Construction binds and listens (throws

@@ -12,11 +12,17 @@ constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
 constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
 constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
 
+/// A symbol's 32-bit value: a Symbol as it is, a wire byte widened the way
+/// decode_request widens it.
+std::uint32_t symbol_value(Symbol s) { return static_cast<std::uint32_t>(s); }
+std::uint32_t symbol_value(char c) { return static_cast<unsigned char>(c); }
+
 /// Two symbols as one word, built arithmetically so the digest does not
 /// depend on the host byte order.
-std::uint64_t word_at(const Symbol* p) {
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(p[0])) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(p[1])) << 32;
+template <typename T>
+std::uint64_t word_at(const T* p) {
+  return static_cast<std::uint64_t>(symbol_value(p[0])) |
+         static_cast<std::uint64_t>(symbol_value(p[1])) << 32;
 }
 
 std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
@@ -27,13 +33,11 @@ std::uint64_t merge_lane(std::uint64_t hash, std::uint64_t lane) {
   return (hash ^ lane_round(0, lane)) * kPrime1 + kPrime4;
 }
 
-}  // namespace
-
-std::uint64_t sequence_digest(SequenceView s) {
-  const Symbol* p = s.data();
-  const Symbol* const end = p + s.size();
+template <typename T>
+std::uint64_t digest(const T* p, std::size_t size) {
+  const T* const end = p + size;
   std::uint64_t hash = kPrime5;
-  if (s.size() >= 8) {
+  if (size >= 8) {
     // Four independent lanes, one word (two symbols) each per step: the
     // multiplies of one step do not wait on each other.
     std::uint64_t v1 = kPrime1 + kPrime2;
@@ -52,13 +56,13 @@ std::uint64_t sequence_digest(SequenceView s) {
     hash = merge_lane(hash, v3);
     hash = merge_lane(hash, v4);
   }
-  hash += static_cast<std::uint64_t>(s.size()) * sizeof(Symbol);
+  hash += static_cast<std::uint64_t>(size) * sizeof(Symbol);
   // Tail of up to 7 symbols: whole words, then a lone symbol.
   for (; end - p >= 2; p += 2) {
     hash = std::rotl(hash ^ lane_round(0, word_at(p)), 27) * kPrime1 + kPrime4;
   }
   if (p != end) {
-    hash ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(*p)) * kPrime1;
+    hash ^= static_cast<std::uint64_t>(symbol_value(*p)) * kPrime1;
     hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
   }
   // Avalanche: every input bit reaches every output bit.
@@ -70,9 +74,20 @@ std::uint64_t sequence_digest(SequenceView s) {
   return hash;
 }
 
+}  // namespace
+
+std::uint64_t sequence_digest(SequenceView s) { return digest(s.data(), s.size()); }
+
 PairKey make_pair_key(SequenceView a, SequenceView b) {
   return PairKey{.hash_a = sequence_digest(a),
                  .hash_b = sequence_digest(b),
+                 .len_a = static_cast<Index>(a.size()),
+                 .len_b = static_cast<Index>(b.size())};
+}
+
+PairKey make_wire_pair_key(std::string_view a, std::string_view b) {
+  return PairKey{.hash_a = digest(a.data(), a.size()),
+                 .hash_b = digest(b.data(), b.size()),
                  .len_a = static_cast<Index>(a.size()),
                  .len_b = static_cast<Index>(b.size())};
 }

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "util/types.hpp"
 
@@ -50,6 +51,11 @@ struct PairKey {
 
 /// Digests the symbol data of both strings into a PairKey.
 PairKey make_pair_key(SequenceView a, SequenceView b);
+
+/// make_pair_key of two sequences still in wire form (one byte per symbol,
+/// as a request payload carries them): equal to make_pair_key of the decoded
+/// sequences, without decoding them. The shard router keys on it.
+PairKey make_wire_pair_key(std::string_view a, std::string_view b);
 
 /// 64-bit digest of a symbol sequence (the one make_pair_key uses per side).
 std::uint64_t sequence_digest(SequenceView s);

@@ -36,18 +36,12 @@ class Reader {
     return static_cast<std::int64_t>(v);
   }
 
-  Sequence sequence(std::size_t n) {
-    const auto bytes = take(n);
-    Sequence out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(static_cast<Symbol>(bytes[i]));
-    return out;
+  std::string_view bytes(std::size_t n) {
+    const auto taken = take(n);
+    return {reinterpret_cast<const char*>(taken.data()), n};
   }
 
-  std::string text(std::size_t n) {
-    const auto bytes = take(n);
-    return std::string(reinterpret_cast<const char*>(bytes.data()), n);
-  }
+  [[nodiscard]] std::size_t pos() const { return pos_; }
 
   void expect_end() const {
     if (pos_ != data_.size()) throw ProtocolError("payload has trailing bytes");
@@ -69,6 +63,15 @@ class Reader {
 
 void append_sequence_bytes(std::string& out, SequenceView s) {
   for (const Symbol sym : s) out.push_back(static_cast<char>(sym & 0xff));
+}
+
+/// Wire bytes to symbols; a plain indexed loop, so the compiler widens
+/// many bytes per instruction.
+Sequence widen(std::string_view bytes) {
+  Sequence out(bytes.size());
+  const auto* src = reinterpret_cast<const unsigned char*>(bytes.data());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<Symbol>(src[i]);
+  return out;
 }
 
 }  // namespace
@@ -149,9 +152,13 @@ std::string encode_request(const Request& request) {
   return out;
 }
 
-Request decode_request(std::string_view payload) {
+namespace {
+
+/// The one request parser. `windows`, when given, also receives the decoded
+/// window list, so decode_request reads the payload once.
+RequestView parse_request(std::string_view payload, std::vector<WindowQuery>* windows) {
   Reader reader(payload);
-  Request request;
+  RequestView request;
   const auto op = reader.u8();
   switch (static_cast<Op>(op)) {
     case Op::kPing:
@@ -173,11 +180,11 @@ Request decode_request(std::string_view payload) {
   request.y = reader.i64();
   const std::uint32_t la = reader.u32();
   const std::uint32_t lb = reader.u32();
-  request.a = reader.sequence(la);
-  request.b = reader.sequence(lb);
+  request.a = reader.bytes(la);
+  request.b = reader.bytes(lb);
   const std::uint32_t wins = reader.u32();
   if (wins > kMaxBatchWindows) throw ProtocolError("batch window count exceeds limit");
-  request.windows.reserve(wins);
+  if (windows != nullptr) windows->reserve(wins);
   for (std::uint32_t i = 0; i < wins; ++i) {
     WindowQuery w;
     const auto kind = reader.u8();
@@ -192,7 +199,7 @@ Request decode_request(std::string_view payload) {
     }
     w.x = reader.i64();
     w.y = reader.i64();
-    request.windows.push_back(w);
+    if (windows != nullptr) windows->push_back(w);
   }
   if (request.op == Op::kAlignmentPlot) {
     // Hostile dimensions die here, before the engine sees the request --
@@ -209,6 +216,24 @@ Request decode_request(std::string_view payload) {
     request.plot = plot;
   }
   reader.expect_end();
+  return request;
+}
+
+}  // namespace
+
+RequestView decode_request_view(std::string_view payload) {
+  return parse_request(payload, nullptr);
+}
+
+Request decode_request(std::string_view payload) {
+  Request request;
+  const RequestView view = parse_request(payload, &request.windows);
+  request.op = view.op;
+  request.x = view.x;
+  request.y = view.y;
+  request.a = widen(view.a);
+  request.b = widen(view.b);
+  request.plot = view.plot;
   return request;
 }
 
@@ -253,9 +278,9 @@ std::string encode_response(const Response& response) {
   return out;
 }
 
-Response decode_response(std::string_view payload) {
+ResponseView decode_response_view(std::string_view payload) {
   Reader reader(payload);
-  Response response;
+  ResponseView response;
   const auto status = reader.u8();
   switch (static_cast<Status>(status)) {
     case Status::kOk:
@@ -269,16 +294,17 @@ Response decode_response(std::string_view payload) {
   response.value = reader.i64();
   response.retry_ms = reader.i64();
   const std::uint32_t len = reader.u32();
-  response.text = reader.text(len);
+  response.text = reader.bytes(len);
   const std::uint32_t vals = reader.u32();
   if (vals > kMaxBatchWindows) throw ProtocolError("batch value count exceeds limit");
-  response.values.reserve(vals);
-  for (std::uint32_t i = 0; i < vals; ++i) response.values.push_back(reader.i64());
+  response.values = reader.bytes(std::size_t{8} * vals);
+  response.value_count = vals;
+  response.shard_offset = reader.pos();
   response.shard = static_cast<std::int32_t>(reader.u32());
   if (!reader.at_end()) {
     // Optional trailing tile block (kAlignmentPlot streams); absent frames
     // end at the shard id, which keeps pre-plot peers decodable.
-    PlotTile tile;
+    ResponseView::Tile tile;
     tile.row0 = reader.i64();
     tile.col0 = reader.i64();
     tile.rows = reader.u32();
@@ -298,12 +324,45 @@ Response decode_response(std::string_view payload) {
     if (nbytes != cells * (tile.quant == 16 ? 2 : 1)) {
       throw ProtocolError("plot tile: cell byte count mismatch");
     }
-    tile.cells = reader.text(nbytes);
+    tile.cells = reader.bytes(nbytes);
     if (tile.row0 < 0 || tile.col0 < 0) throw ProtocolError("plot tile: negative origin");
-    response.tile = std::move(tile);
+    response.tile = tile;
   }
   reader.expect_end();
   return response;
+}
+
+Response decode_response(std::string_view payload) {
+  const ResponseView view = decode_response_view(payload);
+  Response response;
+  response.status = view.status;
+  response.value = view.value;
+  response.retry_ms = view.retry_ms;
+  response.text = std::string(view.text);
+  response.values.reserve(view.value_count);
+  Reader values(view.values);
+  for (std::uint32_t i = 0; i < view.value_count; ++i) response.values.push_back(values.i64());
+  response.shard = view.shard;
+  if (view.tile) {
+    const ResponseView::Tile& t = *view.tile;
+    PlotTile tile;
+    tile.row0 = t.row0;
+    tile.col0 = t.col0;
+    tile.rows = t.rows;
+    tile.cols = t.cols;
+    tile.quant = t.quant;
+    tile.last = t.last;
+    tile.cells = std::string(t.cells);
+    response.tile = std::move(tile);
+  }
+  return response;
+}
+
+void stamp_shard(char* payload, const ResponseView& view, std::int32_t shard) {
+  const auto u = static_cast<std::uint32_t>(shard);
+  for (std::size_t i = 0; i < 4; ++i) {
+    payload[view.shard_offset + i] = static_cast<char>((u >> (8 * i)) & 0xff);
+  }
 }
 
 }  // namespace semilocal

@@ -106,11 +106,51 @@ struct Response {
   std::optional<PlotTile> tile;
 };
 
+/// A request payload parsed in place: every field validated exactly as
+/// decode_request validates it, the sequences left as views into the
+/// payload. decode_request is built on the same parser; the shard router
+/// reads the op and digests `a`/`b` from it, then forwards the payload bytes
+/// unchanged.
+struct RequestView {
+  Op op = Op::kPing;
+  Index x = 0;
+  Index y = 0;
+  std::string_view a;  ///< one byte per symbol
+  std::string_view b;
+  std::optional<PlotSpec> plot;
+};
+
+/// A response payload parsed in place (the twin of RequestView):
+/// decode_response is built on it, and the shard router relays a backend
+/// frame after reading its status and terminal flag and restamping its
+/// shard field (stamp_shard).
+struct ResponseView {
+  struct Tile {
+    Index row0 = 0;
+    Index col0 = 0;
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
+    std::uint8_t quant = 16;
+    bool last = false;
+    std::string_view cells;
+  };
+  Status status = Status::kOk;
+  Index value = 0;
+  Index retry_ms = 0;
+  std::string_view text;
+  std::string_view values;  ///< value_count * i64
+  std::uint32_t value_count = 0;
+  std::int32_t shard = -1;
+  std::size_t shard_offset = 0;  ///< byte offset of the shard field
+  std::optional<Tile> tile;
+};
+
 /// Whether this response frame ends its request's response stream. Every op
 /// except kAlignmentPlot answers with exactly one (terminal) frame; a plot
 /// streams kOk tile frames and terminates on the `last` tile -- or on any
 /// non-kOk frame, which aborts the stream.
-[[nodiscard]] inline bool terminal_response_frame(const Response& response) {
+template <typename R>
+[[nodiscard]] bool terminal_response_frame(const R& response) {
   return response.status != Status::kOk || !response.tile || response.tile->last;
 }
 
@@ -130,10 +170,18 @@ void write_frame(std::ostream& out, std::string_view payload);
 std::optional<std::string> read_frame(std::istream& in);
 
 std::string encode_request(const Request& request);
+/// Throw ProtocolError on a malformed payload.
+RequestView decode_request_view(std::string_view payload);
 Request decode_request(std::string_view payload);
 
 std::string encode_response(const Response& response);
+/// Throw ProtocolError on a malformed payload.
+ResponseView decode_response_view(std::string_view payload);
 Response decode_response(std::string_view payload);
+
+/// Overwrites the shard field of the response payload at `payload`, which
+/// `view` was decoded from.
+void stamp_shard(char* payload, const ResponseView& view, std::int32_t shard);
 
 /// Frames `payload` for the wire: the little-endian u32 length prefix plus
 /// the payload bytes, as one contiguous buffer. Throws ProtocolError past

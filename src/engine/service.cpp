@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "engine/corpus_version.hpp"
+#include "engine/loop.hpp"
 #include "util/fasta.hpp"
 
 namespace semilocal {
@@ -65,10 +66,40 @@ Response failure_response() {
   }
 }
 
+Step Service::begin_frame(std::string_view payload, bool may_defer) {
+  return begin(decode_request(payload), may_defer);
+}
+
+void run_loop_work(LoopWork& work, Env& env, const Sink& sink) {
+  /// Decodes each frame for the sink; the loop runs until the terminal one.
+  struct SinkOut final : FrameOut {
+    const Sink& sink;
+    bool finished = false;
+    explicit SinkOut(const Sink& s) : sink(s) {}
+    Flow frame(std::string_view framed, bool terminal) override {
+      finished = finished || terminal;
+      if (!sink(decode_response(framed.substr(4)))) {
+        finished = true;
+        return Flow::kStop;
+      }
+      return Flow::kMore;
+    }
+  };
+  EventLoop loop(env);
+  SinkOut out(sink);
+  work.start(loop, out);
+  if (!loop.run_until([&out] { return out.finished; })) {
+    work.cancel();
+    (void)sink(error_response("event loop failed"));
+  }
+}
+
 void serve_one(Service& service, Request&& request, const Sink& sink) {
   Step step = service.begin(std::move(request), /*may_defer=*/true);
   if (step.job) {
     step.job(sink);
+  } else if (step.work) {
+    run_loop_work(*step.work, real_env(), sink);
   } else {
     (void)sink(std::move(*step.answer));
   }

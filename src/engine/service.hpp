@@ -5,8 +5,12 @@
 //   answer now   ping, stats, health, shardctl, warm cache hits and typed
 //                refusals (scheduler backpressure, bad requests)
 //   defer        a Job that may block -- a cold compute wait, an upsert, a
-//                plot stream, a router's backend exchange -- run by whoever
-//                is allowed to block (a reactor pump, the stdio loop)
+//                plot stream -- run by whoever is allowed to block (a
+//                reactor pump, the stdio loop)
+//   loop work    non-blocking work that runs on the caller's event loop (a
+//                router's backend exchange): it watches fds and deadlines
+//                on the loop and hands its framed response bytes straight
+//                to the caller, with no thread hop
 //   refuse       the caller said it cannot take deferred work right now
 //                (may_defer = false: a connection at its in-flight budget);
 //                control ops still answer, nothing touches the scheduler
@@ -20,7 +24,9 @@
 
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
+#include <string_view>
 
 #include "engine/engine.hpp"
 #include "engine/protocol.hpp"
@@ -28,6 +34,7 @@
 namespace semilocal {
 
 class CorpusManager;
+class EventLoop;
 
 /// Where a job delivers its response frames, in order. A plot stream emits
 /// tile frames and ends with a terminal one (terminal_response_frame); every
@@ -39,13 +46,52 @@ using Sink = std::function<bool(Response&&)>;
 /// unless the sink returned false.
 using Job = std::function<void(const Sink&)>;
 
-/// What Service::begin decided: `answer` to send now, or `job` to run where
-/// blocking is allowed. Neither set means refused for lack of deferral room
-/// (only possible with may_defer = false); the transport answers with its
-/// own admission verdict.
+/// Where loop work delivers its response frames: whole wire frames (length
+/// prefix + payload), in order.
+class FrameOut {
+ public:
+  enum class Flow {
+    kMore,   ///< keep going
+    kPause,  ///< the consumer's queue is past its watermark: read nothing
+             ///< more until resume()
+    kStop,   ///< the consumer is gone: stop, as on cancel()
+  };
+  /// One frame; `terminal` ends the request (the flow answer is then moot).
+  virtual Flow frame(std::string_view framed, bool terminal) = 0;
+
+ protected:
+  ~FrameOut() = default;
+};
+
+/// Non-blocking work that runs on the caller's event loop. It ends by
+/// handing `out` a terminal frame, or when told to stop (kStop, cancel()).
+class LoopWork {
+ public:
+  LoopWork() = default;
+  LoopWork(const LoopWork&) = delete;
+  LoopWork& operator=(const LoopWork&) = delete;
+  virtual ~LoopWork() = default;
+  /// Starts the work on `loop`; `loop` and `out` outlive it.
+  virtual void start(EventLoop& loop, FrameOut& out) = 0;
+  /// The consumer drained below its watermark after a kPause.
+  virtual void resume() = 0;
+  /// The consumer is gone: release everything and emit nothing more. Safe
+  /// at any time, also from inside the work's own out.frame() call.
+  virtual void cancel() = 0;
+};
+
+/// What Service::begin decided: `answer` to send now, `job` to run where
+/// blocking is allowed, or `work` to run on the caller's event loop. None
+/// set means refused for lack of deferral room (only possible with
+/// may_defer = false); the transport answers with its own admission verdict.
 struct Step {
+  Step(std::optional<Response> answer_now = std::nullopt, Job deferred = {},
+       std::unique_ptr<LoopWork> on_loop = {})
+      : answer(std::move(answer_now)), job(std::move(deferred)), work(std::move(on_loop)) {}
+
   std::optional<Response> answer;
   Job job;
+  std::unique_ptr<LoopWork> work;
 };
 
 class Service {
@@ -59,6 +105,12 @@ class Service {
   /// ops still answer and everything else is refused before any scheduler
   /// submission. Thread-safe.
   virtual Step begin(Request&& request, bool may_defer) = 0;
+
+  /// begin() for a request still in its wire payload. This default decodes
+  /// it and calls begin(); a service that can act on the payload as it is
+  /// (the shard router forwards it unchanged) overrides it. Throws
+  /// ProtocolError on a malformed payload.
+  virtual Step begin_frame(std::string_view payload, bool may_defer);
 };
 
 /// kError response carrying `text`.
@@ -72,8 +124,13 @@ Response overloaded_response(Index retry_ms, const std::string& text);
 /// kError with the exception's message.
 Response failure_response();
 
+/// Runs loop work to completion on a private EventLoop over `env` on the
+/// calling thread, each frame decoded into `sink`; a sink that returns false
+/// stops the work.
+void run_loop_work(LoopWork& work, Env& env, const Sink& sink);
+
 /// Runs one request to completion on the calling thread: the answer, or
-/// every frame the job emits, goes to `sink`.
+/// every frame the job or loop work emits, goes to `sink`.
 void serve_one(Service& service, Request&& request, const Sink& sink);
 
 /// One blocking session over a byte-stream pair (the stdio transport):

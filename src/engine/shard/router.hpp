@@ -4,20 +4,28 @@
 // and one BackendPool per shard, and answers the same wire protocol it
 // forwards -- the length-prefixed frames of engine/protocol.hpp are the
 // inter-node RPC, reused verbatim. Every forwarded op -- unary or plot --
-// runs one attempt loop (route_stream; a unary answer is a one-frame
-// stream):
+// is one relay: a state machine on an event loop (the reactor's when
+// serving, a private one inside route(), route_stream() and probe_all()).
+// The client's payload bytes go to the backend as they are, and the
+// backend's response frames come back with only their shard field
+// restamped:
 //
-//   decode --> PairKey --> ring.replicas_for(key, R) --> preference list
-//     (healthy shards first, ring order preserved; an upsert keys on its
-//     document id and gets R = 1, its ring primary alone)
-//   attempt 1: lease a connection to the first candidate, send, await
+//   view --> PairKey --> ring.replicas_for(key, R) --> preference list
+//     (the request view digests a/b in place; healthy shards first, ring
+//     order preserved; an upsert keys on its document id and gets R = 1,
+//     its ring primary alone)
+//   attempt 1: lease a connection to the first candidate (none free: look
+//              again each millisecond until connect_timeout_ms), send, and
+//              watch it on the loop
 //   hedge:     non-plot ops only: after hedge_after_ms with no reply, send
-//              the same request to the next candidate and await both --
-//              the first frame wins, the loser's connection is discarded (a
+//              the same request to the next candidate and watch both --
+//              the first frame wins, the loser's connection is closed (a
 //              late response on a reused connection could answer the wrong
 //              request)
 //   stream:    later frames come from the winner only, each with a fresh
-//              attempt budget
+//              attempt budget; while the client's queued bytes sit above
+//              the stream watermark, the relay stops reading the winner's
+//              connection (FrameOut::kPause) until the reactor resumes it
 //   failover:  a connect failure, injected EIO, torn or garbled frame, EOF,
 //              attempt timeout -- or a backend RETRY_AFTER on a plot --
 //              moves to the next candidate; a backend kError or unary
@@ -25,6 +33,11 @@
 //   exhausted: every candidate failed -> typed RETRY_AFTER (kOverloaded
 //              with a retry hint), never a wrong answer, never a stall; an
 //              upsert whose primary failed is never written elsewhere
+//
+// Deadlines (attempt, hedge, pool wait) are loop deadlines on the Env
+// clock, and every backend byte moves through Env::fd_read / fd_write with
+// the label "shard:<id>". Nothing in the relay blocks: a connection carries
+// one exchange at a time and pool_connections bounds each shard's.
 //
 // Health is probed on Op::kHealth: the prober remembers each backend's
 // (pid, uptime_ms) and counts a restart when the pid changes or the uptime
@@ -65,9 +78,11 @@ struct RouterOptions {
   int replicas = 2;
   /// Ring granularity (vnodes = weight * this).
   int vnodes_per_weight = 64;
-  /// Connections per backend pool.
+  /// Connections per backend pool: the bound on one shard's in-flight
+  /// exchanges.
   std::size_t pool_connections = 8;
-  /// Budget for dialing a backend connection.
+  /// How long a request waits for a free pooled connection to a shard
+  /// before that shard counts as failed.
   std::uint64_t connect_timeout_ms = 1'000;
   /// Per-attempt budget (send + await) before failing over.
   std::uint64_t attempt_timeout_ms = 2'000;
@@ -81,7 +96,7 @@ struct RouterOptions {
   /// Background prober cadence; 0 = no thread, callers drive probe_all()
   /// (what the deterministic tests do).
   std::uint64_t probe_interval_ms = 0;
-  /// Clock + socket seam shared by every pool. nullptr = real_env().
+  /// Clock + socket seam of every relay. nullptr = real_env().
   Env* env = nullptr;
 };
 
@@ -118,8 +133,8 @@ struct RouterStats {
 };
 
 /// The router is a Service: kPing/kStats/kHealth/kShardCtl are answered by
-/// the router itself, at once; every other op becomes a job that forwards it
-/// to a backend (blocking on backend I/O -- what a reactor's pumps are for).
+/// the router itself, at once; every other op becomes loop work (the relay)
+/// that forwards it to a backend on the caller's event loop.
 class ShardRouter final : public Service {
  public:
   /// Builds ring + pools; starts the prober thread when probe_interval_ms
@@ -128,25 +143,30 @@ class ShardRouter final : public Service {
   ~ShardRouter() override;
 
   Step begin(Request&& request, bool may_defer) override;
+  /// The served path: a forwarded op's payload is read as a RequestView
+  /// and relayed as it is, never decoded into a Request.
+  Step begin_frame(std::string_view payload, bool may_defer) override;
 
   /// Routes one request to its first response frame on the calling thread:
   /// control ops answer locally, everything else is route_stream into a
   /// one-frame sink (a plot's relay is cancelled after its first tile).
-  /// Thread-safe; blocking (bounded by the attempt budget times the
-  /// candidate count).
+  /// Thread-safe; returns within the attempt budget times the candidate
+  /// count.
   Response route(const Request& request);
 
-  /// The attempt loop every forwarded op runs: relays each backend frame
-  /// through `sink` as it arrives (shard id stamped on every frame). For a
-  /// plot, a mid-stream failure (timeout, garble, EOF, backend RETRY_AFTER)
-  /// discards the connection and re-sends the whole plot to the next
-  /// replica -- re-delivered tiles are deduplicated client-side by
-  /// PlotAssembler. Always ends with a terminal frame unless `sink` returns
-  /// false (client gone), which cancels the relay.
+  /// Runs the relay of `request` on a private event loop on the calling
+  /// thread, each backend frame decoded into `sink` as it arrives (shard id
+  /// stamped on every frame). For a plot, a mid-stream failure (timeout,
+  /// garble, EOF, backend RETRY_AFTER) closes the connection and re-sends
+  /// the whole plot to the next replica -- re-delivered tiles are
+  /// deduplicated client-side by PlotAssembler. Always ends with a terminal
+  /// frame unless `sink` returns false (client gone), which cancels the
+  /// relay.
   void route_stream(const Request& request, const Sink& sink);
 
-  /// One synchronous probe pass over every shard (the prober thread calls
-  /// this; deterministic tests call it directly).
+  /// One probe pass over every shard, the probes running side by side on a
+  /// private event loop; returns when all have answered or failed (the
+  /// prober thread calls this; deterministic tests call it directly).
   void probe_all();
 
   /// Admin ops (kShardCtl lowers onto these). false = unknown shard id.
@@ -180,32 +200,19 @@ class ShardRouter final : public Service {
     std::atomic<std::uint64_t> last_uptime_ms{0};
   };
 
-  /// One in-flight exchange of the attempt loop: a leased connection that
-  /// was sent to.
-  struct Attempt {
-    std::size_t shard = 0;  ///< index into shards_
-    std::size_t rank = 0;   ///< index into the candidate list (0 = primary)
-    bool hedged = false;
-    BackendPool::ConnPtr conn;
-  };
+  /// The relay state machine (router.cpp): one forwarded request or one
+  /// health probe.
+  class Relay;
 
   /// The ops the router answers itself (ping, stats, health, shardctl);
   /// nullopt for everything a backend answers.
   std::optional<Response> control(const Request& request);
-  /// Leases a connection to `shard` and sends `payload` on it. nullptr =
-  /// dial, capacity or send failure (a leased connection is discarded).
-  BackendPool::ConnPtr lease_and_send(Shard& shard, std::string_view payload);
-  /// Waits for the next frame on any of `conns` and decodes it; a frame
-  /// that does not decode is kError on `winner`.
-  RecvStatus next_frame(const std::vector<BackendPool::Conn*>& conns,
-                        std::uint64_t deadline_ns, int& winner, Response& response);
   Response shardctl(const Request& request);
   Response router_health() const;
   void rebuild_ring();  ///< caller holds ring_mutex_
   [[nodiscard]] std::shared_ptr<const HashRing> ring() const;
   void record_failure(Shard& shard);
   void record_success(Shard& shard);
-  bool probe_shard(std::size_t index);
   void prober_loop();
 
   RouterOptions options_;

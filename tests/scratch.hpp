@@ -30,8 +30,10 @@ class ScratchDir {
       if (c == '/' || c == '\\' || c == ':') c = '_';
     }
     static std::atomic<std::uint64_t> serial{0};
-    name += "_" + std::to_string(::getpid()) + "_" +
-            std::to_string(serial.fetch_add(1, std::memory_order_relaxed));
+    name += '_';
+    name += std::to_string(::getpid());
+    name += '_';
+    name += std::to_string(serial.fetch_add(1, std::memory_order_relaxed));
     path_ = fs::path(::testing::TempDir()) / name;
     fs::remove_all(path_);
     fs::create_directories(path_);

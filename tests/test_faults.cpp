@@ -115,7 +115,7 @@ TEST(FaultyEnv, ProbabilityModeIsSeedDeterministic) {
     std::string outcomes;
     for (int i = 0; i < 64; ++i) {
       try {
-        env.write_file(dir.file("f" + std::to_string(i)), "x");
+        env.write_file(dir.file(std::string("f").append(std::to_string(i))), "x");
         outcomes += '.';
       } catch (const EnvError& e) {
         EXPECT_TRUE(e.injected());

@@ -22,8 +22,10 @@
 //                            targets (default 2); upserts go to the
 //                            primary only
 //   --vnodes N               ring points per unit of weight (default 64)
-//   --pool N                 connections per backend pool (default 8)
-//   --connect-timeout-ms N   dial budget per backend connection (default 1000)
+//   --pool N                 connections per backend pool: the bound on one
+//                            shard's in-flight exchanges (default 8)
+//   --connect-timeout-ms N   how long a request waits for a free pooled
+//                            connection (default 1000)
 //   --timeout-ms N           per-attempt budget before failing over
 //                            (default 2000)
 //   --hedge-ms N             latency deadline after which a hedged request
@@ -35,9 +37,10 @@
 //                            (default 1000)
 //
 // Frontend options: --backlog, --max-conns, --max-inflight, --write-cap-kb,
-// --idle-timeout-ms, --read-timeout-ms, --drain-timeout-ms and --pumps as in
-// semilocal_serve. Pumps default higher here (8): a pump blocks on backend
-// I/O for the whole exchange, so the pump count is the router's concurrency.
+// --idle-timeout-ms, --read-timeout-ms and --drain-timeout-ms as in
+// semilocal_serve. Every backend exchange runs on the reactor's event loop,
+// so --pool (per shard), not a thread count, bounds the router's
+// concurrency.
 #include <csignal>
 #include <iostream>
 
@@ -57,7 +60,6 @@ int usage() {
                "                        [--backlog N] [--max-conns N] [--max-inflight N]\n"
                "                        [--write-cap-kb N] [--idle-timeout-ms N]\n"
                "                        [--read-timeout-ms N] [--drain-timeout-ms N]\n"
-               "                        [--pumps N]\n"
                "  SPEC = comma-separated port | host:port | host:port:weight\n";
   return 2;
 }
@@ -119,7 +121,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.int_option_or("read-timeout-ms", 10'000));
     frontend.drain_timeout_ms =
         static_cast<std::uint64_t>(args.int_option_or("drain-timeout-ms", 2'000));
-    frontend.pump_threads = static_cast<int>(args.int_option_or("pumps", 8));
 
     FrontendServer server(router, std::move(frontend));
     g_server = &server;
