@@ -761,6 +761,119 @@ TEST(Frontend, FullQueueShedsScoreJobsWithRetryAfter) {
   EXPECT_EQ(answered->value, testing::lcs_oracle(seq("AAAACCCC"), seq("CCCCAAAA")));
 }
 
+// --- where an index build runs: never on the reactor -------------------------
+
+/// A reactor over an engine whose scheduler runs no thread and does not
+/// drain inline, so neither a scheduler worker nor the reactor's pumps can
+/// compute anything on their own: the only threads that could build an
+/// index are the reactor and its pumps. The test publishes (a, b) itself
+/// -- a bare kernel, no index -- by draining on its own thread.
+struct UnindexedPair {
+  Reactor reactor{small_engine(0), quiet_frontend()};
+  Sequence a = testing::random_string(400, 4, 611);
+  Sequence b = testing::random_string(380, 4, 612);
+  SemiLocalKernel oracle = semi_local_kernel(a, b);
+
+  UnindexedPair() {
+    auto published = reactor.engine.entry_async(a, b);
+    reactor.engine.drain();
+    const CachedKernelPtr entry = published.get();
+    EXPECT_EQ(entry->index_if_built(), nullptr);
+  }
+
+  Request query(Op op, Index x, Index y) const {
+    Request request;
+    request.op = op;
+    request.a = a;
+    request.b = b;
+    request.x = x;
+    request.y = y;
+    return request;
+  }
+};
+
+TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
+  UnindexedPair pair;
+  Reactor& reactor = pair.reactor;
+  Client client(reactor.port());
+
+  // The first window scans, inline: no build anywhere.
+  client.send(pair.query(Op::kStringSubstring, 20, 300));
+  auto response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, Status::kOk) << response->text;
+  EXPECT_EQ(response->value, kernel_string_substring(pair.oracle, 20, 300));
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
+  EXPECT_EQ(reactor.engine.stats().queries.scanned, 1u);
+  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+
+  // The second window needs the index: the reactor defers it, and a pump
+  // builds and answers. A build only happens while answering, so had the
+  // reactor built, the answer would have been inline.
+  client.send(pair.query(Op::kSubstringString, 35, 390));
+  response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, Status::kOk) << response->text;
+  EXPECT_EQ(response->value, kernel_substring_string(pair.oracle, 35, 390));
+  EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 1; }));
+  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
+  EXPECT_EQ(reactor.engine.stats().queries.indexed, 1u);
+
+  // Built: later windows answer inline off the index.
+  client.send(pair.query(Op::kStringSubstring, 0, 380));
+  response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->value, kernel_string_substring(pair.oracle, 0, 380));
+  EXPECT_EQ(reactor.server.stats().inline_answers, 2u);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
+}
+
+TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
+  UnindexedPair pair;
+  Reactor& reactor = pair.reactor;
+  Client client(reactor.port());
+
+  // A global score is the first ask: scanned inline.
+  client.send(pair.query(Op::kLcs, 0, 0));
+  auto response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, Status::kOk) << response->text;
+  EXPECT_EQ(response->value, kernel_lcs(pair.oracle));
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
+  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+
+  // A second score wants the index: deferred to a pump, which builds it.
+  client.send(pair.query(Op::kLcs, 0, 0));
+  response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->value, kernel_lcs(pair.oracle));
+  EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 1; }));
+  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
+
+  // A batch on a second unindexed entry defers the same way.
+  const Sequence c = testing::random_string(300, 4, 613);
+  auto published = reactor.engine.entry_async(pair.a, c);
+  reactor.engine.drain();
+  (void)published.get();
+  Request batch;
+  batch.op = Op::kBatchQuery;
+  batch.a = pair.a;
+  batch.b = c;
+  batch.windows = {{QueryKind::kLcs, 0, 0}, {QueryKind::kStringSubstring, 4, 250}};
+  client.send(batch);
+  response = client.recv();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, Status::kOk) << response->text;
+  const SemiLocalKernel oracle = semi_local_kernel(pair.a, c);
+  EXPECT_EQ(response->values,
+            (std::vector<Index>{kernel_lcs(oracle), kernel_string_substring(oracle, 4, 250)}));
+  EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 2; }));
+  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 2u);
+}
+
 // --- the stdio transport ---------------------------------------------------
 
 /// Runs one stdio session over `input` against a workers = 0 engine that
