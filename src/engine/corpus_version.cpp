@@ -202,8 +202,8 @@ UpsertReport CorpusManager::upsert_document(const std::string& id, Sequence byte
     };
     const auto comb = [&](SequenceView doc) {
       ++report.chunks_computed;
-      return a_side ? engine_.braid_async(doc, other.bytes)
-                    : engine_.braid_async(other.bytes, doc);
+      return a_side ? engine_.entry_async(doc, other.bytes)
+                    : engine_.entry_async(other.bytes, doc);
     };
     Pending pair{.key = key_of(bytes), .a_side = a_side, .base = nullptr, .strips = {}};
     if (store.find(pair.key) != nullptr) {

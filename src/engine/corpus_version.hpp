@@ -17,11 +17,11 @@
 // resume_profitable() picks between Resume and Whole from sizes alone; a
 // compose has a floor that only long documents amortise. Every comb job of
 // one upsert -- whole pairs and tail strips alike -- is submitted to the
-// engine's batching scheduler (braid_async) before any is joined, so no
+// engine's batching scheduler (entry_async) before any is joined, so no
 // pair waits on the previous one, and all of them hit the same
 // bounded-queue backpressure (EngineOverloaded) as queries. None of them
-// builds a QueryIndex; the first point query on a published pair builds
-// its index.
+// builds a QueryIndex; a published pair builds its index on its second
+// point query (or first batch), per CachedKernel::wants_index.
 //
 // Publish protocol (crash consistency; see DESIGN.md §14): kernels land in
 // the store first (additive and content-addressed, so a crash leaves

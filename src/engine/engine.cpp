@@ -33,21 +33,16 @@ ComparisonEngine::ComparisonEngine(EngineOptions options)
     : options_(with_env(std::move(options))),
       env_(options_.env ? options_.env : &real_env()),
       store_(options_.store),
-      scheduler_(store_, options_.scheduler, &latency_, &counters_),
+      scheduler_(store_, options_.scheduler, &latency_),
       start_ns_(env_->now_ns()) {}
 
 std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async(SequenceView a,
                                                                   SequenceView b) {
-  return entry_async_keyed(make_pair_key(a, b), a, b, options_.index_queries);
-}
-
-std::shared_future<CachedKernelPtr> ComparisonEngine::braid_async(SequenceView a,
-                                                                  SequenceView b) {
-  return entry_async_keyed(make_pair_key(a, b), a, b, /*index=*/false);
+  return entry_async_keyed(make_pair_key(a, b), a, b);
 }
 
 std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async_keyed(
-    const PairKey& key, SequenceView a, SequenceView b, bool index) {
+    const PairKey& key, SequenceView a, SequenceView b) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t lookup_ns = env_->now_ns();
   if (CachedKernelPtr hit = store_.find(key)) {
@@ -55,7 +50,7 @@ std::shared_future<CachedKernelPtr> ComparisonEngine::entry_async_keyed(
     return ready_future(std::move(hit));
   }
   return scheduler_.submit(key, Sequence(a.begin(), a.end()),
-                           Sequence(b.begin(), b.end()), index);
+                           Sequence(b.begin(), b.end()));
 }
 
 std::shared_future<Index> ComparisonEngine::score_async(SequenceView a, SequenceView b) {
@@ -64,7 +59,16 @@ std::shared_future<Index> ComparisonEngine::score_async(SequenceView a, Sequence
   const std::uint64_t lookup_ns = env_->now_ns();
   if (CachedKernelPtr hit = store_.find(key)) {
     latency_.record(static_cast<double>(env_->now_ns() - lookup_ns) / 1e6);
-    return ready_future(answer(*hit, QueryKind::kLcs, 0, 0));
+    const WindowQuery lcs;
+    Index value = 0;
+    if (answer_windows(*hit, &lcs, &value, 1, /*may_build=*/false)) {
+      return ready_future(value);
+    }
+    // The score needs the hit's index built: a deferred future, so whoever
+    // may block (a pump, this facade's caller) builds it in get().
+    return std::async(std::launch::deferred, [this, hit = std::move(hit)] {
+             return answer(*hit, QueryKind::kLcs, 0, 0);
+           }).share();
   }
   ScoreTicket ticket = scheduler_.submit_score(key, a, b);
   if (ticket.score.valid()) return ticket.score;
@@ -84,6 +88,12 @@ KernelPtr ComparisonEngine::kernel(SequenceView a, SequenceView b) {
 Index ComparisonEngine::answer(const CachedKernel& entry, QueryKind kind, Index x,
                                Index y) {
   return answer_query(entry, kind, x, y, options_.index_queries, &counters_);
+}
+
+bool ComparisonEngine::answer_windows(const CachedKernel& entry, const WindowQuery* windows,
+                                      Index* out, std::size_t count, bool may_build) {
+  return answer_query_batch(entry, windows, out, count, options_.index_queries, &counters_,
+                            may_build);
 }
 
 Index ComparisonEngine::lcs(SequenceView a, SequenceView b) {
@@ -109,8 +119,8 @@ std::vector<Index> ComparisonEngine::answer_batch(
 std::vector<Index> ComparisonEngine::answer_batch(
     const CachedKernel& held, const std::vector<WindowQuery>& windows) {
   std::vector<Index> values(windows.size());
-  answer_query_batch(held, windows.data(), values.data(), windows.size(),
-                     options_.index_queries, &counters_);
+  (void)answer_windows(held, windows.data(), values.data(), windows.size(),
+                       /*may_build=*/true);
   return values;
 }
 
@@ -147,7 +157,7 @@ void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,
                         .hash_b = hash_b,
                         .len_a = spec.window,
                         .len_b = static_cast<Index>(b.size())};
-      ahead.push_back(entry_async_keyed(key, strip_a, b, /*index=*/false));
+      ahead.push_back(entry_async_keyed(key, strip_a, b));
       ++next_submit;
     }
     if (drain_inline) scheduler_.drain();

@@ -22,19 +22,20 @@
 // A global score alone never builds a kernel: score_async answers it off a
 // cached kernel when there is one, and otherwise from a score memo or a
 // score job -- the paper's bit-parallel combing, O(mn/w) word operations
-// instead of an O(mn) comb plus an index. The first request that needs the
+// instead of an O(mn) comb. The first request that needs the
 // kernel (a window, a batch, a plot strip) builds it.
 //
 // A cached entry can carry a shared immutable QueryIndex (built once, read
 // lock-free; see engine/query.hpp), so on the warm path queries cost
-// O(log n) instead of the O(m + n) dominance scan. Who asks for a kernel
-// decides whether it gets an index: query acquisitions (entry, entry_async,
-// kernel, lcs, the window calls) have a scheduler worker build it right
-// after the compute when `index_queries` is set; plot strips and corpus
-// upsert kernels (braid_async) skip it -- a strip needs one anchoring
-// sigma(i, i), which one O(m + n) scan answers, a tail strip is only
-// composed, and a published pair may never be queried. A later query on
-// such a pair builds the index lazily, once.
+// O(log n) instead of the O(m + n) dominance scan. The entry decides when to
+// build it, from the queries asked of it (CachedKernel::wants_index): its
+// first ask, when that is a single window, is scanned, and every later ask
+// and every batch of two or more windows builds the index (once) and uses
+// it. So a cold one-window request pays no build, and plot strips and
+// corpus upsert kernels, which are walked, composed or never queried, never
+// build one. A build runs only on a thread that may block: the caller of
+// this facade, a reactor pump, or the stdio loop -- never the scheduler's
+// workers and never the reactor (EngineService defers such an answer).
 // `index_queries = false` forces the scan path -- the ablation knob the
 // benchmarks flip.
 #pragma once
@@ -124,18 +125,13 @@ class ComparisonEngine {
   /// The bare kernel of (a, b). Same acquisition path as entry().
   KernelPtr kernel(SequenceView a, SequenceView b);
 
-  /// entry_async for a kernel that is composed, walked, or may never be
-  /// queried: a computed kernel gets no eager QueryIndex build. Corpus
-  /// upserts use it. A query on the pair later builds the index lazily,
-  /// once.
-  std::shared_future<CachedKernelPtr> braid_async(SequenceView a, SequenceView b);
-
   /// LCS(a, b) without building a kernel, in this order: a cached kernel
   /// answers it (the same single store probe, counters and latency sample
-  /// as entry_async); then the score memo; then the pair's kernel already in
-  /// flight, read once it resolves (the returned future is deferred and
-  /// waits for it in get()); else a score job is queued, and duplicate
-  /// misses coalesce onto it. Score jobs never write the store. Throws
+  /// as entry_async; a deferred future when the answer needs the kernel's
+  /// QueryIndex built, which get() then builds); then the score memo; then
+  /// the pair's kernel already in flight, read once it resolves (the
+  /// returned future is deferred and waits for it in get()); else a score
+  /// job is queued, and duplicate misses coalesce onto it. Score jobs never write the store. Throws
   /// EngineOverloaded under backpressure.
   std::shared_future<Index> score_async(SequenceView a, SequenceView b);
 
@@ -150,6 +146,15 @@ class ComparisonEngine {
   /// One window off an already-acquired entry (serving fast path: acquire
   /// once, answer many). Routing and counters as above.
   Index answer(const CachedKernel& entry, QueryKind kind, Index x, Index y);
+
+  /// windows[0, count) off an already-acquired entry into `out` (the
+  /// server's path for single windows and batches alike). With `may_build`
+  /// false -- a caller that must not block, the reactor -- it never builds:
+  /// when the answer needs the entry's QueryIndex built first, it answers
+  /// nothing and returns false, and the caller hands the ask to a thread
+  /// that may block. Returns true otherwise.
+  bool answer_windows(const CachedKernel& entry, const WindowQuery* windows, Index* out,
+                      std::size_t count, bool may_build);
 
   /// k windows over one pair: acquires the entry once, answers all windows
   /// through the interleaved batch descent (or the scan loop when indexing
@@ -188,11 +193,9 @@ class ComparisonEngine {
  private:
   /// entry_async with the content key already computed. The alignment-plot
   /// planner digests `b` once per plot instead of once per grid row.
-  /// `key` must equal make_pair_key(a, b). `index` asks the
-  /// scheduler to build a computed kernel's QueryIndex eagerly.
+  /// `key` must equal make_pair_key(a, b).
   std::shared_future<CachedKernelPtr> entry_async_keyed(const PairKey& key,
-                                                        SequenceView a, SequenceView b,
-                                                        bool index);
+                                                        SequenceView a, SequenceView b);
 
   EngineOptions options_;
   Env* env_;

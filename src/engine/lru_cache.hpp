@@ -46,12 +46,11 @@ std::size_t decoded_entry_bytes(Index order);
 /// A cached kernel in one of two residency tiers.
 ///
 /// Decoded tier: the kernel plus its shared immutable query index, built at
-/// most once -- eagerly by a scheduler worker right after the kernel
-/// computation when the acquiring caller will query it, or lazily on first
-/// query via std::call_once; plot strips and upsert kernels that are never
-/// queried never build it -- and then read lock-free: index_if_built() is a
-/// single acquire load, and index() after completion is std::call_once's
-/// fast path.
+/// most once, in place via std::call_once, by the query that first needs it
+/// (see wants_index()) -- never by the scheduler, and never on the reactor:
+/// engine/query.hpp's non-blocking form refuses instead of building. Plot
+/// strips and upsert kernels that are never queried never build it. Once
+/// built it is read lock-free: index_if_built() is a single acquire load.
 ///
 /// Compressed tier (disk hits under format v3): the entry holds only the
 /// validated CompressedKernel and is charged its compressed bytes, so the
@@ -109,6 +108,16 @@ class CachedKernel {
     return index_ready_.load(std::memory_order_acquire);
   }
 
+  /// Records an ask of `windows` windows on this entry while its index is
+  /// not built, and says whether the ask should build it. Only the first
+  /// ask the entry ever gets, when it is a single window, should not: a
+  /// scan answers one window in microseconds, while a build costs several
+  /// hundred scans and pays off only over that many windows. Thread-safe:
+  /// exactly one ask is the first.
+  bool wants_index(std::size_t windows) const {
+    return asked_.exchange(true, std::memory_order_relaxed) || windows > 1;
+  }
+
   /// Cache-hit counter feeding the store's promotion threshold. Returns the
   /// new count.
   std::uint32_t touch() const {
@@ -141,6 +150,7 @@ class CachedKernel {
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<const QueryIndex> index_;
   mutable std::atomic<const QueryIndex*> index_ready_{nullptr};
+  mutable std::atomic<bool> asked_{false};
 };
 
 /// Shared ownership handle the engine hands out for cached entries.

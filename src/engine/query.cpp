@@ -59,70 +59,57 @@ Index kernel_substring_string(const SemiLocalKernel& kernel, Index i0, Index i1)
 
 Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
                    bool use_index, QueryCounters* counters) {
-  if (entry.is_compressed() && entry.index_if_built() == nullptr) {
-    return compressed_answer(*entry.compressed(),
-                             lower_window(entry.m(), entry.n(), {kind, x, y}),
-                             counters);
-  }
-  if (use_index) {
-    const QueryIndex& index =
-        entry.index(counters ? &counters->index_builds : nullptr);
-    if (counters) counters->indexed.fetch_add(1, std::memory_order_relaxed);
-    switch (kind) {
-      case QueryKind::kLcs:
-        return index.lcs();
-      case QueryKind::kStringSubstring:
-        return index.string_substring(x, y);
-      case QueryKind::kSubstringString:
-        return index.substring_string(x, y);
-    }
-  }
-  if (counters) counters->scanned.fetch_add(1, std::memory_order_relaxed);
-  const SemiLocalKernel& kernel = entry.kernel();
-  switch (kind) {
-    case QueryKind::kLcs:
-      return kernel_lcs(kernel);
-    case QueryKind::kStringSubstring:
-      return kernel_string_substring(kernel, x, y);
-    case QueryKind::kSubstringString:
-      return kernel_substring_string(kernel, x, y);
-  }
-  throw std::invalid_argument("answer_query: unknown query kind");
+  const WindowQuery window{kind, x, y};
+  Index value = 0;
+  (void)answer_query_batch(entry, &window, &value, 1, use_index, counters);
+  return value;
 }
 
-void answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
+bool answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
                         Index* out, std::size_t count, bool use_index,
-                        QueryCounters* counters) {
-  if (count == 0) return;
-  if (entry.is_compressed() && entry.index_if_built() == nullptr) {
+                        QueryCounters* counters, bool may_build) {
+  if (count == 0) return true;
+  const QueryIndex* index = entry.index_if_built();
+  if (index == nullptr && entry.is_compressed()) {
     const CompressedKernel& blob = *entry.compressed();
     for (std::size_t t = 0; t < count; ++t) {
       out[t] = compressed_answer(
           blob, lower_window(blob.m(), blob.n(), windows[t]), counters);
     }
-    return;
+    return true;
   }
-  if (use_index) {
-    const QueryIndex& index =
-        entry.index(counters ? &counters->index_builds : nullptr);
+  if (!use_index) {
+    index = nullptr;
+  } else if (index == nullptr && entry.wants_index(count)) {
+    if (!may_build) return false;
+    index = &entry.index(counters ? &counters->index_builds : nullptr);
+  }
+  if (index == nullptr) {
+    const SemiLocalKernel& kernel = entry.kernel();
+    for (std::size_t t = 0; t < count; ++t) {
+      out[t] = scan_answer(kernel, lower_window(kernel.m(), kernel.n(), windows[t]));
+    }
+    if (counters) counters->scanned.fetch_add(count, std::memory_order_relaxed);
+    return true;
+  }
+  if (count == 1) {
+    const HQuery q = lower_window(index->m(), index->n(), windows[0]);
+    out[0] = h_from_sigma(index->m(), q.i, q.j, index->sigma(q.i, q.j)) - q.correction;
+  } else {
     constexpr std::size_t kChunk = 128;
     HQuery lowered[kChunk];
     std::size_t done = 0;
     while (done < count) {
       const std::size_t chunk = std::min(kChunk, count - done);
       for (std::size_t t = 0; t < chunk; ++t) {
-        lowered[t] = lower_window(index.m(), index.n(), windows[done + t]);
+        lowered[t] = lower_window(index->m(), index->n(), windows[done + t]);
       }
-      index.answer_many(lowered, out + done, chunk);
+      index->answer_many(lowered, out + done, chunk);
       done += chunk;
     }
-    if (counters) counters->indexed.fetch_add(count, std::memory_order_relaxed);
-    return;
   }
-  for (std::size_t t = 0; t < count; ++t) {
-    out[t] = answer_query(entry, windows[t].kind, windows[t].x, windows[t].y,
-                          /*use_index=*/false, counters);
-  }
+  if (counters) counters->indexed.fetch_add(count, std::memory_order_relaxed);
+  return true;
 }
 
 void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index window,

@@ -4,22 +4,24 @@
 // one shared kernel:
 //
 //   * Indexed (the warm serving path): O(log n) dominance counts through the
-//     entry's shared immutable QueryIndex, built exactly once (eagerly by a
-//     scheduler worker, or lazily via std::call_once) and then read
-//     lock-free.
+//     entry's shared immutable QueryIndex, built exactly once via
+//     std::call_once by the ask that first wants it and then read
+//     lock-free. An entry's first ask, when it is a single window, is
+//     scanned instead (CachedKernel::wants_index); every later ask, and
+//     every batch of two or more windows, uses the index.
 //   * Compressed (compressed-resident entries): the dominance count streamed
 //     block-by-block off the entry's CompressedKernel -- O(m + n) work like
 //     the scan but touching only compressed bytes plus one block's scratch,
 //     so cold-tail entries answer without ever being decoded in full.
-//   * Scan (the fallback): the stateless O(m + n) dominance scan on the
-//     immutable permutation -- no hidden state, no synchronization, and for
-//     a one-shot query cheaper than building any structure.
+//   * Scan: the stateless O(m + n) dominance scan on the immutable
+//     permutation -- no hidden state, no synchronization, and for a
+//     one-shot query cheaper than building any structure.
 //
 // answer_query() routes between them and feeds the queries_indexed /
 // queries_scanned / queries_compressed counters the stats endpoint surfaces.
-// Alignment-plot rows (answer_plot_row) are the one caller that reads a
-// kernel without building its index: a profitable stride walks the strip's
-// permutation from one scanned anchor.
+// Alignment-plot rows (answer_plot_row) at a profitable stride never build
+// or read an index: they walk the strip's permutation from one scanned
+// anchor.
 // All coordinate formulas come from core/query_formulas.hpp, the same header
 // SemiLocalKernel itself uses (Definition 3.2 / 3.3 of the paper).
 #pragma once
@@ -92,10 +94,10 @@ struct WindowQuery {
 };
 
 /// Answers one query off a shared cached entry. With `use_index` the entry's
-/// QueryIndex answers in O(log n), building it first if this is its very
-/// first use; otherwise the O(m + n) scan answers statelessly. `counters`
-/// (optional) receives the routing decision. Throws std::out_of_range on a
-/// bad window.
+/// QueryIndex answers in O(log n), built first if this ask wants it (see
+/// the header comment); otherwise the O(m + n) scan answers statelessly.
+/// `counters` (optional) receives the routing decision. Throws
+/// std::out_of_range on a bad window.
 Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
                    bool use_index, QueryCounters* counters = nullptr);
 
@@ -103,10 +105,14 @@ Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
 /// path lowers all windows up front and runs the QueryIndex's interleaved
 /// batch descent (several wavelet descents in flight), which is what makes
 /// the batched protocol op faster than `count` single calls; the scan path
-/// degenerates to a loop. Throws std::out_of_range on any bad window.
-void answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
+/// degenerates to a loop. With `may_build` false -- a caller that must not
+/// block, the reactor -- the call never builds: when the answer needs an
+/// index that is not built yet, it answers nothing and returns false, and
+/// the caller hands the ask to a thread that may block. Returns true
+/// otherwise. Throws std::out_of_range on any bad window.
+bool answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
                         Index* out, std::size_t count, bool use_index,
-                        QueryCounters* counters = nullptr);
+                        QueryCounters* counters = nullptr, bool may_build = true);
 
 /// One streamed chunk of an alignment plot: a (rows x cols) sub-rectangle of
 /// the grid, origin (row0, col0) in *grid* coordinates, cells row-major
@@ -134,7 +140,8 @@ struct PlotTile {
 /// touches every block anyway). Otherwise
 /// every window lowers independently through answer_query_batch -- the
 /// ablation the bench gates against -- which builds the index if
-/// `use_index`. Bumps plot_windows / plot_reused_descents.
+/// `use_index` and the row has two or more windows. Bumps plot_windows /
+/// plot_reused_descents.
 void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index window,
                      std::size_t count, Index* out, bool use_planner, bool use_index,
                      QueryCounters* counters = nullptr);

@@ -33,12 +33,11 @@ Index bit_parallel_score(SequenceView a, SequenceView b) {
 }  // namespace
 
 KernelScheduler::KernelScheduler(KernelStore& store, SchedulerOptions options,
-                                 LatencyRecorder* latency, QueryCounters* counters)
+                                 LatencyRecorder* latency, QueryCounters* /*unused*/)
     : store_(store),
       options_(std::move(options)),
       env_(options_.env ? options_.env : &real_env()),
       latency_(latency),
-      counters_(counters),
       memo_(kMemoSlots) {
   threads_.reserve(static_cast<std::size_t>(std::max(0, options_.workers)));
   for (int i = 0; i < options_.workers; ++i) {
@@ -80,8 +79,7 @@ void KernelScheduler::retire(const Job& job) {
 }
 
 std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
-                                                            Sequence a, Sequence b,
-                                                            bool index) {
+                                                            Sequence a, Sequence b) {
   std::unique_lock lock(mutex_);
   ++submitted_;
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
@@ -96,7 +94,6 @@ std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
     // a job of its own below, which takes over the in-flight entry.
     if (!job.running) {
       job.kernel = true;
-      job.index = index;
       job.entry_future = job.entry.get_future().share();
       return job.entry_future;
     }
@@ -111,7 +108,6 @@ std::shared_future<CachedKernelPtr> KernelScheduler::submit(const PairKey& key,
   job->a = std::move(a);
   job->b = std::move(b);
   job->kernel = true;
-  job->index = index;
   job->entry_future = job->entry.get_future().share();
   auto future = job->entry_future;
   enqueue(std::move(job));
@@ -155,12 +151,11 @@ void KernelScheduler::worker_loop() {
       if (stop_) return;
       continue;
     }
-    run_one_batch(lock, /*build_index=*/true);
+    run_one_batch(lock);
   }
 }
 
-bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
-                                    bool build_index) {
+bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock) {
   if (queue_.empty()) return false;
   std::vector<JobPtr> kernels;
   std::vector<JobPtr> scores;
@@ -173,7 +168,7 @@ bool KernelScheduler::run_one_batch(std::unique_lock<std::mutex>& lock,
   // Scores first: each is a fraction of one kernel's comb, so its waiters
   // should not sit behind the batch's kernels.
   if (!scores.empty()) run_scores(lock, scores);
-  if (!kernels.empty()) run_kernels(lock, kernels, build_index);
+  if (!kernels.empty()) run_kernels(lock, kernels);
   return true;
 }
 
@@ -209,7 +204,7 @@ void KernelScheduler::run_scores(std::unique_lock<std::mutex>& lock,
 }
 
 void KernelScheduler::run_kernels(std::unique_lock<std::mutex>& lock,
-                                  const std::vector<JobPtr>& batch, bool build_index) {
+                                  const std::vector<JobPtr>& batch) {
   ++batches_;
   lock.unlock();
 
@@ -261,29 +256,12 @@ void KernelScheduler::run_kernels(std::unique_lock<std::mutex>& lock,
     // An upgraded score job: its score waiters read H(m, n) off the kernel.
     if (job.score_future.valid()) job.score.set_value(kernel_lcs(results[i]->kernel()));
   }
-
-  // Eager index builds come *after* the promises resolve: the computing
-  // caller's latency stops at set_value, and the entry's std::call_once
-  // arbitrates cleanly if a fast client starts querying before the build
-  // lands. Done outside the lock -- builds are pure CPU on private data.
-  // Only jobs whose submitter will query the kernel ask for a build.
-  if (build_index && !failure) {
-    lock.unlock();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i]->index && results[i]) {
-        (void)results[i]->index(counters_ ? &counters_->index_builds : nullptr);
-      }
-    }
-    lock.lock();
-  }
 }
 
 std::size_t KernelScheduler::drain() {
   std::unique_lock lock(mutex_);
   std::size_t batches = 0;
-  // Never build indexes in drain mode: a workers = 0 engine answers its
-  // first query through the lazy std::call_once path instead.
-  while (run_one_batch(lock, /*build_index=*/false)) ++batches;
+  while (run_one_batch(lock)) ++batches;
   return batches;
 }
 

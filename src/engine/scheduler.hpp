@@ -15,14 +15,9 @@
 //     kernel jobs through semi_local_kernel_batch, so each worker reuses its
 //     persistent tls_workspace() across the batch and reaches the
 //     zero-allocation steady state PR 1 built.
-//   * Index on request. The submit that creates a kernel job (or upgrades
-//     a queued score job) says whether the kernel will answer queries. For
-//     such jobs a worker builds the entry's QueryIndex right after
-//     resolving the promises -- off the caller's latency path, so the first
-//     warm query finds it ready. Jobs whose kernel is only composed or
-//     seam-walked (corpus upsert kernels, plot strips) skip the build; a later
-//     query builds it lazily through std::call_once. A submit that joins an
-//     existing job leaves its flag alone. drain() never builds eagerly.
+//   * No index builds. A job publishes a bare kernel; whether and when an
+//     entry builds its QueryIndex is the entry's own decision, made by the
+//     queries asked of it (CachedKernel::wants_index).
 //   * Backpressure. The queue is bounded (both kinds count); a submit that
 //     would exceed it throws EngineOverloaded carrying a retry-after hint
 //     instead of letting latency grow without bound.
@@ -101,11 +96,13 @@ struct ScoreTicket {
 class KernelScheduler {
  public:
   /// `latency` (optional) receives one sample per completed job of either
-  /// kind, measured submit-to-completion. `counters` (optional) receives
-  /// eager index builds. Store results are published via `store.put`.
+  /// kind, measured submit-to-completion. Store results are published via
+  /// `store.put`. The QueryCounters pointer is not used: the scheduler
+  /// builds no index, so it has nothing to count there. It stays so that
+  /// existing callers compile.
   KernelScheduler(KernelStore& store, SchedulerOptions options,
                   LatencyRecorder* latency = nullptr,
-                  QueryCounters* counters = nullptr);
+                  QueryCounters* /*unused*/ = nullptr);
   ~KernelScheduler();
   KernelScheduler(const KernelScheduler&) = delete;
   KernelScheduler& operator=(const KernelScheduler&) = delete;
@@ -114,11 +111,8 @@ class KernelScheduler {
   /// resolves when a worker (or drain()) computes the pair -- or an
   /// already-ready future if the pair is in the store. A kernel job in
   /// flight is joined; a queued score job for the pair becomes this kernel
-  /// job. `index` asks a worker to build the entry's QueryIndex after the
-  /// compute; it applies only to a job this call creates or upgrades.
-  /// Throws EngineOverloaded when the queue is full.
-  std::shared_future<CachedKernelPtr> submit(const PairKey& key, Sequence a, Sequence b,
-                                             bool index = true);
+  /// job. Throws EngineOverloaded when the queue is full.
+  std::shared_future<CachedKernelPtr> submit(const PairKey& key, Sequence a, Sequence b);
 
   /// Schedules the global LCS score of (a, b): the score memo, then the
   /// pair's in-flight job of either kind, then a new score job (the only
@@ -139,9 +133,6 @@ class KernelScheduler {
     Sequence b;
     /// false = a score job. Final once `running` is set.
     bool kernel = false;
-    /// Kernel jobs: a worker builds the QueryIndex once the promises
-    /// resolve. Set by the submit that made this a kernel job.
-    bool index = false;
     bool running = false;  ///< popped by a worker or drain()
     std::promise<CachedKernelPtr> entry;  ///< kernel jobs
     std::shared_future<CachedKernelPtr> entry_future;
@@ -173,19 +164,15 @@ class KernelScheduler {
     return memo_[PairKeyHash{}(key) % kMemoSlots];
   }
   /// Pops and runs one batch. `lock` is held on entry and exit, released
-  /// during compute. `build_index` additionally builds the QueryIndex of
-  /// each computed kernel whose job asked for one, after resolving the
-  /// promises. Returns false if the queue was empty.
-  bool run_one_batch(std::unique_lock<std::mutex>& lock, bool build_index);
+  /// during compute. Returns false if the queue was empty.
+  bool run_one_batch(std::unique_lock<std::mutex>& lock);
   void run_scores(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs);
-  void run_kernels(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs,
-                   bool build_index);
+  void run_kernels(std::unique_lock<std::mutex>& lock, const std::vector<JobPtr>& jobs);
 
   KernelStore& store_;
   SchedulerOptions options_;
   Env* env_;
   LatencyRecorder* latency_;
-  QueryCounters* counters_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;

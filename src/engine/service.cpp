@@ -142,14 +142,20 @@ EngineService::EngineService(ComparisonEngine& engine, CorpusManager* corpus, bo
                              bool drain_inline)
     : engine_(engine), corpus_(corpus), dna_(dna), drain_inline_(drain_inline) {}
 
-Response EngineService::answer(const CachedKernel& entry, const Request& request) {
+std::optional<Response> EngineService::answer(const CachedKernel& entry,
+                                              const Request& request, bool may_build) {
   Response response;
+  bool answered = false;
   if (request.op == Op::kBatchQuery) {
-    response.values = engine_.answer_batch(entry, request.windows);
+    response.values.resize(request.windows.size());
     response.value = static_cast<Index>(response.values.size());
+    answered = engine_.answer_windows(entry, request.windows.data(), response.values.data(),
+                                      request.windows.size(), may_build);
   } else {
-    response.value = engine_.answer(entry, kind_of(request.op), request.x, request.y);
+    const WindowQuery window{kind_of(request.op), request.x, request.y};
+    answered = engine_.answer_windows(entry, &window, &response.value, 1, may_build);
   }
+  if (!answered) return std::nullopt;
   return response;
 }
 
@@ -208,10 +214,10 @@ Step EngineService::begin(Request&& request, bool may_defer) {
     } catch (...) {
       return answer_now(failure_response());
     }
-    return settle(std::move(score), [](Index value) {
+    return settle(std::move(score), [](Index value, bool /*may_build*/) {
       Response response;
       response.value = value;
-      return response;
+      return std::optional<Response>(std::move(response));
     });
   }
   std::shared_future<CachedKernelPtr> future;
@@ -221,17 +227,22 @@ Step EngineService::begin(Request&& request, bool may_defer) {
     return answer_now(failure_response());
   }
   return settle(std::move(future), [this, request = std::move(request)](
-                                       const CachedKernelPtr& entry) {
-    return answer(*entry, request);
+                                       const CachedKernelPtr& entry, bool may_build) {
+    return answer(*entry, request, may_build);
   });
 }
 
 template <typename T, typename Respond>
 Step EngineService::settle(std::shared_future<T> future, Respond respond) {
   if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    // Warm: a cached kernel's O(log n) descent or a memoized score, no stall.
+    // Warm: a memoized score, an indexed entry's O(log n) descent, or the
+    // O(m + n) scan of an entry's first window -- no stall. An answer that
+    // needs an index build is never built here, on the caller's (the
+    // reactor's) thread: it defers below, and the job builds and answers.
     try {
-      return answer_now(respond(future.get()));
+      if (std::optional<Response> now = respond(future.get(), /*may_build=*/false)) {
+        return answer_now(std::move(*now));
+      }
     } catch (...) {
       return answer_now(failure_response());
     }
@@ -241,7 +252,7 @@ Step EngineService::settle(std::shared_future<T> future, Respond respond) {
     Response response;
     try {
       if (drain_inline_) engine_.drain();
-      response = respond(future.get());
+      response = *respond(future.get(), /*may_build=*/true);
     } catch (...) {
       response = failure_response();
     }

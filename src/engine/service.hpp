@@ -4,9 +4,9 @@
 //
 //   answer now   ping, stats, health, shardctl, warm cache hits and typed
 //                refusals (scheduler backpressure, bad requests)
-//   defer        a Job that may block -- a cold compute wait, an upsert, a
-//                plot stream -- run by whoever is allowed to block (a
-//                reactor pump, the stdio loop)
+//   defer        a Job that may block -- a cold compute wait, an index
+//                build, an upsert, a plot stream -- run by whoever is
+//                allowed to block (a reactor pump, the stdio loop)
 //   loop work    non-blocking work that runs on the caller's event loop (a
 //                router's backend exchange): it watches fds and deadlines
 //                on the loop and hands its framed response bytes straight
@@ -140,8 +140,10 @@ void serve_one(Service& service, Request&& request, const Sink& sink);
 void serve_stream(Service& service, std::istream& in, std::ostream& out);
 
 /// The comparison engine as a Service. Warm pairs answer off the cache
-/// without blocking; cold pairs are submitted to the scheduler inside
-/// begin() (so coalescing and EngineOverloaded backpressure act at arrival)
+/// without blocking, unless the answer needs the entry's QueryIndex built
+/// (CachedKernel::wants_index): that ask defers, and its job builds the
+/// index, so begin() never runs a build. Cold pairs are submitted to the
+/// scheduler inside begin() (so coalescing and EngineOverloaded backpressure act at arrival)
 /// and their job waits on the future. Op::kLcs goes through
 /// ComparisonEngine::score_async: a cached kernel or a memoized score
 /// answers at once, a miss waits for a score job and builds no kernel.
@@ -158,9 +160,13 @@ class EngineService final : public Service {
   Step begin(Request&& request, bool may_defer) override;
 
  private:
-  Response answer(const CachedKernel& entry, const Request& request);
-  /// Answers now if `future` is ready, else defers a job that waits for it
-  /// (draining first in drain_inline mode); `respond` maps the value.
+  /// The request's windows off `entry`; nothing when `may_build` is false
+  /// and the answer needs the entry's QueryIndex built first.
+  std::optional<Response> answer(const CachedKernel& entry, const Request& request,
+                                 bool may_build);
+  /// Answers now if `future` is ready and `respond(value, false)` answers
+  /// without an index build; else defers a job that waits for the value
+  /// (draining first in drain_inline mode) and calls `respond(value, true)`.
   template <typename T, typename Respond>
   Step settle(std::shared_future<T> future, Respond respond);
   void stream_plot(const Request& request, const Sink& sink);

@@ -42,12 +42,13 @@ ShardRouter::ShardRouter(RouterOptions options)
     generation_.store(0, std::memory_order_relaxed);  // construction is gen 0
   }
   if (options_.probe_interval_ms > 0) {
-    prober_ = std::thread([this] { prober_loop(); });
+    prober_ = std::thread(
+        [this, stop = stop_prober_.get_future()] { prober_loop(stop); });
   }
 }
 
 ShardRouter::~ShardRouter() {
-  stop_prober_.store(true, std::memory_order_relaxed);
+  stop_prober_.set_value();
   if (prober_.joinable()) prober_.join();
 }
 
@@ -678,18 +679,16 @@ void ShardRouter::probe_all() {
   }
 }
 
-void ShardRouter::prober_loop() {
-  while (!stop_prober_.load(std::memory_order_relaxed)) {
+void ShardRouter::prober_loop(const std::future<void>& stop) {
+  // One wake-up per pass; destruction ends the wait at once. Waits are
+  // capped at a day, which keeps a huge interval from overflowing the
+  // clock arithmetic inside wait_for.
+  constexpr std::uint64_t kMaxWaitMs = 24ULL * 3600 * 1000;
+  const std::chrono::milliseconds interval(
+      std::min(options_.probe_interval_ms, kMaxWaitMs));
+  do {
     probe_all();
-    // Sleep the interval in small slices so destruction stays prompt.
-    std::uint64_t slept = 0;
-    while (slept < options_.probe_interval_ms &&
-           !stop_prober_.load(std::memory_order_relaxed)) {
-      const std::uint64_t slice = std::min<std::uint64_t>(10, options_.probe_interval_ms - slept);
-      std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-      slept += slice;
-    }
-  }
+  } while (stop.wait_for(interval) == std::future_status::timeout);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -213,7 +214,8 @@ class ShardRouter final : public Service {
   [[nodiscard]] std::shared_ptr<const HashRing> ring() const;
   void record_failure(Shard& shard);
   void record_success(Shard& shard);
-  void prober_loop();
+  /// Probes every interval until `stop` is ready.
+  void prober_loop(const std::future<void>& stop);
 
   RouterOptions options_;
   Env* env_;
@@ -233,7 +235,7 @@ class ShardRouter final : public Service {
   std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> probe_failures_{0};
 
-  std::atomic<bool> stop_prober_{false};
+  std::promise<void> stop_prober_;  ///< set by the destructor
   std::thread prober_;
 };
 

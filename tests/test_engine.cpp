@@ -472,74 +472,6 @@ TEST(Scheduler, BatchesGroupQueuedMisses) {
   EXPECT_EQ(stats.scheduler.batches, 2u);  // 8 jobs / max_batch 4
 }
 
-TEST(Scheduler, QuerySubmitJoiningANoIndexJobBuildsOneIndexLazily) {
-  KernelStoreOptions store_options;
-  store_options.dir = "";
-  KernelStore store(store_options);
-  QueryCounters counters;
-  SchedulerOptions options;
-  options.workers = 1;
-  options.max_batch = 1;
-  KernelScheduler scheduler(store, options, nullptr, &counters);
-  const auto submit = [&](const Sequence& a, const Sequence& b, bool index) {
-    return scheduler.submit(make_pair_key(a, b), a, b, index);
-  };
-
-  // The blocker keeps the one worker busy, so the query submit finds the
-  // no-index job still queued and joins it.
-  const auto big = testing::random_string(1500, 4, 71);
-  const auto a = testing::random_string(200, 4, 72);
-  const auto b = testing::random_string(180, 4, 73);
-  auto blocker = submit(big, big, /*index=*/false);
-  auto braid = submit(a, b, /*index=*/false);
-  auto query = submit(a, b, /*index=*/true);
-  const CachedKernelPtr entry = query.get();
-  EXPECT_EQ(entry, braid.get());
-  (void)blocker.get();
-  // One worker runs batches in order, each with its index builds, so once a
-  // later job resolves, the joined job's batch is done: the join did not
-  // turn it into an indexed job.
-  const auto c = testing::random_string(30, 4, 74);
-  (void)submit(c, c, /*index=*/false).get();
-  EXPECT_EQ(counters.index_builds.load(), 0u);
-
-  const SemiLocalKernel oracle = semi_local_kernel(a, b);
-  EXPECT_EQ(answer_query(*entry, QueryKind::kStringSubstring, 9, 150, true, &counters),
-            kernel_string_substring(oracle, 9, 150));
-  EXPECT_EQ(answer_query(*entry, QueryKind::kLcs, 0, 0, true, &counters),
-            kernel_lcs(oracle));
-  EXPECT_EQ(counters.index_builds.load(), 1u);
-  EXPECT_EQ(scheduler.stats().computed, 3u);
-}
-
-TEST(Scheduler, QuerySubmitThatUpgradesAScoreJobGetsAnEagerIndex) {
-  KernelStoreOptions store_options;
-  store_options.dir = "";
-  KernelStore store(store_options);
-  QueryCounters counters;
-  SchedulerOptions options;
-  options.workers = 1;
-  options.max_batch = 1;
-  KernelScheduler scheduler(store, options, nullptr, &counters);
-
-  const auto big = testing::random_string(1500, 4, 81);
-  const auto a = testing::random_string(200, 4, 82);
-  const auto b = testing::random_string(180, 4, 83);
-  auto blocker = scheduler.submit(make_pair_key(big, big), big, big, /*index=*/false);
-  // Queued behind the blocker, the score job is upgraded by the query
-  // submit; had the worker already popped it, the query gets a kernel job of
-  // its own. Either way the query's job asks for the index.
-  const ScoreTicket score = scheduler.submit_score(make_pair_key(a, b), a, b);
-  auto query = scheduler.submit(make_pair_key(a, b), a, b, /*index=*/true);
-  (void)query.get();
-  (void)blocker.get();
-  const auto c = testing::random_string(30, 4, 84);
-  (void)scheduler.submit(make_pair_key(c, c), c, c, /*index=*/false).get();
-  EXPECT_EQ(counters.index_builds.load(), 1u);
-  ASSERT_TRUE(score.score.valid());
-  EXPECT_EQ(score.score.get(), kernel_lcs(semi_local_kernel(a, b)));
-}
-
 // --- The score path: a global score never builds a kernel --------------------
 
 TEST(ScorePath, MissComputesAScoreAndNoKernel) {
@@ -848,10 +780,10 @@ TEST(EngineEndToEnd, RepeatedPairsAreNeverRecomputed) {
   EXPECT_EQ(stats.store.disk_writes, kDistinctPairs);
   // Both the compute path and the cache fast path record a latency sample.
   EXPECT_EQ(stats.latency.count, stats.requests);
-  // Every query went through the index; the scan fallback never fired, and
-  // each distinct pair's index was built exactly once (by the worker).
-  EXPECT_EQ(stats.queries.indexed, stats.requests);
-  EXPECT_EQ(stats.queries.scanned, 0u);
+  // Each pair's first query (one window) was scanned; every repeat went
+  // through the index, which each distinct pair built exactly once.
+  EXPECT_EQ(stats.queries.indexed, stats.requests - kDistinctPairs);
+  EXPECT_EQ(stats.queries.scanned, kDistinctPairs);
   EXPECT_EQ(stats.queries.index_builds, kDistinctPairs);
 
   // Warm restart over the same store directory: zero recompute, all disk.

@@ -348,8 +348,9 @@ TEST(IncrementalCorpus, TruncationBackToEarlierBytesIsCached) {
 }
 
 TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
-  // Upserted pair kernels are combed by real workers without a QueryIndex,
-  // and the first point query on the published pair builds exactly one.
+  // Upserted pair kernels are combed by real workers without a QueryIndex.
+  // The first point query on the published pair is scanned, and the second
+  // builds exactly one.
   const ScratchDir scratch;
   EngineOptions engine_options = test_engine_options(scratch.file("store"));
   engine_options.scheduler.workers = 1;
@@ -363,10 +364,10 @@ TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
   corpus.upsert_document("other", other);
   const UpsertReport report = corpus.upsert_document("doc", doc);
   ASSERT_EQ(report.chunks_computed, 1u);  // Whole: one job for the pair
-  // The one worker finishes a batch, index builds included, before it pops
-  // the next: once this later job resolves, the pair's batch is done.
+  // The one worker finishes a batch before it pops the next: once this
+  // later job resolves, the pair's batch is done.
   const Sequence c = testing::random_string(40, 4, 43);
-  (void)engine.braid_async(c, c).get();
+  (void)engine.entry_async(c, c).get();
   EXPECT_EQ(engine.stats().queries.index_builds, 0u);
 
   const std::uint64_t computed = engine.stats().scheduler.computed;
@@ -378,7 +379,8 @@ TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.computed, computed) << "published pair was recomputed";
   EXPECT_EQ(stats.queries.index_builds, 1u);
-  EXPECT_EQ(stats.queries.indexed, 2u);
+  EXPECT_EQ(stats.queries.scanned, 1u);
+  EXPECT_EQ(stats.queries.indexed, 1u);
 }
 
 // ---------------------------------------------------------------------------

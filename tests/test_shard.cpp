@@ -727,6 +727,22 @@ TEST(ShardRouter, ProbesBenchAndRecoverBackendsAndCountRestarts) {
   }
 }
 
+TEST(ShardRouter, ProberWaitingALongIntervalStopsAtOnceOnDestruction) {
+  Backend backend;
+  auto options = router_over({backend.port()});
+  options.probe_interval_ms = 60'000;
+  auto router = std::make_unique<ShardRouter>(std::move(options));
+  // The first pass runs at once; after it the prober waits out 60 s.
+  const auto until = std::chrono::steady_clock::now() + 5s;
+  while (router->stats().shards[0].probes == 0 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_EQ(router->stats().shards[0].probes, 1u);
+  const auto start = std::chrono::steady_clock::now();
+  router.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+}
+
 TEST(ShardRouter, ServesThroughTheHandlerModeFrontendWithStatsSplice) {
   Backend b0;
   Backend b1;
