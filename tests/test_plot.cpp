@@ -865,6 +865,90 @@ TEST(AlignmentPlotFrontend, HostilePlotRequestDiesAtDecodeWithOneErrorFrame) {
   EXPECT_EQ(pong->status, Status::kOk);
 }
 
+/// The strip kernel of grid row u, as naive_cell builds it, for checking a
+/// whole row of cells at once.
+SemiLocalKernel strip_kernel(const Sequence& a, const Sequence& b, const PlotSpec& spec,
+                             Index u) {
+  const auto start = static_cast<std::size_t>(spec.row_start(u));
+  const Sequence strip_a(a.begin() + static_cast<std::ptrdiff_t>(start),
+                         a.begin() + static_cast<std::ptrdiff_t>(start + spec.window));
+  return semi_local_kernel(strip_a, b);
+}
+
+TEST(AlignmentPlotFrontend, SlowReaderPausesTheEngineStreamWithinTheWriteQueueCap) {
+  // The engine's own plot stream to a client that stops reading: the
+  // reactor stops emitting (and stops topping up strips) instead of
+  // queueing tiles, so its write queue never passes max_write_queue_bytes,
+  // and once the client reads again the whole grid arrives intact.
+  FrontendOptions frontend = quiet_frontend();
+  frontend.max_write_queue_bytes = std::size_t{32} << 10;
+  Reactor reactor(plot_engine(true, /*tile_cells=*/32), frontend);
+  PlotSpec spec;
+  spec.rows = 400;
+  spec.cols = 400;
+  spec.step = 1;
+  spec.window = 16;
+  const Sequence a = random_seq(spec.rows + spec.window, 221);
+  const Sequence b = random_seq(spec.cols + spec.window, 222);
+
+  WireClient client(reactor.port(), /*rcvbuf=*/4096);
+  client.send(plot_request(a, b, spec));
+  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+  const auto first = client.recv();
+  ASSERT_TRUE(first.has_value());
+  assembler.feed(*first);
+  std::this_thread::sleep_for(400ms);  // the stall: nothing read
+  EXPECT_EQ(reactor.server.stats().write_queue_disconnects, 0u);
+  client.drain_stream(assembler);
+  ASSERT_TRUE(assembler.complete());
+  for (Index u = 0; u < spec.rows; ++u) {
+    const SemiLocalKernel strip = strip_kernel(a, b, spec, u);
+    for (Index v = 0; v < spec.cols; ++v) {
+      const Index j0 = spec.col_start(v);
+      ASSERT_EQ(assembler.cell(u, v), kernel_string_substring(strip, j0, j0 + spec.window))
+          << "cell (" << u << ", " << v << ")";
+    }
+  }
+  EXPECT_EQ(assembler.cell(7, 9), naive_cell(a, b, spec, 7, 9));
+  EXPECT_EQ(reactor.server.stats().write_queue_disconnects, 0u);
+}
+
+TEST(AlignmentPlotFrontend, ClientClosingMidPlotStopsStripSubmissions) {
+  // A paused stream whose client hangs up: the plot submits no strip
+  // beyond what was already in flight, so `computed` settles well short of
+  // one strip per row.
+  FrontendOptions frontend = quiet_frontend();
+  frontend.max_write_queue_bytes = std::size_t{32} << 10;
+  Reactor reactor(plot_engine(true, /*tile_cells=*/32), frontend);
+  PlotSpec spec;
+  spec.rows = 400;
+  spec.cols = 400;
+  spec.step = 1;
+  spec.window = 16;
+  const Sequence a = random_seq(spec.rows + spec.window, 231);
+  const Sequence b = random_seq(spec.cols + spec.window, 232);
+
+  auto client = std::make_unique<WireClient>(reactor.port(), /*rcvbuf=*/4096);
+  client->send(plot_request(a, b, spec));
+  ASSERT_TRUE(client->recv().has_value());
+  std::this_thread::sleep_for(300ms);  // the stream pauses on the full queue
+  const std::uint64_t paused = reactor.engine.stats().scheduler.computed;
+  client.reset();  // hang up mid-plot
+
+  std::uint64_t settled = paused;
+  for (int i = 0; i < 50; ++i) {
+    std::this_thread::sleep_for(100ms);
+    const std::uint64_t now = reactor.engine.stats().scheduler.computed;
+    if (now == settled && reactor.server.stats().connections_active == 0) break;
+    settled = now;
+  }
+  EXPECT_EQ(reactor.server.stats().connections_active, 0u);
+  EXPECT_LT(settled, static_cast<std::uint64_t>(spec.rows));
+  EXPECT_LE(settled, paused + 16) << "strips kept being submitted after the hang-up";
+  std::this_thread::sleep_for(200ms);
+  EXPECT_EQ(reactor.engine.stats().scheduler.computed, settled);
+}
+
 // ---------------------------------------------------------------------------
 // Shard router: stream relay and failover.
 
