@@ -47,6 +47,7 @@
 #include <atomic>
 #include <chrono>
 #include <ctime>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -57,6 +58,7 @@
 #include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
 #include "engine/frontend.hpp"
+#include "engine/loop.hpp"
 #include "engine/protocol.hpp"
 #include "engine/shard/router.hpp"
 #include "util/random.hpp"
@@ -476,9 +478,9 @@ std::vector<FrontendLeg> run_frontend_sweep(Index length) {
 // job. What a single host CAN measure is the router itself: whether it keeps
 // N backends busy, spills overflow to replicas, and stays off the critical
 // path. The scale legs therefore run against emulated shard nodes -- reactors
-// over a sleeping Service with pump_threads=1, i.e. a
-// remote node's serial service loop with its capacity pinned by latency, not
-// local CPU. Every leg (1, 2, 4 shards) is offered the SAME rate, calibrated
+// over a Service that holds each request for a fixed service time, one
+// request at a time, i.e. a remote node's serial service loop with its
+// capacity pinned by latency, not local CPU. Every leg (1, 2, 4 shards) is offered the SAME rate, calibrated
 // to ~3.2x one node's measured capacity: the 1-shard leg saturates and sheds
 // typed RETRY_AFTER, the 4-shard leg must absorb nearly all of it. The
 // speedup_4x_vs_1x ratio is the gated aggregate-throughput claim.
@@ -512,12 +514,32 @@ struct ShardSweepResult {
   }
 };
 
-/// In-process stand-in for one remote shard node: a reactor whose single
-/// pump sleeps a fixed service time per request, then answers from the
-/// shared oracle table (requests carry their pool index in x).
-struct EmulatedShard final : Service {
+/// In-process stand-in for one remote shard node: a reactor that serves one
+/// request at a time, each for a fixed service time (a deadline on its event
+/// loop), then answers from the shared oracle table (requests carry their
+/// pool index in x).
+struct EmulatedShard final : Service, private EventLoop::Handler {
+  /// One request waiting for, or in, the node's service.
+  struct Visit final : LoopWork {
+    EmulatedShard& node;
+    Index x;
+    EventLoop* loop = nullptr;
+    FrameOut* out = nullptr;
+    Visit(EmulatedShard& n, Index pool_index) : node(n), x(pool_index) {}
+    ~Visit() override { cancel(); }
+    void start(EventLoop& on, FrameOut& frames) override {
+      loop = &on;
+      out = &frames;
+      node.arrive(*this);
+    }
+    void resume() override {}
+    void cancel() override { node.leave(*this); }
+  };
+
   const std::vector<Index>& oracle;
   std::uint64_t service_us;
+  std::deque<Visit*> line;  ///< the loop's thread only; the front is in service
+  EventLoop::Timer timer{};
   FrontendServer server;
   std::thread loop;
 
@@ -534,14 +556,43 @@ struct EmulatedShard final : Service {
 
   Step begin(Request&& request, bool may_defer) override {
     if (!may_defer) return {};
-    return Step{std::nullopt, [this, x = request.x](const Sink& sink) {
-                  std::this_thread::sleep_for(std::chrono::microseconds(service_us));
-                  Response response;
-                  response.value =
-                      oracle.empty() ? 0
-                                     : oracle[static_cast<std::size_t>(x) % oracle.size()];
-                  (void)sink(std::move(response));
-                }};
+    return Step{std::nullopt, std::make_unique<Visit>(*this, request.x)};
+  }
+
+  void arrive(Visit& visit) {
+    line.push_back(&visit);
+    serve_next();
+  }
+
+  void leave(Visit& visit) {
+    const auto it = std::find(line.begin(), line.end(), &visit);
+    if (it == line.end()) return;
+    if (it == line.begin() && timer != EventLoop::Timer{}) {
+      visit.loop->cancel(timer);
+      timer = {};
+    }
+    line.erase(it);
+    serve_next();
+  }
+
+  /// Starts the service time of the request at the front of the line.
+  void serve_next() {
+    if (line.empty() || timer != EventLoop::Timer{}) return;
+    EventLoop& on = *line.front()->loop;
+    timer = on.at(on.env().now_ns() + service_us * 1000, *this, 0);
+  }
+
+  void on_ready(std::uint64_t, std::uint32_t) override {}
+
+  void on_deadline(std::uint64_t) override {
+    timer = {};
+    Visit* visit = line.front();
+    line.pop_front();
+    Response response;
+    response.value =
+        oracle.empty() ? 0 : oracle[static_cast<std::size_t>(visit->x) % oracle.size()];
+    (void)visit->out->frame(frame_payload(encode_response(response)), /*terminal=*/true);
+    serve_next();
   }
 
   static FrontendOptions emulated_options() {
@@ -549,7 +600,6 @@ struct EmulatedShard final : Service {
     frontend.port = 0;
     frontend.idle_timeout_ms = 0;
     frontend.read_timeout_ms = 0;
-    frontend.pump_threads = 1;  // the node's serial service loop
     return frontend;
   }
 };

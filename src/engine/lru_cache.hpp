@@ -47,8 +47,10 @@ std::size_t decoded_entry_bytes(Index order);
 ///
 /// Decoded tier: the kernel plus its shared immutable query index, built at
 /// most once, in place via std::call_once, by the query that first needs it
-/// (see wants_index()) -- never by the scheduler, and never on the reactor:
-/// engine/query.hpp's non-blocking form refuses instead of building. Plot
+/// (see wants_index()) -- on whichever thread answers that query (a
+/// scheduler worker, when serving), never by a kernel job itself, and never
+/// on the reactor: engine/query.hpp's non-blocking form refuses instead of
+/// building. Plot
 /// strips and upsert kernels that are never queried never build it. Once
 /// built it is read lock-free: index_if_built() is a single acquire load.
 ///

@@ -108,8 +108,7 @@ Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
 /// degenerates to a loop. With `may_build` false -- a caller that must not
 /// block, the reactor -- the call never builds: when the answer needs an
 /// index that is not built yet, it answers nothing and returns false, and
-/// the caller hands the ask to a thread that may block. Returns true
-/// otherwise. Throws std::out_of_range on any bad window.
+/// the caller hands the ask to a scheduler worker. Returns true otherwise. Throws std::out_of_range on any bad window.
 bool answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
                         Index* out, std::size_t count, bool use_index,
                         QueryCounters* counters = nullptr, bool may_build = true);

@@ -604,10 +604,10 @@ class ShardRouter::Relay final : public LoopWork, private EventLoop::Handler {
 };
 
 Step ShardRouter::begin(Request&& request, bool may_defer) {
-  if (auto answer = control(request)) return Step{std::move(answer), {}, {}};
+  if (auto answer = control(request)) return Step{std::move(answer)};
   if (!may_defer) return {};
   const std::string payload = encode_request(request);
-  return Step{std::nullopt, {},
+  return Step{std::nullopt,
               std::make_unique<Relay>(*this, payload, decode_request_view(payload))};
 }
 
@@ -618,12 +618,12 @@ Step ShardRouter::begin_frame(std::string_view payload, bool may_defer) {
     case Op::kStats:
     case Op::kHealth:
     case Op::kShardCtl:
-      return Step{control(decode_request(payload)), {}, {}};
+      return Step{control(decode_request(payload))};
     default:
       break;
   }
   if (!may_defer) return {};
-  return Step{std::nullopt, {}, std::make_unique<Relay>(*this, payload, view)};
+  return Step{std::nullopt, std::make_unique<Relay>(*this, payload, view)};
 }
 
 Response ShardRouter::route(const Request& request) {

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,6 +34,7 @@
 #include "engine/engine.hpp"
 #include "engine/env.hpp"
 #include "engine/frontend.hpp"
+#include "engine/loop.hpp"
 #include "engine/protocol.hpp"
 #include "engine/shard/ring.hpp"
 #include "engine/shard/router.hpp"
@@ -791,6 +791,9 @@ TEST(ShardRouter, ServesThroughTheHandlerModeFrontendWithStatsSplice) {
   // frontend_* from the reactor's splice.
   EXPECT_NE(stats_response.text.find("\"router_forwarded\""), std::string::npos);
   EXPECT_NE(stats_response.text.find("\"frontend_connections\""), std::string::npos);
+  // Every relayed request is loop work that ended in a terminal frame.
+  EXPECT_EQ(router.stats().forwarded, pairs.size());
+  EXPECT_EQ(server.stats().pump_answers, router.stats().forwarded);
 
   ::close(fd);
   server.request_stop();
@@ -922,50 +925,87 @@ TEST(ShardRouter, RouteAndServedRelayReturnIdenticalFrames) {
 /// records the most exchanges it ever held at once.
 struct LatchedBackend {
   struct Held final : Service {
+    /// One held exchange: loop work that answers 1 once the latch opens.
+    struct Hold final : LoopWork {
+      Held& held;
+      FrameOut* out = nullptr;
+      explicit Hold(Held& h) : held(h) {}
+      ~Hold() override { cancel(); }
+      void start(EventLoop& loop, FrameOut& o) override {
+        out = &o;
+        held.park(loop, *this);
+      }
+      void resume() override {}
+      void cancel() override { held.unpark(*this); }
+      void answer() {
+        Response response;
+        response.value = 1;
+        (void)out->frame(frame_payload(encode_response(response)), /*terminal=*/true);
+      }
+    };
+
     std::mutex mutex;
-    std::condition_variable cv;
     bool open = false;
     int active = 0;
     int peak = 0;
+    std::vector<Hold*> parked;         ///< the loop's thread, under mutex
+    const EventLoop* loop = nullptr;  ///< where the held exchanges run
 
     Step begin(Request&&, bool may_defer) override {
       if (!may_defer) return {};
-      return Step{std::nullopt, [this](const Sink& sink) {
-                    {
-                      std::unique_lock lock(mutex);
-                      peak = std::max(peak, ++active);
-                      cv.wait_for(lock, 10s, [this] { return open; });
-                      --active;
-                    }
-                    Response response;
-                    response.value = 1;
-                    (void)sink(std::move(response));
-                  }};
+      return Step{std::nullopt, std::make_unique<Hold>(*this)};
     }
 
+    void park(const EventLoop& on, Hold& hold) {
+      {
+        std::lock_guard lock(mutex);
+        if (!open) {
+          loop = &on;
+          peak = std::max(peak, ++active);
+          parked.push_back(&hold);
+          return;
+        }
+      }
+      hold.answer();
+    }
+
+    void unpark(Hold& hold) {
+      std::lock_guard lock(mutex);
+      const auto it = std::find(parked.begin(), parked.end(), &hold);
+      if (it == parked.end()) return;
+      parked.erase(it);
+      --active;
+    }
+
+    /// Opens the latch; the held exchanges answer on their loop.
     void release() {
+      const EventLoop* on = nullptr;
       {
         std::lock_guard lock(mutex);
         open = true;
+        on = loop;
       }
-      cv.notify_all();
+      if (on == nullptr) return;
+      on->post([this] {
+        std::vector<Hold*> ready;
+        {
+          std::lock_guard lock(mutex);
+          ready.swap(parked);
+          active -= static_cast<int>(ready.size());
+        }
+        for (Hold* hold : ready) hold->answer();
+      });
     }
   } service;
   FrontendServer server;
   std::thread thread;
 
-  LatchedBackend() : server(service, many_pumps()), thread([this] { server.run(); }) {}
+  LatchedBackend()
+      : server(service, Backend::frontend_on(0)), thread([this] { server.run(); }) {}
   ~LatchedBackend() {
     service.release();
     server.request_stop();
     thread.join();
-  }
-
-  /// More pumps than requests: the backend itself never caps the count.
-  static FrontendOptions many_pumps() {
-    FrontendOptions options = Backend::frontend_on(0);
-    options.pump_threads = 8;
-    return options;
   }
 };
 
@@ -986,7 +1026,6 @@ TEST(ShardRouter, PoolBoundsInFlightExchangesAndTimesOutWaiters) {
     options.attempt_timeout_ms = 20'000;
     options.retry_after_ms = 9;
     FrontendOptions frontend = Backend::frontend_on(0);
-    frontend.pump_threads = 8;
     ServedRouter rig(std::move(options), std::move(frontend));
 
     std::atomic<int> ok{0};

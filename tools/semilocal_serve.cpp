@@ -12,10 +12,12 @@
 //   semilocal_serve --port P [engine options] [frontend options]
 //       Epoll reactor on 127.0.0.1:P (P = 0 picks a free port; the bound
 //       port is printed alone on stdout so spawning harnesses can read it
-//       without port races): one event-loop thread per process, a small pump
-//       pool for cold computes, typed admission control (see
-//       engine/frontend.hpp). SIGINT/SIGTERM drain gracefully: in-flight
-//       requests answer and flush before the process exits.
+//       without port races): one event-loop thread plus the scheduler's
+//       --workers threads, which post finished answers, plot rows and
+//       upserts back to the loop; typed admission control (see
+//       engine/frontend.hpp). With --workers 0 the loop runs the compute
+//       itself. SIGINT/SIGTERM drain gracefully: in-flight requests answer
+//       and flush before the process exits.
 //
 // Engine options:
 //   --store DIR      kernel store directory (default: in-memory only)
@@ -45,7 +47,6 @@
 //   --read-timeout-ms N  slow-loris partial-frame timeout, 0 disables
 //                        (default 10000)
 //   --drain-timeout-ms N graceful-shutdown budget (default 2000)
-//   --pumps N            cold-path pump threads (default 2)
 #include <csignal>
 #include <iostream>
 #include <optional>
@@ -69,7 +70,7 @@ int usage() {
                "                       [--dna] [--backlog N] [--max-conns N]\n"
                "                       [--max-inflight N] [--write-cap-kb N]\n"
                "                       [--idle-timeout-ms N] [--read-timeout-ms N]\n"
-               "                       [--drain-timeout-ms N] [--pumps N]\n"
+               "                       [--drain-timeout-ms N]\n"
                "                       [--corpus-dir DIR] [--chunk N]\n";
   return 2;
 }
@@ -157,7 +158,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.int_option_or("read-timeout-ms", 10'000));
     frontend.drain_timeout_ms =
         static_cast<std::uint64_t>(args.int_option_or("drain-timeout-ms", 2'000));
-    frontend.pump_threads = static_cast<int>(args.int_option_or("pumps", 2));
 
     FrontendServer server(service, frontend);
     g_reactor = &server;
