@@ -672,6 +672,32 @@ TEST(IncrementalKernel, InterleavedAppendsMatchFreshKernel) {
 // Concurrency hammer (the TSan target): upserts on distinct ids racing
 // queries and each other through the shared engine, store and corpus lock.
 
+TEST(IncrementalCorpus, WritesTakeTurnsAndFinishBeforeTheManagerGoes) {
+  // Three writes queued at once on a workers = 0 engine that nobody drains:
+  // only the first plan is queued, the others wait for the writer turn.
+  // The manager's destructor then runs them, in turn, before it lets go of
+  // the state their continuations hold (the ASan slice runs this).
+  ComparisonEngine engine(test_engine_options(""));
+  std::vector<std::pair<Index, std::uint64_t>> reports;  // (version, generation)
+  {
+    CorpusManagerOptions options = test_corpus_options("", 64);
+    options.drain_inline = false;
+    CorpusManager corpus(engine, options);
+    const auto record = [&reports](UpsertReport report, std::exception_ptr failure) {
+      EXPECT_FALSE(failure);
+      reports.emplace_back(report.version, report.generation);
+    };
+    corpus.upsert_async("a", testing::random_string(200, 4, 41), record);
+    corpus.upsert_async("b", testing::random_string(200, 4, 42), record);
+    corpus.upsert_async("a", testing::random_string(220, 4, 43), record);
+    EXPECT_EQ(engine.stats().scheduler.queue_depth, 1u);
+    EXPECT_TRUE(reports.empty());
+  }
+  using Report = std::pair<Index, std::uint64_t>;
+  EXPECT_EQ(reports, (std::vector<Report>{{1, 1}, {1, 2}, {2, 3}}));
+  EXPECT_EQ(engine.stats().scheduler.computed, 2u);  // (a, b) at b v1 and at a v2
+}
+
 TEST(IncrementalCorpus, ConcurrentUpsertsAndReads) {
   const ScratchDir scratch;
   EngineOptions engine_options = test_engine_options(scratch.file("store"));
