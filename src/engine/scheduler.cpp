@@ -9,21 +9,18 @@
 #include "lcs/prefix.hpp"
 
 namespace semilocal {
-namespace {
 
-/// A score job's work: the paper's bit-parallel combing (Listing 8,
-/// generalized to bit-planes) over the pair's dense alphabet, serial like
-/// every per-pair compute here. Wire symbols are bytes, so a served pair
-/// always fits the kernel's 8 planes; a library caller's pair with more than
-/// 256 distinct symbols falls back to the anti-diagonal prefix DP.
+// The paper's bit-parallel combing (Listing 8, generalized to bit-planes),
+// serial like every per-pair compute here. Wire symbols are bytes, so a
+// served pair always fits the kernel's 8 planes; a library caller's pair
+// with more than 256 distinct symbols falls back to the anti-diagonal
+// prefix DP.
 Index bit_parallel_score(SequenceView a, SequenceView b) {
   const DensePair dense = dense_remap(a, b);
   if (dense.alphabet > (Symbol{1} << kMaxPlanes)) return lcs_prefix_antidiag(a, b);
   return lcs_bit_combing_alphabet(dense.a, dense.b, std::max<Symbol>(2, dense.alphabet),
                                   /*parallel=*/false);
 }
-
-}  // namespace
 
 KernelScheduler::KernelScheduler(KernelStore& store, SchedulerOptions options,
                                  LatencyRecorder* latency, QueryCounters* /*unused*/)
@@ -62,7 +59,7 @@ void KernelScheduler::admit() {
 
 void KernelScheduler::enqueue(JobPtr job) {
   job->queued_ns = env_->now_ns();
-  inflight_.insert_or_assign(job->key, job);
+  if (!job->window) inflight_.insert_or_assign(job->key, job);
   queue_.push_back(std::move(job));
 }
 
@@ -132,16 +129,34 @@ std::optional<Index> KernelScheduler::submit_score(const PairKey& key, SequenceV
     it->second->score_waiters.push_back(std::move(then));
     return std::nullopt;
   }
+  queue_score(lock, key, a, b, std::move(then), /*window=*/false);
+  return std::nullopt;
+}
+
+bool KernelScheduler::submit_window(const PairKey& key, SequenceView a, SequenceView b,
+                                    ScoreThen& then) {
+  std::unique_lock lock(mutex_);
+  if (memo_slot(key).key == key || inflight_.contains(key)) return false;
+  ++submitted_;
+  queue_score(lock, key, a, b, std::move(then), /*window=*/true);
+  return true;
+}
+
+void KernelScheduler::queue_score(std::unique_lock<std::mutex>& lock, const PairKey& key,
+                                  SequenceView a, SequenceView b, ScoreThen then,
+                                  bool window) {
   admit();
+  // Mark the pair asked; a score already memoized for it stays.
+  if (MemoSlot& slot = memo_slot(key); !(slot.key == key)) slot = MemoSlot{key, -1};
   auto job = std::make_shared<Job>();
   job->key = key;
   job->a.assign(a.begin(), a.end());
   job->b.assign(b.begin(), b.end());
+  job->window = window;
   job->score_waiters.push_back(std::move(then));
   enqueue(std::move(job));
   lock.unlock();
   work_ready_.notify_one();
-  return std::nullopt;
 }
 
 void KernelScheduler::submit_task(std::function<void()> task) {
@@ -220,14 +235,14 @@ void KernelScheduler::run_scores(std::unique_lock<std::mutex>& lock,
     }
   }
   // Memo first, then inflight_, all under the lock: no submit_score() window
-  // finds a finished score in neither place.
+  // finds a finished score in neither place. A window job is in neither.
   lock.lock();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     Job& job = *jobs[i];
-    retire(job);
+    if (!job.window) retire(job);
     if (failures[i]) continue;
     ++scores_computed_;
-    memo_slot(job.key) = MemoSlot{job.key, values[i]};
+    if (!job.window) memo_slot(job.key) = MemoSlot{job.key, values[i]};
     if (latency_) {
       latency_->record(static_cast<double>(env_->now_ns() - job.queued_ns) / 1e6);
     }
