@@ -6,8 +6,10 @@
 // the number of queries per kernel after which building the index is the
 // cheaper total. It also sweeps the plot-row seam walk against batched
 // descents per stride, and costs one 64 x 2000 plot strip stage by stage
-// (comb, index build, descent- or scan-anchored walk), and times the
-// PairKey digest every request pays before it reaches the cache. Written to
+// (comb, index build, descent- or scan-anchored walk), times the PairKey
+// digest every request pays before it reaches the cache, and prices a cold
+// one-window ask both ways the engine can answer it (comb the pair's kernel
+// and scan it, or comb the window's slices bit-parallel). Written to
 // results/bench_query.json (plus the usual CSV) so serving configurations
 // can pick a policy from data.
 //
@@ -20,6 +22,7 @@
 #include "core/query_index.hpp"
 #include "engine/key.hpp"
 #include "engine/query.hpp"
+#include "engine/scheduler.hpp"
 #include "util/random.hpp"
 
 using namespace semilocal;
@@ -305,9 +308,60 @@ DigestResult run_digest(Index length) {
   return r;
 }
 
+// One never-seen pair asked one window (cold_compute's shape: random DNA,
+// x <= y uniform in [0, length], string-substring and substring-string in
+// turn), answered the way the engine answers a pair's second one-window
+// ask -- comb the kernel serially, as a scheduler worker does, and scan it
+// -- and the way it answers the first: bit-parallel combing of the window's
+// slices alone. Medians of per-sample times; every answer is compared.
+struct ColdWindowResult {
+  Index length = 0;
+  Index samples = 0;
+  double kernel_scan_ms = 0.0;
+  double window_comb_ms = 0.0;
+  Index mismatches = 0;  // must be 0
+};
+
+ColdWindowResult run_cold_window(Index length, Index samples) {
+  ColdWindowResult r;
+  r.length = length;
+  r.samples = samples;
+  Rng rng(0xC01D + static_cast<std::uint64_t>(length));
+  const SemiLocalOptions serial{.parallel = false};
+  std::vector<double> kernel_ms;
+  std::vector<double> window_ms;
+  for (Index s = 0; s < samples; ++s) {
+    const auto seed = 2 * static_cast<std::uint64_t>(length + s);
+    const Sequence a = uniform_sequence(length, 4, seed);
+    const Sequence b = uniform_sequence(length, 4, seed + 1);
+    Index x = rng.uniform(0, length);
+    Index y = rng.uniform(0, length);
+    if (x > y) std::swap(x, y);
+    const bool string_substring = s % 2 == 0;
+    Timer kernel_timer;
+    const SemiLocalKernel kernel = semi_local_kernel(a, b, serial);
+    const Index by_kernel = string_substring ? kernel_string_substring(kernel, x, y)
+                                             : kernel_substring_string(kernel, x, y);
+    kernel_ms.push_back(kernel_timer.milliseconds());
+    const auto slice = [&](const Sequence& full) {
+      return SequenceView(full).subspan(static_cast<std::size_t>(x),
+                                        static_cast<std::size_t>(y - x));
+    };
+    Timer window_timer;
+    const Index by_window = string_substring ? bit_parallel_score(a, slice(b))
+                                             : bit_parallel_score(slice(a), b);
+    window_ms.push_back(window_timer.milliseconds());
+    if (by_kernel != by_window) ++r.mismatches;
+  }
+  r.kernel_scan_ms = TimingStats::from(kernel_ms).median;
+  r.window_comb_ms = TimingStats::from(window_ms).median;
+  return r;
+}
+
 void write_json(const std::string& path, const std::vector<LengthResult>& results,
                 const std::vector<StrideResult>& strides, const StripResult& strip,
-                const std::vector<DigestResult>& digests) {
+                const std::vector<DigestResult>& digests,
+                const std::vector<ColdWindowResult>& cold) {
   Json out(/*wrap_depth=*/2);
   out.begin_object().key("lengths").begin_array();
   for (const LengthResult& r : results) {
@@ -338,6 +392,13 @@ void write_json(const std::string& path, const std::vector<LengthResult>& result
   for (const DigestResult& r : digests) {
     out.begin_object().field("length", r.length).field("digest_us", r.digest_us);
     out.field("ns_per_symbol", r.ns_per_symbol).end_object();
+  }
+  out.end_array().key("cold_window").begin_array();
+  for (const ColdWindowResult& r : cold) {
+    out.begin_object().field("pair_length", r.length).field("samples", r.samples);
+    out.field("kernel_scan_ms", r.kernel_scan_ms).field("window_comb_ms", r.window_comb_ms);
+    out.field("speedup", r.kernel_scan_ms / r.window_comb_ms);
+    out.field("mismatches", r.mismatches).end_object();
   }
   out.end_array().end_object();
   write_report(path, out);
@@ -414,6 +475,23 @@ int main() {
   }
   digest_table.print(std::cout, "PairKey digest per sequence (median of 5)");
 
-  write_json("results/bench_query.json", results, strides, strip, digests);
+  std::vector<ColdWindowResult> cold;
+  Table cold_table({"pair_length", "samples", "kernel_scan_ms", "window_comb_ms", "speedup",
+                    "mismatches"});
+  for (const Index length : {2000, 8000}) {
+    const ColdWindowResult& r = cold.emplace_back(run_cold_window(length, 16));
+    cold_table.row()
+        .cell(static_cast<long long>(r.length))
+        .cell(static_cast<long long>(r.samples))
+        .cell(r.kernel_scan_ms, 3)
+        .cell(r.window_comb_ms, 3)
+        .cell(r.kernel_scan_ms / r.window_comb_ms, 1)
+        .cell(static_cast<long long>(r.mismatches));
+  }
+  cold_table.print(std::cout,
+                   "cold one-window ask: kernel comb + scan vs bit-parallel window comb "
+                   "(medians)");
+
+  write_json("results/bench_query.json", results, strides, strip, digests, cold);
   return 0;
 }

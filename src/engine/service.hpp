@@ -137,10 +137,13 @@ void serve_stream(Service& service, std::istream& in, std::ostream& out);
 /// QueryIndex built (CachedKernel::wants_index) becomes a task under the
 /// same admission, and the worker that finishes either renders the answer
 /// -- building the index there, never in begin() -- and posts its frame to
-/// the loop. Op::kLcs goes through ComparisonEngine::score_then: a cached
-/// kernel or a memoized score answers at once, a miss waits for a score
-/// job and builds no kernel. Plots stream as ComparisonEngine::plot_work,
-/// upserts run through CorpusManager::upsert_async.
+/// the loop. Every one-window op (kLcs, kStringSubstring, kSubstringString)
+/// goes through ComparisonEngine::score_then: a cached kernel or a memoized
+/// score answers at once; a kLcs miss, and the first one-window miss of a
+/// pair, wait for a score job and build no kernel; a later one-window miss
+/// waits for the pair's kernel. Batches read the pair's kernel
+/// (entry_then). Plots stream as ComparisonEngine::plot_work, upserts run
+/// through CorpusManager::upsert_async.
 class EngineService final : public Service {
  public:
   /// `corpus` backs Op::kUpsert (nullptr: upserts answer kError). `dna`
