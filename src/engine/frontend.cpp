@@ -419,7 +419,7 @@ struct FrontendServer::Impl final : EventLoop::Handler {
       push_response(conn, error_response(e.what()));
       return;
     } catch (...) {
-      step = Step{failure_response()};
+      step = Step{failure_response(), nullptr};
     }
     if (step.work) {
       const std::uint64_t seq = conn.next_seq++;

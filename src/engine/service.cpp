@@ -33,7 +33,7 @@ Response text_response(std::string text) {
   return response;
 }
 
-Step answer_now(Response response) { return Step{std::move(response)}; }
+Step answer_now(Response response) { return Step{std::move(response), nullptr}; }
 
 /// The batch's windows off `entry`; nothing when `may_build` is false and
 /// the answer needs the entry's QueryIndex built first.

@@ -604,7 +604,7 @@ class ShardRouter::Relay final : public LoopWork, private EventLoop::Handler {
 };
 
 Step ShardRouter::begin(Request&& request, bool may_defer) {
-  if (auto answer = control(request)) return Step{std::move(answer)};
+  if (auto answer = control(request)) return Step{std::move(answer), nullptr};
   if (!may_defer) return {};
   const std::string payload = encode_request(request);
   return Step{std::nullopt,
@@ -618,7 +618,7 @@ Step ShardRouter::begin_frame(std::string_view payload, bool may_defer) {
     case Op::kStats:
     case Op::kHealth:
     case Op::kShardCtl:
-      return Step{control(decode_request(payload))};
+      return Step{control(decode_request(payload)), nullptr};
     default:
       break;
   }
