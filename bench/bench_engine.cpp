@@ -854,14 +854,16 @@ void write_capacity_leg(Json& out, const CapacityLeg& leg) {
   out.field("mmap_fallbacks", s.store.mmap_fallbacks).end_object();
 }
 
-// plot_sweep: the alignment-plot planner measured end to end through the
-// engine. One dense dot-plot (every strip cached after the first pass, so
-// the timed passes isolate the query-lowering path, which is what the
-// planner changes) is run twice: planner on, and the ablation that lowers
-// every cell to a per-window kBatchQuery descent. The two grids must be
+// plot_sweep: the alignment plot measured end to end through the engine.
+// One dense dot-plot is run twice: planner on, and the ablation that lowers
+// every cell to a per-window kBatchQuery descent off cached strips. At
+// window 64 the planner leg is the direct path (lcs_window_band over bands
+// of rows, nothing cached, so every timed pass computes every cell); at
+// window 96 (`wide`) it walks strips cached by the first pass, so its timed
+// passes isolate the seam walk. The two grids of a window must be
 // bit-identical, and a sampled direct-kernel oracle pins them both to
 // ground truth. bench/gates.tsv gates the speedup, the mismatches and the
-// planner leg's scan fallbacks.
+// planner leg's scan fallbacks of both windows.
 struct PlotSweepResult {
   Index pair_length = 0;
   Index window = 0;
@@ -923,7 +925,7 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
         return true;
       });
     };
-    run(&grid);  // cold pass: computes + caches every strip, captures the cells
+    run(&grid);  // cold pass: computes (and caches, for strips) every row, captures the cells
     const double seconds = median_seconds([&] { run(nullptr); });
     stats = engine.stats();
     return static_cast<double>(spec.cells()) / seconds;
@@ -1227,11 +1229,24 @@ void write_upsert_leg(Json& out, const UpsertLeg& leg) {
   out.field("composes", leg.composes).field("mismatches", leg.mismatches).end_object();
 }
 
+void write_plot_leg(Json& out, const PlotSweepResult& plot) {
+  out.field("pair_length", plot.pair_length).field("window", plot.window);
+  out.field("stride", plot.stride).field("rows", plot.rows).field("cols", plot.cols);
+  out.field("cells", plot.cells()).field("planner_windows_per_s", plot.planner_windows_per_s);
+  out.field("naive_windows_per_s", plot.naive_windows_per_s);
+  out.field("plot_speedup", plot.speedup());
+  out.field("planner_reused_descents", plot.planner_reused_descents);
+  out.field("planner_scan_fallbacks", plot.planner_scan_fallbacks);
+  out.field("naive_scan_fallbacks", plot.naive_scan_fallbacks);
+  out.field("plot_mismatches", plot.plot_mismatches);
+}
+
 void write_json(const std::string& path, const std::vector<MixResult>& mixes,
                 const CapacityResult& capacity,
                 const std::vector<FrontendLeg>& frontends,
                 const ShardSweepResult& shard, const PlotSweepResult& plot,
-                const UpsertSweepResult& upsert, Index length) {
+                const PlotSweepResult& wide_plot, const UpsertSweepResult& upsert,
+                Index length) {
   Json out(/*wrap_depth=*/3);
   out.begin_object().field("workers", hardware_threads()).field("pair_length", length);
   out.key("mixes").begin_array();
@@ -1260,15 +1275,10 @@ void write_json(const std::string& path, const std::vector<MixResult>& mixes,
   out.end_array().end_object().key("frontend_sweep").begin_object().key("legs").begin_array();
   for (const FrontendLeg& leg : frontends) write_frontend_leg(out, leg);
   out.end_array().end_object().key("plot_sweep").begin_object();
-  out.field("pair_length", plot.pair_length).field("window", plot.window);
-  out.field("stride", plot.stride).field("rows", plot.rows).field("cols", plot.cols);
-  out.field("cells", plot.cells()).field("planner_windows_per_s", plot.planner_windows_per_s);
-  out.field("naive_windows_per_s", plot.naive_windows_per_s);
-  out.field("plot_speedup", plot.speedup());
-  out.field("planner_reused_descents", plot.planner_reused_descents);
-  out.field("planner_scan_fallbacks", plot.planner_scan_fallbacks);
-  out.field("naive_scan_fallbacks", plot.naive_scan_fallbacks);
-  out.field("plot_mismatches", plot.plot_mismatches).end_object();
+  write_plot_leg(out, plot);
+  out.key("wide").begin_object();
+  write_plot_leg(out, wide_plot);
+  out.end_object().end_object();
   out.key("upsert_sweep").begin_object();
   out.field("chunk", upsert.chunk).field("gate_length", upsert.gate_length);
   out.field("upsert_speedup", upsert.append_speedup());
@@ -1336,6 +1346,8 @@ int main() {
   // experiment rather than just its cost.
   const PlotSweepResult plot = run_plot_sweep(/*length=*/4000, /*stride=*/4,
                                               /*window=*/64);
+  const PlotSweepResult wide_plot = run_plot_sweep(/*length=*/4000, /*stride=*/4,
+                                                   /*window=*/96);
   // Pinned for the same reason as the plot sweep: the gated claim names an
   // exact document length.
   const UpsertSweepResult upsert = run_upsert_sweep();
@@ -1419,18 +1431,22 @@ int main() {
   Table pt({"pair", "stride", "window", "cells", "planner_w_per_s",
             "naive_w_per_s", "speedup", "reused_descents", "scan_fallbacks",
             "mismatches"});
-  pt.row()
-      .cell(static_cast<long long>(plot.pair_length))
-      .cell(static_cast<long long>(plot.stride))
-      .cell(static_cast<long long>(plot.window))
-      .cell(static_cast<long long>(plot.cells()))
-      .cell(plot.planner_windows_per_s, 0)
-      .cell(plot.naive_windows_per_s, 0)
-      .cell(plot.speedup(), 2)
-      .cell(static_cast<long long>(plot.planner_reused_descents))
-      .cell(static_cast<long long>(plot.planner_scan_fallbacks))
-      .cell(static_cast<long long>(plot.plot_mismatches));
-  pt.print(std::cout, "plot sweep (warm strips: planner vs per-window lowering)");
+  for (const PlotSweepResult* leg : {&plot, &wide_plot}) {
+    pt.row()
+        .cell(static_cast<long long>(leg->pair_length))
+        .cell(static_cast<long long>(leg->stride))
+        .cell(static_cast<long long>(leg->window))
+        .cell(static_cast<long long>(leg->cells()))
+        .cell(leg->planner_windows_per_s, 0)
+        .cell(leg->naive_windows_per_s, 0)
+        .cell(leg->speedup(), 2)
+        .cell(static_cast<long long>(leg->planner_reused_descents))
+        .cell(static_cast<long long>(leg->planner_scan_fallbacks))
+        .cell(static_cast<long long>(leg->plot_mismatches));
+  }
+  pt.print(std::cout,
+           "plot sweep (window 64: direct bands; window 96: warm strips, seam walk; "
+           "vs per-window lowering off warm strips)");
 
   Table up({"leg", "doc_length", "docs", "chunk", "edits", "median_ms", "mean_cpu_ms",
             "chunks_computed",
@@ -1458,6 +1474,6 @@ int main() {
             << ", mismatches " << upsert.mismatches() << "\n";
 
   write_json("results/bench_engine.json", mixes, capacity, frontends, shard, plot,
-             upsert, length);
+             wide_plot, upsert, length);
   return 0;
 }

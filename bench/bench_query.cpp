@@ -9,7 +9,8 @@
 // (comb, index build, descent- or scan-anchored walk), times the PairKey
 // digest every request pays before it reaches the cache, and prices a cold
 // one-window ask both ways the engine can answer it (comb the pair's kernel
-// and scan it, or comb the window's slices bit-parallel). Written to
+// and scan it, or comb the window's slices bit-parallel), and prices plot
+// cells of one word directly against strips. Written to
 // results/bench_query.json (plus the usual CSV) so serving configurations
 // can pick a policy from data.
 //
@@ -23,6 +24,7 @@
 #include "engine/key.hpp"
 #include "engine/query.hpp"
 #include "engine/scheduler.hpp"
+#include "lcs/bitparallel.hpp"
 #include "util/random.hpp"
 
 using namespace semilocal;
@@ -358,10 +360,81 @@ ColdWindowResult run_cold_window(Index length, Index samples) {
   return r;
 }
 
+// One plot region the way corpus_mixed asks for it (a 2000 x 2000 DNA pair)
+// at windows of one word or less, three ways, single-threaded, per grid
+// cell: direct (lcs_window_band, band by band: what the engine runs for
+// these windows), and off strip kernels, cold (comb each row's strip
+// serially, as a worker does, then walk it) and fully warm (the walk
+// alone, off a strip combed just before, untimed). Every direct cell is
+// compared with the strip path's.
+struct PlotDirectResult {
+  Index window = 0;
+  Index step = 0;
+  Index cells = 0;
+  double direct_ns_per_cell = 0.0;
+  double strip_cold_ns_per_cell = 0.0;
+  double strip_warm_ns_per_cell = 0.0;
+  Index mismatches = 0;  // must be 0
+};
+
+PlotDirectResult run_plot_direct(Index length, Index window, Index step) {
+  PlotDirectResult r;
+  r.window = window;
+  r.step = step;
+  const auto a = uniform_sequence(length, 4, 51);
+  const auto b = uniform_sequence(length, 4, 52);
+  const Index rows = (length - window) / step + 1;
+  const Index cols = rows;
+  r.cells = rows * cols;
+  const auto per_cell = [&r](double seconds) {
+    return seconds * 1e9 / static_cast<double>(r.cells);
+  };
+  std::vector<Index> direct(static_cast<std::size_t>(r.cells));
+  r.direct_ns_per_cell = per_cell(median_seconds([&] {
+    for (Index u0 = 0; u0 < rows; u0 += kWindowBandRows) {
+      lcs_window_band(a, b, /*alphabet=*/4, u0 * step, 0, step, window,
+                      std::min(kWindowBandRows, rows - u0), cols,
+                      direct.data() + static_cast<std::size_t>(u0 * cols));
+    }
+  }));
+
+  const SemiLocalOptions serial{.parallel = false};
+  std::vector<Index> strip_cells(static_cast<std::size_t>(r.cells));
+  const auto strip_row = [&](Index u) {
+    const SequenceView strip_a =
+        SequenceView(a).subspan(static_cast<std::size_t>(u * step),
+                                static_cast<std::size_t>(window));
+    return CachedKernel(std::make_shared<const SemiLocalKernel>(
+        semi_local_kernel(strip_a, b, serial)));
+  };
+  const auto walk = [&](const CachedKernel& strip, Index u) {
+    answer_plot_row(strip, 0, step, window, static_cast<std::size_t>(cols),
+                    strip_cells.data() + static_cast<std::size_t>(u * cols),
+                    /*use_planner=*/true, /*use_index=*/true);
+  };
+  r.strip_cold_ns_per_cell = per_cell(median_seconds([&] {
+    for (Index u = 0; u < rows; ++u) walk(strip_row(u), u);
+  }));
+  double warm_s = 0.0;
+  for (Index u = 0; u < rows; ++u) {
+    const CachedKernel strip = strip_row(u);
+    walk(strip, u);  // warms the strip's lines
+    Timer timer;
+    walk(strip, u);
+    warm_s += timer.seconds();
+  }
+  r.strip_warm_ns_per_cell = per_cell(warm_s);
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    if (direct[i] != strip_cells[i]) ++r.mismatches;
+  }
+  return r;
+}
+
 void write_json(const std::string& path, const std::vector<LengthResult>& results,
                 const std::vector<StrideResult>& strides, const StripResult& strip,
                 const std::vector<DigestResult>& digests,
-                const std::vector<ColdWindowResult>& cold) {
+                const std::vector<ColdWindowResult>& cold,
+                const std::vector<PlotDirectResult>& direct) {
   Json out(/*wrap_depth=*/2);
   out.begin_object().key("lengths").begin_array();
   for (const LengthResult& r : results) {
@@ -398,6 +471,14 @@ void write_json(const std::string& path, const std::vector<LengthResult>& result
     out.begin_object().field("pair_length", r.length).field("samples", r.samples);
     out.field("kernel_scan_ms", r.kernel_scan_ms).field("window_comb_ms", r.window_comb_ms);
     out.field("speedup", r.kernel_scan_ms / r.window_comb_ms);
+    out.field("mismatches", r.mismatches).end_object();
+  }
+  out.end_array().key("plot_direct").begin_array();
+  for (const PlotDirectResult& r : direct) {
+    out.begin_object().field("window", r.window).field("step", r.step);
+    out.field("cells", r.cells).field("direct_ns_per_cell", r.direct_ns_per_cell);
+    out.field("strip_cold_ns_per_cell", r.strip_cold_ns_per_cell);
+    out.field("strip_warm_ns_per_cell", r.strip_warm_ns_per_cell);
     out.field("mismatches", r.mismatches).end_object();
   }
   out.end_array().end_object();
@@ -492,6 +573,26 @@ int main() {
                    "cold one-window ask: kernel comb + scan vs bit-parallel window comb "
                    "(medians)");
 
-  write_json("results/bench_query.json", results, strides, strip, digests, cold);
+  std::vector<PlotDirectResult> direct;
+  Table direct_table({"window", "step", "cells", "direct_ns_per_cell", "strip_cold_ns_per_cell",
+                      "strip_warm_ns_per_cell", "mismatches"});
+  for (const Index window : {16, 32, 64}) {
+    for (const Index step : {1, 4, 8}) {
+      const PlotDirectResult& r = direct.emplace_back(run_plot_direct(2000, window, step));
+      direct_table.row()
+          .cell(static_cast<long long>(r.window))
+          .cell(static_cast<long long>(r.step))
+          .cell(static_cast<long long>(r.cells))
+          .cell(r.direct_ns_per_cell, 2)
+          .cell(r.strip_cold_ns_per_cell, 2)
+          .cell(r.strip_warm_ns_per_cell, 2)
+          .cell(static_cast<long long>(r.mismatches));
+    }
+  }
+  direct_table.print(std::cout,
+                     "plot cells of one word, 2000 x 2000 DNA, one thread: direct band kernel "
+                     "vs strips cold and warm");
+
+  write_json("results/bench_query.json", results, strides, strip, digests, cold, direct);
   return 0;
 }

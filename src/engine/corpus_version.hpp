@@ -23,8 +23,8 @@
 // pair waits on another and all of them meet the same backpressure
 // (EngineOverloaded) as queries; the thread that completes the last one
 // composes and commits. None of them builds a QueryIndex; a published pair
-// builds its index on its second point query (or first batch), per
-// CachedKernel::wants_index.
+// builds its index once its point queries have cost about one build (or on
+// its first batch), per CachedKernel::wants_index.
 //
 // Publish protocol (crash consistency; see DESIGN.md §14): kernels land in
 // the store first (additive and content-addressed, so a crash leaves

@@ -8,8 +8,10 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "bitlcs/encoding.hpp"
 #include "engine/loop.hpp"
 #include "engine/service.hpp"
+#include "lcs/bitparallel.hpp"
 #include "util/json.hpp"
 
 namespace semilocal {
@@ -175,16 +177,20 @@ std::vector<Index> ComparisonEngine::answer_batch(
 }
 
 // ---------------------------------------------------------------------------
-// The alignment plot as loop work: workers answer grid rows off their strips
-// and post them back; the loop joins them into bands in row order, cuts
-// the bands into tiles and emits those.
+// The alignment plot as loop work: workers answer grid rows -- a band of
+// them at a time, computed directly, when the window fits one word; else
+// each row off its strip -- and post them back; the loop joins them into
+// bands in row order, cuts the bands into tiles and emits those.
 
 class ComparisonEngine::PlotStream final : public LoopWork {
  public:
-  PlotStream(ComparisonEngine& engine, Sequence a, Sequence b, const PlotSpec& spec,
-             bool drain_inline)
-      : shared_(std::make_shared<Shared>(engine, std::move(a), std::move(b), spec)),
-        drain_inline_(drain_inline) {
+  /// `alphabet` > 0: a direct plot, a and b in dense codes below it;
+  /// 0: a strip plot over the raw sequences.
+  PlotStream(ComparisonEngine& engine, Sequence a, Sequence b, Symbol alphabet,
+             const PlotSpec& spec, bool drain_inline)
+      : shared_(std::make_shared<Shared>(engine, std::move(a), std::move(b), alphabet, spec)),
+        drain_inline_(drain_inline),
+        lookahead_(alphabet > 0 ? kBandLookahead * kWindowBandRows : kLookahead) {
     const Index tile_cells =
         std::clamp<Index>(engine.options_.plot_tile_cells, 1, kMaxPlotTileCells);
     tile_cols_ = std::min(spec.cols, tile_cells);
@@ -214,8 +220,10 @@ class ComparisonEngine::PlotStream final : public LoopWork {
   /// Strips in flight ahead of the emit cursor: enough to keep every worker
   /// busy, few enough that a huge plot cannot flood admission.
   static constexpr Index kLookahead = 16;
+  /// The same for a direct plot, in bands of kWindowBandRows rows.
+  static constexpr Index kBandLookahead = 4;
 
-  /// An answered row: its quantized cells, or the failure of its strip.
+  /// An answered row: its quantized cells, or the failure of its strip or band.
   struct Row {
     std::string cells;
     std::exception_ptr failure;
@@ -223,14 +231,20 @@ class ComparisonEngine::PlotStream final : public LoopWork {
 
   /// What the workers answering rows hold.
   struct Shared {
-    Shared(ComparisonEngine& e, Sequence sa, Sequence sb, const PlotSpec& ps)
-        : engine(e), a(std::move(sa)), b(std::move(sb)), spec(ps), hash_b(sequence_digest(b)) {}
+    Shared(ComparisonEngine& e, Sequence sa, Sequence sb, Symbol sigma, const PlotSpec& ps)
+        : engine(e),
+          a(std::move(sa)),
+          b(std::move(sb)),
+          alphabet(sigma),
+          spec(ps),
+          hash_b(sigma > 0 ? 0 : sequence_digest(b)) {}
     ComparisonEngine& engine;
     const Sequence a;
     const Sequence b;
+    const Symbol alphabet;  ///< see PlotStream()
     const PlotSpec spec;
-    /// One digest of b covers every grid row; only the window-sized strip
-    /// of a is re-digested per row.
+    /// One digest of b covers every strip; only the window-sized strip of a
+    /// is re-digested per row.
     const std::uint64_t hash_b;
     EventLoop::Poster poster;
     std::atomic<bool> cancelled{false};
@@ -239,6 +253,21 @@ class ComparisonEngine::PlotStream final : public LoopWork {
     std::map<Index, Row> arrived;  ///< answered rows the loop has not taken
     Index cursor = 0;              ///< the row the loop waits for
   };
+
+  /// One row's scores as quantized cells.
+  static std::string quantize(const PlotSpec& spec, const Index* values) {
+    std::string cells(static_cast<std::size_t>(spec.cols) * (spec.quant == 16 ? 2 : 1), '\0');
+    auto* dst = reinterpret_cast<unsigned char*>(cells.data());
+    for (Index v = 0; v < spec.cols; ++v) {
+      if (spec.quant == 16) {
+        *dst++ = static_cast<unsigned char>(values[v] & 0xff);
+        *dst++ = static_cast<unsigned char>((values[v] >> 8) & 0xff);
+      } else {
+        *dst++ = static_cast<unsigned char>((values[v] * 255 + spec.window / 2) / spec.window);
+      }
+    }
+    return cells;
+  }
 
   /// Row u off its strip, on the worker that holds the strip: its
   /// quantized cells, or the failure.
@@ -253,20 +282,33 @@ class ComparisonEngine::PlotStream final : public LoopWork {
       values.resize(static_cast<std::size_t>(spec.cols));
       answer_plot_row(*strip, spec.col0, spec.step, spec.window, values.size(), values.data(),
                       options.plot_planner, options.index_queries, &shared.engine.counters_);
-      row.cells.resize(values.size() * (spec.quant == 16 ? 2 : 1));
-      auto* dst = reinterpret_cast<unsigned char*>(row.cells.data());
-      for (const Index v : values) {
-        if (spec.quant == 16) {
-          *dst++ = static_cast<unsigned char>(v & 0xff);
-          *dst++ = static_cast<unsigned char>((v >> 8) & 0xff);
-        } else {
-          *dst++ = static_cast<unsigned char>((v * 255 + spec.window / 2) / spec.window);
-        }
-      }
+      row.cells = quantize(spec, values.data());
     } catch (...) {
       row.failure = std::current_exception();
     }
     return row;
+  }
+
+  /// Rows [u0, u0 + count) of a direct plot, on a worker, landed together;
+  /// a failure fails row u0.
+  static void answer_band(const std::shared_ptr<Shared>& shared, Index u0, Index count) {
+    if (shared->cancelled.load(std::memory_order_relaxed)) return;
+    const PlotSpec& spec = shared->spec;
+    std::vector<std::pair<Index, Row>> rows;
+    try {
+      thread_local std::vector<Index> values;
+      values.resize(static_cast<std::size_t>(count * spec.cols));
+      lcs_window_band(shared->a, shared->b, shared->alphabet, spec.row_start(u0), spec.col0,
+                      spec.step, spec.window, count, spec.cols, values.data());
+      shared->engine.counters_.plot_windows.fetch_add(
+          static_cast<std::uint64_t>(count * spec.cols), std::memory_order_relaxed);
+      for (Index r = 0; r < count; ++r) {
+        rows.emplace_back(u0 + r, Row{quantize(spec, values.data() + r * spec.cols), nullptr});
+      }
+    } catch (...) {
+      rows.assign(1, {u0, Row{{}, std::current_exception()}});
+    }
+    land(shared, std::move(rows));
   }
 
   /// Hands answered rows to the loop. Only the row the loop waits for wakes
@@ -352,49 +394,67 @@ class ComparisonEngine::PlotStream final : public LoopWork {
   }
 
   void top_up() {
-    const PlotSpec& spec = shared_->spec;
-    ComparisonEngine& engine = shared_->engine;
-    // Refill once half the lookahead is used up: strips and cached rows go
-    // out, and come back, in batches rather than one per emitted row.
-    if (submitted_ - cursor_ > kLookahead / 2) return;
-    std::vector<std::pair<Index, CachedKernelPtr>> cached;  // rows whose strip was a hit
+    // Refill once half the lookahead is used up: strips, bands and cached
+    // rows go out, and come back, in batches rather than one per emitted row.
+    if (submitted_ - cursor_ > lookahead_ / 2) return;
     try {
-      for (; submitted_ < spec.rows && submitted_ < cursor_ + kLookahead; ++submitted_) {
-        const SequenceView strip_a =
-            SequenceView(shared_->a).subspan(static_cast<std::size_t>(spec.row_start(submitted_)),
-                                             static_cast<std::size_t>(spec.window));
-        const PairKey key{.hash_a = sequence_digest(strip_a),
-                          .hash_b = shared_->hash_b,
-                          .len_a = spec.window,
-                          .len_b = static_cast<Index>(shared_->b.size())};
-        const auto row = [shared = shared_, u = submitted_](CachedKernelPtr strip,
-                                                            std::exception_ptr failure) {
-          if (shared->cancelled.load(std::memory_order_relaxed)) return;
-          land(shared, {{u, answer_row(*shared, strip, failure)}});
-        };
-        if (CachedKernelPtr hit = engine.entry_then_keyed(key, strip_a, shared_->b, row)) {
-          cached.emplace_back(submitted_, std::move(hit));
-        }
-      }
-      // Rows off cached strips, half a lookahead per task: enough rows that
-      // the hand-off does not outweigh cheap ones, and tasks run side by side.
-      constexpr auto kRowsPerTask = static_cast<std::ptrdiff_t>(kLookahead / 2);
-      for (auto from = cached.begin(); from != cached.end();) {
-        const auto to = from + std::min(kRowsPerTask, cached.end() - from);
-        engine.submit_task([shared = shared_, part = std::vector(from, to)] {
-          std::vector<std::pair<Index, Row>> rows;
-          for (const auto& [u, strip] : part) {
-            if (shared->cancelled.load(std::memory_order_relaxed)) return;
-            rows.emplace_back(u, answer_row(*shared, strip, nullptr));
-          }
-          land(shared, std::move(rows));
-        });
-        from = to;
+      if (shared_->alphabet > 0) {
+        submit_bands();
+      } else {
+        submit_strips();
       }
     } catch (...) {
       return fail(std::current_exception());
     }
-    if (drain_inline_) engine.drain();
+    if (drain_inline_) shared_->engine.drain();
+  }
+
+  void submit_bands() {
+    const Index rows = shared_->spec.rows;
+    while (submitted_ < rows && submitted_ < cursor_ + lookahead_) {
+      const Index count = std::min(kWindowBandRows, rows - submitted_);
+      shared_->engine.submit_task(
+          [shared = shared_, u0 = submitted_, count] { answer_band(shared, u0, count); });
+      submitted_ += count;
+    }
+  }
+
+  void submit_strips() {
+    const PlotSpec& spec = shared_->spec;
+    ComparisonEngine& engine = shared_->engine;
+    std::vector<std::pair<Index, CachedKernelPtr>> cached;  // rows whose strip was a hit
+    for (; submitted_ < spec.rows && submitted_ < cursor_ + lookahead_; ++submitted_) {
+      const SequenceView strip_a =
+          SequenceView(shared_->a).subspan(static_cast<std::size_t>(spec.row_start(submitted_)),
+                                           static_cast<std::size_t>(spec.window));
+      const PairKey key{.hash_a = sequence_digest(strip_a),
+                        .hash_b = shared_->hash_b,
+                        .len_a = spec.window,
+                        .len_b = static_cast<Index>(shared_->b.size())};
+      const auto row = [shared = shared_, u = submitted_](CachedKernelPtr strip,
+                                                          std::exception_ptr failure) {
+        if (shared->cancelled.load(std::memory_order_relaxed)) return;
+        land(shared, {{u, answer_row(*shared, strip, failure)}});
+      };
+      if (CachedKernelPtr hit = engine.entry_then_keyed(key, strip_a, shared_->b, row)) {
+        cached.emplace_back(submitted_, std::move(hit));
+      }
+    }
+    // Rows off cached strips, half a lookahead per task: enough rows that
+    // the hand-off does not outweigh cheap ones, and tasks run side by side.
+    constexpr auto kRowsPerTask = static_cast<std::ptrdiff_t>(kLookahead / 2);
+    for (auto from = cached.begin(); from != cached.end();) {
+      const auto to = from + std::min(kRowsPerTask, cached.end() - from);
+      engine.submit_task([shared = shared_, part = std::vector(from, to)] {
+        std::vector<std::pair<Index, Row>> rows;
+        for (const auto& [u, strip] : part) {
+          if (shared->cancelled.load(std::memory_order_relaxed)) return;
+          rows.emplace_back(u, answer_row(*shared, strip, nullptr));
+        }
+        land(shared, std::move(rows));
+      });
+      from = to;
+    }
   }
 
   /// Ends the stream with the failure's frame, after what already went out.
@@ -411,10 +471,11 @@ class ComparisonEngine::PlotStream final : public LoopWork {
 
   std::shared_ptr<Shared> shared_;
   bool drain_inline_;
+  Index lookahead_;  ///< rows in flight ahead of the cursor
   Index tile_cols_ = 1;
   Index tile_rows_ = 1;
   FrameOut* out_ = nullptr;
-  Index submitted_ = 0;  ///< rows whose strip went to the scheduler
+  Index submitted_ = 0;  ///< rows whose strip or band went to the scheduler
   Index cursor_ = 0;     ///< the next row to join the band
   std::map<Index, Row> ready_;  ///< rows taken from `arrived`, ahead of the cursor
   std::vector<std::string> band_;
@@ -431,7 +492,19 @@ std::unique_ptr<LoopWork> ComparisonEngine::plot_work(Sequence a, Sequence b,
                                              static_cast<Index>(b.size()))) {
     throw std::out_of_range(err);
   }
-  return std::make_unique<PlotStream>(*this, std::move(a), std::move(b), spec, drain_inline);
+  // A window of one word is computed directly, over dense codes; wider
+  // windows, the planner ablation and alphabets past the band table comb
+  // strips.
+  if (options_.plot_planner && spec.window <= kWordBits) {
+    DensePair dense = dense_remap(a, b);
+    if (dense.alphabet <= kWindowBandMaxAlphabet) {
+      return std::make_unique<PlotStream>(*this, std::move(dense.a), std::move(dense.b),
+                                          std::max<Symbol>(1, dense.alphabet), spec,
+                                          drain_inline);
+    }
+  }
+  return std::make_unique<PlotStream>(*this, std::move(a), std::move(b), /*alphabet=*/0, spec,
+                                      drain_inline);
 }
 
 void ComparisonEngine::alignment_plot(SequenceView a, SequenceView b,

@@ -33,12 +33,13 @@
 // A cached entry can carry a shared immutable QueryIndex (built once, read
 // lock-free; see engine/query.hpp), so on the warm path queries cost
 // O(log n) instead of the O(m + n) dominance scan. The entry decides when to
-// build it, from the queries asked of it (CachedKernel::wants_index): its
-// first ask, when that is a single window, is scanned, and every later ask
-// and every batch of two or more windows builds the index (once) and uses
-// it. So a cold one-window request pays no build, and plot strips and
-// corpus upsert kernels, which are walked, composed or never queried, never
-// build one. A build runs where the answer is computed: on the caller of
+// build it, from the queries asked of it (CachedKernel::wants_index): a
+// batch of two or more windows builds the index (once) and uses it;
+// one-window asks are scanned until they have cost about one build, and
+// the ask that reaches that builds it. So a pair asked a few windows pays
+// no build, and plot strips and corpus upsert kernels, which are walked,
+// composed or rarely queried, never build one. A build runs where the
+// answer is computed: on the caller of
 // this facade, or on a scheduler worker when serving -- never on the
 // reactor. No serving thread blocks on compute: entry_then and score_then
 // hand the scheduler a continuation, and plot_work streams a plot as loop
@@ -70,9 +71,12 @@ struct EngineOptions {
   /// Route queries through each entry's QueryIndex (O(log n), built once).
   /// false = always use the O(m + n) dominance scan.
   bool index_queries = true;
-  /// Alignment plots: share the wavelet descent across each grid row via the
-  /// strided seam walk. false = lower every cell as an independent window
-  /// query -- the ablation knob the plot bench flips.
+  /// Alignment plots: a window of at most 64 symbols is computed directly,
+  /// 16 grid rows per task (lcs_window_band, when the pair's dense
+  /// alphabet has at most 256 symbols); a wider one shares the wavelet
+  /// descent across each grid row of its strip via the strided seam walk.
+  /// false = comb strips at every window and lower every cell as an
+  /// independent window query -- the ablation knob the plot bench flips.
   bool plot_planner = true;
   /// Target cells per streamed plot tile (clamped to kMaxPlotTileCells).
   /// Small values force multi-tile streams; tests use that to exercise
@@ -91,8 +95,8 @@ inline constexpr std::int64_t kStatsVersion = 2;
 
 struct EngineStats {
   /// Engine asks: entry_then calls (entry_async, entry(), kernel() and the
-  /// library queries go through it; so does each plot strip) and
-  /// score_then calls (score_async included).
+  /// library queries go through it; so does each plot strip, while a direct
+  /// plot asks nothing) and score_then calls (score_async included).
   std::uint64_t requests = 0;
   KernelStoreStats store;
   SchedulerStats scheduler;
@@ -201,16 +205,18 @@ class ComparisonEngine {
   /// The alignment plot of `spec` over (a, b) as loop work: cell (u, v) =
   /// LCS(a[row0 + u*step, +window), b[col0 + v*step, +window)), framed
   /// row-major as tiles of at most plot_tile_cells cells each (the final
-  /// tile has `last` set). The grid never materializes whole: each grid row
-  /// needs one strip kernel (a-window, b), acquired through the normal
-  /// cache/scheduler path at most 16 rows ahead of the emit cursor and
-  /// answered on the worker that completed it (one task for the rows whose
-  /// strips were cached), so rows compute in parallel and repeated plots
-  /// hit the LRU. kPause
-  /// stops both the tiles and the top-ups until resume(). EngineOverloaded
-  /// at a top-up, or a failed strip, ends the stream with its frame. Strips
-  /// are acquired without a QueryIndex: a profitable stride anchors each
-  /// row's seam walk on one permutation scan (see answer_plot_row).
+  /// tile has `last` set). The grid never materializes whole. A window of
+  /// at most 64 symbols (plot_planner on) is computed directly: one task
+  /// per band of 16 rows, at most four bands ahead of the emit cursor,
+  /// nothing cached. Otherwise each grid row needs one strip kernel
+  /// (a-window, b), acquired through the normal cache/scheduler path at
+  /// most 16 rows ahead of the emit cursor and answered on the worker that
+  /// completed it (one task for the rows whose strips were cached), so rows
+  /// compute in parallel and repeated plots hit the LRU. kPause stops both
+  /// the tiles and the top-ups until resume(). EngineOverloaded at a
+  /// top-up, or a failed strip or band, ends the stream with its frame.
+  /// Strips are acquired without a QueryIndex: a profitable stride anchors
+  /// each row's seam walk on one permutation scan (see answer_plot_row).
   /// `drain_inline` drains the scheduler after each top-up (workers = 0).
   /// Throws std::out_of_range on a bad spec or extent.
   std::unique_ptr<LoopWork> plot_work(Sequence a, Sequence b, const PlotSpec& spec,
@@ -219,7 +225,7 @@ class ComparisonEngine {
   /// Runs plot_work on a private event loop on the calling thread, each
   /// tile to `emit`; `emit` returning false cancels the stream. Throws
   /// std::out_of_range on a bad spec/extent, EngineOverloaded under
-  /// backpressure, std::runtime_error when a strip fails.
+  /// backpressure, std::runtime_error when a strip or band fails.
   void alignment_plot(SequenceView a, SequenceView b, const PlotSpec& spec,
                       const std::function<bool(PlotTile&&)>& emit,
                       bool drain_inline = false);

@@ -50,8 +50,8 @@ std::size_t decoded_entry_bytes(Index order);
 /// (see wants_index()) -- on whichever thread answers that query (a
 /// scheduler worker, when serving), never by a kernel job itself, and never
 /// on the reactor: engine/query.hpp's non-blocking form refuses instead of
-/// building. Plot
-/// strips and upsert kernels that are never queried never build it. Once
+/// building. Plot strips and upsert kernels that are rarely queried never
+/// build it. Once
 /// built it is read lock-free: index_if_built() is a single acquire load.
 ///
 /// Compressed tier (disk hits under format v3): the entry holds only the
@@ -110,14 +110,22 @@ class CachedKernel {
     return index_ready_.load(std::memory_order_acquire);
   }
 
+  /// One-window asks an entry scans before it builds its index: a build
+  /// costs about this many scans (results/bench_query.json: build_s x
+  /// scan_queries_per_s reads about 950 to 1250 at orders 2000 to 16000).
+  static constexpr std::uint32_t kScansPerBuild = 1024;
+
   /// Records an ask of `windows` windows on this entry while its index is
-  /// not built, and says whether the ask should build it. Only the first
-  /// ask the entry ever gets, when it is a single window, should not: a
-  /// scan answers one window in microseconds, while a build costs several
-  /// hundred scans and pays off only over that many windows. Thread-safe:
-  /// exactly one ask is the first.
+  /// not built, and says whether the ask should build it. A batch of two
+  /// or more windows builds at once. One-window asks scan until they have
+  /// cost about one build -- the kScansPerBuild-th one builds -- the
+  /// ski-rental rule: an entry asked few windows never pays for an index,
+  /// and one asked many pays at most twice the optimum. Thread-safe: every
+  /// ask from the threshold on wants the index, and index()'s call_once
+  /// builds it once.
   bool wants_index(std::size_t windows) const {
-    return asked_.exchange(true, std::memory_order_relaxed) || windows > 1;
+    if (windows > 1) return true;
+    return asks_.fetch_add(1, std::memory_order_relaxed) + 1 >= kScansPerBuild;
   }
 
   /// Cache-hit counter feeding the store's promotion threshold. Returns the
@@ -152,7 +160,7 @@ class CachedKernel {
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<const QueryIndex> index_;
   mutable std::atomic<const QueryIndex*> index_ready_{nullptr};
-  mutable std::atomic<bool> asked_{false};
+  mutable std::atomic<std::uint32_t> asks_{0};  ///< one-window asks while unindexed
 };
 
 /// Shared ownership handle the engine hands out for cached entries.

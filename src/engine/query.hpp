@@ -6,9 +6,10 @@
 //   * Indexed (the warm serving path): O(log n) dominance counts through the
 //     entry's shared immutable QueryIndex, built exactly once via
 //     std::call_once by the ask that first wants it and then read
-//     lock-free. An entry's first ask, when it is a single window, is
-//     scanned instead (CachedKernel::wants_index); every later ask, and
-//     every batch of two or more windows, uses the index.
+//     lock-free. One-window asks are scanned instead until they have cost
+//     about one build (CachedKernel::wants_index); the ask that reaches
+//     that, every later ask and every batch of two or more windows use
+//     the index.
 //   * Compressed (compressed-resident entries): the dominance count streamed
 //     block-by-block off the entry's CompressedKernel -- O(m + n) work like
 //     the scan but touching only compressed bytes plus one block's scratch,
@@ -59,8 +60,9 @@ enum class QueryKind : std::uint8_t {
 
 /// The counters surfaced through the JSON stats endpoint.
 struct QueryCounters {
-  /// Queries answered via QueryIndex. A walked plot row counts only in
-  /// plot_windows / plot_reused_descents, never here or in `scanned`.
+  /// Queries answered via QueryIndex. Plot cells count only in
+  /// plot_windows (and walked ones in plot_reused_descents), never here or
+  /// in `scanned`.
   std::atomic<std::uint64_t> indexed{0};
   /// Queries answered via the per-window O(m+n) scan.
   std::atomic<std::uint64_t> scanned{0};
@@ -68,8 +70,10 @@ struct QueryCounters {
   std::atomic<std::uint64_t> compressed{0};    ///< queries streamed off v3 blocks
   std::atomic<std::uint64_t> blocks_decoded{0};  ///< v3 blocks decoded by queries
   std::atomic<std::uint64_t> plot_tiles{0};      ///< alignment-plot tiles emitted
-  std::atomic<std::uint64_t> plot_windows{0};    ///< plot cells answered
-  std::atomic<std::uint64_t> plot_reused_descents{0};  ///< descents the seam walk saved
+  /// Plot cells answered, off strips or directly (lcs_window_band).
+  std::atomic<std::uint64_t> plot_windows{0};
+  /// Descents the seam walk saved: strip plots only.
+  std::atomic<std::uint64_t> plot_reused_descents{0};
 };
 
 /// Plain-value snapshot of QueryCounters for EngineStats.

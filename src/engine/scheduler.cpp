@@ -162,6 +162,7 @@ void KernelScheduler::queue_score(std::unique_lock<std::mutex>& lock, const Pair
 void KernelScheduler::submit_task(std::function<void()> task) {
   std::unique_lock lock(mutex_);
   admit();
+  ++tasks_;
   auto job = std::make_shared<Job>();
   job->task = std::move(task);
   // Ahead of the kernel and score jobs: a task finishes a request whose
@@ -322,6 +323,7 @@ SchedulerStats KernelScheduler::stats() const {
                         .score_memo_hits = score_memo_hits_,
                         .batches = batches_,
                         .rejected = rejected_,
+                        .tasks = tasks_,
                         .queue_depth = queue_.size(),
                         .inflight = inflight_.size()};
 }

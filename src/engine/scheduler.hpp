@@ -100,6 +100,7 @@ struct SchedulerStats {
   std::uint64_t score_memo_hits = 0;  ///< score submissions answered by the score memo
   std::uint64_t batches = 0;    ///< semi_local_kernel_batch invocations
   std::uint64_t rejected = 0;   ///< submissions of any kind refused by backpressure
+  std::uint64_t tasks = 0;      ///< tasks queued (submit_task calls admitted)
   std::size_t queue_depth = 0;  ///< jobs of any kind currently queued
   std::size_t inflight = 0;     ///< distinct pairs queued or being computed
 };
@@ -250,6 +251,7 @@ class KernelScheduler {
   std::uint64_t score_memo_hits_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t rejected_ = 0;
+  std::uint64_t tasks_ = 0;
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

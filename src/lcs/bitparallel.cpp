@@ -1,6 +1,9 @@
 #include "lcs/bitparallel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <stdexcept>
 
 namespace semilocal {
 
@@ -79,6 +82,73 @@ Index lcs_bitparallel_crochemore(SequenceView a, SequenceView b) {
 
 Index lcs_bitparallel_hyyro(SequenceView a, SequenceView b) {
   return bitparallel_impl<Update::kHyyro>(a, b);
+}
+
+void lcs_window_band(SequenceView a, SequenceView b, Symbol alphabet, Index a0, Index b0,
+                     Index step, Index window, Index rows, Index cols, Index* out) {
+  const auto n = static_cast<Index>(b.size());
+  if (window < 1 || window > kWordBits || rows < 1 || rows > kWindowBandRows || cols < 1 ||
+      step < 1 || alphabet < 1 || alphabet > kWindowBandMaxAlphabet || a0 < 0 || b0 < 0 ||
+      a0 + (rows - 1) * step + window > static_cast<Index>(a.size()) ||
+      b0 + (cols - 1) * step + window > n) {
+    throw std::invalid_argument("lcs_window_band: band outside its strings or bounds");
+  }
+  const auto in_alphabet = [alphabet](Symbol c) { return c >= 0 && c < alphabet; };
+  const Symbol* bw = b.data() + b0;
+  const auto b_span = static_cast<std::size_t>((cols - 1) * step + window);
+  if (!std::all_of(bw, bw + b_span, in_alphabet)) {
+    throw std::invalid_argument("lcs_window_band: symbol outside the alphabet");
+  }
+  // The lanes as two vector values of eight words: the compiler keeps each
+  // in one AVX-512 register (two on AVX2) and every step is a handful of
+  // full-width ops. Left to auto-vectorization, a plain lane loop here came
+  // out half scalar, and one 16-word vector lived on the stack.
+  using Half [[gnu::vector_size(sizeof(Word) * kWindowBandRows / 2)]] = Word;
+  struct Masks {
+    Half lo;
+    Half hi;
+  };
+  constexpr Index kHalf = kWindowBandRows / 2;
+  // table[c] lane u: bit i set iff a-window u holds c at offset i. Lanes
+  // past `rows` keep zero masks, so their V never changes.
+  std::array<Masks, static_cast<std::size_t>(kWindowBandMaxAlphabet)> table;
+  std::fill_n(table.begin(), alphabet, Masks{});
+  for (Index u = 0; u < rows; ++u) {
+    const Symbol* aw = a.data() + a0 + u * step;
+    for (Index i = 0; i < window; ++i) {
+      if (!in_alphabet(aw[i])) {
+        throw std::invalid_argument("lcs_window_band: symbol outside the alphabet");
+      }
+      Masks& masks = table[static_cast<std::size_t>(aw[i])];
+      if (u < kHalf) {
+        masks.lo[u] |= Word{1} << i;
+      } else {
+        masks.hi[u - kHalf] |= Word{1} << i;
+      }
+    }
+  }
+  const Word live = low_mask(static_cast<int>(window));
+  for (Index v = 0; v < cols; ++v) {
+    const Symbol* column = bw + v * step;
+    // Carries out of the window's bits only climb, so the bits above it
+    // never reach the count. V & ~M in place of V - (V & M) is the same
+    // word, and one ternary-logic op with the OR where the ISA has one.
+    Half lo = ~Half{};
+    Half hi = ~Half{};
+    for (Index k = 0; k < window; ++k) {
+      const Masks& mask = table[static_cast<std::size_t>(column[k])];
+      lo = (lo + (lo & mask.lo)) | (lo & ~mask.lo);
+      hi = (hi + (hi & mask.hi)) | (hi & ~mask.hi);
+    }
+    // Lanes leave through memory only here: subscripting lo or hi would
+    // pin them to the stack inside the loop above.
+    Word lanes[kWindowBandRows];
+    std::memcpy(lanes, &lo, sizeof(lo));
+    std::memcpy(lanes + kHalf, &hi, sizeof(hi));
+    for (Index u = 0; u < rows; ++u) {
+      out[u * cols + v] = window - popcount(lanes[u] & live);
+    }
+  }
 }
 
 }  // namespace semilocal

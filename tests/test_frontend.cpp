@@ -1179,6 +1179,9 @@ TEST(Frontend, ConcurrentFirstWindowAsksRunOneWindowJobAndCombOnce) {
 
 // --- where an index build runs: never on the reactor -------------------------
 
+/// One-window asks an entry scans before the next one builds its index.
+constexpr std::uint64_t kScansBeforeBuild = CachedKernel::kScansPerBuild - 1;
+
 /// A reactor over an engine whose scheduler runs no thread and does not
 /// drain inline, so nothing computes on its own: the only threads that
 /// could build an index are the reactor and the test's own drain(). The
@@ -1223,9 +1226,20 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
   EXPECT_EQ(reactor.engine.stats().queries.scanned, 1u);
   EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
 
-  // The second window needs the index: the reactor defers it as a task, and
-  // the drain builds and answers. A build only happens while answering, so
-  // had the reactor built, the answer would have been inline.
+  // Windows below the build threshold scan inline too.
+  for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
+    client.send(pair.query(Op::kSubstringString, 35, 390));
+    response = client.recv();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->value, kernel_substring_string(pair.oracle, 35, 390)) << "ask " << ask;
+  }
+  EXPECT_EQ(reactor.engine.stats().queries.scanned, kScansBeforeBuild);
+  EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
+
+  // The window that reaches it needs the index: the reactor defers it as a
+  // task, and the drain builds and answers. A build only happens while
+  // answering, so had the reactor built, the answer would have been inline.
   client.send(pair.query(Op::kSubstringString, 35, 390));
   ASSERT_TRUE(eventually([&] { return reactor.engine.stats().scheduler.queue_depth == 1; }));
   reactor.engine.drain();
@@ -1234,7 +1248,7 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
   ASSERT_EQ(response->status, Status::kOk) << response->text;
   EXPECT_EQ(response->value, kernel_substring_string(pair.oracle, 35, 390));
   EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 1; }));
-  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+  EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
   EXPECT_EQ(reactor.engine.stats().queries.indexed, 1u);
 
@@ -1243,7 +1257,7 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
   response = client.recv();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->value, kernel_string_substring(pair.oracle, 0, 380));
-  EXPECT_EQ(reactor.server.stats().inline_answers, 2u);
+  EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild + 1);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
 }
 
@@ -1261,7 +1275,18 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
   EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
 
-  // A second score wants the index: deferred as a task, the drain builds it.
+  // Scores below the build threshold scan inline too.
+  for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
+    client.send(pair.query(Op::kLcs, 0, 0));
+    response = client.recv();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->value, kernel_lcs(pair.oracle)) << "ask " << ask;
+  }
+  EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
+  EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
+
+  // The score that reaches it wants the index: deferred as a task, the
+  // drain builds it.
   client.send(pair.query(Op::kLcs, 0, 0));
   ASSERT_TRUE(eventually([&] { return reactor.engine.stats().scheduler.queue_depth == 1; }));
   reactor.engine.drain();
@@ -1269,7 +1294,7 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->value, kernel_lcs(pair.oracle));
   EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 1; }));
-  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+  EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
 
   // A batch on a second unindexed entry defers the same way.
@@ -1292,7 +1317,7 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
   EXPECT_EQ(response->values,
             (std::vector<Index>{kernel_lcs(oracle), kernel_string_substring(oracle, 4, 250)}));
   EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 2; }));
-  EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
+  EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 2u);
 }
 
@@ -1380,38 +1405,42 @@ TEST(Frontend, StdioAnswersPingQueriesAndBatchesAgainstTheOracle) {
 }
 
 TEST(Frontend, StdioPlotTilesAssembleToTheNaiveCells) {
-  const Sequence a = testing::random_string(70, 4, 511);
-  const Sequence b = testing::random_string(90, 4, 512);
-  Request plot;
-  plot.op = Op::kAlignmentPlot;
-  plot.a = a;
-  plot.b = b;
-  PlotSpec spec;
-  spec.rows = 5;
-  spec.cols = 7;
-  spec.step = 11;
-  spec.window = 16;
-  plot.plot = spec;
+  // Window 16 is computed directly in bands; window 72 is combed as strips.
+  for (const auto& [scale, width] : {std::pair<Index, Index>{1, 16}, {2, 72}}) {
+    SCOPED_TRACE(::testing::Message() << "window " << width);
+    const Sequence a = testing::random_string(70 * scale, 4, 511);
+    const Sequence b = testing::random_string(90 * scale, 4, 512);
+    Request plot;
+    plot.op = Op::kAlignmentPlot;
+    plot.a = a;
+    plot.b = b;
+    PlotSpec spec;
+    spec.rows = 5;
+    spec.cols = 7;
+    spec.step = 11;
+    spec.window = width;
+    plot.plot = spec;
 
-  const auto responses = stdio_session(framed(plot));
-  ASSERT_FALSE(responses.empty());
-  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-  for (const Response& response : responses) {
-    ASSERT_EQ(response.status, Status::kOk) << response.text;
-    assembler.feed(response);
-  }
-  EXPECT_TRUE(terminal_response_frame(responses.back()));
-  ASSERT_TRUE(assembler.complete());
-  // Cell (u, v) is the LCS of the u-th window of a and the v-th of b.
-  for (Index u = 0; u < spec.rows; ++u) {
-    for (Index v = 0; v < spec.cols; ++v) {
-      const auto window = [&spec](const Sequence& s, Index start) {
-        return SequenceView(s).subspan(static_cast<std::size_t>(start),
-                                       static_cast<std::size_t>(spec.window));
-      };
-      EXPECT_EQ(assembler.cell(u, v),
-                testing::lcs_oracle(window(a, spec.row_start(u)), window(b, spec.col_start(v))))
-          << "cell " << u << "," << v;
+    const auto responses = stdio_session(framed(plot));
+    ASSERT_FALSE(responses.empty());
+    PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+    for (const Response& response : responses) {
+      ASSERT_EQ(response.status, Status::kOk) << response.text;
+      assembler.feed(response);
+    }
+    EXPECT_TRUE(terminal_response_frame(responses.back()));
+    ASSERT_TRUE(assembler.complete());
+    // Cell (u, v) is the LCS of the u-th window of a and the v-th of b.
+    for (Index u = 0; u < spec.rows; ++u) {
+      for (Index v = 0; v < spec.cols; ++v) {
+        const auto window = [&spec](const Sequence& s, Index start) {
+          return SequenceView(s).subspan(static_cast<std::size_t>(start),
+                                         static_cast<std::size_t>(spec.window));
+        };
+        EXPECT_EQ(assembler.cell(u, v), testing::lcs_oracle(window(a, spec.row_start(u)),
+                                                            window(b, spec.col_start(v))))
+            << "cell " << u << "," << v;
+      }
     }
   }
 }

@@ -5,7 +5,9 @@
 // forces multi-tile streams), concurrent plots off one shared index (the
 // tsan workload), the reactor frontend streaming over real sockets, and the
 // shard router relaying streams with mid-stream failover and pausing a
-// relay while its client is slow to read.
+// relay while its client is slow to read. Every engine and frontend test
+// runs a direct leg (window <= 64: band tasks) and a strip leg (wider),
+// and the band kernel itself is checked against DP.
 // Suites are named AlignmentPlot* -- the tsan preset filter keys on that.
 #include <gtest/gtest.h>
 
@@ -30,6 +32,8 @@
 #include "engine/protocol.hpp"
 #include "engine/service.hpp"
 #include "engine/shard/router.hpp"
+#include "lcs/bitparallel.hpp"
+#include "oracles.hpp"
 #include "util/random.hpp"
 
 namespace semilocal {
@@ -96,6 +100,16 @@ EngineOptions plot_engine(bool planner = true, Index tile_cells = 0) {
   return options;
 }
 
+/// Every engine and frontend plot test runs two legs: a window of one word
+/// or less, which the engine computes directly in bands (lcs_window_band),
+/// and a wider one, for which it combs strip kernels.
+bool direct_window(Index window) { return window <= kWordBits; }
+
+std::string leg_name(Index window) {
+  return (direct_window(window) ? "direct leg, window " : "strip leg, window ") +
+         std::to_string(window);
+}
+
 Request plot_request(const Sequence& a, const Sequence& b, const PlotSpec& spec) {
   Request request;
   request.op = Op::kAlignmentPlot;
@@ -150,122 +164,283 @@ TEST(AlignmentPlotPlanner, ProfitabilityGatePassesSmallStridesOnly) {
 }
 
 // ---------------------------------------------------------------------------
+// Band kernel: lcs_window_band against DP, and the engine's direct path
+// around it.
+
+/// DP ground truth for one cell of a band: LCS of the two windows.
+Index dp_cell(const Sequence& a, const Sequence& b, Index a0, Index b0, Index window) {
+  const auto slice = [window](const Sequence& s, Index start) {
+    return SequenceView(s).subspan(static_cast<std::size_t>(start),
+                                   static_cast<std::size_t>(window));
+  };
+  return testing::lcs_oracle(slice(a, a0), slice(b, b0));
+}
+
+TEST(AlignmentPlotBand, MatchesDpAcrossWindowsStepsRowsAndOrigins) {
+  // Windows at both ends of the word, steps below, at and above the window,
+  // row counts short of a full band, nonzero origins, three alphabets.
+  struct Alphabet {
+    Symbol size;
+    std::uint64_t seed;
+  };
+  for (const Alphabet alphabet : {Alphabet{2, 1}, Alphabet{4, 2}, Alphabet{256, 3}}) {
+    const Sequence a = random_seq(1100, alphabet.seed * 10, alphabet.size);
+    const Sequence b = random_seq(400, alphabet.seed * 10 + 1, alphabet.size);
+    for (const Index window : {Index{1}, Index{2}, Index{63}, Index{64}}) {
+      for (const Index step : {Index{1}, std::max<Index>(1, window - 1), window, window + 3}) {
+        for (const Index rows : {Index{1}, Index{7}, Index{16}}) {
+          const Index a0 = 5;
+          const Index b0 = 3;
+          const Index cols = std::min<Index>(9, (400 - b0 - window) / step + 1);
+          SCOPED_TRACE(::testing::Message() << "alphabet " << alphabet.size << " window "
+                                          << window << " step " << step << " rows " << rows);
+          std::vector<Index> out(static_cast<std::size_t>(rows * cols), -1);
+          lcs_window_band(a, b, alphabet.size, a0, b0, step, window, rows, cols, out.data());
+          for (Index u = 0; u < rows; ++u) {
+            for (Index v = 0; v < cols; ++v) {
+              ASSERT_EQ(out[static_cast<std::size_t>(u * cols + v)],
+                        dp_cell(a, b, a0 + u * step, b0 + v * step, window))
+                  << "cell (" << u << ", " << v << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AlignmentPlotBand, RejectsWhatItCannotCompute) {
+  const Sequence a = random_seq(100, 5);
+  const Sequence b = random_seq(100, 6);
+  std::vector<Index> out(16 * 4);
+  const auto band = [&](Symbol alphabet, Index a0, Index window, Index rows) {
+    lcs_window_band(a, b, alphabet, a0, 0, 4, window, rows, 4, out.data());
+  };
+  EXPECT_NO_THROW(band(4, 0, 64, 4));
+  EXPECT_THROW(band(4, 0, 65, 4), std::invalid_argument);  // wider than a word
+  EXPECT_THROW(band(4, 0, 0, 4), std::invalid_argument);
+  EXPECT_THROW(band(4, 0, 16, 17), std::invalid_argument);  // more rows than lanes
+  EXPECT_THROW(band(4, 30, 64, 4), std::invalid_argument);  // last a-window runs off a
+  EXPECT_THROW(band(3, 0, 16, 4), std::invalid_argument);   // symbol 3 outside [0, 3)
+  EXPECT_THROW(band(kWindowBandMaxAlphabet + 1, 0, 16, 4), std::invalid_argument);
+}
+
+TEST(AlignmentPlotBand, EnginePlotsSpanBandsAtNonzeroOrigins) {
+  // 37 rows: two full bands and a short one, more than one lookahead of
+  // bands; quant 8 and 16; nonzero row0 / col0; binary, DNA and byte
+  // alphabets, and an int alphabet with values far outside a byte (dense
+  // codes make it direct). Every cell is checked against DP.
+  struct Case {
+    Symbol alphabet;
+    Symbol offset;  // added to every symbol
+    Index window;
+    Index step;
+    std::uint8_t quant;
+  };
+  for (const Case c : {Case{2, 0, 64, 3, 16}, Case{4, 0, 33, 1, 8}, Case{256, 0, 1, 2, 16},
+                       Case{4, 1'000'000, 64, 8, 8}, Case{256, 0, 63, 70, 16}}) {
+    SCOPED_TRACE(::testing::Message() << "alphabet " << c.alphabet << " window " << c.window
+                                    << " step " << c.step << " quant " << int{c.quant});
+    PlotSpec spec;
+    spec.row0 = 11;
+    spec.col0 = 7;
+    spec.rows = 37;
+    spec.cols = 13;
+    spec.step = c.step;
+    spec.window = c.window;
+    spec.quant = c.quant;
+    Sequence a = random_seq(spec.row_start(spec.rows) + c.window, 301, c.alphabet);
+    Sequence b = random_seq(spec.col_start(spec.cols) + c.window, 302, c.alphabet);
+    for (Symbol& s : a) s += c.offset;
+    for (Symbol& s : b) s += c.offset;
+    ComparisonEngine engine(plot_engine(true, /*tile_cells=*/64));
+    const std::vector<Index> grid = collect_plot(engine, a, b, spec);
+    for (Index u = 0; u < spec.rows; ++u) {
+      for (Index v = 0; v < spec.cols; ++v) {
+        const Index truth = dp_cell(a, b, spec.row_start(u), spec.col_start(v), c.window);
+        const Index want =
+            c.quant == 16 ? truth : (truth * 255 + spec.window / 2) / spec.window;
+        ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)], want)
+            << "cell (" << u << ", " << v << ")";
+      }
+    }
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.scheduler.computed, 0u) << "a direct plot combed strips";
+    EXPECT_EQ(stats.scheduler.tasks, 3u);  // ceil(37 / 16) bands
+    EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
+  }
+}
+
+TEST(AlignmentPlotBand, AlphabetsPastTheBandTableFallBackToStrips) {
+  // 300 distinct symbols do not fit the band kernel's table: the plot
+  // combs strips, as bit_parallel_score falls back past its planes, and
+  // every cell still matches DP.
+  PlotSpec spec;
+  spec.row0 = 2;
+  spec.col0 = 1;
+  spec.rows = 6;
+  spec.cols = 5;
+  spec.step = 40;
+  spec.window = 48;
+  Sequence a(static_cast<std::size_t>(spec.row_start(spec.rows) + spec.window));
+  Sequence b(static_cast<std::size_t>(spec.col_start(spec.cols) + spec.window));
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<Symbol>(i % 300);
+  for (std::size_t j = 0; j < b.size(); ++j) b[j] = static_cast<Symbol>((j * 7) % 300);
+  ComparisonEngine engine(plot_engine(true));
+  const std::vector<Index> grid = collect_plot(engine, a, b, spec);
+  for (Index u = 0; u < spec.rows; ++u) {
+    for (Index v = 0; v < spec.cols; ++v) {
+      ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)],
+                dp_cell(a, b, spec.row_start(u), spec.col_start(v), spec.window))
+          << "cell (" << u << ", " << v << ")";
+    }
+  }
+  EXPECT_EQ(engine.stats().scheduler.computed, static_cast<std::uint64_t>(spec.rows));
+}
+
+// ---------------------------------------------------------------------------
 // Engine: oracle equality, quantization, validation, tiling.
 
 TEST(AlignmentPlotEngine, TilesBitEqualNaivePerWindowOracle) {
   const Sequence a = random_seq(300, 41);
   const Sequence b = random_seq(260, 42);
-  PlotSpec spec;
-  spec.row0 = 3;
-  spec.col0 = 1;
-  spec.rows = 18;
-  spec.cols = 15;
-  spec.step = 5;  // profitable: order ~ 300, 2*log2 = 18
-  spec.window = 24;
+  for (const Index window : {Index{24}, Index{88}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.row0 = 3;
+    spec.col0 = 1;
+    spec.rows = 18;
+    spec.cols = 15;
+    spec.step = 5;  // profitable: order ~ 300, 2*log2 = 18
+    spec.window = window;
 
-  ComparisonEngine with_planner(plot_engine(true));
-  ComparisonEngine without_planner(plot_engine(false));
-  const std::vector<Index> planned = collect_plot(with_planner, a, b, spec);
-  const std::vector<Index> lowered = collect_plot(without_planner, a, b, spec);
-  ASSERT_EQ(planned.size(), static_cast<std::size_t>(spec.cells()));
-  EXPECT_EQ(planned, lowered);
+    ComparisonEngine with_planner(plot_engine(true));
+    ComparisonEngine without_planner(plot_engine(false));
+    const std::vector<Index> planned = collect_plot(with_planner, a, b, spec);
+    const std::vector<Index> lowered = collect_plot(without_planner, a, b, spec);
+    ASSERT_EQ(planned.size(), static_cast<std::size_t>(spec.cells()));
+    EXPECT_EQ(planned, lowered);
 
-  for (Index u = 0; u < spec.rows; ++u) {
-    for (Index v = 0; v < spec.cols; ++v) {
-      ASSERT_EQ(planned[static_cast<std::size_t>(u * spec.cols + v)],
-                naive_cell(a, b, spec, u, v))
-          << "cell (" << u << ", " << v << ")";
+    for (Index u = 0; u < spec.rows; ++u) {
+      for (Index v = 0; v < spec.cols; ++v) {
+        ASSERT_EQ(planned[static_cast<std::size_t>(u * spec.cols + v)],
+                  naive_cell(a, b, spec, u, v))
+            << "cell (" << u << ", " << v << ")";
+      }
+    }
+
+    const EngineStats stats = with_planner.stats();
+    EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
+    EXPECT_EQ(stats.queries.scanned, 0u) << "planner leg fell back to the O(m+n) scan";
+    if (direct_window(window)) {
+      EXPECT_EQ(stats.queries.plot_reused_descents, 0u) << "seam walk counted without strips";
+      EXPECT_EQ(stats.scheduler.computed, 0u);
+    } else {
+      EXPECT_GT(stats.queries.plot_reused_descents, 0u);
     }
   }
-
-  const EngineStats stats = with_planner.stats();
-  EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
-  EXPECT_GT(stats.queries.plot_reused_descents, 0u);
-  EXPECT_EQ(stats.queries.scanned, 0u) << "planner leg fell back to the O(m+n) scan";
 }
 
 TEST(AlignmentPlotEngine, ProfitableStripsAreWalkedWithoutAnyIndex) {
   // Strips are acquired without an index and a profitable stride anchors
   // each row on one permutation scan: no index is built, no query is
   // counted as indexed or scanned, and every cell still matches the oracle.
+  // A direct plot combs no strip at all.
   const Sequence a = random_seq(300, 111);
   const Sequence b = random_seq(260, 112);
-  PlotSpec spec;
-  spec.row0 = 2;
-  spec.col0 = 3;
-  spec.rows = 12;
-  spec.cols = 14;
-  spec.step = 6;
-  spec.window = 24;
-  ASSERT_TRUE(strided_walk_profitable(spec.window + static_cast<Index>(b.size()),
-                                      spec.step));
+  for (const Index window : {Index{24}, Index{88}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.row0 = 2;
+    spec.col0 = 3;
+    spec.rows = 12;
+    spec.cols = 14;
+    spec.step = 6;
+    spec.window = window;
+    ASSERT_TRUE(strided_walk_profitable(spec.window + static_cast<Index>(b.size()),
+                                        spec.step));
 
-  ComparisonEngine engine(plot_engine(true));  // two workers
-  const std::vector<Index> grid = collect_plot(engine, a, b, spec);
-  for (Index u = 0; u < spec.rows; ++u) {
-    for (Index v = 0; v < spec.cols; ++v) {
-      ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)],
-                naive_cell(a, b, spec, u, v))
-          << "cell (" << u << ", " << v << ")";
+    ComparisonEngine engine(plot_engine(true));  // two workers
+    const std::vector<Index> grid = collect_plot(engine, a, b, spec);
+    for (Index u = 0; u < spec.rows; ++u) {
+      for (Index v = 0; v < spec.cols; ++v) {
+        ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)],
+                  naive_cell(a, b, spec, u, v))
+            << "cell (" << u << ", " << v << ")";
+      }
     }
+    const std::uint64_t strips = direct_window(window) ? 0 : static_cast<std::uint64_t>(spec.rows);
+    EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.scheduler.computed, strips);
+    EXPECT_EQ(stats.queries.index_builds, 0u);
+    EXPECT_EQ(stats.queries.indexed, 0u);
+    EXPECT_EQ(stats.queries.scanned, 0u);
+    EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
+    if (!direct_window(window)) {
+      // Two window queries on one strip pair hit the cached strip: both
+      // are scanned, far below the build threshold, and build no index.
+      const Index u = 5;
+      const Index v = 4;
+      const auto start = static_cast<std::ptrdiff_t>(spec.row_start(u));
+      const Sequence strip_a(a.begin() + start, a.begin() + start + spec.window);
+      const Index j0 = spec.col_start(v);
+      EXPECT_EQ(engine.string_substring(strip_a, b, j0, j0 + spec.window),
+                grid[static_cast<std::size_t>(u * spec.cols + v)]);
+      EXPECT_EQ(engine.string_substring(strip_a, b, j0, j0 + spec.window),
+                grid[static_cast<std::size_t>(u * spec.cols + v)]);
+      stats = engine.stats();
+      EXPECT_EQ(stats.scheduler.computed, static_cast<std::uint64_t>(spec.rows));
+      EXPECT_EQ(stats.queries.index_builds, 0u);
+      EXPECT_EQ(stats.queries.scanned, 2u);
+      EXPECT_EQ(stats.queries.indexed, 0u);
+    }
+    const std::uint64_t scanned = stats.queries.scanned;
+
+    // Re-plotting walks every row again (or computes it again, directly),
+    // without building or reading an index: plot rows count only in the
+    // plot counters.
+    const std::vector<Index> again = collect_plot(engine, a, b, spec);
+    EXPECT_EQ(again, grid);
+    stats = engine.stats();
+    EXPECT_EQ(stats.scheduler.computed, strips);
+    EXPECT_EQ(stats.queries.index_builds, 0u);
+    EXPECT_EQ(stats.queries.indexed, 0u);
+    EXPECT_EQ(stats.queries.scanned, scanned);
+    EXPECT_EQ(stats.queries.plot_windows, 2u * static_cast<std::uint64_t>(spec.cells()));
   }
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scheduler.computed, static_cast<std::uint64_t>(spec.rows));
-  EXPECT_EQ(stats.queries.index_builds, 0u);
-  EXPECT_EQ(stats.queries.indexed, 0u);
-  EXPECT_EQ(stats.queries.scanned, 0u);
-  EXPECT_EQ(stats.queries.plot_windows, static_cast<std::uint64_t>(spec.cells()));
-
-  // Two window queries on one strip pair hit the cached strip: the first is
-  // scanned, the second builds exactly its index, once.
-  const Index u = 5;
-  const Index v = 4;
-  const auto start = static_cast<std::ptrdiff_t>(spec.row_start(u));
-  const Sequence strip_a(a.begin() + start, a.begin() + start + spec.window);
-  const Index j0 = spec.col_start(v);
-  EXPECT_EQ(engine.string_substring(strip_a, b, j0, j0 + spec.window),
-            grid[static_cast<std::size_t>(u * spec.cols + v)]);
-  EXPECT_EQ(engine.string_substring(strip_a, b, j0, j0 + spec.window),
-            grid[static_cast<std::size_t>(u * spec.cols + v)]);
-  stats = engine.stats();
-  EXPECT_EQ(stats.scheduler.computed, static_cast<std::uint64_t>(spec.rows));
-  EXPECT_EQ(stats.queries.index_builds, 1u);
-  EXPECT_EQ(stats.queries.scanned, 1u);
-  EXPECT_EQ(stats.queries.indexed, 1u);
-
-  // Re-plotting walks every row again, that one included, without touching
-  // its index: walked rows count only in the plot counters.
-  const std::vector<Index> again = collect_plot(engine, a, b, spec);
-  EXPECT_EQ(again, grid);
-  stats = engine.stats();
-  EXPECT_EQ(stats.queries.index_builds, 1u);
-  EXPECT_EQ(stats.queries.indexed, 1u);
-  EXPECT_EQ(stats.queries.scanned, 1u);
-  EXPECT_EQ(stats.queries.plot_windows, 2u * static_cast<std::uint64_t>(spec.cells()));
 }
 
 TEST(AlignmentPlotEngine, StripKeysMatchMakePairKey) {
   // alignment_plot digests b once and keys each strip by hand; every strip
   // it cached must be found under the ordinary key of its two inputs, or a
-  // later window query on the same strip would recompute it.
-  const Sequence a = random_seq(260, 121);
+  // later window query on the same strip would recompute it. A direct plot
+  // caches nothing.
+  const Sequence a = random_seq(300, 121);
   const Sequence b = random_seq(190, 122);
-  PlotSpec spec;
-  spec.row0 = 1;
-  spec.rows = 9;
-  spec.cols = 6;
-  spec.step = 25;
-  spec.window = 20;
-  ComparisonEngine engine(plot_engine(true));
-  (void)collect_plot(engine, a, b, spec);
-  ASSERT_EQ(engine.stats().scheduler.computed, static_cast<std::uint64_t>(spec.rows));
-  for (Index u = 0; u < spec.rows; ++u) {
-    const auto start = static_cast<std::ptrdiff_t>(spec.row_start(u));
-    const Sequence strip_a(a.begin() + start, a.begin() + start + spec.window);
-    const CachedKernelPtr strip = engine.store().find(make_pair_key(strip_a, b));
-    ASSERT_NE(strip, nullptr) << "row " << u << " strip not under make_pair_key";
-    EXPECT_EQ(strip->kernel().m(), spec.window);
-    EXPECT_EQ(strip->kernel().n(), static_cast<Index>(b.size()));
+  for (const Index window : {Index{20}, Index{65}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.row0 = 1;
+    spec.rows = 9;
+    spec.cols = 6;
+    spec.step = 25;
+    spec.window = window;
+    ComparisonEngine engine(plot_engine(true));
+    (void)collect_plot(engine, a, b, spec);
+    const bool strips = !direct_window(window);
+    ASSERT_EQ(engine.stats().scheduler.computed, strips ? static_cast<std::uint64_t>(spec.rows) : 0u);
+    for (Index u = 0; u < spec.rows; ++u) {
+      const auto start = static_cast<std::ptrdiff_t>(spec.row_start(u));
+      const Sequence strip_a(a.begin() + start, a.begin() + start + spec.window);
+      const CachedKernelPtr strip = engine.store().find(make_pair_key(strip_a, b));
+      if (!strips) {
+        EXPECT_EQ(strip, nullptr) << "row " << u << " cached a strip";
+        continue;
+      }
+      ASSERT_NE(strip, nullptr) << "row " << u << " strip not under make_pair_key";
+      EXPECT_EQ(strip->kernel().m(), spec.window);
+      EXPECT_EQ(strip->kernel().n(), static_cast<Index>(b.size()));
+    }
   }
 }
 
@@ -274,153 +449,181 @@ TEST(AlignmentPlotEngine, UnprofitableStrideStillAnswersCorrectly) {
   // descent lowering -- same cells, no reused descents.
   const Sequence a = random_seq(200, 51);
   const Sequence b = random_seq(200, 52);
-  PlotSpec spec;
-  spec.rows = 4;
-  spec.cols = 4;
-  spec.step = 40;  // order ~ 216, gate is 2*8 = 16 < 40
-  spec.window = 16;
-  ComparisonEngine engine(plot_engine(true));
-  const std::vector<Index> grid = collect_plot(engine, a, b, spec);
-  for (Index u = 0; u < spec.rows; ++u) {
-    for (Index v = 0; v < spec.cols; ++v) {
-      ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)],
-                naive_cell(a, b, spec, u, v));
+  for (const Index window : {Index{16}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 4;
+    spec.cols = 4;
+    spec.step = 40;  // order <= 272, gate is 2*8 = 16 < 40
+    spec.window = window;
+    ComparisonEngine engine(plot_engine(true));
+    const std::vector<Index> grid = collect_plot(engine, a, b, spec);
+    for (Index u = 0; u < spec.rows; ++u) {
+      for (Index v = 0; v < spec.cols; ++v) {
+        ASSERT_EQ(grid[static_cast<std::size_t>(u * spec.cols + v)],
+                  naive_cell(a, b, spec, u, v));
+      }
     }
+    EXPECT_EQ(engine.stats().queries.plot_reused_descents, 0u);
   }
-  EXPECT_EQ(engine.stats().queries.plot_reused_descents, 0u);
 }
 
 TEST(AlignmentPlotEngine, Quant8ScalesScoresIntoBytes) {
   const Sequence a = random_seq(150, 61);
   const Sequence b = random_seq(150, 62);
-  PlotSpec spec;
-  spec.rows = 6;
-  spec.cols = 6;
-  spec.step = 9;
-  spec.window = 20;
+  for (const Index window : {Index{20}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 6;
+    spec.cols = 6;
+    spec.step = 9;
+    spec.window = window;
 
-  ComparisonEngine engine(plot_engine());
-  spec.quant = 16;
-  const std::vector<Index> raw = collect_plot(engine, a, b, spec);
-  spec.quant = 8;
-  const std::vector<Index> scaled = collect_plot(engine, a, b, spec);
-  ASSERT_EQ(raw.size(), scaled.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(scaled[i], (raw[i] * 255 + spec.window / 2) / spec.window);
-    EXPECT_LE(scaled[i], 255);
+    ComparisonEngine engine(plot_engine());
+    spec.quant = 16;
+    const std::vector<Index> raw = collect_plot(engine, a, b, spec);
+    spec.quant = 8;
+    const std::vector<Index> scaled = collect_plot(engine, a, b, spec);
+    ASSERT_EQ(raw.size(), scaled.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      EXPECT_EQ(scaled[i], (raw[i] * 255 + spec.window / 2) / spec.window);
+      EXPECT_LE(scaled[i], 255);
+    }
   }
 }
 
 TEST(AlignmentPlotEngine, RejectsHostileSpecs) {
-  const Sequence a = random_seq(64, 71);
-  const Sequence b = random_seq(64, 72);
-  ComparisonEngine engine(plot_engine());
-  const auto reject = [&](PlotSpec spec) {
-    EXPECT_THROW(
-        engine.alignment_plot(a, b, spec, [](PlotTile&&) { return true; }),
-        std::out_of_range);
-  };
-  PlotSpec ok;
-  ok.rows = 2;
-  ok.cols = 2;
-  ok.step = 8;
-  ok.window = 16;
+  // Spec and extent checks run before either path is chosen: each leg's
+  // well-formed spec passes, and every mutation of it is refused.
+  for (const auto& [length, window] : {std::pair<Index, Index>{64, 16}, {160, 72}}) {
+    SCOPED_TRACE(leg_name(window));
+    const Sequence a = random_seq(length, 71);
+    const Sequence b = random_seq(length, 72);
+    ComparisonEngine engine(plot_engine());
+    const auto reject = [&](PlotSpec spec) {
+      EXPECT_THROW(
+          engine.alignment_plot(a, b, spec, [](PlotTile&&) { return true; }),
+          std::out_of_range);
+    };
+    PlotSpec ok;
+    ok.rows = 2;
+    ok.cols = 2;
+    ok.step = 8;
+    ok.window = window;
+    EXPECT_NO_THROW(engine.alignment_plot(a, b, ok, [](PlotTile&&) { return true; }));
 
-  PlotSpec spec = ok;
-  spec.rows = 0;
-  reject(spec);
-  spec = ok;
-  spec.step = 0;
-  reject(spec);
-  spec = ok;
-  spec.step = kMaxPlotStep + 1;
-  reject(spec);
-  spec = ok;
-  spec.window = 0;
-  reject(spec);
-  spec = ok;
-  spec.window = kMaxPlotWindow + 1;
-  reject(spec);
-  spec = ok;
-  spec.quant = 5;
-  reject(spec);
-  spec = ok;
-  spec.row0 = -1;
-  reject(spec);
-  spec = ok;
-  spec.rows = kMaxPlotCells;
-  spec.cols = 2;
-  reject(spec);  // rows * cols overflows the cell budget
-  spec = ok;
-  spec.window = 65;  // window longer than a
-  reject(spec);
-  spec = ok;
-  spec.rows = 8;  // last row starts past the end of a
-  reject(spec);
+    PlotSpec spec = ok;
+    spec.rows = 0;
+    reject(spec);
+    spec = ok;
+    spec.step = 0;
+    reject(spec);
+    spec = ok;
+    spec.step = kMaxPlotStep + 1;
+    reject(spec);
+    spec = ok;
+    spec.window = 0;
+    reject(spec);
+    spec = ok;
+    spec.window = kMaxPlotWindow + 1;
+    reject(spec);
+    spec = ok;
+    spec.quant = 5;
+    reject(spec);
+    spec = ok;
+    spec.row0 = -1;
+    reject(spec);
+    spec = ok;
+    spec.rows = kMaxPlotCells;
+    spec.cols = 2;
+    reject(spec);  // rows * cols overflows the cell budget
+    spec = ok;
+    spec.window = length + 1;  // window longer than a
+    reject(spec);
+    spec = ok;
+    spec.rows = (length - window) / ok.step + 2;  // last row starts past the end of a
+    reject(spec);
+  }
 }
 
 TEST(AlignmentPlotEngine, SmallTileBudgetForcesSplitInvariantStreams) {
   const Sequence a = random_seq(200, 81);
   const Sequence b = random_seq(200, 82);
-  PlotSpec spec;
-  spec.rows = 12;
-  spec.cols = 11;
-  spec.step = 7;
-  spec.window = 16;
+  for (const Index window : {Index{16}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 12;
+    spec.cols = 11;
+    spec.step = 7;
+    spec.window = window;
 
-  ComparisonEngine one_tile(plot_engine(true));
-  ComparisonEngine tiny_tiles(plot_engine(true, /*tile_cells=*/8));
-  std::size_t tiles_single = 0;
-  std::size_t tiles_split = 0;
-  const std::vector<Index> whole = collect_plot(one_tile, a, b, spec, &tiles_single);
-  const std::vector<Index> split = collect_plot(tiny_tiles, a, b, spec, &tiles_split);
-  EXPECT_EQ(whole, split);  // reassembly is split-invariant
-  EXPECT_EQ(tiles_single, 1u);
-  // 8 cells per tile over 11 columns: 2 tiles per row, one row per band.
-  EXPECT_EQ(tiles_split, static_cast<std::size_t>(spec.rows) * 2);
-  EXPECT_EQ(tiny_tiles.stats().queries.plot_tiles, tiles_split);
+    ComparisonEngine one_tile(plot_engine(true));
+    ComparisonEngine tiny_tiles(plot_engine(true, /*tile_cells=*/8));
+    std::size_t tiles_single = 0;
+    std::size_t tiles_split = 0;
+    const std::vector<Index> whole = collect_plot(one_tile, a, b, spec, &tiles_single);
+    const std::vector<Index> split = collect_plot(tiny_tiles, a, b, spec, &tiles_split);
+    EXPECT_EQ(whole, split);  // reassembly is split-invariant
+    EXPECT_EQ(tiles_single, 1u);
+    // 8 cells per tile over 11 columns: 2 tiles per row, one row per band.
+    EXPECT_EQ(tiles_split, static_cast<std::size_t>(spec.rows) * 2);
+    EXPECT_EQ(tiny_tiles.stats().queries.plot_tiles, tiles_split);
+  }
 }
 
 TEST(AlignmentPlotEngine, CancelledSinkStopsTheStream) {
   const Sequence a = random_seq(120, 91);
   const Sequence b = random_seq(120, 92);
-  PlotSpec spec;
-  spec.rows = 10;
-  spec.cols = 10;
-  spec.step = 4;
-  spec.window = 16;
-  ComparisonEngine engine(plot_engine(true, /*tile_cells=*/10));
-  std::size_t delivered = 0;
-  engine.alignment_plot(a, b, spec, [&](PlotTile&&) { return ++delivered < 3; });
-  EXPECT_EQ(delivered, 3u);  // the tile that returned false was the final one
+  for (const Index window : {Index{16}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 10;
+    spec.cols = 10;
+    spec.step = 4;
+    spec.window = window;
+    ComparisonEngine engine(plot_engine(true, /*tile_cells=*/10));
+    std::size_t delivered = 0;
+    engine.alignment_plot(a, b, spec, [&](PlotTile&&) { return ++delivered < 3; });
+    EXPECT_EQ(delivered, 3u);  // the tile that returned false was the final one
+    if (direct_window(window)) {
+      // Ten rows are one band: one task, and none after the sink stopped.
+      EXPECT_EQ(engine.stats().scheduler.tasks, 1u);
+      EXPECT_EQ(engine.stats().scheduler.computed, 0u);
+    }
+  }
 }
 
 TEST(AlignmentPlotEngine, ConcurrentPlotsShareOneIndex) {
   // Several threads stream the same plot off one engine: the strips (and
-  // any query index a strip gets) are shared immutable state (the tsan
-  // workload).
+  // any query index a strip gets) are shared immutable state, and direct
+  // bands share the engine's counters (the tsan workload).
   const Sequence a = random_seq(220, 101);
   const Sequence b = random_seq(220, 102);
-  PlotSpec spec;
-  spec.rows = 10;
-  spec.cols = 10;
-  spec.step = 6;
-  spec.window = 20;
-  ComparisonEngine engine(plot_engine(true, /*tile_cells=*/16));
+  for (const Index window : {Index{20}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 10;
+    spec.cols = 10;
+    spec.step = 6;
+    spec.window = window;
+    ComparisonEngine engine(plot_engine(true, /*tile_cells=*/16));
 
-  constexpr int kThreads = 4;
-  std::vector<std::vector<Index>> grids(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { grids[static_cast<std::size_t>(t)] = collect_plot(engine, a, b, spec); });
+    constexpr int kThreads = 4;
+    std::vector<std::vector<Index>> grids(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back(
+          [&, t] { grids[static_cast<std::size_t>(t)] = collect_plot(engine, a, b, spec); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(grids[static_cast<std::size_t>(t)], grids[0]);
+    }
+    EXPECT_EQ(grids[0][0], naive_cell(a, b, spec, 0, 0));
+    EXPECT_EQ(engine.stats().queries.plot_windows,
+              static_cast<std::uint64_t>(kThreads * spec.cells()));
   }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(grids[static_cast<std::size_t>(t)], grids[0]);
-  }
-  EXPECT_EQ(grids[0][0], naive_cell(a, b, spec, 0, 0));
 }
 
 TEST(AlignmentPlotEngine, TilingSpecSpansBothSequences) {
@@ -440,7 +643,7 @@ TEST(AlignmentPlotEngine, TilingSpecSpansBothSequences) {
     const Index m = shape[0];
     const Index n = shape[1];
     const PlotSpec spec = tiling_plot_spec(m, n, shape[2], shape[3]);
-    SCOPED_TRACE(testing::Message() << m << "x" << n << " on " << shape[2] << "x" << shape[3]);
+    SCOPED_TRACE(::testing::Message() << m << "x" << n << " on " << shape[2] << "x" << shape[3]);
     ASSERT_EQ(validate_plot_spec(spec), nullptr);
     ASSERT_EQ(validate_plot_extent(spec, m, n), nullptr);
     EXPECT_LE(spec.rows, shape[2]);
@@ -463,30 +666,38 @@ TEST(AlignmentPlotEngine, TilingSpecSpansBothSequences) {
 
 TEST(AlignmentPlotEngine, TilingSpecThroughEngineServiceDetectsBlockSwap) {
   // b = second half of a + first half of a: anti-diagonal block structure.
+  // A 2 x 2 grid has windows of 200 (strips); an 8 x 8 one, windows of 50
+  // (direct).
   const Sequence a = random_seq(400, 8, 16);
   Sequence b(a.begin() + 200, a.end());
   b.insert(b.end(), a.begin(), a.begin() + 200);
-  const PlotSpec spec = tiling_plot_spec(400, 400, 2, 2);
-  ASSERT_EQ(spec.rows, 2);
-  ASSERT_EQ(spec.cols, 2);
-  ASSERT_EQ(spec.window, 200);
+  for (const Index side : {Index{2}, Index{8}}) {
+    const PlotSpec spec = tiling_plot_spec(400, 400, side, side);
+    SCOPED_TRACE(leg_name(spec.window));
+    ASSERT_EQ(spec.rows, side);
+    ASSERT_EQ(spec.cols, side);
+    ASSERT_EQ(spec.window, 400 / side);
 
-  ComparisonEngine engine(plot_engine());
-  EngineService service(engine);
-  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-  serve_one(service, plot_request(a, b, spec), [&assembler](Response&& response) {
-    EXPECT_EQ(response.status, Status::kOk) << response.text;
-    assembler.feed(response);
-    return true;
-  });
-  ASSERT_TRUE(assembler.complete());
-  EXPECT_EQ(assembler.cell(0, 1), 200);
-  EXPECT_EQ(assembler.cell(1, 0), 200);
-  EXPECT_LT(assembler.cell(0, 0), 160);
-  EXPECT_LT(assembler.cell(1, 1), 160);
-  for (Index u = 0; u < spec.rows; ++u) {
-    for (Index v = 0; v < spec.cols; ++v) {
-      EXPECT_EQ(assembler.cell(u, v), naive_cell(a, b, spec, u, v));
+    ComparisonEngine engine(plot_engine());
+    EngineService service(engine);
+    PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+    serve_one(service, plot_request(a, b, spec), [&assembler](Response&& response) {
+      EXPECT_EQ(response.status, Status::kOk) << response.text;
+      assembler.feed(response);
+      return true;
+    });
+    ASSERT_TRUE(assembler.complete());
+    const Index half = side / 2;
+    for (Index u = 0; u < half; ++u) {
+      EXPECT_EQ(assembler.cell(u, u + half), spec.window);
+      EXPECT_EQ(assembler.cell(u + half, u), spec.window);
+      EXPECT_LT(assembler.cell(u, u), spec.window * 4 / 5);
+      EXPECT_LT(assembler.cell(u + half, u + half), spec.window * 4 / 5);
+    }
+    for (Index u = 0; u < spec.rows; ++u) {
+      for (Index v = 0; v < spec.cols; ++v) {
+        EXPECT_EQ(assembler.cell(u, v), naive_cell(a, b, spec, u, v));
+      }
     }
   }
 }
@@ -770,99 +981,109 @@ TEST(AlignmentPlotFrontend, ReactorStreamsTilesAndKeepsServingAfterwards) {
   Reactor reactor(plot_engine(true, /*tile_cells=*/32), quiet_frontend());
   const Sequence a = random_seq(200, 131);
   const Sequence b = random_seq(200, 132);
-  PlotSpec spec;
-  spec.rows = 12;
-  spec.cols = 12;
-  spec.step = 8;
-  spec.window = 24;
-
   WireClient client(reactor.port());
-  client.send(plot_request(a, b, spec));
-  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-  const std::size_t frames = client.drain_stream(assembler);
-  EXPECT_GT(frames, 1u);
-  EXPECT_TRUE(assembler.complete());
-  EXPECT_EQ(assembler.cell(0, 0), naive_cell(a, b, spec, 0, 0));
-  EXPECT_EQ(assembler.cell(spec.rows - 1, spec.cols - 1),
-            naive_cell(a, b, spec, spec.rows - 1, spec.cols - 1));
+  for (const Index window : {Index{24}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 12;
+    spec.cols = 12;
+    spec.step = 8;
+    spec.window = window;
 
-  Request ping;
-  ping.op = Op::kPing;
-  client.send(ping);
-  const auto pong = client.recv();
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->status, Status::kOk);
+    client.send(plot_request(a, b, spec));
+    PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+    const std::size_t frames = client.drain_stream(assembler);
+    EXPECT_GT(frames, 1u);
+    EXPECT_TRUE(assembler.complete());
+    EXPECT_EQ(assembler.cell(0, 0), naive_cell(a, b, spec, 0, 0));
+    EXPECT_EQ(assembler.cell(spec.rows - 1, spec.cols - 1),
+              naive_cell(a, b, spec, spec.rows - 1, spec.cols - 1));
+
+    Request ping;
+    ping.op = Op::kPing;
+    client.send(ping);
+    const auto pong = client.recv();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(pong->status, Status::kOk);
+  }
 }
 
 TEST(AlignmentPlotFrontend, ConcurrentClientStreamsAgainstOneReactor) {
   Reactor reactor(plot_engine(true, /*tile_cells=*/64), quiet_frontend());
   const Sequence a = random_seq(180, 141);
   const Sequence b = random_seq(180, 142);
-  PlotSpec spec;
-  spec.rows = 10;
-  spec.cols = 10;
-  spec.step = 6;
-  spec.window = 20;
-  const Index truth = naive_cell(a, b, spec, 0, 0);
+  for (const Index window : {Index{20}, Index{72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec spec;
+    spec.rows = 10;
+    spec.cols = 10;
+    spec.step = 6;
+    spec.window = window;
+    const Index truth = naive_cell(a, b, spec, 0, 0);
 
-  constexpr int kClients = 4;
-  std::vector<std::thread> threads;
-  std::atomic<int> completed{0};
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&] {
-      WireClient client(reactor.port());
-      client.send(plot_request(a, b, spec));
-      PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-      client.drain_stream(assembler);
-      EXPECT_TRUE(assembler.complete());
-      EXPECT_EQ(assembler.cell(0, 0), truth);
-      completed.fetch_add(1);
-    });
+    constexpr int kClients = 4;
+    std::vector<std::thread> threads;
+    std::atomic<int> completed{0};
+    threads.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&] {
+        WireClient client(reactor.port());
+        client.send(plot_request(a, b, spec));
+        PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+        client.drain_stream(assembler);
+        EXPECT_TRUE(assembler.complete());
+        EXPECT_EQ(assembler.cell(0, 0), truth);
+        completed.fetch_add(1);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(completed.load(), kClients);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(completed.load(), kClients);
 }
 
 TEST(AlignmentPlotFrontend, HostilePlotRequestDiesAtDecodeWithOneErrorFrame) {
   Reactor reactor(plot_engine(), quiet_frontend());
-  PlotSpec bad;
-  bad.rows = 4;
-  bad.cols = 4;
-  bad.step = 2;
-  bad.window = 8;
-  const std::string good =
-      encode_request(plot_request(random_seq(32, 151), random_seq(32, 152), bad));
-  std::string hostile = good;
-  // step := 0 (the third u32 of the 33-byte plot block, 9 bytes from the end).
-  const std::size_t off = hostile.size() - 17 + 2 * 4;
-  hostile[off] = '\0';
-  hostile[off + 1] = '\0';
-  hostile[off + 2] = '\0';
-  hostile[off + 3] = '\0';
+  for (const auto& [length, window] : {std::pair<Index, Index>{32, 8}, {96, 72}}) {
+    SCOPED_TRACE(leg_name(window));
+    PlotSpec bad;
+    bad.rows = 4;
+    bad.cols = 4;
+    bad.step = 2;
+    bad.window = window;
+    const Sequence a = random_seq(length, 151);
+    const Sequence b = random_seq(length, 152);
+    const std::string good = encode_request(plot_request(a, b, bad));
+    std::string hostile = good;
+    // step := 0 (the third u32 of the 33-byte plot block, 9 bytes from the end).
+    const std::size_t off = hostile.size() - 17 + 2 * 4;
+    hostile[off] = '\0';
+    hostile[off + 1] = '\0';
+    hostile[off + 2] = '\0';
+    hostile[off + 3] = '\0';
 
-  ASSERT_THROW((void)decode_request(hostile), ProtocolError);  // hostile at decode
+    ASSERT_THROW((void)decode_request(hostile), ProtocolError);  // hostile at decode
 
-  WireClient client(reactor.port());
-  client.send(plot_request(random_seq(32, 151), random_seq(32, 152), bad));
-  PlotAssembler assembler(bad.rows, bad.cols, bad.quant);
-  client.drain_stream(assembler);  // the well-formed plot streams fine
+    WireClient client(reactor.port());
+    client.send(plot_request(a, b, bad));
+    PlotAssembler assembler(bad.rows, bad.cols, bad.quant);
+    client.drain_stream(assembler);  // the well-formed plot streams fine
 
-  // The hostile payload is well-framed, so the server answers one kError
-  // frame (no tiles) and the connection keeps serving: decode rejection is a
-  // request failure, not a stream poisoning.
-  client.send_raw(hostile);
-  const auto err = client.recv();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->status, Status::kError);
-  EXPECT_FALSE(err->tile.has_value());
+    // The hostile payload is well-framed, so the server answers one kError
+    // frame (no tiles) and the connection keeps serving: decode rejection is a
+    // request failure, not a stream poisoning.
+    client.send_raw(hostile);
+    const auto err = client.recv();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->status, Status::kError);
+    EXPECT_FALSE(err->tile.has_value());
 
-  Request ping;
-  ping.op = Op::kPing;
-  client.send(ping);
-  const auto pong = client.recv();
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->status, Status::kOk);
+    Request ping;
+    ping.op = Op::kPing;
+    client.send(ping);
+    const auto pong = client.recv();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(pong->status, Status::kOk);
+  }
 }
 
 /// The strip kernel of grid row u, as naive_cell builds it, for checking a
@@ -877,76 +1098,104 @@ SemiLocalKernel strip_kernel(const Sequence& a, const Sequence& b, const PlotSpe
 
 TEST(AlignmentPlotFrontend, SlowReaderPausesTheEngineStreamWithinTheWriteQueueCap) {
   // The engine's own plot stream to a client that stops reading: the
-  // reactor stops emitting (and stops topping up strips) instead of
-  // queueing tiles, so its write queue never passes max_write_queue_bytes,
-  // and once the client reads again the whole grid arrives intact.
-  FrontendOptions frontend = quiet_frontend();
-  frontend.max_write_queue_bytes = std::size_t{32} << 10;
-  Reactor reactor(plot_engine(true, /*tile_cells=*/32), frontend);
-  PlotSpec spec;
-  spec.rows = 400;
-  spec.cols = 400;
-  spec.step = 1;
-  spec.window = 16;
-  const Sequence a = random_seq(spec.rows + spec.window, 221);
-  const Sequence b = random_seq(spec.cols + spec.window, 222);
+  // reactor stops emitting (and stops topping up strips or bands) instead
+  // of queueing tiles, so its write queue never passes
+  // max_write_queue_bytes, and once the client reads again the whole grid
+  // arrives intact.
+  for (const Index window : {Index{16}, Index{80}}) {
+    SCOPED_TRACE(leg_name(window));
+    FrontendOptions frontend = quiet_frontend();
+    frontend.max_write_queue_bytes = std::size_t{32} << 10;
+    Reactor reactor(plot_engine(true, /*tile_cells=*/32), frontend);
+    PlotSpec spec;
+    spec.rows = 400;
+    spec.cols = 400;
+    spec.step = 1;
+    spec.window = window;
+    const Sequence a = random_seq(spec.rows + spec.window, 221);
+    const Sequence b = random_seq(spec.cols + spec.window, 222);
 
-  WireClient client(reactor.port(), /*rcvbuf=*/4096);
-  client.send(plot_request(a, b, spec));
-  PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
-  const auto first = client.recv();
-  ASSERT_TRUE(first.has_value());
-  assembler.feed(*first);
-  std::this_thread::sleep_for(400ms);  // the stall: nothing read
-  EXPECT_EQ(reactor.server.stats().write_queue_disconnects, 0u);
-  client.drain_stream(assembler);
-  ASSERT_TRUE(assembler.complete());
-  for (Index u = 0; u < spec.rows; ++u) {
-    const SemiLocalKernel strip = strip_kernel(a, b, spec, u);
-    for (Index v = 0; v < spec.cols; ++v) {
-      const Index j0 = spec.col_start(v);
-      ASSERT_EQ(assembler.cell(u, v), kernel_string_substring(strip, j0, j0 + spec.window))
-          << "cell (" << u << ", " << v << ")";
+    WireClient client(reactor.port(), /*rcvbuf=*/4096);
+    client.send(plot_request(a, b, spec));
+    PlotAssembler assembler(spec.rows, spec.cols, spec.quant);
+    const auto first = client.recv();
+    ASSERT_TRUE(first.has_value());
+    assembler.feed(*first);
+    std::this_thread::sleep_for(400ms);  // the stall: nothing read
+    EXPECT_EQ(reactor.server.stats().write_queue_disconnects, 0u);
+    if (direct_window(window)) {
+      EXPECT_LT(reactor.engine.stats().queries.plot_windows,
+                static_cast<std::uint64_t>(spec.cells()))
+          << "a paused direct plot kept computing bands";
     }
+    client.drain_stream(assembler);
+    ASSERT_TRUE(assembler.complete());
+    for (Index u = 0; u < spec.rows; ++u) {
+      const SemiLocalKernel strip = strip_kernel(a, b, spec, u);
+      for (Index v = 0; v < spec.cols; ++v) {
+        const Index j0 = spec.col_start(v);
+        ASSERT_EQ(assembler.cell(u, v), kernel_string_substring(strip, j0, j0 + spec.window))
+            << "cell (" << u << ", " << v << ")";
+      }
+    }
+    EXPECT_EQ(assembler.cell(7, 9), naive_cell(a, b, spec, 7, 9));
+    EXPECT_EQ(reactor.server.stats().write_queue_disconnects, 0u);
   }
-  EXPECT_EQ(assembler.cell(7, 9), naive_cell(a, b, spec, 7, 9));
-  EXPECT_EQ(reactor.server.stats().write_queue_disconnects, 0u);
 }
 
 TEST(AlignmentPlotFrontend, ClientClosingMidPlotStopsStripSubmissions) {
-  // A paused stream whose client hangs up: the plot submits no strip
-  // beyond what was already in flight, so `computed` settles well short of
-  // one strip per row.
-  FrontendOptions frontend = quiet_frontend();
-  frontend.max_write_queue_bytes = std::size_t{32} << 10;
-  Reactor reactor(plot_engine(true, /*tile_cells=*/32), frontend);
-  PlotSpec spec;
-  spec.rows = 400;
-  spec.cols = 400;
-  spec.step = 1;
-  spec.window = 16;
-  const Sequence a = random_seq(spec.rows + spec.window, 231);
-  const Sequence b = random_seq(spec.cols + spec.window, 232);
+  // A paused stream whose client hangs up: the plot submits no strip, and
+  // no band task, beyond what was already in flight, so `computed` (strip
+  // leg) or `tasks` and `plot_windows` (direct leg) settle well short of
+  // the whole plot.
+  for (const Index window : {Index{16}, Index{80}}) {
+    SCOPED_TRACE(leg_name(window));
+    FrontendOptions frontend = quiet_frontend();
+    frontend.max_write_queue_bytes = std::size_t{32} << 10;
+    Reactor reactor(plot_engine(true, /*tile_cells=*/32), frontend);
+    PlotSpec spec;
+    spec.rows = 400;
+    spec.cols = 400;
+    spec.step = 1;
+    spec.window = window;
+    const Sequence a = random_seq(spec.rows + spec.window, 231);
+    const Sequence b = random_seq(spec.cols + spec.window, 232);
+    // What the plot has submitted (strips, or band tasks) and computed.
+    const bool direct = direct_window(window);
+    const auto submitted = [&reactor, direct] {
+      const EngineStats stats = reactor.engine.stats();
+      return direct ? stats.scheduler.tasks : stats.scheduler.computed;
+    };
 
-  auto client = std::make_unique<WireClient>(reactor.port(), /*rcvbuf=*/4096);
-  client->send(plot_request(a, b, spec));
-  ASSERT_TRUE(client->recv().has_value());
-  std::this_thread::sleep_for(300ms);  // the stream pauses on the full queue
-  const std::uint64_t paused = reactor.engine.stats().scheduler.computed;
-  client.reset();  // hang up mid-plot
+    auto client = std::make_unique<WireClient>(reactor.port(), /*rcvbuf=*/4096);
+    client->send(plot_request(a, b, spec));
+    ASSERT_TRUE(client->recv().has_value());
+    std::this_thread::sleep_for(300ms);  // the stream pauses on the full queue
+    const std::uint64_t paused = submitted();
+    client.reset();  // hang up mid-plot
 
-  std::uint64_t settled = paused;
-  for (int i = 0; i < 50; ++i) {
-    std::this_thread::sleep_for(100ms);
-    const std::uint64_t now = reactor.engine.stats().scheduler.computed;
-    if (now == settled && reactor.server.stats().connections_active == 0) break;
-    settled = now;
+    std::uint64_t settled = paused;
+    for (int i = 0; i < 50; ++i) {
+      std::this_thread::sleep_for(100ms);
+      const std::uint64_t now = submitted();
+      if (now == settled && reactor.server.stats().connections_active == 0) break;
+      settled = now;
+    }
+    EXPECT_EQ(reactor.server.stats().connections_active, 0u);
+    if (direct) {
+      // Bands of 16 rows, at most 4 ahead of the emit cursor.
+      EXPECT_LT(settled, static_cast<std::uint64_t>(spec.rows / 16));
+      EXPECT_EQ(settled, paused) << "band tasks kept being submitted after the hang-up";
+      EXPECT_LT(reactor.engine.stats().queries.plot_windows,
+                static_cast<std::uint64_t>(spec.cells()));
+      EXPECT_EQ(reactor.engine.stats().scheduler.computed, 0u);
+    } else {
+      EXPECT_LT(settled, static_cast<std::uint64_t>(spec.rows));
+      EXPECT_LE(settled, paused + 16) << "strips kept being submitted after the hang-up";
+    }
+    std::this_thread::sleep_for(200ms);
+    EXPECT_EQ(submitted(), settled);
   }
-  EXPECT_EQ(reactor.server.stats().connections_active, 0u);
-  EXPECT_LT(settled, static_cast<std::uint64_t>(spec.rows));
-  EXPECT_LE(settled, paused + 16) << "strips kept being submitted after the hang-up";
-  std::this_thread::sleep_for(200ms);
-  EXPECT_EQ(reactor.engine.stats().scheduler.computed, settled);
 }
 
 // ---------------------------------------------------------------------------

@@ -177,12 +177,16 @@ TEST(QueryIndex, AnswerQueryRoutesAndCounts) {
   EXPECT_EQ(counters.index_builds.load(), 0u);
   EXPECT_EQ(entry.index_if_built(), nullptr);
 
-  // Indexed route: the entry's first one-window ask is scanned; the next
-  // builds the index (once) and answers through it, same answer.
-  EXPECT_EQ(answer_query(entry, QueryKind::kStringSubstring, 3, 20, /*use_index=*/true,
-                         &counters),
-            scanned);
-  EXPECT_EQ(counters.scanned.load(), 2u);
+  // Indexed route: the entry's one-window asks are scanned until they
+  // reach CachedKernel::kScansPerBuild; that ask builds the index (once)
+  // and answers through it, same answer.
+  constexpr std::uint64_t kScans = CachedKernel::kScansPerBuild - 1;
+  for (std::uint64_t ask = 0; ask < kScans; ++ask) {
+    EXPECT_EQ(answer_query(entry, QueryKind::kStringSubstring, 3, 20, /*use_index=*/true,
+                           &counters),
+              scanned);
+  }
+  EXPECT_EQ(counters.scanned.load(), 1u + kScans);
   EXPECT_EQ(counters.index_builds.load(), 0u);
   EXPECT_EQ(entry.index_if_built(), nullptr);
   const Index indexed =
@@ -322,7 +326,8 @@ TEST(QueryIndexHammer, ConcurrentLazyBuildAndQueries) {
 }
 
 // Hammer through the engine facade: shared pairs, concurrent query threads
-// racing the index build; warm repeats must never hit the scan fallback.
+// racing the index build; once one-window asks have cost a build
+// (CachedKernel::kScansPerBuild - 1 scans), every warm repeat is indexed.
 TEST(QueryIndexHammer, EngineWarmPathIsAllIndexed) {
   const auto a = testing::random_string(120, 4, 31);
   const auto b = testing::random_string(140, 4, 32);
@@ -332,12 +337,13 @@ TEST(QueryIndexHammer, EngineWarmPathIsAllIndexed) {
 
   const Index expected = engine.lcs(a, b);  // cold: computes, scans the first ask
   constexpr int kThreads = 6;
+  constexpr int kRounds = 200;  // 1 + 6 x 200 asks: past the build threshold
   std::atomic<int> mismatches{0};
   std::vector<std::thread> team;
   team.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     team.emplace_back([&] {
-      for (int round = 0; round < 40; ++round) {
+      for (int round = 0; round < kRounds; ++round) {
         if (engine.lcs(a, b) != expected) mismatches.fetch_add(1);
       }
     });
@@ -346,20 +352,24 @@ TEST(QueryIndexHammer, EngineWarmPathIsAllIndexed) {
 
   EXPECT_EQ(mismatches.load(), 0);
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.queries.scanned, 1u);
-  EXPECT_EQ(stats.queries.indexed, static_cast<std::uint64_t>(kThreads) * 40);
+  constexpr std::uint64_t kScans = CachedKernel::kScansPerBuild - 1;
+  EXPECT_EQ(stats.queries.scanned, kScans);
+  EXPECT_EQ(stats.queries.indexed, 1u + static_cast<std::uint64_t>(kThreads) * kRounds - kScans);
   EXPECT_EQ(stats.queries.index_builds, 1u);
   EXPECT_EQ(stats.scheduler.computed, 1u);
 }
 
 // Where an index build happens: the entry decides (CachedKernel::
-// wants_index). A one-window first ask scans, every later ask and every
-// batch of two or more windows uses the index, which is built exactly once.
+// wants_index). One-window asks scan until they have cost about one build:
+// the kScansPerBuild-th builds the index, exactly once, and it answers
+// every later ask. A batch of two or more windows builds at once.
 EngineOptions one_worker() {
   EngineOptions options;
   options.scheduler.workers = 1;
   return options;
 }
+
+constexpr std::uint64_t kScansBeforeBuild = CachedKernel::kScansPerBuild - 1;
 
 TEST(QueryIndexBuild, FirstOneWindowAskIsScanned) {
   const auto a = testing::random_string(140, 4, 41);
@@ -375,17 +385,63 @@ TEST(QueryIndexBuild, FirstOneWindowAskIsScanned) {
   EXPECT_EQ(engine.entry(a, b)->index_if_built(), nullptr);
 }
 
-TEST(QueryIndexBuild, SecondAskBuildsOnce) {
+TEST(QueryIndexBuild, OneWindowAsksBelowTheThresholdScan) {
+  const auto a = testing::random_string(140, 4, 49);
+  const auto b = testing::random_string(150, 4, 50);
+  const SemiLocalKernel oracle = semi_local_kernel(a, b);
+  ComparisonEngine engine(one_worker());
+  EXPECT_EQ(engine.lcs(a, b), kernel_lcs(oracle));
+  const CachedKernelPtr entry = engine.entry(a, b);
+  for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
+    const Index j0 = static_cast<Index>(ask % 100);
+    ASSERT_EQ(engine.answer(*entry, QueryKind::kStringSubstring, j0, j0 + 50),
+              kernel_string_substring(oracle, j0, j0 + 50))
+        << "ask " << ask;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, 1u);
+  EXPECT_EQ(stats.queries.scanned, kScansBeforeBuild);
+  EXPECT_EQ(stats.queries.indexed, 0u);
+  EXPECT_EQ(stats.queries.index_builds, 0u);
+  EXPECT_EQ(entry->index_if_built(), nullptr);
+}
+
+TEST(QueryIndexBuild, ThresholdAskBuildsOnce) {
   const auto a = testing::random_string(140, 4, 43);
   const auto b = testing::random_string(150, 4, 44);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
   EXPECT_EQ(engine.lcs(a, b), kernel_lcs(oracle));
   EXPECT_EQ(engine.stats().queries.index_builds, 0u);
+  for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
+    ASSERT_EQ(engine.substring_string(a, b, 5, 99), kernel_substring_string(oracle, 5, 99));
+  }
+  EXPECT_EQ(engine.stats().queries.index_builds, 0u);
+  // The kScansPerBuild-th ask builds; the next reads the index.
   EXPECT_EQ(engine.substring_string(a, b, 5, 99), kernel_substring_string(oracle, 5, 99));
   EXPECT_EQ(engine.string_substring(a, b, 0, 150), kernel_string_substring(oracle, 0, 150));
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.queries.scanned, 1u);
+  EXPECT_EQ(stats.queries.scanned, kScansBeforeBuild);
+  EXPECT_EQ(stats.queries.indexed, 2u);
+  EXPECT_EQ(stats.queries.index_builds, 1u);
+}
+
+TEST(QueryIndexBuild, BatchBuildsAtOnceBelowTheThreshold) {
+  // Scanned one-window asks do not delay a batch: two or more windows
+  // build at once, however few asks came before.
+  const auto a = testing::random_string(140, 4, 51);
+  const auto b = testing::random_string(150, 4, 52);
+  const SemiLocalKernel oracle = semi_local_kernel(a, b);
+  ComparisonEngine engine(one_worker());
+  EXPECT_EQ(engine.string_substring(a, b, 3, 90), kernel_string_substring(oracle, 3, 90));
+  EXPECT_EQ(engine.string_substring(a, b, 4, 91), kernel_string_substring(oracle, 4, 91));
+  EXPECT_EQ(engine.stats().queries.index_builds, 0u);
+  const std::vector<WindowQuery> windows = {{QueryKind::kLcs, 0, 0},
+                                            {QueryKind::kSubstringString, 30, 140}};
+  EXPECT_EQ(engine.answer_batch(a, b, windows),
+            (std::vector<Index>{kernel_lcs(oracle), kernel_substring_string(oracle, 30, 140)}));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.queries.scanned, 2u);
   EXPECT_EQ(stats.queries.indexed, 2u);
   EXPECT_EQ(stats.queries.index_builds, 1u);
 }
@@ -410,13 +466,17 @@ TEST(QueryIndexBuild, BatchOnAFreshMissBuildsOnce) {
   EXPECT_EQ(stats.queries.index_builds, 1u);
 }
 
-TEST(QueryIndexBuild, ConcurrentSecondAsksBuildOnce) {
+TEST(QueryIndexBuild, ConcurrentThresholdAsksBuildOnce) {
   const auto a = testing::random_string(300, 4, 47);
   const auto b = testing::random_string(280, 4, 48);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
   EXPECT_EQ(engine.lcs(a, b), kernel_lcs(oracle));  // the first ask: scanned
   const CachedKernelPtr entry = engine.entry(a, b);
+  for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
+    ASSERT_EQ(engine.answer(*entry, QueryKind::kLcs, 0, 0), kernel_lcs(oracle));
+  }
+  // Every ask from here on reaches the threshold: they race one build.
   constexpr int kThreads = 8;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> team;
@@ -433,7 +493,7 @@ TEST(QueryIndexBuild, ConcurrentSecondAsksBuildOnce) {
   for (std::thread& t : team) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.queries.scanned, 1u);
+  EXPECT_EQ(stats.queries.scanned, kScansBeforeBuild);
   EXPECT_EQ(stats.queries.indexed, static_cast<std::uint64_t>(kThreads));
   EXPECT_EQ(stats.queries.index_builds, 1u);
 }
