@@ -1,19 +1,7 @@
-// Comparison-engine serving benchmark: throughput and latency percentiles
-// of the store + cache + scheduler stack under three request mixes, written
-// to results/bench_engine.json.
+// Comparison-engine serving benchmark: the capacity, frontend, shard, plot
+// and upsert sweeps of the store + cache + scheduler stack, written to
+// results/bench_engine.json and gated by bench/gates.tsv.
 //
-//   cold      every request is a distinct pair -- pure compute, batching is
-//             the only lever (lower bound on serving throughput).
-//   warm      a small pool requested many times over -- steady state is all
-//             LRU hits, measuring the query-off-cached-kernel path.
-//   coalesced many client threads hammer the same few pairs concurrently --
-//             duplicate in-flight requests must fold into one computation.
-//   warm_window_sweep
-//             a small warm pool with many substring windows per request
-//             (the batched-op shape), run twice: once through the shared
-//             QueryIndex and once forced onto the O(m+n) scan. The ratio of
-//             the two queries_per_s numbers is the serving-path win of the
-//             index; the counters prove the indexed run never fell back.
 //   capacity_sweep
 //             the format-v3 capacity claim, measured: a disk-backed store
 //             with a FIXED cache budget serves a pool far larger than the
@@ -44,7 +32,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <ctime>
 #include <deque>
@@ -68,29 +55,6 @@ using namespace semilocal::bench;
 
 namespace {
 
-struct MixResult {
-  std::string name;
-  int requests = 0;
-  int distinct_pairs = 0;
-  int client_threads = 0;
-  int queries_per_request = 1;
-  int passes = 1;  // timed repetitions; elapsed_s is the median pass
-  double elapsed_s = 0.0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-  EngineStats stats;
-
-  [[nodiscard]] double throughput() const {
-    return elapsed_s > 0 ? static_cast<double>(requests) / elapsed_s : 0.0;
-  }
-
-  [[nodiscard]] double queries_per_s() const {
-    return throughput() * static_cast<double>(queries_per_request);
-  }
-};
-
 std::vector<std::pair<Sequence, Sequence>> make_pool(int pairs, Index length,
                                                      std::uint64_t seed) {
   std::vector<std::pair<Sequence, Sequence>> pool;
@@ -106,148 +70,6 @@ double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
   return sorted[idx];
-}
-
-/// Issues `requests` LCS queries round-robin over `pool` from
-/// `client_threads` threads against a fresh engine; `prewarm` requests each
-/// pair once first (excluded from timing).
-MixResult run_mix(const std::string& name, int pairs, int requests, int client_threads,
-                  Index length, bool prewarm) {
-  MixResult result;
-  result.name = name;
-  result.requests = requests;
-  result.distinct_pairs = pairs;
-  result.client_threads = client_threads;
-
-  const auto pool = make_pool(pairs, length, 1000 + std::hash<std::string>{}(name) % 1000);
-  EngineOptions options;  // no disk tier: isolate cache + scheduler behavior
-  options.scheduler.workers = hardware_threads();
-  options.scheduler.max_queue = static_cast<std::size_t>(std::max(1024, requests));
-  ComparisonEngine engine(options);
-  if (prewarm) {
-    for (const auto& [a, b] : pool) (void)engine.lcs(a, b);
-  }
-
-  std::vector<std::vector<double>> per_thread(static_cast<std::size_t>(client_threads));
-  std::vector<std::thread> team;
-  // Gate all clients on a start barrier: without it, thread-spawn latency
-  // staggers the first wave and concurrent duplicates never materialize.
-  std::atomic<int> at_gate{0};
-  Timer wall;
-  for (int t = 0; t < client_threads; ++t) {
-    team.emplace_back([&, t] {
-      auto& latencies = per_thread[static_cast<std::size_t>(t)];
-      at_gate.fetch_add(1);
-      while (at_gate.load() < client_threads) std::this_thread::yield();
-      for (int i = t; i < requests; i += client_threads) {
-        const auto& [a, b] = pool[static_cast<std::size_t>(i) % pool.size()];
-        Timer timer;
-        (void)engine.lcs(a, b);
-        latencies.push_back(timer.milliseconds());
-      }
-    });
-  }
-  for (std::thread& t : team) t.join();
-  result.elapsed_s = wall.seconds();
-
-  std::vector<double> merged;
-  for (const auto& v : per_thread) merged.insert(merged.end(), v.begin(), v.end());
-  std::sort(merged.begin(), merged.end());
-  result.p50_ms = percentile(merged, 0.50);
-  result.p90_ms = percentile(merged, 0.90);
-  result.p99_ms = percentile(merged, 0.99);
-  result.max_ms = merged.empty() ? 0.0 : merged.back();
-  result.stats = engine.stats();
-  return result;
-}
-
-/// Warm window-sweep: every request is a batch of `queries_per_request`
-/// mixed windows over one pair from a prewarmed pool. `use_index` selects
-/// the QueryIndex route; false forces the O(m+n) scan (the ablation leg).
-MixResult run_window_sweep(const std::string& name, int pairs, int requests,
-                           int client_threads, Index length, int queries_per_request,
-                           bool use_index) {
-  MixResult result;
-  result.name = name;
-  result.requests = requests;
-  result.distinct_pairs = pairs;
-  result.client_threads = client_threads;
-  result.queries_per_request = queries_per_request;
-
-  const auto pool = make_pool(pairs, length, 4242);
-  EngineOptions options;
-  options.index_queries = use_index;
-  options.scheduler.workers = hardware_threads();
-  ComparisonEngine engine(options);
-  for (const auto& [a, b] : pool) (void)engine.entry(a, b);  // prewarm (no queries)
-
-  // One fixed window batch per pair, built up front so both legs answer the
-  // exact same queries and the timed loop measures answering only.
-  std::vector<std::vector<WindowQuery>> batches(pool.size());
-  Rng rng(7);
-  for (std::size_t p = 0; p < pool.size(); ++p) {
-    auto& windows = batches[p];
-    windows.reserve(static_cast<std::size_t>(queries_per_request));
-    const auto m = static_cast<Index>(pool[p].first.size());
-    const auto n = static_cast<Index>(pool[p].second.size());
-    for (int q = 0; q < queries_per_request; ++q) {
-      switch (rng.uniform(0, 2)) {
-        case 0:
-          windows.push_back({QueryKind::kLcs, 0, 0});
-          break;
-        case 1: {
-          const Index j0 = rng.uniform(0, n);
-          windows.push_back({QueryKind::kStringSubstring, j0, rng.uniform(j0, n)});
-          break;
-        }
-        default: {
-          const Index i0 = rng.uniform(0, m);
-          windows.push_back({QueryKind::kSubstringString, i0, rng.uniform(i0, m)});
-          break;
-        }
-      }
-    }
-  }
-
-  // Median of several timed passes: one pass is ~tens of milliseconds, and
-  // on a shared/virtualized machine a single pass can absorb a scheduling
-  // hiccup that swamps the very ratio this mix exists to measure.
-  constexpr int kPasses = 5;
-  result.passes = kPasses;
-  std::vector<std::vector<double>> per_thread(static_cast<std::size_t>(client_threads));
-  std::vector<double> pass_seconds;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    std::vector<std::thread> team;
-    std::atomic<int> at_gate{0};
-    Timer wall;
-    for (int t = 0; t < client_threads; ++t) {
-      team.emplace_back([&, t] {
-        auto& latencies = per_thread[static_cast<std::size_t>(t)];
-        at_gate.fetch_add(1);
-        while (at_gate.load() < client_threads) std::this_thread::yield();
-        for (int i = t; i < requests; i += client_threads) {
-          const std::size_t p = static_cast<std::size_t>(i) % pool.size();
-          Timer timer;
-          (void)engine.answer_batch(pool[p].first, pool[p].second, batches[p]);
-          latencies.push_back(timer.milliseconds());
-        }
-      });
-    }
-    for (std::thread& t : team) t.join();
-    pass_seconds.push_back(wall.seconds());
-  }
-  std::sort(pass_seconds.begin(), pass_seconds.end());
-  result.elapsed_s = pass_seconds[pass_seconds.size() / 2];
-
-  std::vector<double> merged;
-  for (const auto& v : per_thread) merged.insert(merged.end(), v.begin(), v.end());
-  std::sort(merged.begin(), merged.end());
-  result.p50_ms = percentile(merged, 0.50);
-  result.p90_ms = percentile(merged, 0.90);
-  result.p99_ms = percentile(merged, 0.99);
-  result.max_ms = merged.empty() ? 0.0 : merged.back();
-  result.stats = engine.stats();
-  return result;
 }
 
 struct CapacityLeg {
@@ -1241,31 +1063,14 @@ void write_plot_leg(Json& out, const PlotSweepResult& plot) {
   out.field("plot_mismatches", plot.plot_mismatches);
 }
 
-void write_json(const std::string& path, const std::vector<MixResult>& mixes,
-                const CapacityResult& capacity,
+void write_json(const std::string& path, const CapacityResult& capacity,
                 const std::vector<FrontendLeg>& frontends,
                 const ShardSweepResult& shard, const PlotSweepResult& plot,
                 const PlotSweepResult& wide_plot, const UpsertSweepResult& upsert,
                 Index length) {
   Json out(/*wrap_depth=*/3);
   out.begin_object().field("workers", hardware_threads()).field("pair_length", length);
-  out.key("mixes").begin_array();
-  for (const MixResult& m : mixes) {
-    out.begin_object().field("name", m.name).field("requests", m.requests);
-    out.field("distinct_pairs", m.distinct_pairs).field("client_threads", m.client_threads);
-    out.field("queries_per_request", m.queries_per_request).field("passes", m.passes);
-    out.field("elapsed_s", m.elapsed_s).field("throughput_req_s", m.throughput());
-    out.field("queries_per_s", m.queries_per_s()).field("p50_ms", m.p50_ms);
-    out.field("p90_ms", m.p90_ms).field("p99_ms", m.p99_ms).field("max_ms", m.max_ms);
-    out.field("computed", m.stats.scheduler.computed);
-    out.field("coalesced", m.stats.scheduler.coalesced);
-    out.field("cache_hits", m.stats.store.cache.hits);
-    out.field("cache_hit_rate", m.stats.cache_hit_rate());
-    out.field("queries_indexed", m.stats.queries.indexed);
-    out.field("queries_scanned", m.stats.queries.scanned);
-    out.field("index_builds", m.stats.queries.index_builds).end_object();
-  }
-  out.end_array().key("capacity_sweep").begin_object();
+  out.key("capacity_sweep").begin_object();
   out.field("pool_pairs", capacity.pool_pairs).field("hot_pairs", capacity.hot_pairs);
   out.field("cache_bytes", capacity.cache_bytes);
   out.field("capacity_ratio", capacity.capacity_ratio());
@@ -1309,35 +1114,6 @@ void write_json(const std::string& path, const std::vector<MixResult>& mixes,
 
 int main() {
   const Index length = scaled(2000);
-  // Client threads mostly block on futures, so run more of them than cores:
-  // concurrency (and thus coalescing) should show even on small machines.
-  const int threads = std::max(8, hardware_threads());
-
-  std::vector<MixResult> mixes;
-  // Cold: 64 distinct pairs, each requested exactly once.
-  mixes.push_back(run_mix("cold_cache", 64, 64, threads, length, /*prewarm=*/false));
-  // Warm: 16 pairs requested 512 times after a prewarm pass.
-  mixes.push_back(run_mix("warm_cache", 16, 512, threads, length, /*prewarm=*/true));
-  // Coalesced: 4 pairs, 256 concurrent requests against a cold engine.
-  mixes.push_back(run_mix("coalesced_duplicates", 4, 256, threads, length,
-                          /*prewarm=*/false));
-  // Warm window sweep: 8 pairs, 128 batched requests of 4096 windows each --
-  // the natural sweep shape for pairs of this length (a full sliding-window
-  // profile over a 2000-symbol pair is ~4000 windows). Answered through the
-  // QueryIndex and (ablation) through the scan; with a full profile per
-  // frame the per-request cost (content hash + cache probe, identical on
-  // both legs) amortizes away and the answer path dominates.
-  // Unlike the coalescing mixes, the sweep measures pure answering
-  // throughput, so it runs one client per core: oversubscribed clients only
-  // add scheduler noise to an always-CPU-bound loop.
-  const int sweep_threads = hardware_threads();
-  mixes.push_back(run_window_sweep("warm_window_sweep_indexed", 8, 128, sweep_threads,
-                                   length, /*queries_per_request=*/4096,
-                                   /*use_index=*/true));
-  mixes.push_back(run_window_sweep("warm_window_sweep_scan", 8, 128, sweep_threads,
-                                   length, /*queries_per_request=*/4096,
-                                   /*use_index=*/false));
-
   const CapacityResult capacity = run_capacity_sweep(length);
   const std::vector<FrontendLeg> frontends = run_frontend_sweep(length);
   const ShardSweepResult shard = run_shard_sweep();
@@ -1351,25 +1127,6 @@ int main() {
   // Pinned for the same reason as the plot sweep: the gated claim names an
   // exact document length.
   const UpsertSweepResult upsert = run_upsert_sweep();
-
-  Table table({"mix", "requests", "throughput_req_s", "queries_per_s", "p50_ms",
-               "p99_ms", "computed", "coalesced", "cache_hit_rate", "indexed",
-               "scanned"});
-  for (const MixResult& m : mixes) {
-    table.row()
-        .cell(m.name)
-        .cell(static_cast<long long>(m.requests))
-        .cell(m.throughput(), 1)
-        .cell(m.queries_per_s(), 0)
-        .cell(m.p50_ms, 3)
-        .cell(m.p99_ms, 3)
-        .cell(static_cast<long long>(m.stats.scheduler.computed))
-        .cell(static_cast<long long>(m.stats.scheduler.coalesced))
-        .cell(m.stats.cache_hit_rate(), 3)
-        .cell(static_cast<long long>(m.stats.queries.indexed))
-        .cell(static_cast<long long>(m.stats.queries.scanned));
-  }
-  table.print(std::cout, "comparison engine serving mixes");
 
   Table cap({"leg", "resident_pairs", "pairs_per_gb", "p50_ms", "p99_ms",
              "compression", "promotions", "mmap_fallbacks"});
@@ -1473,7 +1230,7 @@ int main() {
             << upsert.mid_speedup() << "x, mixed gated/whole CPU " << upsert.mixed_ratio()
             << ", mismatches " << upsert.mismatches() << "\n";
 
-  write_json("results/bench_engine.json", mixes, capacity, frontends, shard, plot,
+  write_json("results/bench_engine.json", capacity, frontends, shard, plot,
              wide_plot, upsert, length);
   return 0;
 }

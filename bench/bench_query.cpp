@@ -410,7 +410,7 @@ PlotDirectResult run_plot_direct(Index length, Index window, Index step) {
   const auto walk = [&](const CachedKernel& strip, Index u) {
     answer_plot_row(strip, 0, step, window, static_cast<std::size_t>(cols),
                     strip_cells.data() + static_cast<std::size_t>(u * cols),
-                    /*use_planner=*/true, /*use_index=*/true);
+                    /*use_planner=*/true);
   };
   r.strip_cold_ns_per_cell = per_cell(median_seconds([&] {
     for (Index u = 0; u < rows; ++u) walk(strip_row(u), u);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "core/workspace.hpp"
 
@@ -18,6 +19,16 @@ std::string_view strategy_name(Strategy s) {
     case Strategy::kHybridTiled: return "semi_hybrid_iterative";
   }
   return "unknown";
+}
+
+Strategy parse_strategy(std::string_view name) {
+  if (name == "antidiag") return Strategy::kAntidiagSimd;
+  if (name == "hybrid") return Strategy::kHybrid;
+  if (name == "tiled") return Strategy::kHybridTiled;
+  if (name == "recursive") return Strategy::kRecursive;
+  if (name == "rowmajor") return Strategy::kRowMajor;
+  if (name == "loadbalanced") return Strategy::kLoadBalanced;
+  throw std::invalid_argument("unknown --algorithm '" + std::string(name) + "'");
 }
 
 SemiLocalKernel semi_local_kernel(SequenceView a, SequenceView b,

@@ -31,6 +31,11 @@ enum class Strategy {
 /// Human-readable strategy name (the paper's legend string).
 std::string_view strategy_name(Strategy s);
 
+/// The strategy a tool's `--algorithm` names: antidiag (the branchless
+/// kAntidiagSimd), hybrid, tiled, recursive, rowmajor or loadbalanced.
+/// Throws std::invalid_argument on any other name.
+Strategy parse_strategy(std::string_view name);
+
 /// Unified options. Defaults give the strongest sequential configuration.
 struct SemiLocalOptions {
   Strategy strategy = Strategy::kAntidiagSimd;

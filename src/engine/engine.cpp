@@ -139,12 +139,12 @@ KernelPtr ComparisonEngine::kernel(SequenceView a, SequenceView b) {
 
 Index ComparisonEngine::answer(const CachedKernel& entry, QueryKind kind, Index x,
                                Index y) {
-  return answer_query(entry, kind, x, y, options_.index_queries, &counters_);
+  return answer_query(entry, kind, x, y, /*use_index=*/true, &counters_);
 }
 
 bool ComparisonEngine::answer_windows(const CachedKernel& entry, const WindowQuery* windows,
                                       Index* out, std::size_t count, bool may_build) {
-  return answer_query_batch(entry, windows, out, count, options_.index_queries, &counters_,
+  return answer_query_batch(entry, windows, out, count, /*use_index=*/true, &counters_,
                             may_build);
 }
 
@@ -277,11 +277,10 @@ class ComparisonEngine::PlotStream final : public LoopWork {
     Row row;
     try {
       if (failure) std::rethrow_exception(failure);
-      const EngineOptions& options = shared.engine.options_;
       thread_local std::vector<Index> values;
       values.resize(static_cast<std::size_t>(spec.cols));
       answer_plot_row(*strip, spec.col0, spec.step, spec.window, values.size(), values.data(),
-                      options.plot_planner, options.index_queries, &shared.engine.counters_);
+                      shared.engine.options_.plot_planner, &shared.engine.counters_);
       row.cells = quantize(spec, values.data());
     } catch (...) {
       row.failure = std::current_exception();

@@ -44,9 +44,6 @@
 // reactor. No serving thread blocks on compute: entry_then and score_then
 // hand the scheduler a continuation, and plot_work streams a plot as loop
 // work; the future-returning calls and alignment_plot drive those paths.
-//
-// `index_queries = false` forces the scan path -- the ablation knob the
-// benchmarks flip.
 #pragma once
 
 #include <atomic>
@@ -68,9 +65,6 @@ class LoopWork;
 struct EngineOptions {
   KernelStoreOptions store;
   SchedulerOptions scheduler;
-  /// Route queries through each entry's QueryIndex (O(log n), built once).
-  /// false = always use the O(m + n) dominance scan.
-  bool index_queries = true;
   /// Alignment plots: a window of at most 64 symbols is computed directly,
   /// 16 grid rows per task (lcs_window_band, when the pair's dense
   /// alphabet has at most 256 symbols); a wider one shares the wavelet
@@ -172,9 +166,9 @@ class ComparisonEngine {
   void submit_task(std::function<void()> task) { scheduler_.submit_task(std::move(task)); }
 
   /// Query layer: answers off the (possibly cached) entry, routed through
-  /// the QueryIndex or the dominance scan per `index_queries`. These are
-  /// kernel-backed (they compute and cache the kernel); score_then and
-  /// score_async are the score path.
+  /// the QueryIndex or the dominance scan per CachedKernel::wants_index.
+  /// These are kernel-backed (they compute and cache the kernel);
+  /// score_then and score_async are the score path.
   Index lcs(SequenceView a, SequenceView b);
   Index string_substring(SequenceView a, SequenceView b, Index j0, Index j1);
   Index substring_string(SequenceView a, SequenceView b, Index i0, Index i1);

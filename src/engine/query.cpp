@@ -113,7 +113,7 @@ bool answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
 }
 
 void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index window,
-                     std::size_t count, Index* out, bool use_planner, bool use_index,
+                     std::size_t count, Index* out, bool use_planner,
                      QueryCounters* counters) {
   if (count == 0) return;
   if (entry.m() != window) {
@@ -125,7 +125,7 @@ void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index wi
     throw std::out_of_range("answer_plot_row: row runs off the end of b");
   }
   if (counters) counters->plot_windows.fetch_add(count, std::memory_order_relaxed);
-  if (use_planner && use_index && strided_walk_profitable(entry.order(), step)) {
+  if (use_planner && strided_walk_profitable(entry.order(), step)) {
     // On the diagonal: window b[j0, j0+w) sits at H(w + j0, j0 + w), so the
     // whole row is sigma(i, i) at stride `step` -- one anchor, then the seam
     // walk (core/query_index.hpp). The anchor is one permutation scan: strips
@@ -148,7 +148,7 @@ void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index wi
     const Index j0 = col0 + static_cast<Index>(v) * step;
     windows[v] = {QueryKind::kStringSubstring, j0, j0 + window};
   }
-  answer_query_batch(entry, windows.data(), out, count, use_index, counters);
+  answer_query_batch(entry, windows.data(), out, count, /*use_index=*/true, counters);
 }
 
 }  // namespace semilocal

@@ -100,7 +100,9 @@ struct WindowQuery {
 /// Answers one query off a shared cached entry. With `use_index` the entry's
 /// QueryIndex answers in O(log n), built first if this ask wants it (see
 /// the header comment); otherwise the O(m + n) scan answers statelessly.
-/// `counters` (optional) receives the routing decision. Throws
+/// The engine always passes true; false is the scan reference that tests
+/// and benches compare against. `counters` (optional) receives the routing
+/// decision. Throws
 /// std::out_of_range on a bad window.
 Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
                    bool use_index, QueryCounters* counters = nullptr);
@@ -135,18 +137,18 @@ struct PlotTile {
 
 /// Answers one plot row against a strip entry (kernel of (a-window, b),
 /// m == window): out[v] = LCS(strip, b[col0 + v*step, +window)) for v in
-/// [0, count). With `use_planner && use_index` and a stride the heuristic
+/// [0, count). With `use_planner` and a stride the heuristic
 /// likes, the whole row costs one O(m + n) permutation scan for the anchor
 /// plus a seam walk, and counts only in plot_windows / plot_reused_descents
 /// (queries_scanned means per-window scan fallbacks). This path never builds
 /// or reads an index; a compressed entry decodes its kernel once (a plot
 /// touches every block anyway). Otherwise
 /// every window lowers independently through answer_query_batch -- the
-/// ablation the bench gates against -- which builds the index if
-/// `use_index` and the row has two or more windows. Bumps plot_windows /
+/// ablation the bench gates against -- which builds the index if the row
+/// has two or more windows. Bumps plot_windows /
 /// plot_reused_descents.
 void answer_plot_row(const CachedKernel& entry, Index col0, Index step, Index window,
-                     std::size_t count, Index* out, bool use_planner, bool use_index,
+                     std::size_t count, Index* out, bool use_planner,
                      QueryCounters* counters = nullptr);
 
 }  // namespace semilocal

@@ -6,7 +6,8 @@
 namespace semilocal {
 
 CliArgs CliArgs::parse(int argc, const char* const* argv, int start,
-                       const std::set<std::string>& known_flags) {
+                       const std::set<std::string>& known_flags,
+                       const std::optional<std::set<std::string>>& known_options) {
   CliArgs args;
   for (int i = start; i < argc; ++i) {
     const std::string token = argv[i];
@@ -15,6 +16,8 @@ CliArgs CliArgs::parse(int argc, const char* const* argv, int start,
       if (name.empty()) throw std::invalid_argument("cli: bare '--' is not a valid option");
       if (known_flags.count(name) > 0) {
         args.flags_.insert(name);
+      } else if (known_options && known_options->count(name) == 0) {
+        throw std::invalid_argument("cli: unknown option --" + name);
       } else {
         if (i + 1 >= argc) {
           throw std::invalid_argument("cli: option --" + name + " needs a value");

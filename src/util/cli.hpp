@@ -1,8 +1,9 @@
 // Minimal command-line argument parsing for the tools and examples.
 //
 // Supports subcommand-style interfaces: positional arguments, `--key value`
-// options and `--flag` switches. Unknown options are errors (fail fast
-// rather than silently ignoring typos).
+// options and `--flag` switches. Given the list of option names it knows, a
+// parse fails fast on any other `--name` rather than silently taking a typo
+// (and the token after it) as an option.
 #pragma once
 
 #include <map>
@@ -19,10 +20,13 @@ namespace semilocal {
 class CliArgs {
  public:
   /// Parses argv[start..argc). `known_flags` lists valueless switches;
-  /// every other `--name` consumes the following token as its value.
-  /// Throws std::invalid_argument on malformed input.
+  /// every other `--name` consumes the following token as its value. With
+  /// `known_options`, a `--name` in neither list is an error; without it,
+  /// any name is taken as an option. Throws std::invalid_argument on
+  /// malformed input.
   static CliArgs parse(int argc, const char* const* argv, int start,
-                       const std::set<std::string>& known_flags = {});
+                       const std::set<std::string>& known_flags = {},
+                       const std::optional<std::set<std::string>>& known_options = {});
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 

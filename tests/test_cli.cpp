@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "core/api.hpp"
+
 namespace semilocal {
 namespace {
 
 CliArgs parse(std::initializer_list<const char*> argv,
-              const std::set<std::string>& flags = {}) {
+              const std::set<std::string>& flags = {},
+              const std::optional<std::set<std::string>>& options = {}) {
   std::vector<const char*> v(argv);
-  return CliArgs::parse(static_cast<int>(v.size()), v.data(), 0, flags);
+  return CliArgs::parse(static_cast<int>(v.size()), v.data(), 0, flags, options);
 }
 
 TEST(Cli, PositionalsInOrder) {
@@ -48,6 +51,34 @@ TEST(Cli, MalformedInputsThrow) {
   EXPECT_THROW((void)args.int_option_or("n", 0), std::invalid_argument);
   const auto args2 = parse({"--x", "12zz"});
   EXPECT_THROW((void)args2.double_option_or("x", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, KnownOptionListRejectsOtherNames) {
+  const std::set<std::string> options = {"port"};
+  const auto args = parse({"--port", "0", "--dna"}, {"dna"}, options);
+  EXPECT_EQ(args.option_or("port", ""), "0");
+  EXPECT_TRUE(args.has_flag("dna"));
+  // An unknown name must not swallow the flag after it as its value.
+  EXPECT_THROW(parse({"--port", "0", "--verbose", "--dna"}, {"dna"}, options),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--prot", "0"}, {}, options), std::invalid_argument);
+}
+
+TEST(Cli, WithoutAKnownListAnyNameIsAnOption) {
+  const auto args = parse({"--verbose", "--dna"}, {"dna"});
+  EXPECT_EQ(args.option_or("verbose", ""), "--dna");
+  EXPECT_FALSE(args.has_flag("dna"));
+}
+
+TEST(Cli, ParseStrategyMapsEachName) {
+  EXPECT_EQ(parse_strategy("antidiag"), Strategy::kAntidiagSimd);
+  EXPECT_EQ(parse_strategy("hybrid"), Strategy::kHybrid);
+  EXPECT_EQ(parse_strategy("tiled"), Strategy::kHybridTiled);
+  EXPECT_EQ(parse_strategy("recursive"), Strategy::kRecursive);
+  EXPECT_EQ(parse_strategy("rowmajor"), Strategy::kRowMajor);
+  EXPECT_EQ(parse_strategy("loadbalanced"), Strategy::kLoadBalanced);
+  EXPECT_THROW((void)parse_strategy("semi_hybrid"), std::invalid_argument);
+  EXPECT_THROW((void)parse_strategy(""), std::invalid_argument);
 }
 
 TEST(Cli, StartOffsetSkipsProgramAndCommand) {

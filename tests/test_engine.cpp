@@ -13,9 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -392,6 +394,49 @@ TEST(Scheduler, DuplicateSubmissionsCoalesceToOneComputation) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.coalesced, 1u);
   EXPECT_EQ(stats.scheduler.computed, 1u);
+  EXPECT_EQ(stats.scheduler.inflight, 0u);
+}
+
+/// Concurrent asks for cold pairs with real workers: every thread asks
+/// every pair, released together so duplicates are in flight at once. Each
+/// pair must be combed exactly once, whether a late ask joins the job in
+/// flight or hits the cache it filled.
+TEST(Scheduler, ConcurrentAsksOfFewPairsCombEachPairOnce) {
+  constexpr std::size_t kPairs = 4;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kAsksPerPair = 64;
+  constexpr std::size_t kAsksPerThread = kPairs * kAsksPerPair / kThreads;
+  EngineOptions options;
+  options.scheduler.workers = 2;
+  ComparisonEngine engine(options);
+  std::vector<std::pair<Sequence, Sequence>> pairs;
+  std::vector<Index> expected;
+  for (std::uint64_t p = 0; p < kPairs; ++p) {
+    pairs.emplace_back(testing::random_string(200, 4, 700 + p * 2),
+                       testing::random_string(180, 4, 701 + p * 2));
+    expected.push_back(testing::lcs_oracle(pairs.back().first, pairs.back().second));
+  }
+  std::vector<std::vector<Index>> answers(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < kAsksPerThread; ++k) {
+        const auto& [a, b] = pairs[(t + k) % kPairs];
+        answers[t].push_back(engine.lcs(a, b));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(answers[t].size(), kAsksPerThread);
+    for (std::size_t k = 0; k < kAsksPerThread; ++k) {
+      EXPECT_EQ(answers[t][k], expected[(t + k) % kPairs]) << "thread " << t << " ask " << k;
+    }
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.scheduler.computed, kPairs);
   EXPECT_EQ(stats.scheduler.inflight, 0u);
 }
 

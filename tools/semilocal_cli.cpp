@@ -113,16 +113,6 @@ int usage() {
   return 2;
 }
 
-Strategy parse_strategy(const std::string& name) {
-  if (name == "antidiag") return Strategy::kAntidiagSimd;
-  if (name == "hybrid") return Strategy::kHybrid;
-  if (name == "tiled") return Strategy::kHybridTiled;
-  if (name == "recursive") return Strategy::kRecursive;
-  if (name == "rowmajor") return Strategy::kRowMajor;
-  if (name == "loadbalanced") return Strategy::kLoadBalanced;
-  throw std::invalid_argument("unknown --algorithm '" + name + "'");
-}
-
 Sequence first_record(const std::string& path, std::string& id) {
   const auto records = read_fasta_file(path);
   if (records.empty()) throw std::runtime_error(path + ": no FASTA records");

@@ -38,15 +38,13 @@
 //
 // Frontend options: --backlog, --max-conns, --max-inflight, --write-cap-kb,
 // --idle-timeout-ms, --read-timeout-ms and --drain-timeout-ms as in
-// semilocal_serve. Every backend exchange runs on the reactor's event loop,
-// so --pool (per shard), not a thread count, bounds the router's
-// concurrency.
-#include <csignal>
+// semilocal_serve (tools/server_cli.hpp). Unknown options are errors. Every
+// backend exchange runs on the reactor's event loop, so --pool (per shard),
+// not a thread count, bounds the router's concurrency.
 #include <iostream>
 
-#include "engine/frontend.hpp"
 #include "engine/shard/router.hpp"
-#include "util/cli.hpp"
+#include "server_cli.hpp"
 
 using namespace semilocal;
 
@@ -64,25 +62,16 @@ int usage() {
   return 2;
 }
 
-FrontendServer* g_server = nullptr;
-
-void on_signal(int) {
-  if (g_server != nullptr) g_server->request_stop();
-}
-
-void install_signal_handlers() {
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);  // dead backends surface as per-write errors
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const CliArgs args = CliArgs::parse(argc, argv, 1, {});
+    const CliArgs args = CliArgs::parse(
+        argc, argv, 1, {},
+        tools::with_frontend_options({"shards", "replicas", "vnodes", "pool",
+                                      "connect-timeout-ms", "timeout-ms", "hedge-ms",
+                                      "unhealthy-after", "retry-after-ms",
+                                      "probe-interval-ms"}));
     const auto port = args.option("port");
     const auto shards = args.option("shards");
     if (!port || !shards) return usage();
@@ -106,30 +95,12 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.int_option_or("probe-interval-ms", 1'000));
     ShardRouter router(std::move(router_options));
 
-    FrontendOptions frontend;
-    frontend.port = static_cast<int>(std::stol(*port));
-    frontend.listen_backlog = static_cast<int>(args.int_option_or("backlog", 128));
-    frontend.max_connections =
-        static_cast<std::size_t>(args.int_option_or("max-conns", 10000));
-    frontend.max_inflight_per_conn =
-        static_cast<std::size_t>(args.int_option_or("max-inflight", 64));
-    frontend.max_write_queue_bytes =
-        static_cast<std::size_t>(args.int_option_or("write-cap-kb", 1024)) << 10;
-    frontend.idle_timeout_ms =
-        static_cast<std::uint64_t>(args.int_option_or("idle-timeout-ms", 60'000));
-    frontend.read_timeout_ms =
-        static_cast<std::uint64_t>(args.int_option_or("read-timeout-ms", 10'000));
-    frontend.drain_timeout_ms =
-        static_cast<std::uint64_t>(args.int_option_or("drain-timeout-ms", 2'000));
-
-    FrontendServer server(router, std::move(frontend));
-    g_server = &server;
-    install_signal_handlers();
+    FrontendServer server(router, tools::frontend_options(args, *port));
+    const tools::StopOnSignal stop(server);
     std::cout << server.port() << std::endl;
     std::cerr << "semilocal_router: listening on 127.0.0.1:" << server.port() << " ("
               << router.stats().shards.size() << " shards)" << std::endl;
     server.run();
-    g_server = nullptr;
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "semilocal_router: " << e.what() << "\n";

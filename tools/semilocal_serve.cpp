@@ -27,8 +27,6 @@
 //   --batch N        misses grouped per compute batch (default 8)
 //   --algorithm X    combing strategy (see semilocal_cli)
 //   --no-persist     do not write computed kernels to the store
-//   --no-index      answer queries via the O(m+n) scan instead of the
-//                    shared QueryIndex (ablation / debugging)
 //   --dna            pack request bytes as DNA (match CLI precompute keys)
 //   --corpus-dir DIR versioned incremental corpus root; enables Op::kUpsert
 //                    (without it upserts answer kError). Pair kernels are
@@ -37,17 +35,9 @@
 //   --chunk N        widest appended-tail strip a resumed upsert combs and
 //                    composes at once, in symbols (default 1024)
 //
-// Frontend options (TCP mode):
-//   --backlog N          listen(2) backlog (default 128)
-//   --max-conns N        admission gate; beyond it connections are shed
-//                        with one RETRY_AFTER frame (default 10000)
-//   --max-inflight N     per-connection pending-compute budget (default 64)
-//   --write-cap-kb N     per-connection write-queue cap (default 1024)
-//   --idle-timeout-ms N  idle connection eviction, 0 disables (default 60000)
-//   --read-timeout-ms N  slow-loris partial-frame timeout, 0 disables
-//                        (default 10000)
-//   --drain-timeout-ms N graceful-shutdown budget (default 2000)
-#include <csignal>
+// Frontend options (TCP mode): --backlog, --max-conns, --max-inflight,
+// --write-cap-kb, --idle-timeout-ms, --read-timeout-ms and
+// --drain-timeout-ms (tools/server_cli.hpp). Unknown options are errors.
 #include <iostream>
 #include <optional>
 
@@ -56,7 +46,7 @@
 #include "engine/engine.hpp"
 #include "engine/frontend.hpp"
 #include "engine/service.hpp"
-#include "util/cli.hpp"
+#include "server_cli.hpp"
 #include "util/parallel.hpp"
 
 using namespace semilocal;
@@ -66,8 +56,8 @@ namespace {
 int usage() {
   std::cerr << "usage: semilocal_serve (--stdio | --port P) [--store DIR] [--cache-mb N]\n"
                "                       [--workers N] [--queue N] [--batch N]\n"
-               "                       [--algorithm NAME] [--no-persist] [--no-index]\n"
-               "                       [--dna] [--backlog N] [--max-conns N]\n"
+               "                       [--algorithm NAME] [--no-persist] [--dna]\n"
+               "                       [--backlog N] [--max-conns N]\n"
                "                       [--max-inflight N] [--write-cap-kb N]\n"
                "                       [--idle-timeout-ms N] [--read-timeout-ms N]\n"
                "                       [--drain-timeout-ms N]\n"
@@ -75,37 +65,14 @@ int usage() {
   return 2;
 }
 
-Strategy parse_strategy(const std::string& name) {
-  if (name == "antidiag") return Strategy::kAntidiagSimd;
-  if (name == "hybrid") return Strategy::kHybrid;
-  if (name == "tiled") return Strategy::kHybridTiled;
-  if (name == "recursive") return Strategy::kRecursive;
-  if (name == "rowmajor") return Strategy::kRowMajor;
-  if (name == "loadbalanced") return Strategy::kLoadBalanced;
-  throw std::invalid_argument("unknown --algorithm '" + name + "'");
-}
-
-// Signal plumbing: the reactor exposes an async-signal-safe request_stop().
-FrontendServer* g_reactor = nullptr;
-
-void on_signal(int) {
-  if (g_reactor != nullptr) g_reactor->request_stop();
-}
-
-void install_signal_handlers() {
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);  // broken client sockets are per-write errors
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const CliArgs args = CliArgs::parse(
-        argc, argv, 1, {"stdio", "no-persist", "no-index", "dna"});
+        argc, argv, 1, {"stdio", "no-persist", "dna"},
+        tools::with_frontend_options({"store", "cache-mb", "workers", "queue", "batch",
+                                      "algorithm", "corpus-dir", "chunk"}));
     const bool stdio = args.has_flag("stdio");
     const auto port = args.option("port");
     if (stdio == port.has_value()) return usage();  // exactly one mode
@@ -122,7 +89,6 @@ int main(int argc, char** argv) {
     options.scheduler.max_batch = static_cast<std::size_t>(args.int_option_or("batch", 8));
     options.scheduler.compute.strategy =
         parse_strategy(args.option_or("algorithm", "antidiag"));
-    options.index_queries = !args.has_flag("no-index");
 
     const bool drain_inline = options.scheduler.workers == 0;
     ComparisonEngine engine(options);
@@ -143,25 +109,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    FrontendOptions frontend;
-    frontend.port = static_cast<int>(std::stol(*port));
-    frontend.listen_backlog = static_cast<int>(args.int_option_or("backlog", 128));
-    frontend.max_connections =
-        static_cast<std::size_t>(args.int_option_or("max-conns", 10000));
-    frontend.max_inflight_per_conn =
-        static_cast<std::size_t>(args.int_option_or("max-inflight", 64));
-    frontend.max_write_queue_bytes =
-        static_cast<std::size_t>(args.int_option_or("write-cap-kb", 1024)) << 10;
-    frontend.idle_timeout_ms =
-        static_cast<std::uint64_t>(args.int_option_or("idle-timeout-ms", 60'000));
-    frontend.read_timeout_ms =
-        static_cast<std::uint64_t>(args.int_option_or("read-timeout-ms", 10'000));
-    frontend.drain_timeout_ms =
-        static_cast<std::uint64_t>(args.int_option_or("drain-timeout-ms", 2'000));
-
-    FrontendServer server(service, frontend);
-    g_reactor = &server;
-    install_signal_handlers();
+    FrontendServer server(service, tools::frontend_options(args, *port));
+    const tools::StopOnSignal stop(server);
     // The bound port goes to *stdout* (one bare number, flushed before the
     // loop starts): with --port 0 a supervisor or test harness spawning real
     // backends reads it instead of racing for a free port. Human-readable
@@ -170,7 +119,6 @@ int main(int argc, char** argv) {
     std::cerr << "semilocal_serve: listening on 127.0.0.1:" << server.port() << " (reactor)"
               << std::endl;
     server.run();
-    g_reactor = nullptr;
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "semilocal_serve: " << e.what() << "\n";
