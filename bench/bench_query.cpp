@@ -88,48 +88,33 @@ LengthResult run_length(Index length, Index queries) {
     }
   }
 
-  const auto scan_all = [&] {
+  // The kernel (one scan per query) and the index answer through the same
+  // methods, so one loop times either.
+  const auto answer_all = [&](const auto& answerer) {
     Index sink = 0;
     for (const Win& w : windows) {
       switch (w.kind) {
         case QueryKind::kLcs:
-          sink += kernel_lcs(kernel);
+          sink += answerer.lcs();
           break;
         case QueryKind::kStringSubstring:
-          sink += kernel_string_substring(kernel, w.x, w.y);
+          sink += answerer.string_substring(w.x, w.y);
           break;
         case QueryKind::kSubstringString:
-          sink += kernel_substring_string(kernel, w.x, w.y);
+          sink += answerer.substring_string(w.x, w.y);
           break;
       }
     }
     if (sink < 0) std::abort();
   };
   result.scan_queries_per_s =
-      static_cast<double>(queries) / median_seconds(scan_all);
+      static_cast<double>(queries) / median_seconds([&] { answer_all(kernel); });
 
   result.build_s = median_seconds([&] { (void)QueryIndex(kernel); });
   const QueryIndex index(kernel);
   result.index_bytes = index.resident_bytes();
-  const auto index_all = [&] {
-    Index sink = 0;
-    for (const Win& w : windows) {
-      switch (w.kind) {
-        case QueryKind::kLcs:
-          sink += index.lcs();
-          break;
-        case QueryKind::kStringSubstring:
-          sink += index.string_substring(w.x, w.y);
-          break;
-        case QueryKind::kSubstringString:
-          sink += index.substring_string(w.x, w.y);
-          break;
-      }
-    }
-    if (sink < 0) std::abort();
-  };
   result.index_queries_per_s =
-      static_cast<double>(queries) / median_seconds(index_all);
+      static_cast<double>(queries) / median_seconds([&] { answer_all(index); });
 
   // The batched-protocol path: lower every window up front, then run the
   // interleaved multi-lane descent (QueryIndex::answer_many).
@@ -342,8 +327,8 @@ ColdWindowResult run_cold_window(Index length, Index samples) {
     const bool string_substring = s % 2 == 0;
     Timer kernel_timer;
     const SemiLocalKernel kernel = semi_local_kernel(a, b, serial);
-    const Index by_kernel = string_substring ? kernel_string_substring(kernel, x, y)
-                                             : kernel_substring_string(kernel, x, y);
+    const Index by_kernel = string_substring ? kernel.string_substring(x, y)
+                                             : kernel.substring_string(x, y);
     kernel_ms.push_back(kernel_timer.milliseconds());
     const auto slice = [&](const Sequence& full) {
       return SequenceView(full).subspan(static_cast<std::size_t>(x),

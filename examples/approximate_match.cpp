@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "lcs/dp.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
@@ -58,11 +59,13 @@ int main(int argc, char** argv) {
       semi_local_kernel(pattern, text, {.strategy = Strategy::kHybridTiled, .parallel = true});
   std::cout << "kernel built in " << t.seconds() << " s\n";
 
-  // 3. Scan fixed-width windows; report local maxima above a threshold.
+  // 3. Scan fixed-width windows through a QueryIndex built once beside the
+  // kernel; report local maxima above a threshold.
+  const QueryIndex index(kernel);
   const Index w = pattern_length + pattern_length / 5;  // allow for indels
   std::vector<std::pair<Index, Index>> hits;  // (score, start)
   for (Index j0 = 0; j0 + w <= text_length; ++j0) {
-    hits.emplace_back(kernel.string_substring(j0, j0 + w), j0);
+    hits.emplace_back(index.string_substring(j0, j0 + w), j0);
   }
   // Greedy non-overlapping peak extraction.
   std::sort(hits.rbegin(), hits.rend());

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "util/fasta.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -36,12 +37,12 @@ struct Overlap {
   Index score = 0;
 };
 
-Overlap best_overlap(const SemiLocalKernel& kernel) {
-  const Index m = kernel.m();
-  const Index n = kernel.n();
+Overlap best_overlap(const QueryIndex& index) {
+  const Index m = index.m();
+  const Index n = index.n();
   Overlap best;
   for (Index len = std::min(m, n); len >= 30; --len) {
-    const Index score = kernel.suffix_prefix(m - len, len);
+    const Index score = index.suffix_prefix(m - len, len);
     if (score * 10 >= len * 9) {  // >= 90% identity
       best.length = len;
       best.score = score;
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
           fragments[static_cast<std::size_t>(i)].bases,
           fragments[static_cast<std::size_t>(j)].bases,
           {.strategy = Strategy::kAntidiagSimd});
-      overlaps[static_cast<std::size_t>(i * k + j)] = best_overlap(kernel);
+      overlaps[static_cast<std::size_t>(i * k + j)] = best_overlap(QueryIndex(kernel));
     }
   }
   std::cout << "computed " << k * (k - 1) << " pairwise overlap profiles in " << t.seconds()

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "util/fasta.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -64,13 +65,14 @@ int main(int argc, char** argv) {
       fragment, b, {.strategy = Strategy::kHybridTiled, .parallel = true});
   std::cout << "fragment kernel (" << frag_len << " bp query) built in " << t.seconds()
             << " s\n";
+  const QueryIndex frag_index(frag_kernel);  // one index for every window
   const Index window = frag_len;  // same-size windows of B
   const Index step = std::max<Index>(1, window / 8);
   Table profile({"window_start", "window_end", "lcs", "identity_pct"});
   Index best_start = 0;
   Index best_score = -1;
   for (Index w0 = 0; w0 + window <= static_cast<Index>(b.size()); w0 += step) {
-    const Index score = frag_kernel.string_substring(w0, w0 + window);
+    const Index score = frag_index.string_substring(w0, w0 + window);
     profile.row().cell(static_cast<long long>(w0)).cell(static_cast<long long>(w0 + window))
         .cell(static_cast<long long>(score))
         .cell(100.0 * static_cast<double>(score) / static_cast<double>(window), 1);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "lcs/hirschberg.hpp"
 #include "util/types.hpp"
 
@@ -107,13 +108,13 @@ int main(int argc, char** argv) {
   // 2. Block-move hint from the semi-local kernel: where in B does the whole
   // of A embed best?
   if (!a.empty() && !b.empty()) {
-    const auto kernel = semi_local_kernel(a, b);
+    const QueryIndex index(semi_local_kernel(a, b));
     const Index width = std::min<Index>(static_cast<Index>(b.size()),
                                         static_cast<Index>(a.size()));
     Index best_start = 0;
     Index best = -1;
     for (Index j0 = 0; j0 + width <= static_cast<Index>(b.size()); ++j0) {
-      const Index s = kernel.string_substring(j0, j0 + width);
+      const Index s = index.string_substring(j0, j0 + width);
       if (s > best) {
         best = s;
         best_start = j0;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include "core/api.hpp"
+#include "core/query_index.hpp"
 #include "util/types.hpp"
 
 namespace semilocal {
@@ -32,12 +33,12 @@ Sequence blow_up(SequenceView s);
 Index levenshtein_via_lcs(SequenceView a, SequenceView b,
                           const SemiLocalOptions& opts = {});
 
-/// Window edit-distance queries: ED(a, b[j0, j1)) for all windows, from one
-/// kernel over the blown strings.
+/// Window edit-distance queries: ED(a, b[j0, j1)) for all windows, from the
+/// QueryIndex of one kernel over the blown strings.
 class EditDistanceIndex {
  public:
-  /// Builds the kernel of (blow(a), blow(b)). Throws if either input uses
-  /// the reserved separator symbol.
+  /// Builds and indexes the kernel of (blow(a), blow(b)), keeping only the
+  /// index. Throws if either input uses the reserved separator symbol.
   EditDistanceIndex(SequenceView a, SequenceView b, const SemiLocalOptions& opts = {});
 
   [[nodiscard]] Index m() const { return m_; }
@@ -58,12 +59,10 @@ class EditDistanceIndex {
   /// Window of width `width` minimizing ED(a, window); {start, distance}.
   [[nodiscard]] std::pair<Index, Index> best_window(Index width, Index stride = 1) const;
 
-  [[nodiscard]] const SemiLocalKernel& kernel() const { return kernel_; }
-
  private:
   Index m_ = 0;
   Index n_ = 0;
-  SemiLocalKernel kernel_;
+  QueryIndex index_;
 };
 
 }  // namespace semilocal

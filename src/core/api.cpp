@@ -88,20 +88,6 @@ SemiLocalOptions per_pair_options(const SemiLocalOptions& opts) {
   return per;
 }
 
-// LCS(a, b) straight off the kernel permutation, without building any
-// dominance structure: H(m, n) = n - |{(r, c) : r >= m, c < n}|, and rows
-// >= m with columns < n are exactly the top-entry strands exiting bottom.
-Index lcs_from_kernel(const SemiLocalKernel& k) {
-  const auto& row_to_col = k.permutation().row_to_col();
-  const Index m = k.m();
-  const Index n = k.n();
-  Index crossings = 0;
-  for (Index r = m; r < m + n; ++r) {
-    if (row_to_col[static_cast<std::size_t>(r)] < n) ++crossings;
-  }
-  return n - crossings;
-}
-
 // Runs `job(i)` for every pair index, inside one parallel region when asked.
 template <typename Job>
 void for_each_pair(std::size_t count, bool parallel, const Job& job) {
@@ -135,8 +121,7 @@ void lcs_semilocal_batch(std::span<const SequencePair> pairs, std::span<Index> o
   const SemiLocalOptions per = per_pair_options(opts);
   for_each_pair(pairs.size(), opts.parallel, [&](std::int64_t i) {
     const auto& [a, b] = pairs[static_cast<std::size_t>(i)];
-    out[static_cast<std::size_t>(i)] =
-        lcs_from_kernel(semi_local_kernel(a, b, per, &tls_workspace()));
+    out[static_cast<std::size_t>(i)] = semi_local_kernel(a, b, per, &tls_workspace()).lcs();
   });
 }
 

@@ -13,21 +13,17 @@
 // m..m+n-1; column c is the exit position, numbering the bottom edge
 // left-to-right 0..n-1 followed by the right edge bottom-to-top n..n+m-1.
 //
-// Queries answer all four semi-local sub-problems (Definition 3.2). By
-// default each query performs a dominance count in O(log^2) time through a
-// merge-sort tree built lazily on first use; small kernels can instead
-// materialize the dense distribution matrix for O(1) queries.
+// Queries answer all four semi-local sub-problems (Definition 3.2). The
+// kernel is a plain value -- a permutation plus m and n -- and each query is
+// one stateless O(m + n) dominance scan of the permutation, so any number of
+// threads may query one shared kernel. A caller that asks many windows of
+// one kernel builds a QueryIndex (core/query_index.hpp) next to it for
+// O(log n) answers.
 #pragma once
-
-#include <memory>
-#include <optional>
 
 #include "braid/monge.hpp"
 #include "braid/permutation.hpp"
 #include "braid/steady_ant.hpp"
-#include "dominance/mergesort_tree.hpp"
-#include "dominance/prefix_oracle.hpp"
-#include "dominance/wavelet_tree.hpp"
 #include "util/types.hpp"
 
 namespace semilocal {
@@ -40,29 +36,13 @@ class SemiLocalKernel {
   /// Wraps a kernel permutation of order m + n. Throws if sizes disagree.
   SemiLocalKernel(Permutation kernel, Index m, Index n);
 
-  // Copying duplicates the kernel but not the lazily-built query caches.
-  SemiLocalKernel(const SemiLocalKernel& other)
-      : kernel_(other.kernel_), m_(other.m_), n_(other.n_) {}
-  SemiLocalKernel& operator=(const SemiLocalKernel& other) {
-    if (this != &other) {
-      kernel_ = other.kernel_;
-      m_ = other.m_;
-      n_ = other.n_;
-      tree_.reset();
-      dense_.reset();
-      wavelet_.reset();
-    }
-    return *this;
-  }
-  SemiLocalKernel(SemiLocalKernel&&) = default;
-  SemiLocalKernel& operator=(SemiLocalKernel&&) = default;
-
   [[nodiscard]] Index m() const { return m_; }
   [[nodiscard]] Index n() const { return n_; }
   [[nodiscard]] Index order() const { return m_ + n_; }
   [[nodiscard]] const Permutation& permutation() const { return kernel_; }
 
-  /// Element H(i, j) of the semi-local LCS matrix, i, j in [0, m+n].
+  /// Element H(i, j) of the semi-local LCS matrix, i, j in [0, m+n]; one
+  /// O(m + n) scan, like every query below.
   [[nodiscard]] Index h(Index i, Index j) const;
 
   /// LCS(a, b): the global score.
@@ -80,14 +60,6 @@ class SemiLocalKernel {
   /// suffix-prefix: LCS(a[s, m), b[0, j)).
   [[nodiscard]] Index suffix_prefix(Index s, Index j) const;
 
-  /// Materializes the dense (m+n+1)^2 distribution table for O(1) queries
-  /// (quadratic memory; only sensible for small inputs).
-  void enable_dense_queries();
-
-  /// Builds a wavelet tree for O(log n) queries in O(n log n) bits --
-  /// faster per query and smaller than the default merge-sort tree.
-  void enable_wavelet_queries();
-
   /// Full H matrix (size (m+n+1)^2), for tests and visualisation.
   [[nodiscard]] DenseMatrix to_h_matrix() const;
 
@@ -96,14 +68,9 @@ class SemiLocalKernel {
   [[nodiscard]] SemiLocalKernel flipped() const;
 
  private:
-  [[nodiscard]] Index sigma(Index i, Index j) const;
-
   Permutation kernel_;
   Index m_ = 0;
   Index n_ = 0;
-  mutable std::unique_ptr<MergesortTree> tree_;      // built lazily
-  std::unique_ptr<DensePrefixOracle> dense_;         // optional
-  std::unique_ptr<WaveletTree> wavelet_;             // optional
 };
 
 /// Kernel composition along a-concatenation (Theorem 3.4): from P_{a',b} and

@@ -6,12 +6,11 @@
 //   H(i, j) = j - i + m - sigma(i, j),
 //
 // shifted by a correction that accounts for the wildcard padding of
-// Definition 3.2's window (each wildcard contributes one free match). These
-// mappings used to be duplicated between SemiLocalKernel (core/kernel.cpp)
-// and the engine's thread-safe query layer (engine/query.cpp); both -- and
-// the shared QueryIndex -- now go through this header, so a formula fix in
-// one place fixes every query path (tests/test_query_index.cpp pins the
-// agreement on random kernels).
+// Definition 3.2's window (each wildcard contributes one free match). The
+// kernel's own scan (core/kernel.cpp), the QueryIndex and the engine's
+// compressed path all lower through this header, so a formula fix in one
+// place fixes every query path (tests/test_kernel.cpp and
+// tests/test_query_index.cpp pin the agreement on random kernels).
 #pragma once
 
 #include <algorithm>

@@ -1,14 +1,16 @@
-// Shared immutable query accelerator for a semi-local kernel.
+// Immutable query accelerator for a semi-local kernel.
 //
-// SemiLocalKernel's own query methods build a mergesort tree lazily behind a
-// `mutable` pointer -- correct for a single owner, a data race when one
-// cached kernel is shared by many serving threads. A QueryIndex is the
-// serving-path alternative: built exactly once from a kernel, immutable
+// SemiLocalKernel answers each query with one O(m + n) dominance scan of its
+// permutation. A caller that asks many windows of one kernel builds a
+// QueryIndex next to it instead: built once in O(n log n), immutable
 // afterwards, so any number of threads may query it concurrently with no
-// synchronization whatsoever. Queries run in O(log n) through a flattened
-// single-allocation wavelet tree (dominance/wavelet_tree.hpp) and the shared
-// coordinate formulas of core/query_formulas.hpp, replacing the engine's
-// former O(m + n) dominance scan on the warm path.
+// synchronization. Queries run in O(log n) through a flattened
+// single-allocation wavelet tree (dominance/wavelet_tree.hpp) and the
+// coordinate formulas of core/query_formulas.hpp that the kernel's own
+// methods use. It is the one query accelerator: the engine attaches one to
+// each served kernel that pays for it (CachedKernel::wants_index), and the
+// library's window sweeps (align/, semilocal_cli compare --profile, the
+// examples) hold one beside their kernel.
 #pragma once
 
 #include <algorithm>

@@ -8,16 +8,7 @@
 
 namespace semilocal {
 
-Index kernel_h(const SemiLocalKernel& kernel, Index i, Index j) {
-  check_h_range(kernel.order(), i, j);
-  return h_from_sigma(kernel.m(), i, j, kernel.permutation().dominance_sum(i, j));
-}
-
 namespace {
-
-Index scan_answer(const SemiLocalKernel& kernel, const HQuery& q) {
-  return kernel_h(kernel, q.i, q.j) - q.correction;
-}
 
 HQuery lower_window(Index m, Index n, const WindowQuery& w) {
   switch (w.kind) {
@@ -44,18 +35,6 @@ Index compressed_answer(const CompressedKernel& blob, const HQuery& q,
 }
 
 }  // namespace
-
-Index kernel_lcs(const SemiLocalKernel& kernel) {
-  return scan_answer(kernel, lcs_query(kernel.m(), kernel.n()));
-}
-
-Index kernel_string_substring(const SemiLocalKernel& kernel, Index j0, Index j1) {
-  return scan_answer(kernel, string_substring_query(kernel.m(), kernel.n(), j0, j1));
-}
-
-Index kernel_substring_string(const SemiLocalKernel& kernel, Index i0, Index i1) {
-  return scan_answer(kernel, substring_string_query(kernel.m(), kernel.n(), i0, i1));
-}
 
 Index answer_query(const CachedKernel& entry, QueryKind kind, Index x, Index y,
                    bool use_index, QueryCounters* counters) {
@@ -87,7 +66,8 @@ bool answer_query_batch(const CachedKernel& entry, const WindowQuery* windows,
   if (index == nullptr) {
     const SemiLocalKernel& kernel = entry.kernel();
     for (std::size_t t = 0; t < count; ++t) {
-      out[t] = scan_answer(kernel, lower_window(kernel.m(), kernel.n(), windows[t]));
+      const HQuery q = lower_window(kernel.m(), kernel.n(), windows[t]);
+      out[t] = kernel.h(q.i, q.j) - q.correction;
     }
     if (counters) counters->scanned.fetch_add(count, std::memory_order_relaxed);
     return true;

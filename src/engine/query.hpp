@@ -14,17 +14,18 @@
 //     block-by-block off the entry's CompressedKernel -- O(m + n) work like
 //     the scan but touching only compressed bytes plus one block's scratch,
 //     so cold-tail entries answer without ever being decoded in full.
-//   * Scan: the stateless O(m + n) dominance scan on the immutable
-//     permutation -- no hidden state, no synchronization, and for a
-//     one-shot query cheaper than building any structure.
+//   * Scan: the kernel's own query methods, each one stateless O(m + n)
+//     dominance scan of the immutable permutation -- no hidden state, no
+//     synchronization, and for a one-shot query cheaper than building any
+//     structure.
 //
 // answer_query() routes between them and feeds the queries_indexed /
 // queries_scanned / queries_compressed counters the stats endpoint surfaces.
 // Alignment-plot rows (answer_plot_row) at a profitable stride never build
 // or read an index: they walk the strip's permutation from one scanned
 // anchor.
-// All coordinate formulas come from core/query_formulas.hpp, the same header
-// SemiLocalKernel itself uses (Definition 3.2 / 3.3 of the paper).
+// All coordinate formulas come from core/query_formulas.hpp, the header
+// SemiLocalKernel and QueryIndex share (Definition 3.2 / 3.3 of the paper).
 #pragma once
 
 #include <atomic>
@@ -38,18 +39,6 @@
 #include "util/types.hpp"
 
 namespace semilocal {
-
-/// Element H(i, j) of the semi-local LCS matrix; i, j in [0, m+n].
-Index kernel_h(const SemiLocalKernel& kernel, Index i, Index j);
-
-/// LCS(a, b): the global score, H(m, n).
-Index kernel_lcs(const SemiLocalKernel& kernel);
-
-/// string-substring: LCS(a, b[j0, j1)), 0 <= j0 <= j1 <= n.
-Index kernel_string_substring(const SemiLocalKernel& kernel, Index j0, Index j1);
-
-/// substring-string: LCS(a[i0, i1), b), 0 <= i0 <= i1 <= m.
-Index kernel_substring_string(const SemiLocalKernel& kernel, Index i0, Index i1);
 
 /// The query kinds the serving path answers off a cached kernel.
 enum class QueryKind : std::uint8_t {

@@ -301,7 +301,7 @@ void KernelScheduler::run_kernels(std::unique_lock<std::mutex>& lock,
     // Score waiters (of an upgraded score job, or joined) read H(m, n) off
     // the kernel.
     if (!job.score_waiters.empty()) {
-      resolve(job.score_waiters, failure ? Index{0} : kernel_lcs(results[i]->kernel()),
+      resolve(job.score_waiters, failure ? Index{0} : results[i]->kernel().lcs(),
               failure);
     }
   }

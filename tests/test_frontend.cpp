@@ -767,8 +767,8 @@ TEST(Frontend, ServingStartsNoThreadBeyondTheLoop) {
   }
   const SemiLocalKernel oracle = semi_local_kernel(
       testing::random_string(300, 4, 621), testing::random_string(280, 4, 622));
-  EXPECT_EQ(answers[0].value, kernel_string_substring(oracle, 10, 200));
-  EXPECT_EQ(answers[1].value, kernel_substring_string(oracle, 20, 250));
+  EXPECT_EQ(answers[0].value, oracle.string_substring(10, 200));
+  EXPECT_EQ(answers[1].value, oracle.substring_string(20, 250));
   EXPECT_EQ(answers[2].value, testing::lcs_oracle(seq("GATTACAGATTACAGATTACA"),
                                                   seq("TACAGATTAGACATACAGAT")));
   EXPECT_TRUE(answers[answers.size() - 3].tile.has_value());
@@ -1016,7 +1016,7 @@ TEST(ScorePath, BatchAfterAQueuedWindowJobCombsItsOwnKernel) {
   engine.drain();
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   expect_one_frame(first, {window_oracle(window)}, "window");
-  expect_one_frame(second, {kernel_lcs(oracle), kernel_string_substring(oracle, 7, 55)},
+  expect_one_frame(second, {oracle.lcs(), oracle.string_substring(7, 55)},
                    "batch");
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.scores_computed, 1u);
@@ -1037,7 +1037,7 @@ TEST(ScorePath, WindowAfterAQueuedKernelJobJoinsIt) {
   EXPECT_EQ(engine.stats().scheduler.queue_depth, 1u);
   engine.drain();
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
-  expect_one_frame(first, {kernel_lcs(oracle), kernel_substring_string(oracle, 3, 40)},
+  expect_one_frame(first, {oracle.lcs(), oracle.substring_string(3, 40)},
                    "batch");
   expect_one_frame(second, {window_oracle(window)}, "window");
   const EngineStats stats = engine.stats();
@@ -1221,7 +1221,7 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
   auto response = client.recv();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->status, Status::kOk) << response->text;
-  EXPECT_EQ(response->value, kernel_string_substring(pair.oracle, 20, 300));
+  EXPECT_EQ(response->value, pair.oracle.string_substring(20, 300));
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
   EXPECT_EQ(reactor.engine.stats().queries.scanned, 1u);
   EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
@@ -1231,7 +1231,7 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
     client.send(pair.query(Op::kSubstringString, 35, 390));
     response = client.recv();
     ASSERT_TRUE(response.has_value());
-    ASSERT_EQ(response->value, kernel_substring_string(pair.oracle, 35, 390)) << "ask " << ask;
+    ASSERT_EQ(response->value, pair.oracle.substring_string(35, 390)) << "ask " << ask;
   }
   EXPECT_EQ(reactor.engine.stats().queries.scanned, kScansBeforeBuild);
   EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
@@ -1246,7 +1246,7 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
   response = client.recv();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->status, Status::kOk) << response->text;
-  EXPECT_EQ(response->value, kernel_substring_string(pair.oracle, 35, 390));
+  EXPECT_EQ(response->value, pair.oracle.substring_string(35, 390));
   EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 1; }));
   EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
@@ -1256,7 +1256,7 @@ TEST(Frontend, WindowsOnAnUnindexedEntryNeverBuildOnTheReactor) {
   client.send(pair.query(Op::kStringSubstring, 0, 380));
   response = client.recv();
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->value, kernel_string_substring(pair.oracle, 0, 380));
+  EXPECT_EQ(response->value, pair.oracle.string_substring(0, 380));
   EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild + 1);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
 }
@@ -1271,7 +1271,7 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
   auto response = client.recv();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->status, Status::kOk) << response->text;
-  EXPECT_EQ(response->value, kernel_lcs(pair.oracle));
+  EXPECT_EQ(response->value, pair.oracle.lcs());
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
   EXPECT_EQ(reactor.server.stats().inline_answers, 1u);
 
@@ -1280,7 +1280,7 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
     client.send(pair.query(Op::kLcs, 0, 0));
     response = client.recv();
     ASSERT_TRUE(response.has_value());
-    ASSERT_EQ(response->value, kernel_lcs(pair.oracle)) << "ask " << ask;
+    ASSERT_EQ(response->value, pair.oracle.lcs()) << "ask " << ask;
   }
   EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 0u);
@@ -1292,7 +1292,7 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
   reactor.engine.drain();
   response = client.recv();
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->value, kernel_lcs(pair.oracle));
+  EXPECT_EQ(response->value, pair.oracle.lcs());
   EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 1; }));
   EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 1u);
@@ -1315,7 +1315,7 @@ TEST(Frontend, BatchesAndScoresOnAnUnindexedEntryNeverBuildOnTheReactor) {
   ASSERT_EQ(response->status, Status::kOk) << response->text;
   const SemiLocalKernel oracle = semi_local_kernel(pair.a, c);
   EXPECT_EQ(response->values,
-            (std::vector<Index>{kernel_lcs(oracle), kernel_string_substring(oracle, 4, 250)}));
+            (std::vector<Index>{oracle.lcs(), oracle.string_substring(4, 250)}));
   EXPECT_TRUE(eventually([&] { return reactor.server.stats().pump_answers == 2; }));
   EXPECT_EQ(reactor.server.stats().inline_answers, kScansBeforeBuild);
   EXPECT_EQ(reactor.engine.stats().queries.index_builds, 2u);

@@ -105,9 +105,7 @@ TEST(Fuzz, QuadrantQueriesOnRandomKernels) {
     const Index n = rng.uniform(1, 40);
     const auto a = uniform_sequence(m, 4, rng.engine()());
     const auto b = uniform_sequence(n, 4, rng.engine()());
-    auto kernel = semi_local_kernel(a, b);
-    if (rng.bernoulli(0.33)) kernel.enable_dense_queries();
-    else if (rng.bernoulli(0.5)) kernel.enable_wavelet_queries();
+    const auto kernel = semi_local_kernel(a, b);
     const SequenceView va{a};
     const SequenceView vb{b};
     for (int q = 0; q < 20; ++q) {

@@ -373,9 +373,9 @@ TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
   const std::uint64_t computed = engine.stats().scheduler.computed;
   const SemiLocalKernel oracle = semi_local_kernel(doc, other);
   EXPECT_EQ(engine.string_substring(doc, other, 17, 250),
-            kernel_string_substring(oracle, 17, 250));
+            oracle.string_substring(17, 250));
   EXPECT_EQ(engine.substring_string(doc, other, 30, 301),
-            kernel_substring_string(oracle, 30, 301));
+            oracle.substring_string(30, 301));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.computed, computed) << "published pair was recomputed";
   EXPECT_EQ(stats.queries.index_builds, 0u);

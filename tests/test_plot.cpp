@@ -57,7 +57,7 @@ Index naive_cell(const Sequence& a, const Sequence& b, const PlotSpec& spec, Ind
                          a.begin() + static_cast<std::ptrdiff_t>(start + spec.window));
   const SemiLocalKernel strip = semi_local_kernel(strip_a, b);
   const Index j0 = spec.col_start(v);
-  return kernel_string_substring(strip, j0, j0 + spec.window);
+  return strip.string_substring(j0, j0 + spec.window);
 }
 
 /// Runs engine.alignment_plot and reassembles the stream into a dense grid
@@ -1134,7 +1134,7 @@ TEST(AlignmentPlotFrontend, SlowReaderPausesTheEngineStreamWithinTheWriteQueueCa
       const SemiLocalKernel strip = strip_kernel(a, b, spec, u);
       for (Index v = 0; v < spec.cols; ++v) {
         const Index j0 = spec.col_start(v);
-        ASSERT_EQ(assembler.cell(u, v), kernel_string_substring(strip, j0, j0 + spec.window))
+        ASSERT_EQ(assembler.cell(u, v), strip.string_substring(j0, j0 + spec.window))
             << "cell (" << u << ", " << v << ")";
       }
     }
@@ -1426,7 +1426,7 @@ TEST(AlignmentPlotRouter, SlowReaderPausesTheRelayWithinTheWriteQueueCap) {
       const SemiLocalKernel strip = semi_local_kernel(strip_a, b);
       for (Index v = 0; v < spec.cols; ++v) {
         const Index j0 = spec.col_start(v);
-        ASSERT_EQ(assembler.cell(u, v), kernel_string_substring(strip, j0, j0 + spec.window))
+        ASSERT_EQ(assembler.cell(u, v), strip.string_substring(j0, j0 + spec.window))
             << "cell (" << u << ", " << v << ")";
       }
     }

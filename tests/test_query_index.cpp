@@ -7,10 +7,10 @@
 //      with the pointer-built WaveletTree on random permutations, across
 //      sizes that cross word and superblock boundaries (including the
 //      n % 64 == 0 edge that exercises the pad word).
-//   2. QueryIndex, the engine scan layer, the SemiLocalKernel member API,
-//      and the brute-force prefix oracle all agree on random kernels for
-//      every query kind -- the formula-dedup guarantee of
-//      core/query_formulas.hpp, asserted end to end.
+//   2. QueryIndex, the engine's answer_query routing, the SemiLocalKernel
+//      member API (the scan), and the brute-force oracle all agree on
+//      random kernels for every query kind -- the formula-dedup guarantee
+//      of core/query_formulas.hpp, asserted end to end.
 //   3. Hammer tests: many threads query one shared CachedKernel
 //      concurrently (with and without a pre-built index) and every answer
 //      must match the single-threaded ground truth; the std::call_once
@@ -108,10 +108,10 @@ TEST(FlatWaveletTree, ProjectedBytesMatchesResidentBytes) {
   }
 }
 
-// Satellite (a): the two public query APIs -- SemiLocalKernel's members and
-// the engine's kernel_* scans -- answer from one shared formula header;
-// QueryIndex is the third consumer. All three must agree everywhere, and
-// match the literal Definition 3.3 oracle.
+// Three query paths answer from one shared formula header: SemiLocalKernel's
+// members (the scan), QueryIndex, and the engine's answer_query on its scan
+// route. All three must agree everywhere, and match the literal
+// Definition 3.3 oracle.
 TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     const auto a = testing::random_string(14 + static_cast<Index>(trial) * 3, 3,
@@ -126,7 +126,7 @@ TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
 
     EXPECT_EQ(index.lcs(), testing::lcs_oracle(a, b));
     EXPECT_EQ(index.lcs(), kernel.lcs());
-    EXPECT_EQ(index.lcs(), kernel_lcs(kernel));
+    EXPECT_EQ(index.lcs(), answer_query(entry, QueryKind::kLcs, 0, 0, /*use_index=*/false));
 
     for (Index j0 = 0; j0 <= n; ++j0) {
       for (Index j1 = j0; j1 <= n; ++j1) {
@@ -135,7 +135,7 @@ TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
         ASSERT_EQ(index.string_substring(j0, j1), expected)
             << "trial=" << trial << " j0=" << j0 << " j1=" << j1;
         ASSERT_EQ(kernel.string_substring(j0, j1), expected);
-        ASSERT_EQ(kernel_string_substring(kernel, j0, j1), expected);
+        ASSERT_EQ(answer_query(entry, QueryKind::kStringSubstring, j0, j1, false), expected);
       }
     }
     for (Index i0 = 0; i0 <= m; ++i0) {
@@ -145,7 +145,7 @@ TEST(QueryIndex, AllThreeQueryPathsAgreeWithOracle) {
         ASSERT_EQ(index.substring_string(i0, i1), expected)
             << "trial=" << trial << " i0=" << i0 << " i1=" << i1;
         ASSERT_EQ(kernel.substring_string(i0, i1), expected);
-        ASSERT_EQ(kernel_substring_string(kernel, i0, i1), expected);
+        ASSERT_EQ(answer_query(entry, QueryKind::kSubstringString, i0, i1, false), expected);
       }
     }
   }
@@ -273,20 +273,20 @@ TEST(QueryIndexHammer, ConcurrentLazyBuildAndQueries) {
   for (int q = 0; q < 64; ++q) {
     switch (rng.uniform(0, 2)) {
       case 0:
-        probes.push_back({QueryKind::kLcs, 0, 0, kernel_lcs(*kernel)});
+        probes.push_back({QueryKind::kLcs, 0, 0, kernel->lcs()});
         break;
       case 1: {
         const Index j0 = rng.uniform(0, n);
         const Index j1 = rng.uniform(j0, n);
         probes.push_back(
-            {QueryKind::kStringSubstring, j0, j1, kernel_string_substring(*kernel, j0, j1)});
+            {QueryKind::kStringSubstring, j0, j1, kernel->string_substring(j0, j1)});
         break;
       }
       default: {
         const Index i0 = rng.uniform(0, m);
         const Index i1 = rng.uniform(i0, m);
         probes.push_back(
-            {QueryKind::kSubstringString, i0, i1, kernel_substring_string(*kernel, i0, i1)});
+            {QueryKind::kSubstringString, i0, i1, kernel->substring_string(i0, i1)});
         break;
       }
     }
@@ -376,7 +376,7 @@ TEST(QueryIndexBuild, FirstOneWindowAskIsScanned) {
   const auto b = testing::random_string(150, 4, 42);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
-  EXPECT_EQ(engine.string_substring(a, b, 12, 130), kernel_string_substring(oracle, 12, 130));
+  EXPECT_EQ(engine.string_substring(a, b, 12, 130), oracle.string_substring(12, 130));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.scheduler.computed, 1u);
   EXPECT_EQ(stats.queries.scanned, 1u);
@@ -390,12 +390,12 @@ TEST(QueryIndexBuild, OneWindowAsksBelowTheThresholdScan) {
   const auto b = testing::random_string(150, 4, 50);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
-  EXPECT_EQ(engine.lcs(a, b), kernel_lcs(oracle));
+  EXPECT_EQ(engine.lcs(a, b), oracle.lcs());
   const CachedKernelPtr entry = engine.entry(a, b);
   for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
     const Index j0 = static_cast<Index>(ask % 100);
     ASSERT_EQ(engine.answer(*entry, QueryKind::kStringSubstring, j0, j0 + 50),
-              kernel_string_substring(oracle, j0, j0 + 50))
+              oracle.string_substring(j0, j0 + 50))
         << "ask " << ask;
   }
   const EngineStats stats = engine.stats();
@@ -411,15 +411,15 @@ TEST(QueryIndexBuild, ThresholdAskBuildsOnce) {
   const auto b = testing::random_string(150, 4, 44);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
-  EXPECT_EQ(engine.lcs(a, b), kernel_lcs(oracle));
+  EXPECT_EQ(engine.lcs(a, b), oracle.lcs());
   EXPECT_EQ(engine.stats().queries.index_builds, 0u);
   for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
-    ASSERT_EQ(engine.substring_string(a, b, 5, 99), kernel_substring_string(oracle, 5, 99));
+    ASSERT_EQ(engine.substring_string(a, b, 5, 99), oracle.substring_string(5, 99));
   }
   EXPECT_EQ(engine.stats().queries.index_builds, 0u);
   // The kScansPerBuild-th ask builds; the next reads the index.
-  EXPECT_EQ(engine.substring_string(a, b, 5, 99), kernel_substring_string(oracle, 5, 99));
-  EXPECT_EQ(engine.string_substring(a, b, 0, 150), kernel_string_substring(oracle, 0, 150));
+  EXPECT_EQ(engine.substring_string(a, b, 5, 99), oracle.substring_string(5, 99));
+  EXPECT_EQ(engine.string_substring(a, b, 0, 150), oracle.string_substring(0, 150));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries.scanned, kScansBeforeBuild);
   EXPECT_EQ(stats.queries.indexed, 2u);
@@ -433,13 +433,13 @@ TEST(QueryIndexBuild, BatchBuildsAtOnceBelowTheThreshold) {
   const auto b = testing::random_string(150, 4, 52);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
-  EXPECT_EQ(engine.string_substring(a, b, 3, 90), kernel_string_substring(oracle, 3, 90));
-  EXPECT_EQ(engine.string_substring(a, b, 4, 91), kernel_string_substring(oracle, 4, 91));
+  EXPECT_EQ(engine.string_substring(a, b, 3, 90), oracle.string_substring(3, 90));
+  EXPECT_EQ(engine.string_substring(a, b, 4, 91), oracle.string_substring(4, 91));
   EXPECT_EQ(engine.stats().queries.index_builds, 0u);
   const std::vector<WindowQuery> windows = {{QueryKind::kLcs, 0, 0},
                                             {QueryKind::kSubstringString, 30, 140}};
   EXPECT_EQ(engine.answer_batch(a, b, windows),
-            (std::vector<Index>{kernel_lcs(oracle), kernel_substring_string(oracle, 30, 140)}));
+            (std::vector<Index>{oracle.lcs(), oracle.substring_string(30, 140)}));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries.scanned, 2u);
   EXPECT_EQ(stats.queries.indexed, 2u);
@@ -454,9 +454,9 @@ TEST(QueryIndexBuild, BatchOnAFreshMissBuildsOnce) {
   const std::vector<WindowQuery> windows = {{QueryKind::kLcs, 0, 0},
                                             {QueryKind::kStringSubstring, 7, 70},
                                             {QueryKind::kSubstringString, 30, 140}};
-  const std::vector<Index> expected = {kernel_lcs(oracle),
-                                       kernel_string_substring(oracle, 7, 70),
-                                       kernel_substring_string(oracle, 30, 140)};
+  const std::vector<Index> expected = {oracle.lcs(),
+                                       oracle.string_substring(7, 70),
+                                       oracle.substring_string(30, 140)};
   EXPECT_EQ(engine.answer_batch(a, b, windows), expected);
   EXPECT_EQ(engine.answer_batch(a, b, windows), expected);
   const EngineStats stats = engine.stats();
@@ -471,10 +471,10 @@ TEST(QueryIndexBuild, ConcurrentThresholdAsksBuildOnce) {
   const auto b = testing::random_string(280, 4, 48);
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   ComparisonEngine engine(one_worker());
-  EXPECT_EQ(engine.lcs(a, b), kernel_lcs(oracle));  // the first ask: scanned
+  EXPECT_EQ(engine.lcs(a, b), oracle.lcs());  // the first ask: scanned
   const CachedKernelPtr entry = engine.entry(a, b);
   for (std::uint64_t ask = 1; ask < kScansBeforeBuild; ++ask) {
-    ASSERT_EQ(engine.answer(*entry, QueryKind::kLcs, 0, 0), kernel_lcs(oracle));
+    ASSERT_EQ(engine.answer(*entry, QueryKind::kLcs, 0, 0), oracle.lcs());
   }
   // Every ask from here on reaches the threshold: they race one build.
   constexpr int kThreads = 8;
@@ -485,7 +485,7 @@ TEST(QueryIndexBuild, ConcurrentThresholdAsksBuildOnce) {
     team.emplace_back([&, t] {
       const Index j0 = 10 * t;
       if (engine.answer(*entry, QueryKind::kStringSubstring, j0, j0 + 200) !=
-          kernel_string_substring(oracle, j0, j0 + 200)) {
+          oracle.string_substring(j0, j0 + 200)) {
         mismatches.fetch_add(1);
       }
     });

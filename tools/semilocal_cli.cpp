@@ -72,6 +72,7 @@
 #include "core/api.hpp"
 #include "core/braid_render.hpp"
 #include "core/kernel_codec.hpp"
+#include "core/query_index.hpp"
 #include "core/serialize.hpp"
 #include "engine/corpus.hpp"
 #include "engine/corpus_version.hpp"
@@ -142,9 +143,10 @@ int cmd_compare(const CliArgs& args) {
   if (width > 0) {
     if (width > kernel.n()) throw std::invalid_argument("--profile wider than |b|");
     std::cout << "\nwindow profile (width " << width << "):\n";
+    const QueryIndex index(kernel);
     const Index step = std::max<Index>(1, width / 2);
     for (Index j0 = 0; j0 + width <= kernel.n(); j0 += step) {
-      const Index s = kernel.string_substring(j0, j0 + width);
+      const Index s = index.string_substring(j0, j0 + width);
       std::cout << "  b[" << j0 << ", " << j0 + width << "): LCS " << s << " ("
                 << 100.0 * static_cast<double>(s) / static_cast<double>(width) << "%)\n";
     }

@@ -127,11 +127,11 @@ Index expected_value(const Workload& workload, std::size_t idx, const Request& r
   const SemiLocalKernel& kernel = workload.kernels[idx];
   switch (request.op) {
     case Op::kLcs:
-      return kernel_lcs(kernel);
+      return kernel.lcs();
     case Op::kStringSubstring:
-      return kernel_string_substring(kernel, request.x, request.y);
+      return kernel.string_substring(request.x, request.y);
     case Op::kSubstringString:
-      return kernel_substring_string(kernel, request.x, request.y);
+      return kernel.substring_string(request.x, request.y);
     default:
       return -1;
   }
