@@ -115,8 +115,8 @@ class KernelStore {
   /// every disk failure mode: those degrade to a miss, never throw). v3
   /// disk hits come back compressed-resident (promoted to decoded entries
   /// once hot; see KernelStoreOptions); v2 hits come back decoded with no
-  /// query index yet -- the index is rebuilt lazily on first query (it is
-  /// never persisted).
+  /// query index yet -- it is built when the entry first wants one
+  /// (CachedKernel::wants_index; an index is never persisted).
   CachedKernelPtr find(const PairKey& key);
 
   /// Inserts into the cache and (if configured) persists the kernel to disk
