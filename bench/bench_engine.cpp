@@ -37,6 +37,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -786,12 +787,15 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
 // upsert_sweep: the incremental-corpus update path (engine/corpus_version)
 // measured end to end -- update cost vs document length vs edit shape. Each
 // seeded edit script runs through two managers side by side, edit by edit,
-// with the same engine and store configuration: one gated (each pair takes
-// the cheapest of the Cached / Resume / Whole plans) and one as the
-// whole-recompute ablation, where every edited document is removed
-// (untimed) before its upsert, so the corpus has no previous version to
-// resume from and each pair not already in the store is recombed whole.
-// Three shapes:
+// with the same engine and store configuration: one gated (each pair is
+// Cached, Resumed or left to the read path) and one as the whole-recompute
+// ablation, where every edited document is removed (untimed) before its
+// upsert, so the corpus has no previous version to resume from. An upsert
+// combs no pair it does not resume, so on both sides the timed region is
+// the upsert and then a read of each of the edited document's pairs
+// through the engine, which combs every deferred pair whole. Both sides
+// read every pair once after the untimed build, as a client would, so the
+// first append has a pair kernel to resume from. Three shapes:
 //
 //   append_<L>  two documents of L symbols, 1000-symbol appends (one
 //               chunk-wide tail strip and one compose per upsert);
@@ -804,12 +808,12 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
 //               (mixed_r0..r2), fresh managers each, the side that goes
 //               first swapping from round to round.
 //
-// Every leg's published pair kernels are bit-compared against fresh
-// semi_local_kernel computes at the end. The append crossover is the
-// honest story: a fresh SIMD comb is O(mn) with a tiny constant while a
-// steady-ant compose is O(N log N) with a large one, so at 8000 x 8000 the
-// append wins ~2x and at 32000 the quadratic term dominates -- that larger
-// point is the gated one. The mixed leg is gated too: on corpus-sized
+// Every leg's published pair kernels, read through the engine, are
+// bit-compared against fresh semi_local_kernel computes at the end. The
+// append crossover is the honest story: a fresh SIMD comb is O(mn) with a
+// tiny constant while a steady-ant compose is O(N log N) with a large one,
+// so at 8000 x 8000 the append wins ~2x and at 32000 the quadratic term
+// dominates -- that larger point is the gated one. The mixed leg is gated too: on corpus-sized
 // documents the gate must not lose to whole recompute, in the median of
 // its three rounds (bounds in bench/gates.tsv).
 struct UpsertLeg {
@@ -896,10 +900,11 @@ using UpsertEdit = std::function<std::size_t(std::vector<Sequence>& docs, Rng& r
 /// One edit script through two managers side by side, each on its own
 /// engine and store: gated, and the whole-recompute ablation, which removes
 /// the edited document (untimed) before each upsert. Both build the corpus
-/// from `docs` untimed, then take the same edits, alternating which side
-/// goes first so drift in machine speed lands on both; side `first` (0 =
-/// gated) leads the first edit. Every published pair kernel is
-/// oracle-checked at the end. Returns {gated, whole}.
+/// from `docs` and read every pair untimed, then take the same edits --
+/// each timed as the upsert plus a read of the edited document's pairs --
+/// alternating which side goes first so drift in machine speed lands on
+/// both; side `first` (0 = gated) leads the first edit. Every published
+/// pair kernel is oracle-checked at the end. Returns {gated, whole}.
 std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
                                                 std::vector<Sequence> docs, Index chunk,
                                                 int workers, std::size_t cache_bytes,
@@ -919,6 +924,16 @@ std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
     std::string id = "d";
     id += std::to_string(d);
     return id;
+  };
+  // Reads document d's pairs through the engine, all at once, as a client
+  // would: a pair the upsert left to the read path is combed here. Pairs
+  // are (lower id, higher id), and ids sort as indices.
+  const auto read_pairs = [&docs](ComparisonEngine& engine, std::size_t d) {
+    std::vector<std::shared_future<CachedKernelPtr>> reads;
+    for (std::size_t j = 0; j < docs.size(); ++j) {
+      if (j != d) reads.push_back(engine.entry_async(docs[std::min(d, j)], docs[std::max(d, j)]));
+    }
+    for (const auto& read : reads) (void)read.get();
   };
   std::array<Side, 2> sides;  // [0] gated, [1] whole
   for (std::size_t k = 0; k < sides.size(); ++k) {
@@ -944,6 +959,7 @@ std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
     for (std::size_t d = 0; d < docs.size(); ++d) {
       (void)side.corpus->upsert_document(id_of(d), docs[d]);  // untimed build
     }
+    for (std::size_t d = 0; d < docs.size(); ++d) read_pairs(*side.engine, d);
   }
 
   Rng rng(77);
@@ -956,6 +972,7 @@ std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
       Timer timer;
       const std::clock_t cpu_start = std::clock();  // every thread of the process
       const UpsertReport report = side.corpus->upsert_document(id_of(d), docs[d]);
+      read_pairs(*side.engine, d);
       side.cpu_ms.push_back(1e3 * static_cast<double>(std::clock() - cpu_start) /
                             CLOCKS_PER_SEC);
       side.wall_ms.push_back(timer.milliseconds());
@@ -972,12 +989,12 @@ std::pair<UpsertLeg, UpsertLeg> run_upsert_legs(const std::string& name,
     double cpu_total = 0.0;
     for (const double ms : side.cpu_ms) cpu_total += ms;
     side.leg.mean_cpu_ms = cpu_total / static_cast<double>(side.cpu_ms.size());
-    // Ground truth: every published pair kernel must be bit-identical to a
-    // fresh full compute over the final document bytes (ids sort as indices).
+    // Ground truth: every published pair kernel, read through the engine
+    // (combed if no read did so yet), must be bit-identical to a fresh full
+    // compute over the final document bytes (ids sort as indices).
     for (std::size_t i = 0; i < docs.size(); ++i) {
       for (std::size_t j = i + 1; j < docs.size(); ++j) {
-        const CachedKernelPtr published =
-            side.engine->store().find(make_pair_key(docs[i], docs[j]));
+        const CachedKernelPtr published = side.engine->entry(docs[i], docs[j]);
         if (published == nullptr ||
             published->kernel().permutation() !=
                 semi_local_kernel(docs[i], docs[j]).permutation()) {

@@ -176,8 +176,7 @@ void CorpusManager::publish_locked(const std::vector<CorpusIndexEntry>& entries,
 
 /// One upsert or remove, from its turn to its commit.
 struct CorpusManager::Write {
-  /// A recombed pair: Whole (no base, one strip) or Resume (the previous
-  /// pair kernel, one strip per tail chunk).
+  /// A Resume pair: the previous pair kernel and one strip per tail chunk.
   struct Pending {
     PairKey key;
     bool a_side = false;
@@ -264,11 +263,12 @@ void CorpusManager::plan(const std::shared_ptr<Write>& write) {
                          std::equal(it->second.bytes.begin(), it->second.bytes.end(),
                                     bytes.begin());
 
-    // Plan every pair, submitting its comb jobs at once so the scheduler
-    // batches them; each kernel lands in its strip slot (`pending` is
-    // reserved: slots never move). Store writes are additive and
-    // content-addressed, so a failure (or crash) beyond this point never
-    // corrupts the previous generation.
+    // Plan every pair. Only a Resume pair combs here: its tail strips are
+    // submitted at once so the scheduler batches them, and each kernel
+    // lands in its strip slot (`pending` is reserved: slots never move).
+    // Any other pair is left to the read path, which combs it on demand.
+    // Store writes are additive and content-addressed, so a failure (or
+    // crash) beyond this point never corrupts the previous generation.
     KernelStore& store = engine_.store();
     write->pending.reserve(docs_.size());
     for (const auto& [other_id, other] : docs_) {
@@ -278,29 +278,28 @@ void CorpusManager::plan(const std::shared_ptr<Write>& write) {
       const auto key_of = [&](SequenceView doc) {
         return a_side ? make_pair_key(doc, other.bytes) : make_pair_key(other.bytes, doc);
       };
-      Write::Pending pair{.key = key_of(bytes), .a_side = a_side, .base = nullptr, .strips = {}};
-      if (store.find(pair.key) != nullptr) {
+      const PairKey key = key_of(bytes);
+      if (store.find(key) != nullptr) {
         ++report.chunks_reused;  // Cached
         continue;
       }
-      if (extends && resume_profitable(new_len, static_cast<Index>(other.bytes.size()),
-                                       new_len - kept, options_.chunk)) {
-        pair.base = store.find(key_of(it->second.bytes));
+      if (!extends || !resume_profitable(new_len, static_cast<Index>(other.bytes.size()),
+                                         new_len - kept, options_.chunk)) {
+        continue;  // deferred to the read path
       }
+      CachedKernelPtr base = store.find(key_of(it->second.bytes));
+      if (base == nullptr) continue;  // deferred: the previous kernel is gone
+      ++report.prefix_reused;  // Resume
       std::vector<SequenceView> tails;
-      if (pair.base == nullptr) {
-        tails.emplace_back(bytes);  // Whole
-      } else {
-        ++report.prefix_reused;  // Resume
-        for (Index lo = kept; lo < new_len; lo += options_.chunk) {
-          tails.push_back(SequenceView(bytes).subspan(
-              static_cast<std::size_t>(lo),
-              static_cast<std::size_t>(std::min(options_.chunk, new_len - lo))));
-        }
+      for (Index lo = kept; lo < new_len; lo += options_.chunk) {
+        tails.push_back(SequenceView(bytes).subspan(
+            static_cast<std::size_t>(lo),
+            static_cast<std::size_t>(std::min(options_.chunk, new_len - lo))));
       }
-      pair.strips.resize(tails.size());
-      write->pending.push_back(std::move(pair));
+      write->pending.push_back(Write::Pending{
+          .key = key, .a_side = a_side, .base = std::move(base), .strips = {}});
       std::vector<CachedKernelPtr>& strips = write->pending.back().strips;
+      strips.resize(tails.size());
       for (std::size_t k = 0; k < tails.size(); ++k) {
         ++report.chunks_computed;
         CachedKernelPtr* slot = &strips[k];
@@ -360,7 +359,6 @@ void CorpusManager::settle(const std::shared_ptr<Write>& write) {
 
 UpsertReport CorpusManager::commit(Write& write) {
   for (Write::Pending& pair : write.pending) {
-    if (pair.base == nullptr) continue;  // Whole: the scheduler published it
     CachedKernelPtr acc = std::move(pair.base);
     for (const CachedKernelPtr& strip : pair.strips) {
       const SemiLocalKernel& tail = strip->kernel();
@@ -406,9 +404,6 @@ UpsertReport CorpusManager::commit(Write& write) {
         throw CorpusPublishError(std::string("corpus: document write: ") + e.what());
       }
     }
-    // Give any pair/strip kernels that hit a transient persist fault one
-    // more chance to land before the index references them.
-    if (write.bytes) engine_.store().retry_pending();
     publish_locked(entries, new_generation);
   } catch (...) {
     // The commit failed: disk still holds the previous generation, so roll

@@ -1,41 +1,48 @@
 // Versioned incremental corpus: cost-gated upserts.
 //
-// A CorpusManager owns a mutable set of named documents and keeps the pair
-// kernel of every document pair published in the engine's KernelStore,
-// content-addressed under make_pair_key of the pair's bytes. An upsert plans
-// each pair (doc, other) one of three ways:
+// A CorpusManager owns a mutable set of named documents. An upsert commits
+// the document's bytes, its version and index.tsv, which lists every live
+// pair with the content key (make_pair_key of the pair's bytes) its kernel
+// has in the engine's KernelStore. A pair kernel is a content-addressed
+// store entry like any other: the read path combs it on demand, by the
+// engine's rule (a pair's first one-window ask is a window job, its second
+// combs the kernel). An upsert plans each pair (doc, other) one of three
+// ways:
 //
 //   * Cached: the new pair kernel is already in the store (a truncation
 //     back to earlier bytes, a re-add), so nothing is computed.
-//   * Resume: the new bytes strictly extend the document's current bytes
-//     and the store holds the current pair kernel. The appended tail is
-//     combed in strips of at most `chunk` symbols, and each strip is
-//     composed onto that kernel by the steady-ant product (Thm 3.4): the
-//     comb pays only tail x n cells, plus O((m+n) log(m+n)) per compose.
-//   * Whole: the pair is recombed from scratch.
+//   * Resume: the new bytes strictly extend the document's current bytes,
+//     resume_profitable() says the append pays, and the store holds the
+//     current pair kernel. The appended tail is combed in strips of at
+//     most `chunk` symbols, and each strip is composed onto that kernel by
+//     the steady-ant product (Thm 3.4): the comb pays only tail x n cells,
+//     plus O((m+n) log(m+n)) per compose. This runs at upsert time because
+//     the base kernel may be evicted before the pair is next read.
+//   * Deferred: anything else. The upsert combs nothing; the pair's first
+//     read combs it whole.
 //
-// resume_profitable() picks between Resume and Whole from sizes alone; a
-// compose has a floor that only long documents amortise.
+// Most pair versions are never read (a document changes again first), so
+// combing only the ones someone reads saves most of the upsert's work.
 //
 // Writers take turns: an upsert or remove starts once the previous one has
-// committed. An upsert plans on a scheduler worker and submits every comb
-// job -- whole pairs and tail strips alike -- at once (entry_then), so no
-// pair waits on another and all of them meet the same backpressure
-// (EngineOverloaded) as queries; the thread that completes the last one
-// composes and commits. None of them builds a QueryIndex; a published pair
-// builds its index once its point queries have cost about one build (or on
-// its first batch), per CachedKernel::wants_index.
+// committed. An upsert plans on a scheduler worker and submits every
+// Resume tail strip at once (entry_then), so no strip waits on another and
+// all of them meet the same backpressure (EngineOverloaded) as queries; the
+// thread that completes the last one composes and commits. None of them
+// builds a QueryIndex; a pair builds its index once its point queries have
+// cost about one build (or on its first batch), per
+// CachedKernel::wants_index.
 //
-// Publish protocol (crash consistency; see DESIGN.md §14): kernels land in
-// the store first (additive and content-addressed, so a crash leaves
-// orphans, never torn state), then the new document bytes land via
-// temp-file + rename, and finally the whole index.tsv -- generation header,
-// per-document version manifest, versioned pair entries -- is republished
-// atomically via temp + rename. The rename is the commit point: a reader
-// (or a restarted manager) sees the previous generation or the new one,
-// entire, never a blend. In-memory state is mutated only after the commit
-// succeeds. Old-version pair kernels are never touched: the new bytes hash
-// to new keys, and stale entries age out of the cache.
+// Publish protocol (crash consistency; see DESIGN.md §14): composed Resume
+// kernels land in the store first (additive and content-addressed, so a
+// crash leaves orphans, never torn state), then the new document bytes land
+// via temp-file + rename, and finally the whole index.tsv -- generation
+// header, per-document version manifest, versioned pair entries -- is
+// republished atomically via temp + rename. The rename is the commit point:
+// a reader (or a restarted manager) sees the previous generation or the new
+// one, entire, never a blend. In-memory state is mutated only after the
+// commit succeeds. Old-version pair kernels are never touched: the new
+// bytes hash to new keys, and stale entries age out of the cache.
 #pragma once
 
 #include <cmath>
@@ -77,8 +84,11 @@ struct UpsertReport {
   Index version = 0;            ///< document version after the call
   std::uint64_t generation = 0; ///< corpus generation after the call
   bool changed = false;         ///< false = same bytes, nothing republished
-  std::size_t pairs = 0;  ///< pairs planned against the other documents
-  /// Comb jobs run: one per Whole pair, one per tail strip of a Resume pair.
+  /// Pairs planned against the other documents. Those on neither the
+  /// Cached nor the Resume plan, pairs - chunks_reused - prefix_reused, are
+  /// deferred: the upsert combs nothing for them.
+  std::size_t pairs = 0;
+  /// Comb jobs run: one per tail strip of a Resume pair.
   std::size_t chunks_computed = 0;
   /// Pairs on the Cached plan: the new pair kernel was already in the store.
   std::size_t chunks_reused = 0;
@@ -101,8 +111,8 @@ class CorpusPublishError : public std::runtime_error {
 
 class CorpusManager {
  public:
-  /// Binds to `engine` (whose store receives every pair and tail-strip
-  /// kernel). If `options.dir` holds an index.tsv, the corpus -- documents,
+  /// Binds to `engine` (whose store receives every tail strip and composed
+  /// Resume kernel). If `options.dir` holds an index.tsv, the corpus -- documents,
   /// versions, generation -- is loaded from it.
   CorpusManager(ComparisonEngine& engine, CorpusManagerOptions options);
   /// Waits for the write in flight, and those queued behind it, to commit:
@@ -113,9 +123,9 @@ class CorpusManager {
 
   /// Inserts or updates a document. Identical bytes are a no-op (the
   /// current version is echoed; nothing is republished), which makes
-  /// retried/failed-over upserts idempotent. Otherwise publishes the pair
-  /// kernel against every other document (Cached, Resume or Whole), bumps
-  /// the document version and corpus generation, and publishes atomically.
+  /// retried/failed-over upserts idempotent. Otherwise plans the pair with
+  /// every other document (Cached, Resume or deferred), bumps the document
+  /// version and corpus generation, and publishes atomically.
   /// Throws std::invalid_argument on a malformed id, EngineOverloaded under
   /// scheduler backpressure, CorpusPublishError when the commit fails.
   UpsertReport upsert_document(const std::string& id, Sequence bytes);
@@ -181,11 +191,12 @@ class CorpusManager {
 };
 
 /// Whether an append resumes from the previous pair kernel rather than
-/// recombing the pair whole. The document grows to `m` symbols by a `tail`,
-/// against an `other` of `n` symbols; the tail is combed in strips of at
-/// most `chunk` symbols, each composed onto the kernel. Resume costs
-/// tail x n comb cells plus one steady-ant product of order m + n per
-/// strip, Whole costs m x n cells; ties go to Whole. The constants are
+/// leaving the pair to be recombed whole when it is read. The document
+/// grows to `m` symbols by a `tail`, against an `other` of `n` symbols; the
+/// tail is combed in strips of at most `chunk` symbols, each composed onto
+/// the kernel. Resume costs tail x n comb cells plus one steady-ant product
+/// of order m + n per strip, a whole recomb m x n cells; ties go to the
+/// recomb. The constants are
 /// committed rows: 0.176 ns/cell is `score_kernels` {length 8000,
 /// alphabet 4} `comb_ms` in results/bench_micro.json (11.29 ms over
 /// 8000^2 cells), and 27.5 ns per N log2 N step is the 16384 row's

@@ -27,8 +27,10 @@
 // operations instead of an O(mn) comb plus a scan. The scheduler's score
 // memo marks the pair asked, so its next one-window ask combs the kernel
 // (or joins one in flight), and every later ask reuses it. A batch of two
-// or more windows, a plot strip, an upsert and the library calls (lcs(),
-// string_substring(), answer_batch() ...) comb the kernel at once.
+// or more windows, a plot strip and the library calls (lcs(),
+// string_substring(), answer_batch() ...) comb the kernel at once. A corpus
+// upsert combs only the tail strips of the pairs it resumes; its other
+// pairs wait for these reads.
 //
 // A cached entry can carry a shared immutable QueryIndex (built once, read
 // lock-free; see engine/query.hpp), so on the warm path queries cost
@@ -37,8 +39,8 @@
 // batch of two or more windows builds the index (once) and uses it;
 // one-window asks are scanned until they have cost about one build, and
 // the ask that reaches that builds it. So a pair asked a few windows pays
-// no build, and plot strips and corpus upsert kernels, which are walked,
-// composed or rarely queried, never build one. A build runs where the
+// no build, and plot strips and corpus upsert strips, which are walked or
+// composed, never build one. A build runs where the
 // answer is computed: on the caller of
 // this facade, or on a scheduler worker when serving -- never on the
 // reactor. No serving thread blocks on compute: entry_then and score_then

@@ -659,6 +659,100 @@ TEST(ScorePath, PairsBeyondTheByteAlphabetStillScoreExactly) {
   EXPECT_EQ(score.get(), testing::lcs_oracle(a, b));
 }
 
+TEST(ScorePath, ConcurrentColdAsksMatchTheOracle) {
+  // The cold path under contention: 8 client threads, released together,
+  // ask never-seen pairs -- the global score of one, a single window of the
+  // next -- through score_async and score_then on 4 workers. Some window
+  // pairs are asked twice: the second ask combs the kernel, unless another
+  // pair took the pair's score memo slot since, and then it is a window job
+  // again. Both must answer exactly.
+  constexpr int kThreads = 8;
+  constexpr int kPairsPerThread = 48;
+  constexpr std::size_t kMemoSlots = 4096;  // KernelScheduler's direct-mapped memo
+  // Declared before the engine: a late callback never outlives them.
+  std::atomic<int> wrong{0};
+  std::atomic<int> answered{0};
+  EngineOptions options;
+  options.scheduler.workers = 4;
+  options.scheduler.max_queue = 4096;  // no shedding: every ask is answered
+  ComparisonEngine engine(options);
+
+  struct Ask {
+    Sequence a;
+    Sequence b;
+    WindowQuery query;
+    Index want = 0;
+    bool twice = false;
+  };
+  std::vector<std::vector<Ask>> asks(kThreads);
+  std::unordered_map<std::size_t, int> slots;
+  int collisions = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int p = 0; p < kPairsPerThread; ++p) {
+      const auto seed = static_cast<std::uint64_t>(1000 + 2 * (t * kPairsPerThread + p));
+      Ask ask;
+      ask.a = testing::random_string(40 + (p % 7) * 9, 4, seed);
+      ask.b = testing::random_string(50 + (p % 5) * 11, 4, seed + 1);
+      const auto n = static_cast<Index>(ask.b.size());
+      if (p % 2 == 0) {
+        ask.want = testing::lcs_oracle(ask.a, ask.b);
+      } else {
+        ask.query = {QueryKind::kStringSubstring, p % n, n - p % 3};
+        ask.want = testing::lcs_oracle(
+            ask.a, SequenceView(ask.b).subspan(static_cast<std::size_t>(ask.query.x),
+                                               static_cast<std::size_t>(ask.query.y -
+                                                                        ask.query.x)));
+        ask.twice = p % 4 == 1;
+      }
+      collisions += slots[PairKeyHash{}(make_pair_key(ask.a, ask.b)) % kMemoSlots]++ > 0;
+      asks[static_cast<std::size_t>(t)].push_back(std::move(ask));
+    }
+  }
+  ASSERT_GT(collisions, 0) << "no two pairs share a memo slot: the test is vacuous";
+
+  int expected = 0;
+  for (const auto& thread_asks : asks) {
+    for (const Ask& ask : thread_asks) expected += ask.twice ? 2 : 1;
+  }
+  std::latch start(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      const auto check = [&](Index want) {
+        return [&, want](Index got, std::exception_ptr failure) {
+          if (failure || got != want) wrong.fetch_add(1);
+          answered.fetch_add(1);
+        };
+      };
+      start.arrive_and_wait();
+      for (const Ask& ask : asks[static_cast<std::size_t>(t)]) {
+        try {
+          if (ask.query.kind == QueryKind::kLcs) {
+            check(ask.want)(engine.score_async(ask.a, ask.b).get(), nullptr);
+            continue;
+          }
+          for (int round = 0; round < (ask.twice ? 2 : 1); ++round) {
+            ScoreThen then = check(ask.want);
+            if (const auto now = engine.score_then(ask.a, ask.b, ask.query, then)) {
+              then(*now, nullptr);
+            }
+          }
+        } catch (...) {
+          wrong.fetch_add(1);
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (int spin = 0; answered.load() < expected && spin < 10000; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(answered.load(), expected);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(engine.stats().scheduler.rejected, 0u);
+}
+
 TEST(QueryLayer, MatchesBruteForceOracle) {
   const auto a = testing::random_string(18, 3, 11);
   const auto b = testing::random_string(23, 3, 12);

@@ -1064,46 +1064,6 @@ TEST(ScorePath, WindowAfterAQueuedScoreJobUpgradesIt) {
   EXPECT_EQ(stats.scheduler.computed, 1u);
 }
 
-TEST(ScorePath, PointQueryDuringAnUpsertCombJoinsIt) {
-  ComparisonEngine engine(small_engine(0));
-  CorpusManager corpus(engine, CorpusManagerOptions{});
-  EngineService service(engine, &corpus);
-  const Sequence d0 = testing::random_string(90, 4, 711);
-  const Sequence d1 = testing::random_string(85, 4, 712);
-  Request upsert;
-  upsert.op = Op::kUpsert;
-  upsert.a = seq("d0");
-  upsert.b = d0;
-  Step seeded = service.begin(Request(upsert), /*may_defer=*/true);
-  engine.drain();
-  expect_one_frame(seeded, {1}, "upsert d0");
-  ASSERT_EQ(engine.stats().scheduler.computed, 0u);  // one document: no pair
-
-  // Tasks run ahead of jobs, the newest first: the upsert's plan runs, queues
-  // its comb of (d0, d1), and then the point query arrives with it in flight.
-  const Request point = window_request(d0, d1, Op::kStringSubstring, 9, 70);
-  std::optional<Step> during;
-  std::size_t depth_at_point = 0;
-  engine.submit_task([&] {
-    depth_at_point = engine.stats().scheduler.queue_depth;
-    during = service.begin(Request(point), /*may_defer=*/true);
-  });
-  upsert.a = seq("d1");
-  upsert.b = d1;
-  Step publish = service.begin(Request(upsert), /*may_defer=*/true);
-  engine.drain();
-  EXPECT_EQ(depth_at_point, 1u);  // the comb
-  ASSERT_TRUE(during.has_value());
-  expect_one_frame(*during, {window_oracle(point)}, "point query");
-  const std::vector<Response> frames = frames_of(publish);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].status, Status::kOk) << frames[0].text;
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scheduler.computed, 1u);
-  EXPECT_EQ(stats.scheduler.scores_computed, 0u);
-  EXPECT_EQ(stats.scheduler.coalesced, 1u);
-}
-
 TEST(ScorePath, BadWindowIsAnErrorAndCombsNothing) {
   ComparisonEngine engine(small_engine(0));
   EngineService service(engine, nullptr, false, /*drain_inline=*/true);

@@ -2,14 +2,15 @@
 //
 // The load-bearing suite is EditScriptDifferentialOracle: 200+ seeded random
 // edit steps (append / in-place edit / truncate / delete / re-add) against a
-// CorpusManager, where after EVERY upsert the published pair kernel of every
-// document pair is bit-compared -- the full permutation, not a summary
-// statistic -- against a fresh semi_local_kernel computed from the shadow
-// copy of the documents. Any divergence on an upsert plan (a Cached kernel
-// under the wrong key, a Resume composed in the wrong order or off by one
-// at a strip boundary) fails here deterministically. The 216 small scripts
-// all recompute Whole; a few more scripts on documents past the resume
-// gate's crossover drive the Resume plan through the same oracle.
+// CorpusManager, where after EVERY upsert the pair kernel of every document
+// pair, read the way a client reads it, is bit-compared -- the full
+// permutation, not a summary statistic -- against a fresh semi_local_kernel
+// computed from the shadow copy of the documents. Any divergence on an
+// upsert plan (a Cached kernel under the wrong key, a Resume composed in the
+// wrong order or off by one at a strip boundary) fails here
+// deterministically. The 216 small scripts defer every changed pair to the
+// read; a few more scripts on documents past the resume gate's crossover
+// drive the Resume plan through the same oracle.
 //
 // The suite also pins the resume gate and each plan's accounting, pins
 // IncrementalKernel::append_a/append_b against fresh kernels across uneven
@@ -22,6 +23,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +33,6 @@
 #include "engine/corpus.hpp"
 #include "engine/corpus_version.hpp"
 #include "engine/engine.hpp"
-#include "engine/key.hpp"
 #include "oracles.hpp"
 #include "scratch.hpp"
 #include "util/random.hpp"
@@ -74,13 +75,21 @@ void expect_kernel_equal(const SemiLocalKernel& got, const SemiLocalKernel& want
   }
 }
 
-/// The published pair kernel for (a, b) must exist in the store under the
-/// content key and bit-match a fresh full recompute.
+/// The pair kernel of (a, b), read as engine.entry reads it: the store's
+/// entry, else combed on demand (drained here for workers = 0 engines).
+CachedKernelPtr read_pair(ComparisonEngine& engine, const Sequence& a, const Sequence& b) {
+  auto pending = engine.entry_async(a, b);
+  engine.drain();
+  return pending.get();
+}
+
+/// The published pair kernel for (a, b), read through the engine, must
+/// bit-match a fresh full recompute.
 void expect_published_pair_matches_oracle(ComparisonEngine& engine,
                                           const Sequence& a, const Sequence& b,
                                           const std::string& context) {
-  const CachedKernelPtr cached = engine.store().find(make_pair_key(a, b));
-  ASSERT_NE(cached, nullptr) << context << ": pair kernel missing from store";
+  const CachedKernelPtr cached = read_pair(engine, a, b);
+  ASSERT_NE(cached, nullptr) << context << ": pair kernel not served";
   const SemiLocalKernel oracle = semi_local_kernel(a, b);
   expect_kernel_equal(cached->kernel(), oracle, context);
 }
@@ -88,16 +97,16 @@ void expect_published_pair_matches_oracle(ComparisonEngine& engine,
 // ---------------------------------------------------------------------------
 // The differential oracle sweep.
 
-/// Upsert plans seen by a run of edit scripts: Whole pairs are the comb jobs
-/// that were not Resume tail strips (one compose each).
+/// Upsert plans seen by a run of edit scripts: deferred pairs are those on
+/// neither the Cached nor the Resume plan.
 struct PlanTally {
   int scripts = 0;
   std::size_t resumed = 0;
-  std::size_t whole = 0;
+  std::size_t deferred = 0;
 
   void add(const UpsertReport& report) {
     resumed += report.prefix_reused;
-    whole += report.chunks_computed - report.composes;
+    deferred += report.pairs - report.chunks_reused - report.prefix_reused;
   }
 };
 
@@ -184,8 +193,8 @@ void run_edit_script(int seed, int edits, Index chunk, Index base_length,
       }
     }
 
-    // Differential oracle: every live pair, bit-compared against a fresh
-    // full recompute of the shadow bytes.
+    // Differential oracle: every live pair, read (so combed if deferred) and
+    // bit-compared against a fresh full recompute of the shadow bytes.
     std::sort(shadow.begin(), shadow.end());
     for (std::size_t i = 0; i < shadow.size(); ++i) {
       for (std::size_t j = i + 1; j < shadow.size(); ++j) {
@@ -210,18 +219,19 @@ TEST(IncrementalCorpus, EditScriptDifferentialOracle) {
                     {"alpha", "beta", "gamma"}, small);
   }
   EXPECT_GE(small.scripts, 200);
-  EXPECT_GT(small.whole, 0u);
+  EXPECT_GT(small.deferred, 0u);
 
   // 36 more scripts on two documents of at least 4500 symbols, past the
-  // gate's crossover: once both documents exist, an append resumes (one
-  // tail strip, as chunk >= every tail), everything else recomputes whole.
+  // gate's crossover: once both documents exist, an append resumes from the
+  // pair kernel the previous step's read left (one tail strip, as chunk >=
+  // every tail), everything else is deferred.
   PlanTally large;
   for (int seed = kSeeds; seed < kSeeds + 3; ++seed) {
     run_edit_script(seed, /*edits=*/12, /*chunk=*/150, /*base_length=*/4500,
                     {"alpha", "beta"}, large);
   }
   EXPECT_GT(large.resumed, 0u);
-  EXPECT_GT(large.whole, 0u);
+  EXPECT_GT(large.deferred, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,6 +269,7 @@ TEST(IncrementalCorpus, AppendReusesWholeDocumentPrefix) {
   Sequence doc = testing::random_string(kResumeLength, 4, 12);
   corpus.upsert_document("other", other);
   corpus.upsert_document("doc", doc);
+  (void)read_pair(engine, doc, other);  // the read combs the pair kernel
 
   // Append one chunk: the previous pair kernel is in the store, so only the
   // new strip is combed and one compose stitches it on. Nothing from the
@@ -285,6 +296,7 @@ TEST(IncrementalCorpus, AppendResumesAcrossSeveralTailStrips) {
   Sequence doc = testing::random_string(10000, 4, 15);
   corpus.upsert_document("a", other);
   corpus.upsert_document("b", doc);
+  (void)read_pair(engine, other, doc);
 
   // The grown document is the pair's b side, so both 64-symbol tail strips
   // are composed vertically, in order.
@@ -306,17 +318,23 @@ TEST(IncrementalCorpus, MidEditRecomputesPairWhole) {
   Sequence doc = testing::random_string(kResumeLength, 4, 22);
   corpus.upsert_document("other", other);
   corpus.upsert_document("doc", doc);
+  (void)read_pair(engine, doc, other);
 
-  // Even at a length where appends resume, an in-place edit is not an
-  // extension: the pair is recombed as one job, with no compose.
+  // Even at a length where appends resume, and with the previous pair
+  // kernel in the store, an in-place edit is not an extension: the upsert
+  // combs nothing, and the pair's first read recombs it as one job.
   doc[kResumeLength / 2] = (doc[kResumeLength / 2] + 1) % 4;
+  const std::uint64_t computed = engine.stats().scheduler.computed;
   const UpsertReport report = corpus.upsert_document("doc", doc);
   EXPECT_TRUE(report.changed);
+  EXPECT_EQ(report.pairs, 1u);
   EXPECT_EQ(report.prefix_reused, 0u);
-  EXPECT_EQ(report.chunks_computed, 1u);
+  EXPECT_EQ(report.chunks_computed, 0u);
   EXPECT_EQ(report.chunks_reused, 0u);
   EXPECT_EQ(report.composes, 0u);
+  EXPECT_EQ(engine.stats().scheduler.computed, computed);
   expect_published_pair_matches_oracle(engine, doc, other, "mid-edit");
+  EXPECT_EQ(engine.stats().scheduler.computed, computed + 1);
 }
 
 TEST(IncrementalCorpus, TruncationBackToEarlierBytesIsCached) {
@@ -328,6 +346,7 @@ TEST(IncrementalCorpus, TruncationBackToEarlierBytesIsCached) {
   const Sequence doc = testing::random_string(400, 4, 32);
   corpus.upsert_document("other", other);
   corpus.upsert_document("doc", doc);
+  (void)read_pair(engine, doc, other);  // version 1's pair kernel, combed by a read
   Sequence grown = doc;
   const Sequence tail = testing::random_string(90, 4, 33);
   grown.insert(grown.end(), tail.begin(), tail.end());
@@ -348,9 +367,10 @@ TEST(IncrementalCorpus, TruncationBackToEarlierBytesIsCached) {
 }
 
 TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
-  // Upserted pair kernels are combed by real workers without a QueryIndex.
-  // Point queries on the published pair are scanned until they have cost
-  // about one build (CachedKernel::kScansPerBuild): two build none.
+  // An upsert combs no pair; the pair's first kernel-backed read combs it,
+  // on a real worker, without a QueryIndex. Point queries on the published
+  // pair are scanned until they have cost about one build
+  // (CachedKernel::kScansPerBuild): two build none.
   const ScratchDir scratch;
   EngineOptions engine_options = test_engine_options(scratch.file("store"));
   engine_options.scheduler.workers = 1;
@@ -362,25 +382,70 @@ TEST(IncrementalCorpus, UpsertBuildsNoIndexUntilAPointQuery) {
   const Sequence other = testing::random_string(300, 4, 41);
   const Sequence doc = testing::random_string(320, 4, 42);
   corpus.upsert_document("other", other);
-  const UpsertReport report = corpus.upsert_document("doc", doc);
-  ASSERT_EQ(report.chunks_computed, 1u);  // Whole: one job for the pair
-  // The one worker finishes a batch before it pops the next: once this
-  // later job resolves, the pair's batch is done.
-  const Sequence c = testing::random_string(40, 4, 43);
-  (void)engine.entry_async(c, c).get();
-  EXPECT_EQ(engine.stats().queries.index_builds, 0u);
-
   const std::uint64_t computed = engine.stats().scheduler.computed;
+  const UpsertReport report = corpus.upsert_document("doc", doc);
+  ASSERT_EQ(report.pairs, 1u);
+  ASSERT_EQ(report.chunks_computed, 0u);  // deferred to the read path
+  EXPECT_EQ(engine.stats().scheduler.computed, computed);
+
   const SemiLocalKernel oracle = semi_local_kernel(doc, other);
   EXPECT_EQ(engine.string_substring(doc, other, 17, 250),
             oracle.string_substring(17, 250));
   EXPECT_EQ(engine.substring_string(doc, other, 30, 301),
             oracle.substring_string(30, 301));
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.scheduler.computed, computed) << "published pair was recomputed";
+  EXPECT_EQ(stats.scheduler.computed, computed + 1) << "the pair is combed once, on read";
   EXPECT_EQ(stats.queries.index_builds, 0u);
   EXPECT_EQ(stats.queries.scanned, 2u);
   EXPECT_EQ(stats.queries.indexed, 0u);
+}
+
+TEST(IncrementalCorpus, UpsertCombsNoPairUntilItIsAsked) {
+  // An upsert commits bytes and versions only. The pair kernels it leaves
+  // out are combed by the read path on demand: a pair's first one-window
+  // ask is a window job, its second combs the kernel, its third hits it.
+  const ScratchDir scratch;
+  ComparisonEngine engine(test_engine_options(scratch.file("store")));
+  CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
+  const Sequence a = testing::random_string(260, 4, 44);
+  const Sequence d = testing::random_string(300, 4, 45);
+  corpus.upsert_document("a", a);
+  corpus.upsert_document("b", testing::random_string(240, 4, 46));
+  corpus.upsert_document("c", testing::random_string(280, 4, 47));
+
+  const EngineStats before = engine.stats();
+  const UpsertReport report = corpus.upsert_document("d", d);
+  EXPECT_EQ(report.pairs, 3u);
+  EXPECT_EQ(report.chunks_computed, 0u);
+  EXPECT_EQ(report.chunks_reused, 0u);
+  EXPECT_EQ(report.prefix_reused, 0u);
+  EXPECT_EQ(engine.stats().scheduler.computed, before.scheduler.computed);
+  EXPECT_EQ(engine.stats().scheduler.scores_computed, before.scheduler.scores_computed);
+  EXPECT_EQ(corpus.index_entries().size(), 6u);  // every live pair is listed
+
+  // Asks one window of (a, d); returns whether it was answered at once.
+  const auto ask = [&](Index x, Index y) {
+    const Index want = testing::lcs_oracle(
+        a, SequenceView(d).subspan(static_cast<std::size_t>(x), static_cast<std::size_t>(y - x)));
+    std::optional<Index> got;
+    const std::optional<Index> now = engine.score_then(
+        a, d, {QueryKind::kStringSubstring, x, y},
+        [&got](Index value, std::exception_ptr failure) {
+          if (!failure) got = value;
+        });
+    engine.drain();
+    EXPECT_EQ(now.has_value() ? now : got, std::optional<Index>(want)) << x << ".." << y;
+    return now.has_value();
+  };
+  EXPECT_FALSE(ask(10, 200));  // a window job
+  EXPECT_EQ(engine.stats().scheduler.scores_computed, before.scheduler.scores_computed + 1);
+  EXPECT_EQ(engine.stats().scheduler.computed, before.scheduler.computed);
+  EXPECT_FALSE(ask(0, 300));  // the kernel, combed
+  EXPECT_EQ(engine.stats().scheduler.computed, before.scheduler.computed + 1);
+  EXPECT_TRUE(ask(45, 123));  // a hit
+  const EngineStats after = engine.stats();
+  EXPECT_EQ(after.scheduler.computed, before.scheduler.computed + 1);
+  EXPECT_EQ(after.scheduler.scores_computed, before.scheduler.scores_computed + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +523,7 @@ TEST(IncrementalCorpus, UpsertReportEscapesTheDocumentId) {
   const UpsertReport report = corpus.upsert_document("q\"x", testing::random_string(90, 4, 62));
   EXPECT_EQ(report.json(),
             "{\"id\": \"q\\\"x\", \"version\": 1, \"generation\": 2, \"changed\": 1, "
-            "\"pairs\": 1, \"chunks_computed\": 1, \"chunks_reused\": 0, "
+            "\"pairs\": 1, \"chunks_computed\": 0, \"chunks_reused\": 0, "
             "\"prefix_reused\": 0, \"composes\": 0}");
 }
 
@@ -475,6 +540,7 @@ TEST(IncrementalCorpus, RestartLoadsPublishedGeneration) {
     corpus.upsert_document("a", testing::random_string(100, 4, 60));
     corpus.upsert_document("a", doc_a);  // version 2
     corpus.upsert_document("b", doc_b);
+    (void)read_pair(engine, doc_a, doc_b);  // the read combs and persists the pair
     generation = corpus.generation();
   }
 
@@ -525,13 +591,16 @@ TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
     corpus.upsert_document("a", doc_a);
     corpus.upsert_document("b", doc_b);
     corpus.upsert_document("c", doc_c);
+    for (const CorpusIndexEntry& entry : corpus.index_entries()) {
+      (void)read_pair(engine, *corpus.document(entry.id_a), *corpus.document(entry.id_b));
+    }
   }
 
   std::vector<std::filesystem::path> kernels;
   for (const auto& file : std::filesystem::directory_iterator(store_dir)) {
     if (file.path().extension() == ".slk") kernels.push_back(file.path());
   }
-  ASSERT_EQ(kernels.size(), 3u);  // the three pair kernels
+  ASSERT_EQ(kernels.size(), 3u);  // the three pair kernels the reads combed
   Rng rng(94);
   for (const auto& path : kernels) {
     std::string name;
@@ -541,23 +610,23 @@ TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
 
   ComparisonEngine engine(test_engine_options(store_dir));
   CorpusManager corpus(engine, test_corpus_options(scratch.file("corpus"), 64));
-  // An upsert finds no kernel of the old bytes: both pairs recompute whole.
+  // An upsert finds no kernel of the old bytes: neither pair resumes, both
+  // are deferred to the reads below.
   Sequence grown = doc_a;
   const Sequence tail = testing::random_string(64, 4, 95);
   grown.insert(grown.end(), tail.begin(), tail.end());
   const UpsertReport report = corpus.upsert_document("a", grown);
+  EXPECT_EQ(report.pairs, 2u);
   EXPECT_EQ(report.prefix_reused, 0u);
-  EXPECT_EQ(report.chunks_computed, 2u);
+  EXPECT_EQ(report.chunks_reused, 0u);
+  EXPECT_EQ(report.chunks_computed, 0u);
 
   const auto entries = corpus.index_entries();
   ASSERT_EQ(entries.size(), 3u);
   for (const CorpusIndexEntry& entry : entries) {
     const Sequence a = *corpus.document(entry.id_a);
     const Sequence b = *corpus.document(entry.id_b);
-    auto pending = engine.entry_async(a, b);
-    engine.drain();
-    expect_kernel_equal(pending.get()->kernel(), semi_local_kernel(a, b),
-                        entry.id_a + "/" + entry.id_b);
+    expect_published_pair_matches_oracle(engine, a, b, entry.id_a + "/" + entry.id_b);
   }
   const EngineStats stats = engine.stats();
   EXPECT_GT(stats.scheduler.computed, 0u);
@@ -695,7 +764,7 @@ TEST(IncrementalCorpus, WritesTakeTurnsAndFinishBeforeTheManagerGoes) {
   }
   using Report = std::pair<Index, std::uint64_t>;
   EXPECT_EQ(reports, (std::vector<Report>{{1, 1}, {1, 2}, {2, 3}}));
-  EXPECT_EQ(engine.stats().scheduler.computed, 2u);  // (a, b) at b v1 and at a v2
+  EXPECT_EQ(engine.stats().scheduler.computed, 0u);  // (a, b) is left to its first read
 }
 
 TEST(IncrementalCorpus, ConcurrentUpsertsAndReads) {
@@ -734,12 +803,17 @@ TEST(IncrementalCorpus, ConcurrentUpsertsAndReads) {
     });
   }
   team.emplace_back([&] {
-    // Readers race the writers through the same mutex and engine.
+    // Readers race the writers through the same mutex and engine, and
+    // comb the pair the writers keep deferring.
     while (!stop.load(std::memory_order_relaxed)) {
       (void)corpus.generation();
       (void)corpus.index_entries();
-      if (const auto doc = corpus.document("w0")) {
-        (void)engine.store().find(make_pair_key(*doc, *doc));
+      const auto w0 = corpus.document("w0");
+      const auto w1 = corpus.document("w1");
+      try {
+        if (w0 && w1) (void)engine.entry(*w0, *w1);
+      } catch (...) {
+        failures.fetch_add(1);
       }
       std::this_thread::yield();
     }
