@@ -18,7 +18,6 @@
 #include "core/api.hpp"
 #include "core/iterative_combing.hpp"
 #include "core/kernel_codec.hpp"
-#include "core/serialize.hpp"
 #include "dominance/mergesort_tree.hpp"
 #include "dominance/prefix_oracle.hpp"
 #include "dominance/wavelet_tree.hpp"
@@ -232,13 +231,13 @@ void ablation_inner_loop() {
 }
 
 void ablation_kernel_codec() {
-  // A7: the block-compressed kernel format (v3) against the raw u32 payload
-  // (v2), on the two extremes the store can see: a real LCS kernel (its
-  // permutation is delta-friendly -- long runs track the diagonal) and a
-  // uniformly random permutation (the incompressibility floor, where only
-  // the bit-width cut below 32 helps). Bits/entry and the ratio quantify
-  // the capacity win; encode/decode seconds bound the CPU price the store
-  // pays per persist and per promotion.
+  // A7: the block-compressed kernel format (v3) against a raw u32 payload
+  // (raw_kernel_bytes), on the two extremes the store can see: a real LCS
+  // kernel (its permutation is delta-friendly -- long runs track the
+  // diagonal) and a uniformly random permutation (the incompressibility
+  // floor, where only the bit-width cut below 32 helps). Bits/entry and the
+  // ratio quantify the capacity win; encode/decode seconds bound the CPU
+  // price the store pays per persist and per promotion.
   const Index len = scaled(20000);
   const auto a = uniform_sequence(len, 4, 31);
   const auto b = uniform_sequence(len, 4, 32);
@@ -255,38 +254,25 @@ void ablation_kernel_codec() {
     repeat.push_back(static_cast<Symbol>((i * 7 + i / 13) % 4));
   }
   const SemiLocalKernel repetitive = semi_local_kernel(repeat, repeat);
-  Table table({"kernel", "format", "encode_s", "decode_s", "bytes", "bits_per_entry",
-               "ratio_vs_v2"});
+  Table table({"kernel", "encode_s", "decode_s", "bytes", "bits_per_entry",
+               "ratio_vs_raw"});
   for (const auto& [label, kernel] :
        {std::pair<const char*, const SemiLocalKernel&>{"real_lcs", real},
         std::pair<const char*, const SemiLocalKernel&>{"repetitive_self", repetitive},
         std::pair<const char*, const SemiLocalKernel&>{"random_perm", random}}) {
-    const double order = static_cast<double>(kernel.order());
-    const std::size_t v2_bytes = kernel_v2_encoded_bytes(kernel.order());
-    const double v2_enc = median_seconds(
-        [&] { (void)save_kernel_bytes(kernel, KernelFormat::kV2Raw); });
-    const std::string v2 = save_kernel_bytes(kernel, KernelFormat::kV2Raw);
-    const double v2_dec = median_seconds([&] { (void)load_kernel_bytes(v2); });
+    const double encode = median_seconds([&] { (void)encode_kernel_v3(kernel); });
+    const std::string bytes = encode_kernel_v3(kernel);
+    const double decode = median_seconds(
+        [&] { (void)CompressedKernel::open(bytes, nullptr)->decode(); });
     table.row()
         .cell(label)
-        .cell("v2_raw")
-        .cell(v2_enc, 4)
-        .cell(v2_dec, 4)
-        .cell(static_cast<long long>(v2_bytes))
-        .cell(8.0 * static_cast<double>(v2_bytes) / order, 2)
-        .cell(1.0, 2);
-    const double v3_enc = median_seconds([&] { (void)encode_kernel_v3(kernel); });
-    const std::string v3 = encode_kernel_v3(kernel);
-    const double v3_dec = median_seconds(
-        [&] { (void)CompressedKernel::open(v3, nullptr)->decode(); });
-    table.row()
-        .cell(label)
-        .cell("v3_compressed")
-        .cell(v3_enc, 4)
-        .cell(v3_dec, 4)
-        .cell(static_cast<long long>(v3.size()))
-        .cell(8.0 * static_cast<double>(v3.size()) / order, 2)
-        .cell(static_cast<double>(v2_bytes) / static_cast<double>(v3.size()), 2);
+        .cell(encode, 4)
+        .cell(decode, 4)
+        .cell(static_cast<long long>(bytes.size()))
+        .cell(8.0 * static_cast<double>(bytes.size()) / static_cast<double>(kernel.order()), 2)
+        .cell(static_cast<double>(raw_kernel_bytes(kernel.order())) /
+                  static_cast<double>(bytes.size()),
+              2);
   }
   emit(table, "ablation_kernel_codec",
        "A7: kernel serialization codec (order " + std::to_string(2 * len) + ")");

@@ -5,9 +5,9 @@
 //   capacity_sweep
 //             the format-v3 capacity claim, measured: a disk-backed store
 //             with a FIXED cache budget serves a pool far larger than the
-//             decoded tier can hold, once with raw v2 kernels (every disk
-//             hit decoded and index-projected) and once with compressed v3
-//             (disk hits stay compressed-resident; only the hot subset is
+//             decoded tier can hold, once with every disk hit decoded at
+//             load and charged in full (promote_after_hits 0) and once with
+//             disk hits compressed-resident (only the hot subset is
 //             promoted). Reports resident pairs per GB and the warm p50/p99
 //             of a hot-heavy request stream for both legs, plus the derived
 //             capacity_ratio (gated in bench/gates.tsv) and
@@ -88,41 +88,39 @@ struct CapacityResult {
   int pool_pairs = 0;
   int hot_pairs = 0;
   std::size_t cache_bytes = 0;
-  CapacityLeg v2;
-  CapacityLeg v3;
+  CapacityLeg decoded;
+  CapacityLeg compressed;
 
-  /// How many more pairs the fixed budget keeps resident under v3.
+  /// How many more pairs the fixed budget keeps resident compressed.
   [[nodiscard]] double capacity_ratio() const {
-    return v2.pairs_per_gb > 0 ? v3.pairs_per_gb / v2.pairs_per_gb : 0.0;
+    return decoded.pairs_per_gb > 0 ? compressed.pairs_per_gb / decoded.pairs_per_gb
+                                    : 0.0;
   }
 
-  /// Warm p50 cost of compression on the hot path (negative = v3 faster).
+  /// Warm p50 cost of compression on the hot path (negative = compressed
+  /// faster).
   [[nodiscard]] double p50_regression() const {
-    return v2.p50_ms > 0 ? (v3.p50_ms - v2.p50_ms) / v2.p50_ms : 0.0;
+    return decoded.p50_ms > 0 ? (compressed.p50_ms - decoded.p50_ms) / decoded.p50_ms
+                              : 0.0;
   }
 };
 
-/// One capacity leg: build a disk store of `pairs` kernels in `format`, then
-/// restart cold over it and replay `rounds` hot-heavy request rounds (each:
-/// every pair once, each of the first `hot` pairs `hot_weight` times, so hot
-/// requests are the majority and p50 reflects the hot serving path). The
-/// first round is untimed warm-up; residency is read after the last round.
-CapacityLeg run_capacity_leg(const std::string& name, KernelFormat format,
+/// One capacity leg: build a disk store of `pairs` kernels, then restart
+/// cold over it under `store` (the promotion policy and cache budget) and
+/// replay `rounds` hot-heavy request rounds (each: every pair once, each of
+/// the first `hot` pairs `hot_weight` times, so hot requests are the
+/// majority and p50 reflects the hot serving path). The first round is
+/// untimed warm-up; residency is read after the last round.
+CapacityLeg run_capacity_leg(const std::string& name, const KernelStoreOptions& store,
                              const std::vector<std::pair<Sequence, Sequence>>& pool,
-                             int hot, int hot_weight, int rounds,
-                             std::size_t cache_bytes) {
+                             int hot, int hot_weight, int rounds) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / ("semilocal_bench_" + name);
   fs::remove_all(dir);
 
   EngineOptions options;
+  options.store = store;
   options.store.dir = dir.string();
-  options.store.format = format;
-  options.store.cache_bytes = cache_bytes;
-  // Half the budget may hold promoted (fully decoded + indexed) entries;
-  // the rest is for the compressed tail. The hot subset must fit decoded.
-  options.store.promoted_fraction = 0.5;
-  options.store.promote_after_hits = 2;
   options.scheduler.workers = hardware_threads();
   options.scheduler.max_queue = pool.size() * 2;
 
@@ -154,7 +152,7 @@ CapacityLeg run_capacity_leg(const std::string& name, KernelFormat format,
   leg.resident_pairs = leg.stats.store.cache.entries;
   leg.pairs_per_gb = static_cast<double>(leg.resident_pairs) *
                      (static_cast<double>(std::size_t{1} << 30) /
-                      static_cast<double>(cache_bytes));
+                      static_cast<double>(store.cache_bytes));
   fs::remove_all(dir);
   return leg;
 }
@@ -168,13 +166,22 @@ CapacityResult run_capacity_sweep(Index length) {
   // keep the whole pool resident.
   result.cache_bytes = 10 * decoded_entry_bytes(2 * length);
   const auto pool = make_pool(result.pool_pairs, length, 8600);
+  KernelStoreOptions store;
+  store.cache_bytes = result.cache_bytes;
+  // Baseline: every disk hit is decoded at load and charged in full, and a
+  // cap above the whole budget never binds, so the LRU alone evicts.
+  store.promote_after_hits = 0;
+  store.promoted_fraction = 2.0;
   // hot_weight 20 over 64 pairs: 80 of 140 requests per round are hot.
-  result.v2 = run_capacity_leg("capacity_v2_raw", KernelFormat::kV2Raw, pool,
-                               result.hot_pairs, /*hot_weight=*/20, /*rounds=*/3,
-                               result.cache_bytes);
-  result.v3 = run_capacity_leg("capacity_v3_compressed", KernelFormat::kV3Compressed,
-                               pool, result.hot_pairs, /*hot_weight=*/20,
-                               /*rounds=*/3, result.cache_bytes);
+  result.decoded = run_capacity_leg("capacity_decoded", store, pool, result.hot_pairs,
+                                    /*hot_weight=*/20, /*rounds=*/3);
+  // Half the budget may hold promoted (fully decoded + indexed) entries;
+  // the rest is for the compressed tail. The hot subset must fit decoded.
+  store.promote_after_hits = 2;
+  store.promoted_fraction = 0.5;
+  result.compressed = run_capacity_leg("capacity_v3_compressed", store, pool,
+                                       result.hot_pairs, /*hot_weight=*/20,
+                                       /*rounds=*/3);
   return result;
 }
 
@@ -1117,8 +1124,8 @@ void write_json(const std::string& path, const CapacityResult& capacity,
   out.field("cache_bytes", capacity.cache_bytes);
   out.field("capacity_ratio", capacity.capacity_ratio());
   out.field("p50_regression", capacity.p50_regression()).key("legs").begin_array();
-  write_capacity_leg(out, capacity.v2);
-  write_capacity_leg(out, capacity.v3);
+  write_capacity_leg(out, capacity.decoded);
+  write_capacity_leg(out, capacity.compressed);
   out.end_array().end_object().key("frontend_sweep").begin_object().key("legs").begin_array();
   for (const FrontendLeg& leg : frontends) write_frontend_leg(out, leg);
   out.end_array().end_object().key("plot_sweep").begin_object();
@@ -1174,7 +1181,7 @@ int main() {
 
   Table cap({"leg", "resident_pairs", "pairs_per_gb", "p50_ms", "p99_ms",
              "compression", "promotions", "mmap_fallbacks"});
-  for (const CapacityLeg* leg : {&capacity.v2, &capacity.v3}) {
+  for (const CapacityLeg* leg : {&capacity.decoded, &capacity.compressed}) {
     cap.row()
         .cell(leg->name)
         .cell(static_cast<long long>(leg->resident_pairs))

@@ -1,12 +1,13 @@
 // Format v3: block-compressed kernel serialization (see DESIGN.md §10).
 //
-// A kernel permutation of order N stores fine in 4N bytes (format v2), but a
-// permutation entry only needs ⌈log2 N⌉ bits -- and the kernels produced by
-// string comparison are locally smooth, so per-block delta coding usually
-// beats even that. Format v3 exploits both: the row->col array is cut into
-// fixed-size blocks, each encoded independently (bit-packed raw values or
-// zigzag deltas, whichever is smaller) behind a seekable block index with a
-// per-block FNV-1a checksum. Independent blocks buy three things:
+// A kernel permutation of order N stores fine in 4N bytes as a raw u32
+// array, but a permutation entry only needs ⌈log2 N⌉ bits -- and the
+// kernels produced by string comparison are locally smooth, so per-block
+// delta coding usually beats even that. Format v3 exploits both: the
+// row->col array is cut into fixed-size blocks, each encoded independently
+// (bit-packed raw values or zigzag deltas, whichever is smaller) behind a
+// seekable block index with a per-block FNV-1a checksum. Independent blocks
+// buy three things:
 //
 //   * compressed-resident serving -- a CompressedKernel answers dominance
 //     queries by decoding only the blocks a scan touches, so the LRU can
@@ -50,7 +51,6 @@ namespace semilocal {
 
 inline constexpr std::array<char, 8> kKernelMagic = {'S', 'L', 'K', 'E',
                                                      'R', 'N', 'L', '\0'};
-inline constexpr std::uint32_t kKernelFormatV2 = 2;
 inline constexpr std::uint32_t kKernelFormatV3 = 3;
 
 /// Largest supported braid order: keeps payload allocations bounded and the
@@ -62,7 +62,7 @@ inline constexpr std::int64_t kMaxKernelOrder = std::int64_t{1} << 31;
 inline constexpr std::uint32_t kDefaultBlockEntries = 4096;
 inline constexpr std::uint32_t kMaxBlockEntries = std::uint32_t{1} << 20;
 
-/// 64-bit FNV-1a, the repo-wide corruption check (same constants as v2).
+/// 64-bit FNV-1a, the repo-wide corruption check.
 inline constexpr std::uint64_t kFnv64Basis = 0xcbf29ce484222325ULL;
 std::uint64_t fnv1a64(std::uint64_t hash, const void* data, std::size_t size);
 
@@ -71,9 +71,10 @@ std::uint64_t fnv1a64(std::uint64_t hash, const void* data, std::size_t size);
 /// unsupported version -- the loaders decide).
 std::uint32_t kernel_format_version(std::string_view bytes);
 
-/// Size of the v2 (raw u32 array) encoding of a kernel of this order; the
-/// baseline that compression_ratio stats are measured against.
-[[nodiscard]] constexpr std::size_t kernel_v2_encoded_bytes(Index order) {
+/// Size of a raw encoding of a kernel of this order (a 36-byte header plus
+/// one u32 per entry); the baseline that compression_ratio stats are
+/// measured against.
+[[nodiscard]] constexpr std::size_t raw_kernel_bytes(Index order) {
   return 36 + 4 * static_cast<std::size_t>(order);
 }
 

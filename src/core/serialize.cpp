@@ -1,6 +1,5 @@
 #include "core/serialize.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -9,93 +8,9 @@
 #include "core/kernel_codec.hpp"
 
 namespace semilocal {
-namespace {
 
-// Version 2 layout: magic, u32 version, i64 m, i64 n, 4(m+n) payload bytes,
-// then a 64-bit FNV-1a checksum over (m, n, payload) so that any corruption
-// -- including dimension-field flips that still parse -- is caught
-// deterministically instead of relying on permutation validation to notice.
-// The unchecksummed version 1 is deliberately not accepted: a reader that
-// falls back to a weaker format on a corrupted version field defeats the
-// checksum, and no persistent v1 stores predate the kernel store.
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-std::uint64_t payload_checksum(std::int64_t m, std::int64_t n,
-                               const std::int32_t* row_to_col, std::size_t count) {
-  std::uint64_t hash = kFnv64Basis;
-  hash = fnv1a64(hash, &m, sizeof(m));
-  hash = fnv1a64(hash, &n, sizeof(n));
-  return fnv1a64(hash, row_to_col, count * sizeof(std::int32_t));
-}
-
-// A bounds-checked little-endian cursor over the serialized bytes; the
-// string_view is parsed in place, nothing is copied until the payload lands
-// in its final vector.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : rest_(bytes) {}
-
-  template <typename T>
-  T pod() {
-    T value{};
-    take(reinterpret_cast<char*>(&value), sizeof(T));
-    return value;
-  }
-
-  void take(char* out, std::size_t count) {
-    if (rest_.size() < count) {
-      throw std::runtime_error("load_kernel: truncated input");
-    }
-    std::memcpy(out, rest_.data(), count);
-    rest_.remove_prefix(count);
-  }
-
-  [[nodiscard]] std::size_t remaining() const { return rest_.size(); }
-
- private:
-  std::string_view rest_;
-};
-
-SemiLocalKernel load_kernel_v2(std::string_view bytes) {
-  Cursor in(bytes);
-  in.pod<std::uint64_t>();  // magic (already matched)
-  in.pod<std::uint32_t>();  // version (already dispatched)
-  const auto m = in.pod<std::int64_t>();
-  const auto n = in.pod<std::int64_t>();
-  // Bound each dimension before summing: a corrupted size field near
-  // INT64_MAX must not overflow `m + n` (UB) or drive a giant allocation.
-  if (m < 0 || n < 0 || m > kMaxKernelOrder || n > kMaxKernelOrder ||
-      m + n > kMaxKernelOrder) {
-    throw std::runtime_error("load_kernel: implausible dimensions");
-  }
-  std::vector<std::int32_t> row_to_col(static_cast<std::size_t>(m + n));
-  in.take(reinterpret_cast<char*>(row_to_col.data()),
-          row_to_col.size() * sizeof(std::int32_t));
-  const auto stored = in.pod<std::uint64_t>();
-  if (in.remaining() != 0) {
-    throw std::runtime_error("load_kernel: trailing bytes after kernel");
-  }
-  if (stored != payload_checksum(m, n, row_to_col.data(), row_to_col.size())) {
-    throw std::runtime_error("load_kernel: checksum mismatch (corrupt stream)");
-  }
-  Permutation perm;
-  try {
-    perm = Permutation::from_row_to_col(std::move(row_to_col));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("load_kernel: corrupt permutation: ") + e.what());
-  }
-  return SemiLocalKernel(std::move(perm), static_cast<Index>(m), static_cast<Index>(n));
-}
-
-}  // namespace
-
-void save_kernel(std::ostream& out, const SemiLocalKernel& kernel,
-                 KernelFormat format) {
-  const std::string bytes = save_kernel_bytes(kernel, format);
+void save_kernel(std::ostream& out, const SemiLocalKernel& kernel) {
+  const std::string bytes = save_kernel_bytes(kernel);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) throw std::runtime_error("save_kernel: write failed");
 }
@@ -107,11 +22,10 @@ SemiLocalKernel load_kernel(std::istream& in) {
   return load_kernel_bytes(bytes);
 }
 
-void save_kernel_file(const std::string& path, const SemiLocalKernel& kernel,
-                      KernelFormat format) {
+void save_kernel_file(const std::string& path, const SemiLocalKernel& kernel) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_kernel_file: cannot open " + path);
-  save_kernel(out, kernel, format);
+  save_kernel(out, kernel);
 }
 
 SemiLocalKernel load_kernel_file(const std::string& path) {
@@ -120,35 +34,18 @@ SemiLocalKernel load_kernel_file(const std::string& path) {
   return load_kernel(in);
 }
 
-std::string save_kernel_bytes(const SemiLocalKernel& kernel, KernelFormat format) {
-  if (format == KernelFormat::kV3Compressed) return encode_kernel_v3(kernel);
-  std::string out;
-  const auto& row_to_col = kernel.permutation().row_to_col();
-  out.reserve(36 + row_to_col.size() * sizeof(std::int32_t));
-  out.append(kKernelMagic.data(), kKernelMagic.size());
-  const std::uint32_t version = kKernelFormatV2;
-  out.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  const auto m = static_cast<std::int64_t>(kernel.m());
-  const auto n = static_cast<std::int64_t>(kernel.n());
-  out.append(reinterpret_cast<const char*>(&m), sizeof(m));
-  out.append(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.append(reinterpret_cast<const char*>(row_to_col.data()),
-             row_to_col.size() * sizeof(std::int32_t));
-  const std::uint64_t checksum =
-      payload_checksum(m, n, row_to_col.data(), row_to_col.size());
-  out.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return out;
+std::string save_kernel_bytes(const SemiLocalKernel& kernel) {
+  return encode_kernel_v3(kernel);
 }
 
 SemiLocalKernel load_kernel_bytes(std::string_view bytes) {
   const std::uint32_t version = kernel_format_version(bytes);
   if (version == 0) throw std::runtime_error("load_kernel: bad magic");
-  if (version == kKernelFormatV2) return load_kernel_v2(bytes);
-  if (version == kKernelFormatV3) {
-    return CompressedKernel::open(bytes, /*owner=*/nullptr)->decode();
+  if (version != kKernelFormatV3) {
+    throw std::runtime_error("load_kernel: unsupported version " +
+                             std::to_string(version));
   }
-  throw std::runtime_error("load_kernel: unsupported version " +
-                           std::to_string(version));
+  return CompressedKernel::open(bytes, /*owner=*/nullptr)->decode();
 }
 
 }  // namespace semilocal

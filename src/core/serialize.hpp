@@ -2,18 +2,15 @@
 //
 // A kernel is tiny relative to the O(mn) work that produced it, which makes
 // precomputing kernels for a corpus and answering substring queries later a
-// natural workflow. Two on-disk formats share the magic + version header:
+// natural workflow. These are the stream, file and byte-string entry points;
+// the one on-disk format, v3 (block-compressed bit-packed entries behind a
+// seekable per-block checksum index), is defined in core/kernel_codec.hpp.
 //
-//   * v2 -- the raw row->col array as little-endian u32s behind a whole-file
-//     FNV-1a checksum; simple, fast, 4 bytes/entry.
-//   * v3 -- block-compressed bit-packed entries behind a seekable per-block
-//     checksum index (core/kernel_codec.hpp); ~4-6x smaller and decodable
-//     block-by-block, the format the kernel store writes by default.
-//
-// Loaders auto-detect the version: v2 and v3 both load, the unchecksummed
-// v1 stays rejected (falling back to a weaker format on a corrupted version
-// field would defeat the checksum). Readers validate structure, checksums
-// and permutation-ness; any corruption throws std::runtime_error.
+// Loaders accept v3 only: any other version field -- the unchecksummed v1,
+// the raw v2 that earlier stores wrote -- throws "unsupported version"
+// (falling back to a weaker format on a corrupted version field would defeat
+// the checksum). Readers validate structure, checksums and permutation-ness;
+// any corruption throws std::runtime_error.
 #pragma once
 
 #include <iosfwd>
@@ -24,33 +21,23 @@
 
 namespace semilocal {
 
-/// On-disk kernel encodings (the wire formats of core/serialize.cpp and
-/// core/kernel_codec.cpp). Loaders always auto-detect; writers choose.
-enum class KernelFormat : std::uint32_t {
-  kV2Raw = 2,         ///< raw u32 entries + whole-file checksum
-  kV3Compressed = 3,  ///< block-compressed, seekable, per-block checksums
-};
-
 /// Writes `kernel` to a binary stream. Throws std::runtime_error on I/O
 /// failure.
-void save_kernel(std::ostream& out, const SemiLocalKernel& kernel,
-                 KernelFormat format = KernelFormat::kV3Compressed);
+void save_kernel(std::ostream& out, const SemiLocalKernel& kernel);
 
-/// Reads a kernel written by save_kernel (either format). Throws
-/// std::runtime_error on I/O failure, bad magic/version, checksum mismatch
-/// or corrupted permutation data.
+/// Reads a kernel written by save_kernel. Throws std::runtime_error on I/O
+/// failure, bad magic/version, checksum mismatch or corrupted permutation
+/// data.
 SemiLocalKernel load_kernel(std::istream& in);
 
 /// File-path convenience wrappers.
-void save_kernel_file(const std::string& path, const SemiLocalKernel& kernel,
-                      KernelFormat format = KernelFormat::kV3Compressed);
+void save_kernel_file(const std::string& path, const SemiLocalKernel& kernel);
 SemiLocalKernel load_kernel_file(const std::string& path);
 
 /// In-memory wrappers: the kernel store serializes to/from byte strings so
 /// all its actual I/O goes through the engine's Env seam (engine/env.hpp).
 /// load_kernel_bytes parses the view in place -- no copy of the payload.
-std::string save_kernel_bytes(const SemiLocalKernel& kernel,
-                              KernelFormat format = KernelFormat::kV3Compressed);
+std::string save_kernel_bytes(const SemiLocalKernel& kernel);
 SemiLocalKernel load_kernel_bytes(std::string_view bytes);
 
 }  // namespace semilocal

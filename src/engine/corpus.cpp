@@ -134,15 +134,14 @@ std::vector<CorpusIndexEntry> read_corpus_index(const std::string& path, Env* en
       }
       continue;
     }
+    // A pair line is exactly seven columns: a missing or non-numeric
+    // version must not read as version 0.
     std::istringstream fields(line);
     CorpusIndexEntry entry;
-    if (!(fields >> entry.id_a >> entry.id_b >> entry.m >> entry.n >> entry.key_hex)) {
+    if (!(fields >> entry.id_a >> entry.id_b >> entry.m >> entry.n >> entry.key_hex >>
+          entry.ver_a >> entry.ver_b) ||
+        !(fields >> std::ws).eof()) {
       throw std::runtime_error("read_corpus_index: malformed line: " + line);
-    }
-    // Version columns are absent in pre-versioning indexes; default to 0.
-    if (!(fields >> entry.ver_a >> entry.ver_b)) {
-      entry.ver_a = 0;
-      entry.ver_b = 0;
     }
     out.push_back(std::move(entry));
   }

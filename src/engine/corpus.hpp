@@ -54,8 +54,8 @@ CorpusBuildReport precompute_corpus(const std::vector<FastaRecord>& records,
 /// Writes / reads the tab-separated index (id_a, id_b, m, n, key, ver_a,
 /// ver_b) plus a `#generation` header line. All I/O goes through `env`
 /// (nullptr = real_env()), so fault-injection runs cover the index file
-/// exactly like the kernel files. Readers accept both the old five-column
-/// format (versions default to 0, generation to 0) and the versioned one.
+/// exactly like the kernel files. The reader throws on any pair line that
+/// is not exactly those seven columns; a missing `#generation` reads as 0.
 void write_corpus_index(const std::string& path,
                         const std::vector<CorpusIndexEntry>& entries,
                         Env* env = nullptr, std::uint64_t generation = 0);

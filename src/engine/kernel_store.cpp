@@ -76,6 +76,12 @@ void KernelStore::quarantine(const std::string& path) {
   if (moved) ++quarantined_;
 }
 
+bool KernelStore::decoded_tier_fits(Index order) const {
+  const auto cap = static_cast<std::size_t>(
+      options_.promoted_fraction * static_cast<double>(options_.cache_bytes));
+  return cache_.decoded_bytes() + decoded_entry_bytes(order) <= cap;
+}
+
 CachedKernelPtr KernelStore::find(const PairKey& key) {
   CachedKernelPtr hot;
   {
@@ -88,10 +94,7 @@ CachedKernelPtr KernelStore::find(const PairKey& key) {
       // Hot enough to promote -- but only while the decoded tier has
       // headroom; a denied candidate keeps serving compressed (and will be
       // re-considered on its next hit).
-      const std::size_t full = decoded_entry_bytes(hit->order());
-      const auto cap = static_cast<std::size_t>(
-          options_.promoted_fraction * static_cast<double>(options_.cache_bytes));
-      if (cache_.decoded_bytes() + full > cap) return hit;
+      if (!decoded_tier_fits(hit->order())) return hit;
       hot = std::move(hit);
     }
   }
@@ -119,7 +122,7 @@ CachedKernelPtr KernelStore::load_from_disk(const PairKey& key) {
   MappedFilePtr map;
   std::string owned;
   std::string_view bytes;
-  // Zero-copy for v3; a failed map falls back to read_file and bumps
+  // Zero-copy; a failed map falls back to read_file and bumps
   // mmap_fallbacks.
   try {
     map = env_->map_file(path);
@@ -143,37 +146,34 @@ CachedKernelPtr KernelStore::load_from_disk(const PairKey& key) {
   // Cheap sanity check that the file really is the kernel of this pair's
   // lengths; a content-hash filename collision across sizes cannot happen
   // (lengths are part of the key), so a mismatch means a foreign file.
-  // Corrupt and foreign files are both quarantined.
+  // Corrupt and foreign files -- any file that is not v3 among them -- are
+  // both quarantined.
   CachedKernelPtr entry;
-  bool compressed = false;
   try {
-    if (kernel_format_version(bytes) == kKernelFormatV3) {
-      // open() validates every checksum up front, so a torn mapping is
-      // caught here -- decoding later cannot fail on corruption.
-      CompressedKernelPtr blob =
-          map ? CompressedKernel::open(bytes, map)
-              : CompressedKernel::open(std::move(owned));
-      if (blob->m() != key.len_a || blob->n() != key.len_b) {
-        throw std::runtime_error("kernel dimensions do not match the key");
-      }
-      entry = std::make_shared<const CachedKernel>(std::move(blob), blocks_decoded_);
-      compressed = true;
-    } else {
-      auto loaded = std::make_shared<const SemiLocalKernel>(load_kernel_bytes(bytes));
-      if (loaded->m() != key.len_a || loaded->n() != key.len_b) {
-        throw std::runtime_error("kernel dimensions do not match the key");
-      }
-      entry = std::make_shared<const CachedKernel>(std::move(loaded));
+    // open() validates every checksum up front, so a torn mapping is caught
+    // here -- decoding later cannot fail on corruption.
+    CompressedKernelPtr blob = map ? CompressedKernel::open(bytes, map)
+                                   : CompressedKernel::open(std::move(owned));
+    if (blob->m() != key.len_a || blob->n() != key.len_b) {
+      throw std::runtime_error("kernel dimensions do not match the key");
     }
+    entry = std::make_shared<const CachedKernel>(std::move(blob), blocks_decoded_);
   } catch (const std::exception&) {
     quarantine(path);
     return nullptr;
   }
-  std::lock_guard lock(mutex_);
-  ++disk_hits_;
-  if (compressed) ++compressed_loads_;
-  cache_.put(key, entry);
-  return entry;
+  {
+    std::lock_guard lock(mutex_);
+    ++disk_hits_;
+    // promote_after_hits == 0: promoted at the load itself, zero hits in,
+    // under the same headroom check as a promotion on a cache hit.
+    if (options_.promote_after_hits != 0 || !decoded_tier_fits(entry->order())) {
+      ++compressed_loads_;
+      cache_.put(key, entry);
+      return entry;
+    }
+  }
+  return promote(key, entry);
 }
 
 bool KernelStore::persist_one(const PairKey& key, const CachedKernel& entry) {
@@ -187,7 +187,7 @@ bool KernelStore::persist_one(const PairKey& key, const CachedKernel& entry) {
     std::lock_guard lock(mutex_);
     tmp = path + ".tmp" + std::to_string(tmp_serial_++);
   }
-  const std::string bytes = save_kernel_bytes(entry.kernel(), options_.format);
+  const std::string bytes = save_kernel_bytes(entry.kernel());
   try {
     env_->write_file(tmp, bytes);
     env_->rename_file(tmp, path);
@@ -200,7 +200,7 @@ bool KernelStore::persist_one(const PairKey& key, const CachedKernel& entry) {
   }
   std::lock_guard lock(mutex_);
   bytes_on_disk_ += bytes.size();
-  bytes_on_disk_raw_ += kernel_v2_encoded_bytes(entry.order());
+  bytes_on_disk_raw_ += raw_kernel_bytes(entry.order());
   return true;
 }
 

@@ -1,8 +1,8 @@
 // Persistent kernel corpus with an in-memory LRU front.
 //
 // A store is a directory of content-addressed kernel files
-// (`<pair-key-hex>.slk`, the core/serialize formats; v3 block-compressed by
-// default) fronted by a byte-budgeted LRU cache with two residency tiers.
+// (`<pair-key-hex>.slk`, format v3 of core/kernel_codec.hpp) fronted by a
+// byte-budgeted LRU cache with two residency tiers.
 // Lookups probe the cache first, then the directory -- by default through a
 // read-only mmap (falling back to a whole-file read if the map fails). A v3
 // disk hit enters the cache *compressed-resident*, charged its compressed
@@ -23,9 +23,10 @@
 //     budget, and retry_pending() re-attempts the persist later (the
 //     scheduler calls it after every compute batch);
 //   * read failure -> treated as a miss, the caller recomputes;
-//   * corrupt or foreign file -> treated as a miss and *quarantined* (moved
-//     to `<name>.quarantined`) so the poison is kept for inspection but
-//     never re-read, and the recomputed kernel can land cleanly;
+//   * corrupt or foreign file (any file that is not a v3 kernel of the
+//     key's lengths) -> treated as a miss and *quarantined* (moved to
+//     `<name>.quarantined`) so the poison is kept for inspection but never
+//     re-read, and the recomputed kernel can land cleanly;
 //   * orphaned `*.tmp*` files (a writer crashed between temp write and
 //     rename) are swept on startup.
 //
@@ -46,7 +47,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/serialize.hpp"
 #include "engine/env.hpp"
 #include "engine/lru_cache.hpp"
 
@@ -60,16 +60,15 @@ struct KernelStoreOptions {
   std::size_t cache_bytes = std::size_t{64} << 20;
   /// Persist kernels inserted via put() to the disk tier.
   bool persist = true;
-  /// On-disk encoding for persisted kernels. Loads always auto-detect, so
-  /// stores written under either format keep reading.
-  KernelFormat format = KernelFormat::kV3Compressed;
   /// Cache hits a compressed-resident entry takes before the store promotes
   /// it to a fully-decoded kernel (+index). < 0 disables promotion; 0
-  /// promotes on the first cache hit after the disk load.
+  /// promotes at the disk load itself, so disk hits enter decoded.
   int promote_after_hits = 2;
   /// Cap on the decoded tier as a fraction of cache_bytes: promotion is
   /// denied (the entry keeps serving compressed) while decoded bytes plus
-  /// the candidate would exceed it. 1.0 = the whole budget may decode.
+  /// the candidate would exceed it. 1.0 = the whole budget may decode; from
+  /// 2.0 up it never denies an entry that fits the budget, so the LRU alone
+  /// bounds the decoded tier.
   double promoted_fraction = 1.0;
   /// Re-attempts a failed persist gets (via retry_pending()) before the
   /// entry is abandoned as cache-only.
@@ -89,13 +88,13 @@ struct KernelStoreStats {
   std::size_t pending_persists = 0;   ///< entries cached but not yet on disk
   std::uint64_t mmap_fallbacks = 0;   ///< map_file failures served via read_file
   std::uint64_t compressed_loads = 0; ///< disk hits kept compressed-resident
-  std::uint64_t promotions = 0;       ///< compressed entries decoded + recharged
+  std::uint64_t promotions = 0;       ///< compressed entries decoded (on a hit or at load)
   std::uint64_t blocks_decoded = 0;   ///< v3 blocks decoded on store paths
   std::size_t bytes_on_disk = 0;      ///< sum of persisted kernel file sizes
-  std::size_t bytes_on_disk_raw = 0;  ///< what v2-raw would have used
+  std::size_t bytes_on_disk_raw = 0;  ///< what a raw u32 array would have used
 
-  /// Achieved on-disk compression vs the raw v2 encoding of the same
-  /// kernels (1.0 when nothing was persisted or the store writes v2).
+  /// Achieved on-disk compression vs a raw u32 encoding of the same kernels
+  /// (raw_kernel_bytes; 1.0 when nothing was persisted).
   [[nodiscard]] double compression_ratio() const {
     return bytes_on_disk == 0 ? 1.0
                               : static_cast<double>(bytes_on_disk_raw) /
@@ -112,10 +111,10 @@ class KernelStore {
   explicit KernelStore(KernelStoreOptions options);
 
   /// Cache, then disk. nullptr if the pair is in neither tier (including
-  /// every disk failure mode: those degrade to a miss, never throw). v3
-  /// disk hits come back compressed-resident (promoted to decoded entries
-  /// once hot; see KernelStoreOptions); v2 hits come back decoded with no
-  /// query index yet -- it is built when the entry first wants one
+  /// every disk failure mode: those degrade to a miss, never throw). Disk
+  /// hits come back compressed-resident (promoted to decoded entries once
+  /// hot; see KernelStoreOptions). A decoded entry has no query index yet
+  /// -- it is built when the entry first wants one
   /// (CachedKernel::wants_index; an index is never persisted).
   CachedKernelPtr find(const PairKey& key);
 
@@ -156,11 +155,16 @@ class KernelStore {
   /// Startup recovery: removes `*.tmp*` orphans left by crashed writers.
   void sweep_orphan_tmps();
   /// Reads + parses the disk tier for `key` (cache not consulted): a
-  /// compressed-resident entry for v3 files, a decoded one for v2. nullptr
-  /// on any failure (counted, corrupt files quarantined).
+  /// compressed-resident entry, or a decoded one when promote_after_hits is
+  /// 0 and the decoded tier has headroom. nullptr on any failure (counted,
+  /// corrupt and foreign files quarantined).
   CachedKernelPtr load_from_disk(const PairKey& key);
-  /// Decodes a hot compressed entry and replaces it in the cache with a
-  /// decoded-tier entry (charged in full).
+  /// Whether the decoded tier has headroom for an entry of this order under
+  /// promoted_fraction. Caller holds mutex_.
+  [[nodiscard]] bool decoded_tier_fits(Index order) const;
+  /// Decodes a compressed entry -- a hot cache entry, or a disk load under
+  /// promote_after_hits == 0 -- and puts the decoded-tier entry (charged in
+  /// full) in the cache under its key.
   CachedKernelPtr promote(const PairKey& key, const CachedKernelPtr& entry);
 
   KernelStoreOptions options_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/kernel_codec.hpp"
 #include "util/random.hpp"
 
 namespace semilocal::testing {
@@ -52,6 +53,24 @@ DenseMatrix semi_local_h_oracle(SequenceView a, SequenceView b) {
 
 Sequence random_string(Index length, Symbol alphabet, std::uint64_t seed) {
   return uniform_sequence(length, alphabet, seed ^ 0x9e3779b97f4a7c15ULL);
+}
+
+std::string raw_v2_kernel_bytes(const SemiLocalKernel& kernel) {
+  const auto& row_to_col = kernel.permutation().row_to_col();
+  const auto m = static_cast<std::int64_t>(kernel.m());
+  const auto n = static_cast<std::int64_t>(kernel.n());
+  std::string body;
+  body.append(reinterpret_cast<const char*>(&m), sizeof(m));
+  body.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  body.append(reinterpret_cast<const char*>(row_to_col.data()),
+              row_to_col.size() * sizeof(std::int32_t));
+  const std::uint32_t version = 2;
+  const std::uint64_t checksum = fnv1a64(kFnv64Basis, body.data(), body.size());
+  std::string out(kKernelMagic.data(), kKernelMagic.size());
+  out.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  out += body;
+  out.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return out;
 }
 
 }  // namespace semilocal::testing

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "braid/monge.hpp"
+#include "core/kernel.hpp"
 #include "util/types.hpp"
 
 namespace semilocal::testing {
@@ -29,5 +31,11 @@ DenseMatrix semi_local_h_oracle(SequenceView a, SequenceView b);
 /// A random test string over a small alphabet (uniform), convenience wrapper
 /// with a distinct seed stream from library generators.
 Sequence random_string(Index length, Symbol alphabet, std::uint64_t seed);
+
+/// A well-formed kernel file in the retired raw format v2 (magic, u32
+/// version 2, i64 m, i64 n, the u32 row->col array, then a 64-bit FNV-1a
+/// checksum over m, n and the array), for tests that loaders and the store
+/// turn it away like any foreign file.
+std::string raw_v2_kernel_bytes(const SemiLocalKernel& kernel);
 
 }  // namespace semilocal::testing

@@ -340,39 +340,69 @@ TEST(KernelStore, PromotionRespectsDecodedTierHeadroom) {
   EXPECT_EQ(store.stats().promotions, 0u);
 }
 
-TEST(KernelStore, RawFormatOptionKeepsEntriesDecoded) {
-  ScratchDir dir("store_v2_opt");
+TEST(KernelStore, PromoteAtLoadKeepsEntriesDecoded) {
+  ScratchDir dir("store_promote_at_load");
   const auto a = testing::random_string(50, 4, 7);
   const auto b = testing::random_string(44, 4, 8);
   const PairKey key = make_pair_key(a, b);
+  const SemiLocalKernel kernel = semi_local_kernel(a, b);
   KernelStoreOptions options;
   options.dir = dir.str();
-  options.format = KernelFormat::kV2Raw;
+  options.promote_after_hits = 0;
   {
     KernelStore warm(options);
     warm.put(key, std::make_shared<const CachedKernel>(
-                      std::make_shared<const SemiLocalKernel>(semi_local_kernel(a, b))));
+                      std::make_shared<const SemiLocalKernel>(kernel)));
   }
-  KernelStore store(options);
-  const CachedKernelPtr loaded = store.find(key);
+  // promote_after_hits = 0: the disk hit is promoted at the load itself.
+  for (int restart = 0; restart < 2; ++restart) {
+    KernelStore store(options);
+    const CachedKernelPtr loaded = store.find(key);
+    ASSERT_NE(loaded, nullptr) << "restart " << restart;
+    EXPECT_FALSE(loaded->is_compressed());
+    EXPECT_EQ(loaded->kernel().permutation(), kernel.permutation());
+    const KernelStoreStats stats = store.stats();
+    EXPECT_EQ(stats.disk_hits, 1u);
+    EXPECT_EQ(stats.compressed_loads, 0u);
+    EXPECT_EQ(stats.promotions, 1u);
+    EXPECT_EQ(stats.cache.compressed_entries, 0u);
+  }
+  // The same headroom check as a promotion on a hit: with no decoded-tier
+  // budget the load stays compressed.
+  options.promoted_fraction = 0.0;
+  KernelStore capped(options);
+  const CachedKernelPtr loaded = capped.find(key);
   ASSERT_NE(loaded, nullptr);
-  EXPECT_FALSE(loaded->is_compressed());
-  EXPECT_EQ(store.stats().compressed_loads, 0u);
-  EXPECT_DOUBLE_EQ(store.stats().compression_ratio(), 1.0);
+  EXPECT_TRUE(loaded->is_compressed());
+  EXPECT_EQ(capped.stats().compressed_loads, 1u);
+  EXPECT_EQ(capped.stats().promotions, 0u);
 }
 
 TEST(KernelStore, CorruptFileIsAMissNotACrash) {
   ScratchDir dir("store_corrupt");
   const PairKey key = key_for(7);
+  // A well-formed kernel file in the retired raw format v2, under the live
+  // key of its own pair: a foreign file like any other that is not v3.
+  const auto a = testing::random_string(20, 4, 9);
+  const auto b = testing::random_string(24, 4, 10);
+  const PairKey v2_key = make_pair_key(a, b);
   {
     std::ofstream out(fs::path(dir.str()) / (key.hex() + ".slk"), std::ios::binary);
     out << "this is not a kernel";
+    std::ofstream v2(fs::path(dir.str()) / (v2_key.hex() + ".slk"), std::ios::binary);
+    v2 << testing::raw_v2_kernel_bytes(semi_local_kernel(a, b));
   }
   KernelStoreOptions options;
   options.dir = dir.str();
   KernelStore store(options);
   EXPECT_EQ(store.find(key), nullptr);
   EXPECT_EQ(store.stats().disk_errors, 1u);
+  EXPECT_EQ(store.stats().quarantined, 1u);
+  EXPECT_EQ(store.find(v2_key), nullptr);
+  EXPECT_EQ(store.stats().disk_errors, 2u);
+  EXPECT_EQ(store.stats().quarantined, 2u);
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / (v2_key.hex() + ".slk.quarantined")));
+  EXPECT_FALSE(store.on_disk(v2_key));
 }
 
 EngineOptions drain_mode(int max_queue = 256, int max_batch = 8) {

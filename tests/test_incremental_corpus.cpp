@@ -634,7 +634,7 @@ TEST(IncrementalCorpus, ReloadIgnoresStoreFilesUnderForeignKeys) {
   EXPECT_EQ(stats.store.disk_hits, 0u);
 }
 
-TEST(IncrementalCorpus, IndexVersionColumnsRoundTripAndBackCompat) {
+TEST(IncrementalCorpus, IndexVersionColumnsRoundTripAndMalformedLinesThrow) {
   const ScratchDir scratch;
   std::vector<CorpusIndexEntry> entries(1);
   entries[0] = {"a", "b", 10, 20, "00112233445566778899aabbccddeeff", 3, 7};
@@ -649,22 +649,28 @@ TEST(IncrementalCorpus, IndexVersionColumnsRoundTripAndBackCompat) {
   EXPECT_EQ(read[0].ver_b, 7);
   EXPECT_EQ(read[0].key_hex, entries[0].key_hex);
 
-  // Pre-versioning five-column files (plain precompute output from older
-  // releases) still read: versions and generation default to zero.
-  const std::string legacy = scratch.file("legacy.tsv");
-  {
-    std::ofstream out(legacy);
-    out << "#id_a\tid_b\tm\tn\tkey\n";
-    out << "x\ty\t5\t6\tffeeddccbbaa99887766554433221100\n";
+  // A pair line is exactly seven columns: one without its versions, with
+  // one of them, with a non-numeric one or with a column too many is
+  // malformed -- never read as version 0.
+  for (const std::string line : {
+           "x\ty\t5\t6\tffeeddccbbaa99887766554433221100",
+           "x\ty\t5\t6\tffeeddccbbaa99887766554433221100\t1",
+           "x\ty\t5\t6\tffeeddccbbaa99887766554433221100\t1\tv2",
+           "x\ty\t5\t6\tffeeddccbbaa99887766554433221100\t1\t2\t3",
+       }) {
+    const std::string bad = scratch.file("bad.tsv");
+    {
+      std::ofstream out(bad);
+      out << "#generation\t1\n#id_a\tid_b\tm\tn\tkey\tver_a\tver_b\n" << line << "\n";
+    }
+    try {
+      (void)read_corpus_index(bad);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed line"), std::string::npos)
+          << e.what();
+    }
   }
-  std::uint64_t legacy_generation = 99;
-  const auto old = read_corpus_index(legacy, nullptr, &legacy_generation);
-  ASSERT_EQ(old.size(), 1u);
-  EXPECT_EQ(legacy_generation, 0u);
-  EXPECT_EQ(old[0].ver_a, 0);
-  EXPECT_EQ(old[0].ver_b, 0);
-  EXPECT_EQ(old[0].m, 5);
-  EXPECT_EQ(old[0].n, 6);
 }
 
 // ---------------------------------------------------------------------------

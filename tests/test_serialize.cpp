@@ -68,7 +68,8 @@ TEST(SerializeFuzz, EveryBitFlipThrowsAndNeverCrashes) {
       semi_local_kernel(testing::random_string(12, 4, 1), testing::random_string(15, 4, 2));
   const std::string valid = serialized_bytes(kernel);
   // Exhaustive single-bit corruption of the whole stream: header, dimension
-  // fields, payload, checksum. The v2 checksum makes every one detectable.
+  // fields, block index, payload. The v3 header/index checksum and the
+  // per-block checksums make every one detectable.
   for (std::size_t byte = 0; byte < valid.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupt = valid;
@@ -109,15 +110,17 @@ TEST(SerializeFuzz, TruncationAtEveryLengthThrows) {
 }
 
 TEST(SerializeHardening, RejectsOverflowingDimensions) {
-  // Hand-build headers whose m/n would overflow `m + n` or drive a giant
-  // allocation; load_kernel must reject them before touching the payload.
+  // Hand-build v3 headers whose m/n would overflow `m + n` or drive a giant
+  // allocation; load_kernel must reject them on the dimension bound, which
+  // open() checks before the block size, the block count and the checksum.
   const auto make_stream = [](std::int64_t m, std::int64_t n) {
     std::string bytes;
     bytes.append("SLKERNL", 8);  // includes the trailing '\0' of the literal
-    const std::uint32_t version = 2;
+    const std::uint32_t version = 3;
     bytes.append(reinterpret_cast<const char*>(&version), 4);
     bytes.append(reinterpret_cast<const char*>(&m), 8);
     bytes.append(reinterpret_cast<const char*>(&n), 8);
+    bytes.append(44 - bytes.size(), '\0');  // rest of the 44-byte v3 header
     bytes.append(64, '\0');  // whatever payload; must not be reached
     return std::stringstream(bytes);
   };
@@ -131,41 +134,47 @@ TEST(SerializeHardening, RejectsOverflowingDimensions) {
            {(std::int64_t{1} << 31), 1},
        }) {
     auto in = make_stream(m, n);
-    EXPECT_THROW((void)load_kernel(in), std::runtime_error) << "m=" << m << " n=" << n;
+    try {
+      (void)load_kernel(in);
+      ADD_FAILURE() << "accepted m=" << m << " n=" << n;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("implausible dimensions"), std::string::npos)
+          << "m=" << m << " n=" << n << ": " << e.what();
+    }
   }
 }
 
 TEST(SerializeHardening, UncheckedLegacyVersionIsRejected) {
-  // Accepting the checksummed format only: a reader that falls back to the
-  // old unchecksummed v1 layout on a (possibly corrupted) version field
-  // would defeat the checksum entirely.
+  // Accepting v3 only: a reader that falls back to the old unchecksummed v1
+  // layout on a (possibly corrupted) version field would defeat the
+  // checksum entirely. A well-formed stream in the raw v2 layout, checksum
+  // and all, is refused on its version field the same way.
   const auto kernel =
       semi_local_kernel(testing::random_string(8, 3, 7), testing::random_string(11, 3, 8));
-  std::string bytes = serialized_bytes(kernel);
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
-  bytes.resize(bytes.size() - sizeof(std::uint64_t));  // drop the checksum
-  std::stringstream in(bytes);
-  EXPECT_THROW((void)load_kernel(in), std::runtime_error);
+  std::string v1 = serialized_bytes(kernel);
+  const std::uint32_t version = 1;
+  std::memcpy(v1.data() + 8, &version, sizeof(version));
+  v1.resize(v1.size() - sizeof(std::uint64_t));  // drop the checksum
+  const std::string v2 = testing::raw_v2_kernel_bytes(kernel);
+  ASSERT_EQ(v2.size(), raw_kernel_bytes(kernel.order()));
+  for (const auto& [bytes, want] : {std::pair{v1, "unsupported version 1"},
+                                    std::pair{v2, "unsupported version 2"}}) {
+    std::stringstream in(bytes);
+    try {
+      (void)load_kernel(in);
+      ADD_FAILURE() << "loaded: " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Format v3 (block-compressed) specifics. The generic round-trip and fuzz
-// suites above already run against v3 -- save_kernel writes it by default --
-// so these pin what those cannot: the explicit v2 writer, multi-block
-// framing, and the streamed sigma path that serves compressed-resident
-// cache entries without a full decode.
-
-TEST(CodecV3, ExplicitV2WriterStillRoundTrips) {
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const SemiLocalKernel kernel = random_kernel(trial + 50);
-    const std::string bytes = save_kernel_bytes(kernel, KernelFormat::kV2Raw);
-    ASSERT_EQ(kernel_format_version(bytes), kKernelFormatV2);
-    ASSERT_EQ(bytes.size(), kernel_v2_encoded_bytes(kernel.order()));
-    const SemiLocalKernel loaded = load_kernel_bytes(bytes);
-    ASSERT_EQ(loaded.permutation(), kernel.permutation()) << "trial " << trial;
-  }
-}
+// suites above already run against v3 -- save_kernel writes nothing else --
+// so these pin what those cannot: multi-block framing, and the streamed
+// sigma path that serves compressed-resident cache entries without a full
+// decode.
 
 TEST(CodecV3, DefaultWriterEmitsV3) {
   const SemiLocalKernel kernel = random_kernel(3);
@@ -241,8 +250,8 @@ TEST(CodecV3, CompressesRealKernelsBelowRawFormat) {
   const auto a = testing::random_string(2000, 4, 21);
   const auto b = testing::random_string(2000, 4, 22);
   const SemiLocalKernel kernel = semi_local_kernel(a, b);
-  const std::string v3 = save_kernel_bytes(kernel, KernelFormat::kV3Compressed);
-  const std::size_t raw = kernel_v2_encoded_bytes(kernel.order());
+  const std::string v3 = save_kernel_bytes(kernel);
+  const std::size_t raw = raw_kernel_bytes(kernel.order());
   // The headline capacity claim: at serving-size kernels the packed blocks
   // should hold at least 2x more entries per byte than the raw u32 payload
   // (the bench measures the full-store ratio; this is the per-file floor).

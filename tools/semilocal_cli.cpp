@@ -25,13 +25,9 @@
 //   braid <stringA> <stringB>
 //       Renders the combing grid, the kernel matrix and the strand wiring
 //       (small inputs; teaching/debugging aid).
-//   store migrate <dir>
-//       Rewrites every v2 (raw) kernel in a store directory as v3
-//       (block-compressed), in place via temp-and-rename. Resumable:
-//       already-v3 files are skipped, so an interrupted run just re-runs.
 //   store stat <dir>
-//       Per-format file counts, on-disk bytes, and the compression ratio
-//       against the raw v2 encoding.
+//       Counts of v3 kernel files and of unreadable ones, on-disk bytes,
+//       and the compression ratio against a raw u32 encoding.
 //   shardctl <host:port|port> status
 //   shardctl <host:port|port> drain|undrain <shard>
 //   shardctl <host:port|port> weight <shard> <w>
@@ -61,7 +57,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <fstream>
@@ -100,8 +95,7 @@ int usage() {
       "  generate [--length N] [--gc F] [--pair] [--seed S] [--out PATH]\n"
       "  dotplot <a.fasta> <b.fasta> [--rows R] [--cols C]\n"
       "  braid <stringA> <stringB>\n"
-      "  store migrate <dir>     (rewrite v2 kernels as compressed v3, in place)\n"
-      "  store stat <dir>        (per-format counts, bytes, compression ratio)\n"
+      "  store stat <dir>        (kernel counts, bytes, compression ratio)\n"
       "  shardctl <host:port|port> status\n"
       "  shardctl <host:port|port> drain|undrain <shard>\n"
       "  shardctl <host:port|port> weight <shard> <w>\n"
@@ -351,78 +345,22 @@ std::vector<std::filesystem::path> store_kernel_files(const std::string& dir) {
   return files;
 }
 
-int cmd_store_migrate(const std::string& dir) {
-  std::size_t migrated = 0;
-  std::size_t skipped = 0;
-  std::size_t failed = 0;
-  std::size_t bytes_before = 0;
-  std::size_t bytes_after = 0;
-  for (const auto& path : store_kernel_files(dir)) {
-    try {
-      const std::string bytes = slurp_file(path);
-      if (kernel_format_version(bytes) == kKernelFormatV3) {
-        ++skipped;  // resumable: an interrupted migration just re-runs
-        bytes_before += bytes.size();
-        bytes_after += bytes.size();
-        continue;
-      }
-      const SemiLocalKernel kernel = load_kernel_bytes(bytes);
-      const std::string encoded = save_kernel_bytes(kernel, KernelFormat::kV3Compressed);
-      // Temp-and-rename so a crash mid-write never leaves a torn kernel at
-      // the serving path; readers see the old file or the new one, whole.
-      const std::filesystem::path tmp = path.string() + ".migrate.tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()))) {
-          throw std::runtime_error("short write to " + tmp.string());
-        }
-      }
-      std::filesystem::rename(tmp, path);
-      ++migrated;
-      bytes_before += bytes.size();
-      bytes_after += encoded.size();
-    } catch (const std::exception& e) {
-      ++failed;
-      std::cerr << "semilocal_cli: " << path.string() << ": " << e.what() << "\n";
-    }
-  }
-  std::cout << migrated << " migrated, " << skipped << " already v3, " << failed
-            << " failed\n";
-  if (bytes_after > 0) {
-    std::cout << bytes_before << " -> " << bytes_after << " bytes ("
-              << static_cast<double>(bytes_before) / static_cast<double>(bytes_after)
-              << "x)\n";
-  }
-  return failed > 0 ? 1 : 0;
-}
-
 int cmd_store_stat(const std::string& dir) {
-  std::size_t v2_files = 0;
-  std::size_t v3_files = 0;
-  std::size_t other_files = 0;
+  std::size_t kernels = 0;
+  std::size_t unreadable = 0;
   std::size_t bytes_on_disk = 0;
   std::size_t raw_equivalent = 0;
   for (const auto& path : store_kernel_files(dir)) {
-    const std::string bytes = slurp_file(path);
+    std::string bytes = slurp_file(path);
     bytes_on_disk += bytes.size();
-    const std::uint32_t version = kernel_format_version(bytes);
-    if ((version != kKernelFormatV2 && version != kKernelFormatV3) ||
-        bytes.size() < 28) {
-      ++other_files;
-      continue;
+    try {
+      raw_equivalent += raw_kernel_bytes(CompressedKernel::open(std::move(bytes))->order());
+      ++kernels;
+    } catch (const std::runtime_error&) {
+      ++unreadable;
     }
-    // v2 and v3 share the header prefix: m at [12, 20), n at [20, 28).
-    std::int64_t m = 0;
-    std::int64_t n = 0;
-    std::memcpy(&m, bytes.data() + 12, sizeof(m));
-    std::memcpy(&n, bytes.data() + 20, sizeof(n));
-    raw_equivalent += kernel_v2_encoded_bytes(m + n);
-    version == kKernelFormatV2 ? ++v2_files : ++v3_files;
   }
-  std::cout << "kernels: " << v2_files + v3_files << " (" << v3_files
-            << " v3 compressed, " << v2_files << " v2 raw";
-  if (other_files > 0) std::cout << ", " << other_files << " unreadable";
-  std::cout << ")\n";
+  std::cout << "kernels: " << kernels << " v3, " << unreadable << " unreadable\n";
   std::cout << "bytes on disk: " << bytes_on_disk << "\n";
   if (bytes_on_disk > 0) {
     std::cout << "raw-equivalent bytes: " << raw_equivalent << "\n"
@@ -662,7 +600,6 @@ int cmd_store(const CliArgs& args) {
   if (!std::filesystem::is_directory(dir)) {
     throw std::invalid_argument(dir + " is not a directory");
   }
-  if (sub == "migrate") return cmd_store_migrate(dir);
   if (sub == "stat") return cmd_store_stat(dir);
   return usage();
 }
