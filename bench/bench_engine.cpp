@@ -11,8 +11,9 @@
 //             promoted). Reports resident pairs per GB and the warm p50/p99
 //             of a hot-heavy request stream for both legs, plus the derived
 //             capacity_ratio (gated in bench/gates.tsv) and
-//             p50_regression (reported, not gated: at gate scale it is
-//             timing noise).
+//             p50_regression, the median over alternating rounds of each
+//             round's compressed-vs-decoded p50 change (reported, not
+//             gated: a p50 of a few microseconds).
 //   frontend_sweep
 //             the serve frontend measured over real sockets: an in-process
 //             open-loop client (client/open_loop.hpp) fires a fixed offered
@@ -67,6 +68,13 @@ std::vector<std::pair<Sequence, Sequence>> make_pool(int pairs, Index length,
   return pool;
 }
 
+/// The middle value (the upper one of an even count); 0 when empty.
+double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
@@ -85,11 +93,13 @@ struct CapacityLeg {
 };
 
 struct CapacityResult {
+  static constexpr int kRounds = 15;
   int pool_pairs = 0;
   int hot_pairs = 0;
   std::size_t cache_bytes = 0;
   CapacityLeg decoded;
   CapacityLeg compressed;
+  std::vector<double> p50_regressions;  // one per timed round
 
   /// How many more pairs the fixed budget keeps resident compressed.
   [[nodiscard]] double capacity_ratio() const {
@@ -98,62 +108,74 @@ struct CapacityResult {
   }
 
   /// Warm p50 cost of compression on the hot path (negative = compressed
-  /// faster).
-  [[nodiscard]] double p50_regression() const {
-    return decoded.p50_ms > 0 ? (compressed.p50_ms - decoded.p50_ms) / decoded.p50_ms
-                              : 0.0;
-  }
+  /// faster): the median over the rounds of each round's p50 regression.
+  [[nodiscard]] double p50_regression() const { return median(p50_regressions); }
 };
 
-/// One capacity leg: build a disk store of `pairs` kernels, then restart
-/// cold over it under `store` (the promotion policy and cache budget) and
-/// replay `rounds` hot-heavy request rounds (each: every pair once, each of
-/// the first `hot` pairs `hot_weight` times, so hot requests are the
-/// majority and p50 reflects the hot serving path). The first round is
-/// untimed warm-up; residency is read after the last round.
-CapacityLeg run_capacity_leg(const std::string& name, const KernelStoreOptions& store,
-                             const std::vector<std::pair<Sequence, Sequence>>& pool,
-                             int hot, int hot_weight, int rounds) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / ("semilocal_bench_" + name);
-  fs::remove_all(dir);
+/// One capacity leg: a disk store of every pool pair, built and persisted
+/// by a first engine, and a second engine restarted cold over it under
+/// `store` (the promotion policy and cache budget), which replays the rounds.
+struct CapacityRun {
+  CapacityLeg leg;
+  std::filesystem::path dir;
+  std::unique_ptr<ComparisonEngine> engine;
+  std::vector<double> latencies;  // every timed request
+};
 
+CapacityRun open_capacity_leg(const std::string& name, const KernelStoreOptions& store,
+                              const std::vector<std::pair<Sequence, Sequence>>& pool) {
+  namespace fs = std::filesystem;
+  CapacityRun run;
+  run.dir = fs::temp_directory_path() / ("semilocal_bench_" + name);
+  fs::remove_all(run.dir);
   EngineOptions options;
   options.store = store;
-  options.store.dir = dir.string();
+  options.store.dir = run.dir.string();
   options.scheduler.workers = hardware_threads();
   options.scheduler.max_queue = pool.size() * 2;
-
-  CapacityLeg leg;
-  leg.name = name;
+  run.leg.name = name;
   {  // Build phase: compute + persist every pair, then drop the engine.
     ComparisonEngine builder(options);
     for (const auto& [a, b] : pool) (void)builder.lcs(a, b);
-    leg.bytes_on_disk = builder.stats().store.bytes_on_disk;
-    leg.compression_ratio = builder.stats().store.compression_ratio();
+    run.leg.bytes_on_disk = builder.stats().store.bytes_on_disk;
+    run.leg.compression_ratio = builder.stats().store.compression_ratio();
   }
-  ComparisonEngine engine(options);  // cold cache over the populated store
-  std::vector<double> latencies;
-  for (int round = 0; round < rounds + 1; ++round) {
-    const bool timed = round > 0;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      const int repeats = p < static_cast<std::size_t>(hot) ? hot_weight : 1;
-      for (int r = 0; r < repeats; ++r) {
-        Timer timer;
-        (void)engine.lcs(pool[p].first, pool[p].second);
-        if (timed) latencies.push_back(timer.milliseconds());
-      }
+  run.engine = std::make_unique<ComparisonEngine>(options);
+  return run;
+}
+
+/// One hot-heavy request round: every pair once, each of the first `hot`
+/// pairs `hot_weight` times, so hot requests are the majority and p50
+/// reflects the hot serving path. Returns the round's p50 in ms.
+double replay_capacity_round(CapacityRun& run,
+                             const std::vector<std::pair<Sequence, Sequence>>& pool,
+                             int hot, int hot_weight) {
+  std::vector<double> round;
+  for (std::size_t p = 0; p < pool.size(); ++p) {
+    const int repeats = p < static_cast<std::size_t>(hot) ? hot_weight : 1;
+    for (int r = 0; r < repeats; ++r) {
+      Timer timer;
+      (void)run.engine->lcs(pool[p].first, pool[p].second);
+      round.push_back(timer.milliseconds());
     }
   }
-  std::sort(latencies.begin(), latencies.end());
-  leg.p50_ms = percentile(latencies, 0.50);
-  leg.p99_ms = percentile(latencies, 0.99);
-  leg.stats = engine.stats();
+  run.latencies.insert(run.latencies.end(), round.begin(), round.end());
+  return median(std::move(round));
+}
+
+/// Residency and whole-run percentiles, read after the last round.
+CapacityLeg close_capacity_leg(CapacityRun& run, std::size_t cache_bytes) {
+  std::sort(run.latencies.begin(), run.latencies.end());
+  CapacityLeg leg = run.leg;
+  leg.p50_ms = percentile(run.latencies, 0.50);
+  leg.p99_ms = percentile(run.latencies, 0.99);
+  leg.stats = run.engine->stats();
   leg.resident_pairs = leg.stats.store.cache.entries;
   leg.pairs_per_gb = static_cast<double>(leg.resident_pairs) *
                      (static_cast<double>(std::size_t{1} << 30) /
-                      static_cast<double>(store.cache_bytes));
-  fs::remove_all(dir);
+                      static_cast<double>(cache_bytes));
+  run.engine.reset();
+  std::filesystem::remove_all(run.dir);
   return leg;
 }
 
@@ -172,16 +194,38 @@ CapacityResult run_capacity_sweep(Index length) {
   // cap above the whole budget never binds, so the LRU alone evicts.
   store.promote_after_hits = 0;
   store.promoted_fraction = 2.0;
-  // hot_weight 20 over 64 pairs: 80 of 140 requests per round are hot.
-  result.decoded = run_capacity_leg("capacity_decoded", store, pool, result.hot_pairs,
-                                    /*hot_weight=*/20, /*rounds=*/3);
+  CapacityRun decoded = open_capacity_leg("capacity_decoded", store, pool);
   // Half the budget may hold promoted (fully decoded + indexed) entries;
   // the rest is for the compressed tail. The hot subset must fit decoded.
   store.promote_after_hits = 2;
   store.promoted_fraction = 0.5;
-  result.compressed = run_capacity_leg("capacity_v3_compressed", store, pool,
-                                       result.hot_pairs, /*hot_weight=*/20,
-                                       /*rounds=*/3);
+  CapacityRun compressed = open_capacity_leg("capacity_v3_compressed", store, pool);
+  // hot_weight 20 over 64 pairs: 80 of 140 requests per round are hot. An
+  // untimed warm-up round each, then timed rounds, the two legs taking
+  // turns and the one that goes first swapping from round to round, so a
+  // drift in machine speed lands on both. p50_regression is the median of
+  // the rounds' regressions: one p50 of a few microseconds per leg, the
+  // earlier measure, moved by tens of percent from run to run.
+  constexpr int kHotWeight = 20;
+  (void)replay_capacity_round(decoded, pool, result.hot_pairs, kHotWeight);
+  (void)replay_capacity_round(compressed, pool, result.hot_pairs, kHotWeight);
+  decoded.latencies.clear();
+  compressed.latencies.clear();
+  for (int round = 0; round < CapacityResult::kRounds; ++round) {
+    double decoded_p50 = 0.0;
+    double compressed_p50 = 0.0;
+    if (round % 2 == 0) {
+      decoded_p50 = replay_capacity_round(decoded, pool, result.hot_pairs, kHotWeight);
+      compressed_p50 = replay_capacity_round(compressed, pool, result.hot_pairs, kHotWeight);
+    } else {
+      compressed_p50 = replay_capacity_round(compressed, pool, result.hot_pairs, kHotWeight);
+      decoded_p50 = replay_capacity_round(decoded, pool, result.hot_pairs, kHotWeight);
+    }
+    result.p50_regressions.push_back(
+        decoded_p50 > 0 ? (compressed_p50 - decoded_p50) / decoded_p50 : 0.0);
+  }
+  result.decoded = close_capacity_leg(decoded, result.cache_bytes);
+  result.compressed = close_capacity_leg(compressed, result.cache_bytes);
   return result;
 }
 
@@ -692,25 +736,37 @@ void write_capacity_leg(Json& out, const CapacityLeg& leg) {
 // window 96 (`wide`) it walks strips cached by the first pass, so its timed
 // passes isolate the seam walk. The two grids of a window must be
 // bit-identical, and a sampled direct-kernel oracle pins them both to
-// ground truth. bench/gates.tsv gates the speedup, the mismatches and the
+// ground truth. Both legs run in kRounds rounds, the leg that goes first
+// swapping from round to round; the reported windows/s and speedup are the
+// medians over the rounds, since one ratio of one run has read 2.06 on
+// plot code that reads 5.4-6.6 in the runs around it. bench/gates.tsv
+// gates the speedup and, summed over every round, the mismatches and the
 // planner leg's scan fallbacks of both windows.
 struct PlotSweepResult {
+  static constexpr int kRounds = 3;
   Index pair_length = 0;
   Index window = 0;
   Index stride = 0;
   Index rows = 0;
   Index cols = 0;
-  double planner_windows_per_s = 0.0;
-  double naive_windows_per_s = 0.0;
+  std::vector<double> planner_windows_per_s;  // one per round
+  std::vector<double> naive_windows_per_s;
   std::uint64_t planner_reused_descents = 0;
   std::uint64_t planner_scan_fallbacks = 0;
   std::uint64_t naive_scan_fallbacks = 0;
   Index plot_mismatches = 0;
 
   [[nodiscard]] Index cells() const { return rows * cols; }
-  [[nodiscard]] double speedup() const {
-    return naive_windows_per_s > 0 ? planner_windows_per_s / naive_windows_per_s : 0.0;
+  [[nodiscard]] std::vector<double> speedups() const {
+    std::vector<double> out;
+    for (std::size_t r = 0; r < planner_windows_per_s.size(); ++r) {
+      out.push_back(naive_windows_per_s[r] > 0
+                        ? planner_windows_per_s[r] / naive_windows_per_s[r]
+                        : 0.0);
+    }
+    return out;
   }
+  [[nodiscard]] double speedup() const { return median(speedups()); }
 };
 
 PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
@@ -763,16 +819,27 @@ PlotSweepResult run_plot_sweep(Index length, Index stride, Index window) {
 
   std::vector<Index> planner_grid;
   std::vector<Index> naive_grid;
-  EngineStats planner_stats;
-  EngineStats naive_stats;
-  r.planner_windows_per_s = run_leg(true, planner_grid, planner_stats);
-  r.naive_windows_per_s = run_leg(false, naive_grid, naive_stats);
-  r.planner_reused_descents = planner_stats.queries.plot_reused_descents;
-  r.planner_scan_fallbacks = planner_stats.queries.scanned;
-  r.naive_scan_fallbacks = naive_stats.queries.scanned;
-
-  for (std::size_t i = 0; i < planner_grid.size(); ++i) {
-    if (planner_grid[i] != naive_grid[i]) ++r.plot_mismatches;
+  for (int round = 0; round < PlotSweepResult::kRounds; ++round) {
+    EngineStats planner_stats;
+    EngineStats naive_stats;
+    double planner = 0.0;
+    double naive = 0.0;
+    if (round % 2 == 0) {
+      planner = run_leg(true, planner_grid, planner_stats);
+      naive = run_leg(false, naive_grid, naive_stats);
+    } else {
+      naive = run_leg(false, naive_grid, naive_stats);
+      planner = run_leg(true, planner_grid, planner_stats);
+    }
+    r.planner_windows_per_s.push_back(planner);
+    r.naive_windows_per_s.push_back(naive);
+    r.planner_scan_fallbacks += planner_stats.queries.scanned;
+    // The same every round: one plot's worth.
+    r.planner_reused_descents = planner_stats.queries.plot_reused_descents;
+    r.naive_scan_fallbacks = naive_stats.queries.scanned;
+    for (std::size_t i = 0; i < planner_grid.size(); ++i) {
+      if (planner_grid[i] != naive_grid[i]) ++r.plot_mismatches;
+    }
   }
   // Sampled ground-truth oracle: a few grid rows recomputed from scratch.
   for (const Index u : {Index{0}, spec.rows / 2, spec.rows - 1}) {
@@ -888,11 +955,7 @@ struct UpsertSweepResult {
 
   /// The median of mixed_ratios() (gated in bench/gates.tsv): one round of
   /// unchanged code has read 1.145 where its neighbours read 0.99.
-  [[nodiscard]] double mixed_ratio() const {
-    std::vector<double> ratios = mixed_ratios();
-    std::sort(ratios.begin(), ratios.end());
-    return ratios[ratios.size() / 2];
-  }
+  [[nodiscard]] double mixed_ratio() const { return median(mixed_ratios()); }
 
   [[nodiscard]] Index mismatches() const {
     Index total = 0;
@@ -1103,9 +1166,12 @@ void write_upsert_leg(Json& out, const UpsertLeg& leg) {
 void write_plot_leg(Json& out, const PlotSweepResult& plot) {
   out.field("pair_length", plot.pair_length).field("window", plot.window);
   out.field("stride", plot.stride).field("rows", plot.rows).field("cols", plot.cols);
-  out.field("cells", plot.cells()).field("planner_windows_per_s", plot.planner_windows_per_s);
-  out.field("naive_windows_per_s", plot.naive_windows_per_s);
-  out.field("plot_speedup", plot.speedup());
+  out.field("cells", plot.cells());
+  out.field("planner_windows_per_s", median(plot.planner_windows_per_s));
+  out.field("naive_windows_per_s", median(plot.naive_windows_per_s));
+  out.field("plot_speedup", plot.speedup()).key("plot_speedups").begin_array();
+  for (const double speedup : plot.speedups()) out.value(speedup);
+  out.end_array();
   out.field("planner_reused_descents", plot.planner_reused_descents);
   out.field("planner_scan_fallbacks", plot.planner_scan_fallbacks);
   out.field("naive_scan_fallbacks", plot.naive_scan_fallbacks);
@@ -1123,7 +1189,9 @@ void write_json(const std::string& path, const CapacityResult& capacity,
   out.field("pool_pairs", capacity.pool_pairs).field("hot_pairs", capacity.hot_pairs);
   out.field("cache_bytes", capacity.cache_bytes);
   out.field("capacity_ratio", capacity.capacity_ratio());
-  out.field("p50_regression", capacity.p50_regression()).key("legs").begin_array();
+  out.field("p50_regression", capacity.p50_regression()).key("p50_regressions").begin_array();
+  for (const double regression : capacity.p50_regressions) out.value(regression);
+  out.end_array().key("legs").begin_array();
   write_capacity_leg(out, capacity.decoded);
   write_capacity_leg(out, capacity.compressed);
   out.end_array().end_object().key("frontend_sweep").begin_object().key("legs").begin_array();
@@ -1245,8 +1313,8 @@ int main() {
         .cell(static_cast<long long>(leg->stride))
         .cell(static_cast<long long>(leg->window))
         .cell(static_cast<long long>(leg->cells()))
-        .cell(leg->planner_windows_per_s, 0)
-        .cell(leg->naive_windows_per_s, 0)
+        .cell(median(leg->planner_windows_per_s), 0)
+        .cell(median(leg->naive_windows_per_s), 0)
         .cell(leg->speedup(), 2)
         .cell(static_cast<long long>(leg->planner_reused_descents))
         .cell(static_cast<long long>(leg->planner_scan_fallbacks))

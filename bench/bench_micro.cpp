@@ -7,14 +7,18 @@
 // dispatchable kernel tier (scalar / AVX2 / AVX-512, both strand widths),
 // single-call vs batched semi-local throughput, and the score-only kernels
 // a cold `lcs` request can run (the bit-plane comber next to Hyyro's
-// bit-vector LCS and the semi-local comb + query index it replaces). Run
-// with `--benchmark_filter=NONE` to emit only the JSON report.
+// bit-vector LCS and the semi-local comb + query index it replaces), the
+// serial comb's ns/cell across sizes (`comb_sizes`), and the steady-ant
+// product and junction compose the corpus's Resume plan pays per strip
+// (`compose`). Run with `--benchmark_filter=NONE` to emit only the JSON
+// report.
 #include "common.hpp"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -24,6 +28,7 @@
 #include "braid/steady_ant.hpp"
 #include "core/api.hpp"
 #include "core/comb_kernels.hpp"
+#include "core/iterative_combing.hpp"
 #include "core/query_index.hpp"
 #include "lcs/bitparallel.hpp"
 #include "lcs/prefix.hpp"
@@ -120,12 +125,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Median-of-5 wall time of `fn()`, with one warmup call.
+/// Median wall time of `runs` calls of `fn()`, after one warmup call.
 template <typename Fn>
-double median_run_seconds(const Fn& fn) {
+double median_run_seconds(const Fn& fn, int runs_wanted = 5) {
   fn();
   std::vector<double> runs;
-  for (int r = 0; r < 5; ++r) {
+  for (int r = 0; r < runs_wanted; ++r) {
     const auto start = std::chrono::steady_clock::now();
     fn();
     runs.push_back(seconds_since(start));
@@ -211,6 +216,68 @@ ScoreRow score_row(Index length, Symbol alphabet) {
   return row;
 }
 
+/// Runs behind each comb-size and compose row: resume_profitable's
+/// constants are read off these rows, and a median of 5 has moved them by
+/// 20% from one run to the next on a shared host.
+constexpr int kCostRuns = 11;
+
+/// One serial semi_local_kernel over an m x n pair (median of kCostRuns
+/// after a warmup): the comb layer's ns/cell across the strip height and
+/// both strand widths.
+struct CombRow {
+  Index m;
+  Index n;
+  int strand_bits;
+  double ms;
+
+  [[nodiscard]] double ns_per_cell() const {
+    return ms * 1e6 / (static_cast<double>(m) * static_cast<double>(n));
+  }
+};
+
+CombRow comb_row(Index m, Index n) {
+  const auto a = uniform_sequence(m, 4, 7);
+  const auto b = uniform_sequence(n, 4, 8);
+  const double secs = median_run_seconds(
+      [&] { benchmark::DoNotOptimize(semi_local_kernel(a, b)); }, kCostRuns);
+  return {m, n, m + n < (Index{1} << 16) ? 16 : 32, secs * 1e3};
+}
+
+/// One steady-ant product of order n with the corpus's options (precalc +
+/// preallocate, a warm workspace), and one junction compose of a kernel of
+/// an n-symbol document with an appended `tail` strip against it -- the
+/// Resume plan's per-strip compose.
+struct ComposeRow {
+  Index n;
+  Index tail;
+  double product_ms;
+  double compose_ms;
+
+  /// The product's cost per n log2 n step.
+  [[nodiscard]] double ns_per_step() const {
+    const auto order = static_cast<double>(n);
+    return product_ms * 1e6 / (order * std::log2(order));
+  }
+};
+
+ComposeRow compose_row(Index n, Index tail) {
+  const SteadyAntOptions ant{.precalc = true, .preallocate = true};
+  AntWorkspace ws;
+  const auto p = Permutation::random(n, 1);
+  const auto q = Permutation::random(n, 2);
+  const double product_s = median_run_seconds(
+      [&] { benchmark::DoNotOptimize(multiply(p, q, ant, &ws)); }, kCostRuns);
+  const auto doc = uniform_sequence(n, 4, 3);
+  const auto strip = uniform_sequence(tail, 4, 4);
+  const auto other = uniform_sequence(n, 4, 5);
+  const SemiLocalKernel base = semi_local_kernel(doc, other);
+  const SemiLocalKernel appended = semi_local_kernel(strip, other);
+  const double compose_s = median_run_seconds(
+      [&] { benchmark::DoNotOptimize(compose_horizontal(base, appended, ant, &ws)); },
+      kCostRuns);
+  return {n, tail, product_s * 1e3, compose_s * 1e3};
+}
+
 struct KernelRow {
   std::string name;
   double u16_ns_per_cell;
@@ -257,6 +324,16 @@ void write_kernel_report(const std::string& path) {
   for (const Index length : {Index{2000}, Index{8000}}) {
     for (const Symbol alphabet : {4, 256}) score_rows.push_back(score_row(length, alphabet));
   }
+  // Square sizes across the strip height, then the largest 16-bit shape
+  // (m + n = 65000) and a 32-bit one (m + n = 66000).
+  std::vector<CombRow> comb_rows;
+  for (const Index length : {2000, 3000, 4500, 8000, 16000}) {
+    comb_rows.push_back(comb_row(length, length));
+  }
+  comb_rows.push_back(comb_row(33000, 32000));
+  comb_rows.push_back(comb_row(33000, 33000));
+  std::vector<ComposeRow> compose_rows;
+  for (const Index n : {8000, 32000}) compose_rows.push_back(compose_row(n, 1000));
 
   Json out(/*wrap_depth=*/2);
   out.begin_object().field("dispatched", kernel_dispatch().name);
@@ -279,6 +356,17 @@ void write_kernel_report(const std::string& path) {
     out.begin_object().field("length", r.length).field("alphabet", r.alphabet);
     out.field("plane_ms", r.plane_ms).field("hyyro_ms", r.hyyro_ms);
     out.field("comb_ms", r.comb_ms).field("comb_index_ms", r.comb_index_ms).end_object();
+  }
+  out.end_array().field("comb_strip_rows", kCombStripRows).key("comb_sizes").begin_array();
+  for (const CombRow& r : comb_rows) {
+    out.begin_object().field("m", r.m).field("n", r.n).field("strand_bits", r.strand_bits);
+    out.field("ms", r.ms).field("ns_per_cell", r.ns_per_cell()).end_object();
+  }
+  out.end_array().key("compose").begin_array();
+  for (const ComposeRow& r : compose_rows) {
+    out.begin_object().field("n", r.n).field("tail", r.tail);
+    out.field("product_ms", r.product_ms).field("ns_per_step", r.ns_per_step());
+    out.field("compose_ms", r.compose_ms).end_object();
   }
   out.end_array().end_object();
   bench::write_report(path, out);

@@ -226,13 +226,42 @@ inline void comb_cells_par(CombCellsFn<StrandT> fn,
   }
 }
 
-// Full three-phase anti-diagonal sweep (requires 1 <= m <= n).
+// Serial three-phase anti-diagonal sweep of one m x n grid (1 <= m <= n).
+template <typename StrandT, CombMode Mode>
+void comb_sweep(CombCellsFn<StrandT> fn, const Symbol* a_rev, const Symbol* b,
+                StrandT* h, StrandT* v, Index m, Index n) {
+  for (Index d = 0; d < m - 1; ++d) {
+    comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
+  }
+  for (Index k = 0; k < n - m + 1; ++k) {
+    comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, m, 0, k);
+  }
+  Index vi = n - m + 1;
+  for (Index len = m - 1; len >= 1; --len) {
+    comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, len, 0, vi);
+    ++vi;
+  }
+}
+
+// Whole-grid anti-diagonal comb (requires 1 <= m <= n).
+//
+// Serially the grid is combed in equal-height row strips of at most
+// kCombStripRows rows, top to bottom, each by the three-phase sweep over
+// its own sub-grid: rows [top, top + rows) of a are the strip's slice of
+// a_rev and h at offset m - top - rows, and every strip spans all of b
+// and v. An anti-diagonal of a strip touches at most kCombStripRows cells,
+// so the strands and symbols it reads stay in L1 from one diagonal to the
+// next, where a full-height diagonal of a long pair does not. Each cell
+// still sees the strands entering it from its left and top neighbours, so
+// this order respects every dependency of the grid and yields the same
+// braid (Krusche & Tiskin, arXiv 0903.3579). The parallel sweep keeps the
+// full height: each thread's share of a diagonal is already short.
 template <typename StrandT, CombMode Mode, bool Parallel>
 void comb_grid(CombCellsFn<StrandT> fn, const Symbol* a_rev, const Symbol* b,
                StrandT* h, StrandT* v, Index m, Index n) {
   assert(m >= 1 && m <= n);
-  const Index full = n - m + 1;
   if constexpr (Parallel) {
+    const Index full = n - m + 1;
 #pragma omp parallel
     {
       for (Index d = 0; d < m - 1; ++d) {
@@ -248,16 +277,13 @@ void comb_grid(CombCellsFn<StrandT> fn, const Symbol* a_rev, const Symbol* b,
       }
     }
   } else {
-    for (Index d = 0; d < m - 1; ++d) {
-      comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, d + 1, m - 1 - d, 0);
-    }
-    for (Index k = 0; k < full; ++k) {
-      comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, m, 0, k);
-    }
-    Index vi = full;
-    for (Index len = m - 1; len >= 1; --len) {
-      comb_cells<StrandT, Mode>(fn, a_rev, b, h, v, len, 0, vi);
-      ++vi;
+    const Index strips = (m + kCombStripRows - 1) / kCombStripRows;
+    Index top = 0;
+    for (Index s = strips; s >= 1; --s) {
+      const Index rows = (m - top) / s;
+      const Index off = m - top - rows;
+      comb_sweep<StrandT, Mode>(fn, a_rev + off, b, h + off, v, rows, n);
+      top += rows;
     }
   }
 }

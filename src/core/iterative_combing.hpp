@@ -56,6 +56,11 @@ struct CombOptions {
   KernelIsa isa = KernelIsa::kAuto;
 };
 
+/// Tallest row strip of the serial anti-diagonal sweep: comb_antidiag
+/// combs a grid of more rows in equal-height strips of at most this many
+/// rows, top to bottom (same braid, L1-resident diagonals).
+inline constexpr Index kCombStripRows = 2048;
+
 /// Listing 1: row-major sequential combing.
 SemiLocalKernel comb_rowmajor(SequenceView a, SequenceView b);
 

@@ -1,6 +1,8 @@
 #include "core/kernel.hpp"
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/query_formulas.hpp"
 
@@ -54,31 +56,59 @@ SemiLocalKernel SemiLocalKernel::flipped() const {
   return SemiLocalKernel(kernel_.rotate180(), n_, m_);
 }
 
-Permutation prepend_identity(const Permutation& p, Index k) {
-  Permutation out(p.size() + k);
-  for (Index i = 0; i < k; ++i) out.set(i, i);
-  for (const auto& [r, c] : p.nonzeros()) out.set(k + r, k + c);
-  return out;
-}
-
-Permutation append_identity(const Permutation& p, Index k) {
-  Permutation out(p.size() + k);
-  for (const auto& [r, c] : p.nonzeros()) out.set(r, c);
-  for (Index i = 0; i < k; ++i) out.set(p.size() + i, p.size() + i);
-  return out;
-}
-
 SemiLocalKernel compose_horizontal(const SemiLocalKernel& first,
                                    const SemiLocalKernel& second,
                                    const SteadyAntOptions& opts, AntWorkspace* ws) {
   if (first.n() != second.n()) {
     throw std::invalid_argument("compose_horizontal: kernels must share b");
   }
+  using Entry = std::int32_t;
   const Index m1 = first.m();
   const Index m2 = second.m();
-  const Permutation x = prepend_identity(first.permutation(), m2);
-  const Permutation y = append_identity(second.permutation(), m1);
-  return SemiLocalKernel(multiply(x, y, opts, ws), m1 + m2, first.n());
+  const Index n = first.n();
+  const auto& p1 = first.permutation().row_to_col();
+  const auto& p2 = second.permutation().row_to_col();
+  const auto at = [](Index i) { return static_cast<std::size_t>(i); };
+  // Composed rows: the left edge of a'' (0..m2-1), then the first grid's
+  // rows shifted by m2. Composed columns: the second grid's exits, then
+  // the first grid's right edge shifted by m2.
+  std::vector<Entry> out(at(m1 + m2 + n));
+  // Only the n strands crossing the junction (the bottom edge of the first
+  // grid) can meet twice. A strand entering the second grid from the left
+  // has met no junction strand yet, and one leaving the first grid on the
+  // right meets none again, so both exits are read off their own kernel.
+  for (Index r = 0; r < m2; ++r) out[at(r)] = p2[at(r)];
+  // Junction strands in start order: their composed rows and the junction
+  // position each reaches.
+  std::vector<Entry> rows(at(n));
+  std::vector<Entry> enter(at(n));
+  Index k = 0;
+  for (Index r = 0; r < m1 + n; ++r) {
+    const Entry c = p1[at(r)];
+    if (c < n) {
+      rows[at(k)] = static_cast<Entry>(m2 + r);
+      enter[at(k++)] = c;
+    } else {
+      out[at(m2 + r)] = static_cast<Entry>(c + m2);
+    }
+  }
+  // Junction position j leaves the second grid at column p2[m2 + j]; rank
+  // those n columns in exit order.
+  std::vector<Entry> rank_of(at(m2 + n), -1);  // -1: not a junction exit
+  for (Index j = 0; j < n; ++j) rank_of[at(p2[at(m2 + j)])] = 0;
+  std::vector<Entry> col_of_rank(at(n));
+  Index t = 0;
+  for (Index c = 0; c < m2 + n; ++c) {
+    if (rank_of[at(c)] < 0) continue;
+    col_of_rank[at(t)] = static_cast<Entry>(c);
+    rank_of[at(c)] = static_cast<Entry>(t++);
+  }
+  std::vector<Entry> leave(at(n));
+  for (Index j = 0; j < n; ++j) leave[at(j)] = rank_of[at(p2[at(m2 + j)])];
+  // The junction strands' sticky product: start order -> exit rank.
+  const std::vector<Entry> z = multiply_row_to_col(enter, leave, opts, ws);
+  for (Index i = 0; i < n; ++i) out[at(rows[at(i)])] = col_of_rank[at(z[at(i)])];
+  return SemiLocalKernel(Permutation::from_row_to_col(std::move(out)), m1 + m2, n);
 }
 
 SemiLocalKernel compose_vertical(const SemiLocalKernel& first,

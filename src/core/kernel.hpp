@@ -75,6 +75,9 @@ class SemiLocalKernel {
 
 /// Kernel composition along a-concatenation (Theorem 3.4): from P_{a',b} and
 /// P_{a'',b} builds P_{a'a'',b} = (Id_{m''} (+) P') (.) (P'' (+) Id_{m'}).
+/// Only the n strands crossing the junction between the two grids can meet
+/// twice, so the product is one steady ant of order n over those strands;
+/// every other exit is read off its own kernel: O(n log n + m' + m'').
 /// `ws` (optional) supplies reusable steady-ant scratch.
 SemiLocalKernel compose_horizontal(const SemiLocalKernel& first,
                                    const SemiLocalKernel& second,
@@ -87,9 +90,5 @@ SemiLocalKernel compose_vertical(const SemiLocalKernel& first,
                                  const SemiLocalKernel& second,
                                  const SteadyAntOptions& opts = {},
                                  AntWorkspace* ws = nullptr);
-
-/// Direct sum helpers on permutations: identity block before / after.
-Permutation prepend_identity(const Permutation& p, Index k);
-Permutation append_identity(const Permutation& p, Index k);
 
 }  // namespace semilocal

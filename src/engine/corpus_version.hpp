@@ -16,7 +16,8 @@
 //     current pair kernel. The appended tail is combed in strips of at
 //     most `chunk` symbols, and each strip is composed onto that kernel by
 //     the steady-ant product (Thm 3.4): the comb pays only tail x n cells,
-//     plus O((m+n) log(m+n)) per compose. This runs at upsert time because
+//     plus O(n log n + m) per compose (one product over the n strands
+//     crossing the junction). This runs at upsert time because
 //     the base kernel may be evicted before the pair is next read.
 //   * Deferred: anything else. The upsert combs nothing; the pair's first
 //     read combs it whole.
@@ -194,23 +195,23 @@ class CorpusManager {
 /// leaving the pair to be recombed whole when it is read. The document
 /// grows to `m` symbols by a `tail`, against an `other` of `n` symbols; the
 /// tail is combed in strips of at most `chunk` symbols, each composed onto
-/// the kernel. Resume costs tail x n comb cells plus one steady-ant product
-/// of order m + n per strip, a whole recomb m x n cells; ties go to the
-/// recomb. The constants are
-/// committed rows: 0.176 ns/cell is `score_kernels` {length 8000,
-/// alphabet 4} `comb_ms` in results/bench_micro.json (11.29 ms over
-/// 8000^2 cells), and 27.5 ns per N log2 N step is the 16384 row's
-/// `combined_s` in results/fig4a_braid_opts.csv (6.3 ms; precalc +
-/// preallocate, the corpus's SteadyAntOptions).
+/// the kernel. Resume costs tail x n comb cells plus, per strip, one
+/// steady-ant product of order n over the strands crossing the junction
+/// (compose_horizontal/compose_vertical); a whole recomb costs m x n cells;
+/// ties go to the recomb. The constants are committed rows of
+/// results/bench_micro.json: 0.0883 ns/cell is the `comb_sizes` 8000 x 8000
+/// row (the strip-mined serial comb, 5.65 ms), and 25.6 ns per n log2 n
+/// step is the `compose` n = 8000 row's `ns_per_step` (a product of order
+/// 8000 in 2.65 ms; precalc + preallocate, the corpus's SteadyAntOptions).
 [[nodiscard]] inline bool resume_profitable(Index m, Index n, Index tail, Index chunk) {
-  constexpr double kCombNsPerCell = 0.176;
-  constexpr double kComposeNsPerStep = 27.5;
+  constexpr double kCombNsPerCell = 0.0883;
+  constexpr double kComposeNsPerStep = 25.6;
   if (tail < 1 || tail >= m || n < 1 || chunk < 1) return false;
-  const auto order = static_cast<double>(m + n);
+  const auto other = static_cast<double>(n);
   const auto composes = static_cast<double>((tail + chunk - 1) / chunk);
-  const double resume = static_cast<double>(tail) * static_cast<double>(n) * kCombNsPerCell +
-                        composes * kComposeNsPerStep * order * std::log2(order);
-  const double whole = static_cast<double>(m) * static_cast<double>(n) * kCombNsPerCell;
+  const double resume = static_cast<double>(tail) * other * kCombNsPerCell +
+                        composes * kComposeNsPerStep * other * std::log2(other);
+  const double whole = static_cast<double>(m) * other * kCombNsPerCell;
   return resume < whole;
 }
 

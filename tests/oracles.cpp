@@ -55,6 +55,32 @@ Sequence random_string(Index length, Symbol alphabet, std::uint64_t seed) {
   return uniform_sequence(length, alphabet, seed ^ 0x9e3779b97f4a7c15ULL);
 }
 
+Permutation prepend_identity(const Permutation& p, Index k) {
+  Permutation out(p.size() + k);
+  for (Index i = 0; i < k; ++i) out.set(i, i);
+  for (const auto& [r, c] : p.nonzeros()) out.set(k + r, k + c);
+  return out;
+}
+
+Permutation append_identity(const Permutation& p, Index k) {
+  Permutation out(p.size() + k);
+  for (const auto& [r, c] : p.nonzeros()) out.set(r, c);
+  for (Index i = 0; i < k; ++i) out.set(p.size() + i, p.size() + i);
+  return out;
+}
+
+SemiLocalKernel padded_compose_horizontal(const SemiLocalKernel& first,
+                                          const SemiLocalKernel& second) {
+  const Permutation x = prepend_identity(first.permutation(), second.m());
+  const Permutation y = append_identity(second.permutation(), first.m());
+  return SemiLocalKernel(multiply(x, y), first.m() + second.m(), first.n());
+}
+
+SemiLocalKernel padded_compose_vertical(const SemiLocalKernel& first,
+                                        const SemiLocalKernel& second) {
+  return padded_compose_horizontal(first.flipped(), second.flipped()).flipped();
+}
+
 std::string raw_v2_kernel_bytes(const SemiLocalKernel& kernel) {
   const auto& row_to_col = kernel.permutation().row_to_col();
   const auto m = static_cast<std::int64_t>(kernel.m());

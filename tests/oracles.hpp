@@ -32,6 +32,21 @@ DenseMatrix semi_local_h_oracle(SequenceView a, SequenceView b);
 /// with a distinct seed stream from library generators.
 Sequence random_string(Index length, Symbol alphabet, std::uint64_t seed);
 
+/// Direct sums on permutations: an identity block of order k before /
+/// after `p`.
+Permutation prepend_identity(const Permutation& p, Index k);
+Permutation append_identity(const Permutation& p, Index k);
+
+/// Theorem 3.4 as written: P_{a'a'',b} = (Id_{m''} (+) P') (.) (P'' (+)
+/// Id_{m'}), one steady-ant product at the padded order m' + m'' + n. The
+/// library's compose_horizontal must match it bit for bit.
+SemiLocalKernel padded_compose_horizontal(const SemiLocalKernel& first,
+                                          const SemiLocalKernel& second);
+
+/// The b-concatenation counterpart: flip both, compose padded, flip back.
+SemiLocalKernel padded_compose_vertical(const SemiLocalKernel& first,
+                                        const SemiLocalKernel& second);
+
 /// A well-formed kernel file in the retired raw format v2 (magic, u32
 /// version 2, i64 m, i64 n, the u32 row->col array, then a 64-bit FNV-1a
 /// checksum over m, n and the array), for tests that loaders and the store

@@ -136,5 +136,97 @@ TEST(Combing, MinMaxFormulationAgrees) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The serial sweep combs in row strips of at most kCombStripRows rows; every
+// shape below straddles a strip boundary and must match the row-major comb
+// bit for bit.
+
+constexpr Index kStrip = kCombStripRows;
+
+struct StripShape {
+  Index m;
+  Index n;
+};
+
+void PrintTo(const StripShape& shape, std::ostream* os) { *os << shape.m << "x" << shape.n; }
+
+class StripSweep : public ::testing::TestWithParam<StripShape> {};
+
+// Every inner-loop formulation, every forced kernel tier and both strand
+// widths, serial and parallel.
+TEST_P(StripSweep, EveryModeTierAndWidthMatchesRowMajor) {
+  const auto [m, n] = GetParam();
+  const auto a = testing::random_string(m, 4, static_cast<std::uint64_t>(m) * 3 + 1);
+  const auto b = testing::random_string(n, 4, static_cast<std::uint64_t>(n) * 3 + 2);
+  const auto reference = comb_rowmajor(a, b).permutation();
+  for (const bool allow_16bit : {true, false}) {
+    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+      EXPECT_EQ(comb_antidiag(a, b, {.allow_16bit = allow_16bit, .isa = isa}).permutation(),
+                reference)
+          << m << "x" << n << " isa " << static_cast<int>(isa) << " 16-bit " << allow_16bit;
+    }
+    for (const bool parallel : {false, true}) {
+      const auto branching =
+          comb_antidiag(a, b, {.branchless = false, .parallel = parallel, .allow_16bit = allow_16bit});
+      EXPECT_EQ(branching.permutation(), reference)
+          << m << "x" << n << " branching, parallel " << parallel << " 16-bit " << allow_16bit;
+      const auto minmax = comb_antidiag(
+          a, b, {.parallel = parallel, .allow_16bit = allow_16bit, .minmax = true});
+      EXPECT_EQ(minmax.permutation(), reference)
+          << m << "x" << n << " minmax, parallel " << parallel << " 16-bit " << allow_16bit;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StraddleStripHeight, StripSweep,
+    ::testing::Values(StripShape{kStrip - 1, kStrip + 40}, StripShape{kStrip, kStrip},
+                      StripShape{kStrip + 1, kStrip + 3}, StripShape{2 * kStrip + 1, 2 * kStrip + 1},
+                      StripShape{3 * kStrip + 7, 3 * kStrip + 20},
+                      // m > n: the flip combs b's rows in strips.
+                      StripShape{2 * kStrip + 1, kStrip + 1},
+                      StripShape{3 * kStrip + 7, 2 * kStrip + 1}),
+    [](const ::testing::TestParamInfo<StripShape>& info) {
+      return ::testing::PrintToString(info.param);
+    });
+
+// The last 16-bit shape (m + n = 65535) and the first 32-bit one (65536),
+// each over a few strips, on every forced kernel tier.
+TEST(Combing, StripsAtTheStrandWidthBoundary) {
+  const Index m = kStrip + 1;
+  const auto a = testing::random_string(m, 4, 1601);
+  for (const Index n : {65535 - m, 65536 - m}) {
+    const auto b = testing::random_string(n, 4, 1602);
+    const auto reference = comb_rowmajor(a, b);
+    const auto flipped = reference.flipped().permutation();
+    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+      EXPECT_EQ(comb_antidiag(a, b, {.isa = isa}).permutation(), reference.permutation())
+          << "m + n = " << m + n << " isa " << static_cast<int>(isa);
+      EXPECT_EQ(comb_antidiag(b, a, {.isa = isa}).permutation(), flipped)
+          << "b against a, m + n = " << m + n << " isa " << static_cast<int>(isa);
+    }
+  }
+}
+
+// The batch entry point combs each pair serially, so in strips too.
+TEST(Combing, BatchCombsInStripsLikeSingleCalls) {
+  std::vector<Sequence> storage;
+  for (const auto& [m, n] : std::vector<std::pair<Index, Index>>{
+           {kStrip + 1, kStrip + 9}, {2 * kStrip + 1, kStrip + 5}, {kStrip - 1, 3 * kStrip}}) {
+    storage.push_back(testing::random_string(m, 3, static_cast<std::uint64_t>(m) + 11));
+    storage.push_back(testing::random_string(n, 3, static_cast<std::uint64_t>(n) + 12));
+  }
+  std::vector<SequencePair> pairs;
+  for (std::size_t i = 0; i < storage.size(); i += 2) pairs.push_back({storage[i], storage[i + 1]});
+  for (const bool parallel : {false, true}) {
+    const auto kernels = semi_local_kernel_batch(pairs, {.parallel = parallel});
+    ASSERT_EQ(kernels.size(), pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(kernels[i].permutation(), comb_rowmajor(pairs[i].a, pairs[i].b).permutation())
+          << "pair " << i << " parallel " << parallel;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace semilocal

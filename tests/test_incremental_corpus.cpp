@@ -241,8 +241,10 @@ TEST(IncrementalCorpus, ResumeGateFollowsTheCostModel) {
   // Small shapes: a compose costs more than recombing the whole pair.
   EXPECT_FALSE(resume_profitable(110, 100, 10, 64));
   EXPECT_FALSE(resume_profitable(464, 400, 64, 64));
-  // corpus_mixed: 3000-symbol documents and 256-symbol appends.
+  // corpus_mixed: 3000-symbol documents and 256-symbol appends; at the top
+  // of its range (4500 symbols) the append resumes.
   EXPECT_FALSE(resume_profitable(3256, 3000, 256, 1024));
+  EXPECT_TRUE(resume_profitable(4500, 3000, 256, 1024));
   // Appends above the crossover resume, as in upsert_sweep's append legs.
   EXPECT_TRUE(resume_profitable(9000, 8000, 1000, 1000));
   EXPECT_TRUE(resume_profitable(33000, 32000, 1000, 1000));
